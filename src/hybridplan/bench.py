@@ -78,6 +78,7 @@ class CellResult:
     samples: dict = field(default_factory=dict)   # stage -> list of seconds
     travel_costs: list = field(default_factory=list)
     chain_states: list = field(default_factory=list)
+    expansions: list = field(default_factory=list)   # A* expansions per run
 
     def summary(self) -> dict:
         out = {"tasks": self.n_tasks, "agents": self.n_agents, "runs": len(self.travel_costs)}
@@ -86,6 +87,7 @@ class CellResult:
             out[f"{stage}_gsd"] = geometric_sd(xs)
         out["travel_cost_median"] = statistics.median(self.travel_costs) if self.travel_costs else None
         out["chain_states_median"] = statistics.median(self.chain_states) if self.chain_states else None
+        out["s2_plan_expansions"] = statistics.median(self.expansions) if self.expansions else None
         return out
 
 
@@ -135,6 +137,7 @@ def run_cell(
         cell.samples.setdefault("s3_model", []).append(t3 - t2)
         cell.samples.setdefault("s4_synthesis", []).append(t4 - t3)
         cell.travel_costs.append(plan.travel_cost)
+        cell.expansions.append(plan.stats["expansions"])
         # model size convention: every budget at its cap
         comps = instantiate(model, all_max_assignment(model))
         cell.chain_states.append(sum(d.n_states for _, d in comps))

@@ -87,7 +87,7 @@ def cmd_plan(args):
     if args.pddl:
         artifacts["domain"] = _write(out / "domain.pddl", export_pddl_domain(spec))
         artifacts["problem"] = _write(out / "problem.pddl", export_pddl_problem(spec))
-    _manifest(out, "plan", args, artifacts, {"s2_plan": elapsed})
+    _manifest(out, "plan", args, artifacts, {"s2_plan": elapsed}, {"planner": plan.stats})
     print(json.dumps({"metrics": plan_metrics(plan), "artifacts": artifacts}, indent=2, sort_keys=True))
     return 0
 
@@ -111,7 +111,7 @@ def cmd_synthesize(args):
     save_archive(archive, out / "archive.json")
     artifacts["archive"] = str(out / "archive.json")
     artifacts["front"] = _write(out / "front.csv", archive.front_csv())
-    _manifest(out, "synthesize", args, artifacts, timings)
+    _manifest(out, "synthesize", args, artifacts, timings, {"planner": plan.stats})
     print(
         json.dumps(
             {
@@ -247,7 +247,7 @@ def cmd_bench(args):
     return 0
 
 
-def _manifest(out: Path, subcommand: str, args, artifacts: dict, timings: dict):
+def _manifest(out: Path, subcommand: str, args, artifacts: dict, timings: dict, counters: dict | None = None):
     doc = {
         "tool_version": __version__,
         "subcommand": subcommand,
@@ -257,6 +257,8 @@ def _manifest(out: Path, subcommand: str, args, artifacts: dict, timings: dict):
         "artifacts": artifacts,
         "stage_seconds": timings,
     }
+    if counters:
+        doc["counters"] = counters
     (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str))
 
 

@@ -7,6 +7,15 @@ task action is enabled the search commits to the canonically-first one.
 This is safe for travel optimality: executing an available task never
 changes positions or emptiness and the goal requires it eventually anyway.
 
+The search runs on a compact encoding compiled once per call: locations,
+agents and tasks become indices, a state is (agent positions, empty-location
+bitmask, done-task bitmask), and distances, neighbour lists and doable-task
+masks are tables.  Emptiness is stored rather than derived from positions
+because of the depot quirk in ``world``: the first agent to leave a shared
+start location marks it empty while others remain there.  ``world`` stays
+the one-step semantics for replay, validation, adaptation and the baseline;
+the encoding is a one-to-one image of it, so plans are the same.
+
 The sequential trace is also packed into per-slot parallel lanes.  Actions
 dispatch in trace order: an action may start in a slot once every earlier
 trace action has started (earlier slot, or earlier in the same slot's scan)
@@ -35,10 +44,12 @@ from .world import (
     action_from_json,
     action_to_json,
     apply_action,
-    enabled_actions,
     initial_state,
-    is_goal,
+    is_enabled,
 )
+# The search runs on compact states and no longer calls these two, but they
+# stay planner attributes: benchmark/spans.py wraps them by name.
+from .world import enabled_actions, is_goal  # noqa: F401
 
 STRATEGIES = ("astar", "gbfs")
 HEURISTICS = ("blind", "maxmin", "predecessor", "combined")
@@ -70,6 +81,8 @@ class Plan:
     allocation: dict[str, str]            # task instance -> agent
     travel_cost: float
     timed: dict[str, list[Action]] = field(default_factory=dict)  # lanes incl. waits
+    # search work counters; not part of the plan's identity or its JSON
+    stats: dict = field(default_factory=dict, compare=False)
 
     def horizons(self) -> dict[str, int]:
         return {a: len(seq) for a, seq in self.per_agent.items() if seq}
@@ -107,7 +120,10 @@ class Plan:
 
 
 # ---------------------------------------------------------------------------
-# heuristics
+# compact encoding
+
+
+INF = float("inf")
 
 
 def shortest_path_distances(spec: ProblemSpec) -> dict[str, dict[str, float]]:
@@ -129,61 +145,171 @@ def shortest_path_distances(spec: ProblemSpec) -> dict[str, dict[str, float]]:
     return dist
 
 
+class _Compact:
+    """A mission compiled to integer indices for the search.
+
+    Locations, agents and tasks are numbered in sorted-id order.  A state is
+    ``(positions, empty, done)``: the agents' location indices, a bitmask of
+    empty locations and a bitmask of done tasks (non-pending tasks start
+    done).  It is a one-to-one image of ``WorldState.key()``.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self.loc_ids = sorted(spec.location_ids())
+        self.agent_ids = [a.id for a in spec.agents]
+        self.task_ids = [t.id for t in spec.tasks]
+        index = {lid: i for i, lid in enumerate(self.loc_ids)}
+        self.loc_index = index
+        self.task_loc = [index[t.location] for t in spec.tasks]
+        sp = shortest_path_distances(spec)
+        self.dist = [[sp[src].get(dst, INF) for dst in self.loc_ids] for src in self.loc_ids]
+        self.neighbors = [
+            [(index[dst], spec.distance(lid, dst)) for dst in spec.neighbors(lid)] for lid in self.loc_ids
+        ]
+        gamma = spec.constraints.gamma
+        self.capable = [
+            tuple(i for i, a in enumerate(spec.agents) if spec.p_success(a.id, t.id) >= gamma) for t in spec.tasks
+        ]
+        self.pending = sum(1 << i for i, t in enumerate(spec.tasks) if t.id in spec.pending)
+        # doable[agent][location]: pending tasks there the agent may execute (C4)
+        self.doable = [[0] * len(self.loc_ids) for _ in self.agent_ids]
+        for t, agents in enumerate(self.capable):
+            if self.pending >> t & 1:
+                for a in agents:
+                    self.doable[a][self.task_loc[t]] |= 1 << t
+        self.start = self.encode(initial_state(spec))
+
+    def encode(self, state: WorldState) -> tuple:
+        locs = dict(state.agent_locs)
+        positions = tuple(self.loc_index[locs[aid]] for aid in self.agent_ids)
+        empty = sum(1 << self.loc_index[lid] for lid in state.empty)
+        done = sum(1 << i for i, tid in enumerate(self.task_ids) if tid in state.done)
+        return positions, empty, done
+
+    def decode(self, key: tuple, travel_cost: float = 0.0) -> WorldState:
+        positions, empty, done = key
+        return WorldState(
+            tuple((aid, self.loc_ids[p]) for aid, p in zip(self.agent_ids, positions)),
+            frozenset(lid for i, lid in enumerate(self.loc_ids) if empty >> i & 1),
+            frozenset(tid for i, tid in enumerate(self.task_ids) if done >> i & 1),
+            travel_cost,
+        )
+
+    def successors(self, key: tuple) -> list[tuple]:
+        """``(action code, child, step cost)`` triples, as ``world`` would
+        give them: the first doable task in (agent, task) order if there is
+        one (forced-task pruning), else every move in (agent, destination)
+        order.  A move empties its origin even when other agents still stand
+        there (the depot quirk), which is why emptiness is part of the state."""
+        positions, empty, done = key
+        for a, loc in enumerate(positions):
+            todo = self.doable[a][loc] & ~done
+            if todo:
+                t = (todo & -todo).bit_length() - 1
+                return [(~(a * len(self.task_ids) + t), (positions, empty, done | 1 << t), 0.0)]
+        out = []
+        n_locs = len(self.loc_ids)
+        for a, loc in enumerate(positions):
+            for dest, step in self.neighbors[loc]:
+                if empty >> dest & 1:
+                    moved = positions[:a] + (dest,) + positions[a + 1:]
+                    out.append((a * n_locs + dest, (moved, empty ^ 1 << dest | 1 << loc, done), step))
+        return out
+
+    def action(self, key: tuple, code: int) -> Action:
+        """The world action that ``code`` names in state ``key``."""
+        if code < 0:
+            a, t = divmod(~code, len(self.task_ids))
+            return Do(self.agent_ids[a], self.task_ids[t], self.loc_ids[self.task_loc[t]])
+        a, dest = divmod(code, len(self.loc_ids))
+        return Move(self.agent_ids[a], self.loc_ids[key[0][a]], self.loc_ids[dest])
+
+
+# ---------------------------------------------------------------------------
+# heuristics
+
+
 class _Heuristic:
-    """Admissible travel lower bounds over undone tasks.
+    """Admissible travel lower bounds over undone tasks, on compact states.
 
     maxmin: some capable agent must still reach the farthest undone task.
     predecessor: each undone task location is entered by a final leg from
     either an agent position or another undone task location, and those
     legs are disjoint; summing per-location minimal legs is a lower bound.
     combined: max of the two.
+
+    What depends on the done set alone is cached per done mask: the undone
+    task locations grouped by capable-agent set, and each undone location's
+    minimal leg from the other undone locations.  What depends on positions
+    alone is cached per position tuple: for each agent set, the distance from
+    its nearest member to every location.  A call then only combines the two.
+    The predecessor sum runs in sorted-location order, so its rounding is the
+    same however the state was reached.
     """
 
-    def __init__(self, spec: ProblemSpec, kind: str):
-        self.spec = spec
+    def __init__(self, problem: _Compact, kind: str):
+        self.problem = problem
         self.kind = kind
-        self.dist = shortest_path_distances(spec)
-        gamma = spec.constraints.gamma
-        self.capable = {
-            t.id: [a.id for a in spec.agents if spec.p_success(a.id, t.id) >= gamma]
-            for t in spec.tasks
-        }
+        everyone = tuple(range(len(problem.agent_ids)))
+        self.sets = list(dict.fromkeys([c for c in problem.capable if c] + [everyone]))
+        self.everyone = self.sets.index(everyone)
+        self._by_done: dict[int, tuple] = {}
+        self._by_positions: dict[tuple, list] = {}
 
-    def __call__(self, state: WorldState) -> float:
+    def _undone(self, done: int) -> tuple:
+        """(agent-set index, target locations) groups and (location, minimal
+        leg from another undone location) pairs, both in index order."""
+        p = self.problem
+        tasks = [t for t in range(len(p.task_ids)) if p.pending >> t & 1 and not done >> t & 1]
+        if any(not p.capable[t] for t in tasks):
+            return None, None  # some task nobody may execute
+        targets: dict[int, dict] = {}
+        for t in tasks:
+            targets.setdefault(self.sets.index(p.capable[t]), {})[p.task_loc[t]] = None
+        locs = sorted({p.task_loc[t] for t in tasks})
+        legs = [(loc, min([p.dist[o][loc] for o in locs if o != loc], default=INF)) for loc in locs]
+        return [(s, list(ls)) for s, ls in targets.items()], legs
+
+    def _nearest(self, positions: tuple) -> list:
+        dist = self.problem.dist
+        out = []
+        for agents in self.sets:
+            rows = [dist[positions[a]] for a in agents]
+            out.append(rows[0] if len(rows) == 1 else list(map(min, *rows)))
+        return out
+
+    def __call__(self, state: tuple) -> float:
         if self.kind == "blind":
             return 0.0
-        spec = self.spec
-        undone = [t for t in spec.tasks if t.id in spec.pending and t.id not in state.done]
-        if not undone:
+        positions, _, done = state
+        cached = self._by_done.get(done)
+        if cached is None:
+            cached = self._by_done[done] = self._undone(done)
+        groups, legs = cached
+        if groups is None:
+            return INF
+        if not groups:
             return 0.0
-        agent_loc = dict(state.agent_locs)
-        inf = float("inf")
+        nearest = self._by_positions.get(positions)
+        if nearest is None:
+            nearest = self._by_positions[positions] = self._nearest(positions)
 
         h_max = 0.0
-        for t in undone:
-            best = inf
-            for aid in self.capable[t.id]:
-                best = min(best, self.dist.get(agent_loc[aid], {}).get(t.location, inf))
-            if best is inf:
-                return inf  # some task unreachable by every capable agent
-            h_max = max(h_max, best)
+        for s, locs in groups:
+            row = nearest[s]
+            for loc in locs:
+                if row[loc] > h_max:
+                    h_max = row[loc]
+        if h_max == INF:
+            return INF  # some task unreachable by every capable agent
         if self.kind == "maxmin":
             return h_max
 
-        locations = sorted({t.location for t in undone})
-        agent_positions = sorted(set(agent_loc.values()))
+        row = nearest[self.everyone]
         h_pred = 0.0
-        for loc in locations:
-            best = inf
-            for src in agent_positions:
-                best = min(best, self.dist.get(src, {}).get(loc, inf))
-            for other in locations:
-                if other != loc:
-                    best = min(best, self.dist.get(other, {}).get(loc, inf))
-            if best is inf:
-                return inf
-            h_pred += best
-        if self.kind == "predecessor":
+        for loc, best in legs:
+            h_pred += row[loc] if row[loc] < best else best
+        if h_pred == INF or self.kind == "predecessor":
             return h_pred
         return max(h_max, h_pred)
 
@@ -192,78 +318,75 @@ class _Heuristic:
 # search
 
 
-def _successors(spec: ProblemSpec, state: WorldState) -> list[Action]:
-    """Forced-task pruning: if any task action is enabled, expand only the
-    canonically first one; otherwise expand all moves."""
-    acts = enabled_actions(spec, state)
-    dos = [a for a in acts if isinstance(a, Do)]
-    if dos:
-        return [dos[0]]
-    return acts
-
-
 def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan:
     """Search for a plan completing every pending task.
 
     astar returns a travel-optimal plan (admissible heuristic, re-opening
     on cheaper paths); gbfs returns a feasible plan fast.  Raises
     NoPlanExists when the goal is unreachable and PlanTimeout past the
-    configured budget.
+    configured budget.  The plan's ``stats`` count expansions, generated
+    successors, re-opened states (a cheaper path to a state already
+    generated) and the start state's heuristic value ``h0``.
     """
     cfg = cfg or PlannerConfig()
-    h = _Heuristic(spec, cfg.heuristic)
-    start = initial_state(spec)
+    problem = _Compact(spec)
+    h = _Heuristic(problem, cfg.heuristic)
+    start = problem.start
     h0 = h(start)
-    if h0 == float("inf"):
+    if h0 == INF:
         raise NoPlanExists("some pending task is unreachable or unassignable")
 
     counter = itertools.count()
-    start_key = start.key()
-    g_best: dict = {start_key: 0.0}
-    parent: dict = {start_key: None}
+    # state -> (best g, predecessor, action code); the start has no predecessor
+    best: dict = {start: (0.0, None, None)}
     astar = cfg.strategy == "astar"
-    prio0 = (h0, h0) if astar else (h0, 0.0)
-    heap = [(prio0, next(counter), start)]
+    # (f, tie-break, push order, g, state): A* ranks by (g + h, h), gbfs by h
+    heap = [(h0, h0 if astar else 0.0, next(counter), 0.0, start)]
+    push, pop = heapq.heappush, heapq.heappop
+    successors, pending = problem.successors, problem.pending
     deadline = time.monotonic() + cfg.timeout
-    expansions = 0
+    expansions = generated = reopened = 0
 
     while heap:
-        (f, _), _, state = heapq.heappop(heap)
-        key = state.key()
-        g = state.travel_cost
-        if g > g_best.get(key, float("inf")):
+        _, _, _, g, state = pop(heap)
+        if g > best[state][0]:
             continue  # stale entry
-        if is_goal(spec, state):
-            return _extract_plan(spec, state, parent)
+        if state[2] & pending == pending:
+            plan = build_plan(spec, _extract_actions(problem, state, best))
+            plan.stats = {"expansions": expansions, "generated": generated, "reopened": reopened, "h0": h0}
+            return plan
         expansions += 1
         if expansions % 1024 == 0 and time.monotonic() > deadline:
             raise PlanTimeout(f"planner exceeded {cfg.timeout}s after {expansions} expansions")
         if expansions > cfg.max_expansions:
             raise PlanTimeout(f"planner exceeded {cfg.max_expansions} expansions")
-        for action in _successors(spec, state):
-            child = apply_action(spec, state, action)
-            ckey = child.key()
-            if child.travel_cost < g_best.get(ckey, float("inf")):
-                g_best[ckey] = child.travel_cost
-                parent[ckey] = (key, action, state)
+        for code, child, step in successors(state):
+            generated += 1
+            cg = g + step
+            seen = best.get(child)
+            if seen is None or cg < seen[0]:
+                if seen is not None:
+                    reopened += 1
+                best[child] = (cg, state, code)
                 ch = h(child)
-                if ch == float("inf"):
+                if ch == INF:
                     continue
-                prio = (child.travel_cost + ch, ch) if astar else (ch, 0.0)
-                heapq.heappush(heap, (prio, next(counter), child))
+                if astar:
+                    push(heap, (cg + ch, ch, next(counter), cg, child))
+                else:
+                    push(heap, (ch, 0.0, next(counter), cg, child))
 
     raise NoPlanExists("goal unreachable from the initial configuration")
 
 
-def _extract_plan(spec: ProblemSpec, goal_state: WorldState, parent: dict) -> Plan:
+def _extract_actions(problem: _Compact, goal: tuple, best: dict) -> list[Action]:
     actions: list[Action] = []
-    key = goal_state.key()
-    while parent[key] is not None:
-        pkey, action, _ = parent[key]
-        actions.append(action)
-        key = pkey
+    _, prev, code = best[goal]
+    while prev is not None:
+        actions.append(problem.action(prev, code))
+        _, prev, code = best[prev]
     actions.reverse()
-    return build_plan(spec, actions)
+    return actions
 
 
 def build_plan(spec: ProblemSpec, actions: list[Action]) -> Plan:
@@ -377,7 +500,7 @@ def validate_plan(spec: ProblemSpec, plan: Plan) -> list[PlanViolation]:
                     PlanViolation("C4", i, f"{act.agent} below allocation threshold for {act.task}")
                 )
                 continue
-        state = apply_action(spec, state, act) if _safe_enabled(spec, state, act) else state
+        state = apply_action(spec, state, act) if is_enabled(spec, state, act) else state
     missing = (spec.pending - state.done)
     if missing:
         out.append(PlanViolation("C5", len(plan.total_order), f"unfinished tasks: {sorted(missing)}"))
@@ -399,12 +522,6 @@ def validate_plan(spec: ProblemSpec, plan: Plan) -> list[PlanViolation]:
                     )
                 occupied[loc] = agent
     return out
-
-
-def _safe_enabled(spec, state, act) -> bool:
-    from .world import is_enabled
-
-    return is_enabled(spec, state, act)
 
 
 def plan_metrics(plan: Plan) -> dict:

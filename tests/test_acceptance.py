@@ -339,17 +339,24 @@ class TestAcceptance:
 
         by_tasks: dict[int, list] = {}
         for row in rows:
-            by_tasks.setdefault(row["tasks"], []).append((row["agents"], row["s2_plan_gmedian_s"]))
+            by_tasks.setdefault(row["tasks"], []).append(
+                (row["agents"], row["s2_plan_gmedian_s"], row["s2_plan_expansions"])
+            )
         for tasks, cells in sorted(by_tasks.items()):
             cells.sort()
-            times = [t for _, t in cells]
+            times = [t for _, t, _ in cells]
             assert all(a <= b for a, b in zip(times, times[1:])), (
                 f"planner time not monotone in agents for {tasks} tasks: {times}"
             )
+            # the same trend on a deterministic counter, free of timing noise
+            expansions = [e for _, _, e in cells]
+            assert all(a <= b for a, b in zip(expansions, expansions[1:])), (
+                f"planner expansions not monotone in agents for {tasks} tasks: {expansions}"
+            )
         ok(
             8,
-            f"12-cell sweep in {elapsed:.1f}s ({per_cell:.1f}s/cell); planner time "
-            "monotone in agent count for every task count",
+            f"12-cell sweep in {elapsed:.1f}s ({per_cell:.1f}s/cell); planner time and "
+            "expansions monotone in agent count for every task count",
         )
 
 

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 

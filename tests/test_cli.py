@@ -35,7 +35,11 @@ class TestSubcommands:
         assert payload["metrics"]["travel_cost"] == 8
         for key in ("plan", "domain", "problem"):
             assert Path(payload["artifacts"][key]).exists()
-        assert (tmp_path / "manifest.json").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        stats = manifest["counters"]["planner"]
+        assert set(stats) == {"expansions", "generated", "reopened", "h0"}
+        assert stats["expansions"] > 0 and stats["h0"] <= 8
+        assert "stats" not in json.loads((tmp_path / "plan.json").read_text())
 
     def test_verify_budget_dictionary(self, capsys):
         code, out, _ = run(

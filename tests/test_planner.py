@@ -5,6 +5,7 @@ import pytest
 from hybridplan.errors import NoPlanExists, PlanTimeout
 from hybridplan.planner import (
     PlannerConfig,
+    _Compact,
     _Heuristic,
     build_plan,
     plan_metrics,
@@ -156,17 +157,20 @@ class TestOptimality:
 
 
 class TestHeuristic:
+    # the heuristic reads compact states; world states go through the encoder
     def test_admissible_at_root(self, vineyard, vineyard_plan):
-        h = _Heuristic(vineyard, "combined")
-        assert h(initial_state(vineyard)) <= vineyard_plan.travel_cost
+        problem = _Compact(vineyard)
+        h = _Heuristic(problem, "combined")
+        assert h(problem.encode(initial_state(vineyard))) <= vineyard_plan.travel_cost
 
     @pytest.mark.parametrize("kind", ["maxmin", "predecessor", "combined"])
     def test_admissible_along_optimal_path(self, vineyard, vineyard_plan, kind):
-        h = _Heuristic(vineyard, kind)
+        problem = _Compact(vineyard)
+        h = _Heuristic(problem, kind)
         state = initial_state(vineyard)
         remaining = vineyard_plan.travel_cost
         for act in vineyard_plan.total_order:
-            assert h(state) <= remaining + 1e-9
+            assert h(problem.encode(state)) <= remaining + 1e-9
             if isinstance(act, Move):
                 remaining -= vineyard.distance(act.origin, act.dest)
             state = replay(vineyard, [act], start=state)
@@ -227,6 +231,15 @@ class TestDeterminism:
         p1 = plan_mission(vineyard, PlannerConfig())
         p2 = plan_mission(vineyard, PlannerConfig())
         assert p1.to_json() == p2.to_json()
+
+    def test_stats_stay_out_of_plan_json(self, vineyard_plan):
+        from hybridplan.planner import Plan
+
+        stats = vineyard_plan.stats
+        assert set(stats) == {"expansions", "generated", "reopened", "h0"}
+        assert stats["expansions"] > 0 and stats["generated"] > 0
+        assert "stats" not in vineyard_plan.to_json()
+        assert Plan.from_json(vineyard_plan.to_json()).stats == {}
 
     def test_plan_json_round_trip(self, vineyard_plan):
         from hybridplan.planner import Plan
