@@ -39,14 +39,18 @@ from .chains import (
     ParametricPlanModel,
     RetryAssignment,
     build_parametric_model,
-    instantiate,
+    closed_form_mission_metrics,
 )
 from .errors import NoPlanExists, ScenarioError, UnrecoverableMission
 from .planner import Plan, PlannerConfig, plan_mission
-from .pmc import factored_mission_metrics
 from .spec import ProblemSpec
-from .synthesis import ArchiveEntry, GaConfig, Objectives, ParetoArchive, synthesize
+from .synthesis import ArchiveEntry, GaConfig, ParetoArchive, evaluate, synthesize
 from .world import Do, Move, WorldState, action_to_json, apply_action, initial_state, is_enabled
+
+# Adaptation no longer calls these two, but they stay adaptation attributes:
+# benchmark/spans.py wraps them by name.
+from .chains import instantiate  # noqa: F401
+from .pmc import factored_mission_metrics  # noqa: F401
 
 STAGES_NONE: frozenset = frozenset()
 STAGES_A2 = frozenset({"S3", "S4"})
@@ -139,7 +143,6 @@ class ExecutionContext:
     epoch_failures: dict = field(default_factory=dict)  # failure counts at the epoch
     ga: GaConfig = field(default_factory=GaConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    conditional_c2: bool = True                # compare remaining-suffix success for C2
 
     def failures_since_epoch(self, task: str) -> int:
         return self.progress.failure_count(task) - self.epoch_failures.get(task, 0)
@@ -247,7 +250,7 @@ def remaining_success(ctx: ExecutionContext, entry: ArchiveEntry) -> float:
     assignment = _remaining_assignment(ctx, model, entry)
     if assignment is None:
         return 0.0
-    return factored_mission_metrics(instantiate(model, assignment)).success_prob
+    return closed_form_mission_metrics(model, assignment)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +271,13 @@ def reduce_ps_tf(ctx: ExecutionContext, task: str) -> list[ArchiveEntry]:
 
 def reduce_ps_psucc(ctx: ExecutionContext, new_floor: float) -> list[ArchiveEntry]:
     """Success-floor change: keep prefix-consistent entries whose success
-    probability still clears the new floor (remaining-suffix probability by
-    default; the stored whole-plan probability behind the flag)."""
-    out = []
-    for e in ctx.archive.entries:
-        if not _prefix_consistent(ctx, e):
-            continue
-        prob = remaining_success(ctx, e) if ctx.conditional_c2 else e.objectives.success_prob
-        if prob >= new_floor:
-            out.append(e)
-    return out
+    probability on the remaining suffix, conditioned on the executed prefix,
+    still clears the new floor."""
+    return [
+        e
+        for e in ctx.archive.entries
+        if _prefix_consistent(ctx, e) and remaining_success(ctx, e) >= new_floor
+    ]
 
 
 def reduce_ps_passign(ctx: ExecutionContext, new_gamma: float) -> list[ArchiveEntry]:
@@ -412,13 +412,7 @@ def _full_replan(ctx: ExecutionContext, spec_after: ProblemSpec, reduced_size: i
             raise UnrecoverableMission("replanning found no feasible budget vector")
         pick = select_new_plan(archive.entries)
     else:
-        metrics = factored_mission_metrics(instantiate(model, {}))
-        obj = Objectives(
-            metrics.expected_cost,
-            metrics.success_prob,
-            metrics.success_prob >= new_spec.constraints.p_succ,
-            max(0.0, new_spec.constraints.p_succ - metrics.success_prob),
-        )
+        obj = evaluate(model, {})
         if not obj.feasible:
             raise UnrecoverableMission("replanned mission cannot meet the success floor")
         pick = ArchiveEntry((), {}, obj)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import LimitExceeded, StateBudgetExceeded
 from .pmc import Mdp, expected_reward, induced_chain, reach_probability
 from .spec import ProblemSpec
-from .world import Do, Move, WorldState, enabled_actions, initial_state
+from .world import Do, Move, WorldState, apply_action, enabled_actions, initial_state
 
 RUNNING, SUCCESS, FAIL = 0, 1, 2
 
@@ -93,17 +93,15 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         rows = []
         for act in acts:
             if isinstance(act, Move):
-                nworld = _apply_move(spec, js.world, act)
-                njs = JointState(nworld, js.counters, RUNNING)
+                njs = JointState(apply_action(spec, js.world, act), js.counters, RUNNING)
                 rows.append(
                     (str(act), [(intern(njs), 1.0)], [spec.distance(act.origin, act.dest)])
                 )
             elif isinstance(act, Do):
                 p = spec.p_success(act.agent, act.task)
                 cost = spec.task_cost(act.agent, act.task)
-                ndone = js.world.done | {act.task}
-                succ_world = WorldState(js.world.agent_locs, js.world.empty, frozenset(ndone), 0.0)
-                succ_terminal = SUCCESS if spec.pending <= ndone else RUNNING
+                succ_world = apply_action(spec, js.world, act)
+                succ_terminal = SUCCESS if spec.pending <= succ_world.done else RUNNING
                 succ_js = JointState(succ_world, js.counters, succ_terminal)
                 cap = spec.max_retries(act.agent, act.task)
                 used = count_of(js.counters, act.agent, act.task)
@@ -135,12 +133,6 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         "done": frozenset(i for i, js in enumerate(states) if js.terminal != RUNNING),
     }
     return Mdp(n, 0, choices, labels)
-
-
-def _apply_move(spec: ProblemSpec, world: WorldState, act: Move) -> WorldState:
-    locs = tuple((aid, act.dest if aid == act.agent else loc) for aid, loc in world.agent_locs)
-    empty = (world.empty - {act.dest}) | {act.origin}
-    return WorldState(locs, frozenset(empty), world.done, 0.0)
 
 
 def baseline_queries(mdp: Mdp, bound: int = 20, tol: float = 1e-10) -> dict:

@@ -9,9 +9,14 @@ actions with cap 0 are a single Bernoulli attempt.
 
 Rewards sit on transitions: moves cost their path distance, every task
 attempt costs the agent's declared task cost.  The deterministic
-budget-exhausted transition is bookkeeping into the failure sink and is free
-by default (charge_exhaust flips the alternative reading).  Chains absorb at
-success/failure, so no cost accrues past them.
+budget-exhausted transition is bookkeeping into the failure sink and is
+free.  Chains absorb at success/failure, so no cost accrues past them.
+
+A chain is a DAG with two absorbing sinks, so one forward pass over its steps
+(`closed_form_chain_metrics`) gives its metrics exactly; that is the
+evaluator synthesis and adaptation use.  The explicit DTMCs (`instantiate`)
+feed the model-checking engine, which serves as an oracle and behind
+`hybridplan verify`.
 """
 
 from __future__ import annotations
@@ -156,7 +161,7 @@ def all_max_assignment(model: ParametricPlanModel) -> RetryAssignment:
 # concrete chain DTMCs
 
 
-def instantiate_chain(chain: AgentChain, assignment: RetryAssignment, charge_exhaust: bool = False) -> "pmc.Dtmc":
+def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> "pmc.Dtmc":
     """Concrete DTMC of one chain under fixed budgets.
 
     States: position i (about to run step i), success sink (i = n), failure
@@ -214,7 +219,7 @@ def instantiate_chain(chain: AgentChain, assignment: RetryAssignment, charge_exh
                     rewards[sid] = [step.cost, step.cost]
             else:
                 trans[sid] = [(fail, 1.0)]
-                rewards[sid] = [step.cost if charge_exhaust else 0.0]
+                rewards[sid] = [0.0]
 
     for sink in (success, fail):
         trans[sink] = [(sink, 1.0)]
@@ -234,10 +239,10 @@ def instantiate_chain(chain: AgentChain, assignment: RetryAssignment, charge_exh
     )
 
 
-def instantiate(model: ParametricPlanModel, assignment: RetryAssignment, charge_exhaust: bool = False) -> list[tuple[str, "pmc.Dtmc"]]:
+def instantiate(model: ParametricPlanModel, assignment: RetryAssignment) -> list[tuple[str, "pmc.Dtmc"]]:
     """Factored concrete model: one component chain DTMC per agent."""
     validate_assignment(model, assignment)
-    return [(c.agent, instantiate_chain(c, assignment, charge_exhaust)) for c in model.chains]
+    return [(c.agent, instantiate_chain(c, assignment)) for c in model.chains]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +262,7 @@ def _expected_attempts(p: float, budget: int) -> float:
     return (1.0 - q ** budget) / (1.0 - q)
 
 
-def closed_form_chain_metrics(chain: AgentChain, assignment: RetryAssignment, charge_exhaust: bool = False) -> tuple[float, float]:
+def closed_form_chain_metrics(chain: AgentChain, assignment: RetryAssignment) -> tuple[float, float]:
     """(success probability, expected cost) of one chain via geometric sums."""
     reach = 1.0
     cost = 0.0
@@ -269,21 +274,17 @@ def closed_form_chain_metrics(chain: AgentChain, assignment: RetryAssignment, ch
         budget = assignment[step.task] if step.retry_cap > 0 else 1
         p_task = _task_success(step.p_success, budget)
         cost += reach * step.cost * _expected_attempts(step.p_success, budget)
-        if charge_exhaust and step.retry_cap > 0:
-            cost += reach * (1.0 - step.p_success) ** budget * step.cost
         succ *= p_task
         reach *= p_task
     return succ, cost
 
 
-def closed_form_mission_metrics(
-    model: ParametricPlanModel, assignment: RetryAssignment, charge_exhaust: bool = False
-) -> tuple[float, float]:
+def closed_form_mission_metrics(model: ParametricPlanModel, assignment: RetryAssignment) -> tuple[float, float]:
     """Mission success = product of chain successes; cost = sum of chain costs."""
     succ = 1.0
     cost = 0.0
     for chain in model.chains:
-        s, c = closed_form_chain_metrics(chain, assignment, charge_exhaust)
+        s, c = closed_form_chain_metrics(chain, assignment)
         succ *= s
         cost += c
     return succ, cost

@@ -62,9 +62,7 @@ def _planner_config(args) -> PlannerConfig:
 
 
 def _ga_config(args) -> GaConfig:
-    return GaConfig(
-        population=args.pop, evaluations=args.evals, seed=args.seed, jobs=args.jobs
-    )
+    return GaConfig(population=args.pop, evaluations=args.evals, seed=args.seed)
 
 
 def cmd_validate(args):
@@ -162,8 +160,9 @@ def cmd_simulate(args):
     spec = _read_spec(args)
     out = _out_dir(args)
     scenario = json.loads(Path(args.scenario).read_text())
-    if args.seed is not None:
-        scenario["seed"] = args.seed
+    if args.seed is None:
+        args.seed = scenario.get("seed", 0)   # recorded in the manifest
+    scenario["seed"] = args.seed
     t0 = time.monotonic()
     trace = run_scenario(spec, scenario)
     elapsed = time.monotonic() - t0
@@ -277,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strategy", choices=("astar", "gbfs"), default="astar")
         p.add_argument("--timeout", type=float, default=120.0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
 
     p = sub.add_parser("validate", help="check a mission specification")
     p.add_argument("--spec", required=True)
@@ -298,12 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify one retry-budget dictionary")
     common(p, out=False)
     p.add_argument("--retries", help='JSON dictionary, e.g. \'{"t3l4": 2}\' (unlisted tasks get 1)')
+    p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="execute a plan against a scripted scenario")
     common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON path")
-    p.set_defaults(func=cmd_simulate)
+    # without --seed the scenario file's own seed applies
+    p.set_defaults(func=cmd_simulate, seed=None)
 
     p = sub.add_parser("baseline", help="whole-problem MDP queries")
     p.add_argument("--spec", required=True)

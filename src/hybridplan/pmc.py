@@ -155,15 +155,8 @@ def _gauss_seidel(coeff_rows, rhs, tol: float, on_sweep=None) -> np.ndarray:
     return x
 
 
-def reach_probability(dtmc: Dtmc, target_label: str, tol: float = DEFAULT_TOL) -> float:
-    """Probability of eventually reaching a state with the target label."""
-    dtmc.check()
-    target = dtmc.states_with_label(target_label)
-    prob0, prob1 = prob01_sets(dtmc, target)
-    if dtmc.initial in prob1:
-        return 1.0
-    if dtmc.initial in prob0:
-        return 0.0
+def _solve_reach(dtmc: Dtmc, prob0: set[int], prob1: set[int], tol: float) -> dict[int, float]:
+    """Reachability probability of every state outside prob0 and prob1."""
     unknowns = sorted(set(range(dtmc.n_states)) - prob0 - prob1)
     uindex = {s: i for i, s in enumerate(unknowns)}
     rhs = np.zeros(len(unknowns))
@@ -177,33 +170,29 @@ def reach_probability(dtmc: Dtmc, target_label: str, tol: float = DEFAULT_TOL) -
                 row.append((uindex[j], p))
         rows.append(row)
     x = _solve_linear(unknowns, rows, rhs, tol)
-    return float(x[uindex[dtmc.initial]])
+    return {s: float(x[i]) for s, i in uindex.items()}
+
+
+def reach_probability(dtmc: Dtmc, target_label: str, tol: float = DEFAULT_TOL) -> float:
+    """Probability of eventually reaching a state with the target label."""
+    dtmc.check()
+    prob0, prob1 = prob01_sets(dtmc, dtmc.states_with_label(target_label))
+    if dtmc.initial in prob1:
+        return 1.0
+    if dtmc.initial in prob0:
+        return 0.0
+    return _solve_reach(dtmc, prob0, prob1, tol)[dtmc.initial]
 
 
 def reach_probability_per_state(dtmc: Dtmc, target_label: str, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vector of reachability probabilities (used by tests and diagnostics)."""
     dtmc.check()
-    target = dtmc.states_with_label(target_label)
-    prob0, prob1 = prob01_sets(dtmc, target)
+    prob0, prob1 = prob01_sets(dtmc, dtmc.states_with_label(target_label))
     out = np.zeros(dtmc.n_states)
     for s in prob1:
         out[s] = 1.0
-    unknowns = sorted(set(range(dtmc.n_states)) - prob0 - prob1)
-    if unknowns:
-        uindex = {s: i for i, s in enumerate(unknowns)}
-        rhs = np.zeros(len(unknowns))
-        rows = []
-        for i, s in enumerate(unknowns):
-            row = []
-            for j, p in dtmc.transitions[s]:
-                if j in prob1:
-                    rhs[i] += p
-                elif j in uindex:
-                    row.append((uindex[j], p))
-            rows.append(row)
-        x = _solve_linear(unknowns, rows, rhs, tol)
-        for s, i in uindex.items():
-            out[s] = x[i]
+    for s, v in _solve_reach(dtmc, prob0, prob1, tol).items():
+        out[s] = v
     return out
 
 

@@ -29,11 +29,7 @@ def _bound(agent: str, task: str) -> str:
     return f"xmax_{agent}_{task}"
 
 
-def export_model_source(
-    model: ParametricPlanModel,
-    assignment: Optional[RetryAssignment] = None,
-    charge_exhaust: bool = False,
-) -> str:
+def export_model_source(model: ParametricPlanModel, assignment: Optional[RetryAssignment] = None) -> str:
     """Render the model as guarded-command probabilistic module text."""
     if not model.chains:
         raise ValueError("degenerate model: no agent chains")
@@ -65,7 +61,7 @@ def export_model_source(
     out.append("")
 
     for chain in model.chains:
-        out.extend(_render_module(chain, charge_exhaust))
+        out.extend(_render_module(chain))
         out.append("")
 
     out.append('label "success" = ' + " & ".join(f"{c.agent}_final" for c in model.chains) + ";")
@@ -86,8 +82,6 @@ def export_model_source(
                 x = _var(chain.agent, step.task)
                 xb = _bound(chain.agent, step.task)
                 out.append(f"  [] {c} = {i} & {x} < {xb} : {_fmt(step.cost)};")
-                if charge_exhaust:
-                    out.append(f"  [] {c} = {i} & {x} = {xb} : {_fmt(step.cost)};")
             else:
                 out.append(f"  [] {c} = {i} : {_fmt(step.cost)};")
     out.append("endrewards")
@@ -95,7 +89,7 @@ def export_model_source(
     return "\n".join(out)
 
 
-def _render_module(chain: AgentChain, charge_exhaust: bool) -> list[str]:
+def _render_module(chain: AgentChain) -> list[str]:
     agent = chain.agent
     n = chain.n_act
     c = f"c_{agent}"

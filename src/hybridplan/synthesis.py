@@ -1,7 +1,8 @@
 """Multi-objective synthesis of retry budgets.
 
-NSGA-II over integer attempt-budget vectors, scoring each candidate with the
-exact factored verification of its instantiated chains.  The mission success
+NSGA-II over integer attempt-budget vectors, scoring each candidate exactly
+with the closed form of its independent per-agent chains (success
+probabilities multiply, expected costs add).  The mission success
 floor enters the search through constrained dominance: feasible solutions
 beat infeasible ones, infeasible ones compare by constraint violation.  The
 archive accumulates every feasible evaluation ever seen and keeps the
@@ -22,9 +23,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chains import ParametricPlanModel, RetryAssignment, instantiate, validate_assignment
+from .chains import ParametricPlanModel, RetryAssignment, closed_form_mission_metrics, validate_assignment
 from .errors import LimitExceeded
-from .pmc import factored_mission_metrics
+
+# Evaluation no longer calls these two, but they stay synthesis attributes:
+# benchmark/spans.py wraps them by name.
+from .chains import instantiate  # noqa: F401
+from .pmc import factored_mission_metrics  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 4096
 
@@ -57,7 +62,6 @@ class GaConfig:
     crossover_rate: float = 0.9
     mutation_rate: Optional[float] = None    # default 1/n_slots
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.population < 2:
@@ -153,13 +157,13 @@ def _entry_sort_key(e: ArchiveEntry):
 
 
 def evaluate(model: ParametricPlanModel, assignment: RetryAssignment) -> Objectives:
-    """Exact objectives of one budget vector via factored verification."""
+    """Exact objectives of one budget vector by the chains' closed form."""
     validate_assignment(model, assignment)
-    metrics = factored_mission_metrics(instantiate(model, assignment))
-    violation = max(0.0, model.p_succ_threshold - metrics.success_prob)
+    success_prob, expected_cost = closed_form_mission_metrics(model, assignment)
+    violation = max(0.0, model.p_succ_threshold - success_prob)
     return Objectives(
-        expected_cost=metrics.expected_cost,
-        success_prob=metrics.success_prob,
+        expected_cost=expected_cost,
+        success_prob=success_prob,
         feasible=violation == 0.0,
         violation=violation,
     )
@@ -218,11 +222,10 @@ def _space_iter(bounds):
 class _Evaluator:
     """Caching evaluation wrapper; also logs every evaluation for auditing."""
 
-    def __init__(self, model: ParametricPlanModel, jobs: int = 1):
+    def __init__(self, model: ParametricPlanModel):
         self.model = model
         self.cache: dict[tuple[int, ...], Objectives] = {}
         self.log: list[tuple[tuple[int, ...], Objectives]] = []
-        self.jobs = max(1, jobs)
 
     def __call__(self, genotype: tuple[int, ...]) -> Objectives:
         if genotype not in self.cache:
@@ -232,30 +235,13 @@ class _Evaluator:
         return self.cache[genotype]
 
     def evaluate_batch(self, genotypes: list[tuple[int, ...]]):
-        """Evaluate a batch; merged in genotype-sorted order so results do not
-        depend on the parallelism level."""
-        fresh = sorted({g for g in genotypes if g not in self.cache})
-        if self.jobs > 1 and len(fresh) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            assignments = [_genotype_to_assignment(self.model, g) for g in fresh]
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                results = list(pool.map(_evaluate_for_pool, [(self.model, a) for a in assignments]))
-            for g, obj in zip(fresh, results):
-                self.cache[g] = obj
-                self.log.append((g, obj))
-        else:
-            for g in fresh:
-                self(g)
+        """Evaluate the uncached genotypes of a batch in sorted order."""
+        for g in sorted({g for g in genotypes if g not in self.cache}):
+            self(g)
 
     @property
     def count(self):
         return len(self.cache)
-
-
-def _evaluate_for_pool(args):
-    model, assignment = args
-    return evaluate(model, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +312,7 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
         return archive
 
     rng = random.Random(cfg.seed)
-    ev = _Evaluator(model, cfg.jobs)
+    ev = _Evaluator(model)
     mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / len(slots)
 
     def random_genotype():
@@ -443,7 +429,6 @@ def _config_echo(cfg: GaConfig) -> dict:
         "evaluations": cfg.evaluations,
         "crossover_rate": cfg.crossover_rate,
         "mutation_rate": cfg.mutation_rate,
-        "jobs": cfg.jobs,
     }
 
 

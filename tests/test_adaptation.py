@@ -337,17 +337,17 @@ class TestSelectNewPlan:
 
 class TestC2Flag:
     def test_stored_probability_mode(self, field):
-        # with the flag off, C2 compares the stored whole-plan probability,
-        # which does not improve as the mission progresses
+        # C2 compares the remaining-suffix probability, which improves as the
+        # mission progresses: a floor above the stored whole-plan probability
+        # keeps the entry
         ctx = ctx_at(
             field["spec"], field["plan"], field["model"],
             [field["deployed"]], field["deployed"], prefix_len=6,
         )
         stored = field["deployed"].objectives.success_prob
         floor = (stored + remaining_success(ctx, field["deployed"])) / 2
-        assert reduce_ps_psucc(ctx, floor) != []  # conditional default keeps it
-        ctx.conditional_c2 = False
-        assert reduce_ps_psucc(ctx, floor) == []  # stored value falls short
+        assert floor > stored
+        assert reduce_ps_psucc(ctx, floor) != []
 
 
 class TestEpochAccounting:

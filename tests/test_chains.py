@@ -167,19 +167,6 @@ class TestEngineAgreement:
                     closed *= path_enumeration_success(step.p_success, budget)
             assert engine == pytest.approx(closed, abs=1e-9)
 
-    def test_charge_exhaust_flag_adds_cost(self, single_task_model):
-        free = factored_mission_metrics(instantiate(single_task_model, {"tg1": 2}))
-        charged = factored_mission_metrics(
-            instantiate(single_task_model, {"tg1": 2}, charge_exhaust=True)
-        )
-        assert charged.expected_cost > free.expected_cost
-        cf_succ, cf_cost = closed_form_mission_metrics(single_task_model, {"tg1": 2})
-        from hybridplan.chains import closed_form_mission_metrics as cf
-
-        _, charged_cf = cf(single_task_model, {"tg1": 2}, charge_exhaust=True)
-        assert charged.expected_cost == pytest.approx(charged_cf, abs=1e-12)
-        assert charged.success_prob == pytest.approx(free.success_prob, abs=1e-15)
-
     def test_monte_carlo_agreement_smoke(self, vineyard_model):
         assignment = all_min_assignment(vineyard_model)
         runs = 200_000

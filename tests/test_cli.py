@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from hybridplan.adaptation import run_scenario
 from hybridplan.cli import main
-from hybridplan.fixtures import fixture_text
+from hybridplan.fixtures import fixture_text, load_fixture
 
 
 @pytest.fixture
@@ -82,6 +83,28 @@ class TestSubcommands:
         assert payload["levels"] == ["NA", "A1", "NA", "A2", "A3"]
         assert payload["event_times"] == [1, 2, 4, 11, 13]
         assert (tmp_path / "trace.jsonl").exists()
+
+    def test_simulate_seed_from_scenario_unless_given(self, capsys, tmp_path, scenario_path):
+        spec = load_fixture("vineyard")
+        scenario = json.loads(scenario_path.read_text())
+        assert scenario["seed"] != 0
+        for extra, seed in (((), scenario["seed"]), (("--seed", "0"), 0)):
+            out = tmp_path / f"seed{seed}"
+            code, _, _ = run(
+                capsys,
+                "simulate",
+                "--spec", "vineyard",
+                "--out", str(out),
+                "--scenario", str(scenario_path),
+                *extra,
+            )
+            assert code == 0
+            expected = run_scenario(spec, {**scenario, "seed": seed}).to_jsonl()
+            assert (out / "trace.jsonl").read_text() == expected
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+        assert (tmp_path / "seed0" / "trace.jsonl").read_text() != (
+            tmp_path / f"seed{scenario['seed']}" / "trace.jsonl"
+        ).read_text()
 
     def test_baseline_queries(self, capsys):
         code, out, _ = run(capsys, "baseline", "--spec", "m1_mini", "--enumerate")

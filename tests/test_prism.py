@@ -32,9 +32,8 @@ class TestModelExport:
         text = export_model_source(vineyard_model)
         assert 'label "success" = r1_final & w1_final;' in text
         assert 'rewards "cost"' in text
-        # exhaust transitions carry no reward by default
-        charged = export_model_source(vineyard_model, charge_exhaust=True)
-        assert charged.count(" : 3.0;") > text.count(" : 3.0;")
+        # exhaust transitions (attempt counter at its bound) carry no reward
+        assert "= xmax_" not in text.split('rewards "cost"')[1]
 
     def test_zero_agent_model_rejected(self):
         empty = ParametricPlanModel([], 0.9, 0.5, "x")
