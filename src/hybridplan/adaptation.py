@@ -244,7 +244,13 @@ def _remaining_assignment(
 def remaining_success(ctx: ExecutionContext, entry: ArchiveEntry) -> float:
     """Suffix success probability under the entry's budgets, conditioned on
     the executed prefix (attempts already consumed are gone)."""
-    model = build_suffix_model(ctx)
+    return _remaining_success(ctx, build_suffix_model(ctx), entry)
+
+
+def _remaining_success(
+    ctx: ExecutionContext, model: ParametricPlanModel, entry: ArchiveEntry
+) -> float:
+    """`remaining_success` against an already built suffix model."""
     if not model.chains:
         return 1.0
     assignment = _remaining_assignment(ctx, model, entry)
@@ -273,10 +279,11 @@ def reduce_ps_psucc(ctx: ExecutionContext, new_floor: float) -> list[ArchiveEntr
     """Success-floor change: keep prefix-consistent entries whose success
     probability on the remaining suffix, conditioned on the executed prefix,
     still clears the new floor."""
+    model = build_suffix_model(ctx)
     return [
         e
         for e in ctx.archive.entries
-        if _prefix_consistent(ctx, e) and remaining_success(ctx, e) >= new_floor
+        if _prefix_consistent(ctx, e) and _remaining_success(ctx, model, e) >= new_floor
     ]
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import LimitExceeded, StateBudgetExceeded
+from .errors import InfiniteRewardError, LimitExceeded, StateBudgetExceeded
 from .pmc import Mdp, expected_reward, induced_chain, reach_probability
 from .spec import ProblemSpec
 from .world import Do, Move, WorldState, apply_action, enabled_actions, initial_state
@@ -191,7 +191,7 @@ def enumerate_policies(mdp: Mdp, limit: int = 200_000, tol: float = 1e-10) -> di
         succ = reach_probability(chain, "success", tol)
         try:
             cost = expected_reward(chain, "cost", "done", tol)
-        except Exception:
+        except InfiniteRewardError:
             cost = math.inf
         points.append((cost, succ))
 

@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help=f"mission JSON path or bundled fixture {FIXTURES}")
         if out:
             p.add_argument("--out", default="out", help="artifact directory")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strategy", choices=("astar", "gbfs"), default="astar")
         p.add_argument("--timeout", type=float, default=120.0)
 
@@ -288,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="synthesise Pareto-optimal retry budgets")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pop", type=int, default=30)
     p.add_argument("--evals", type=int, default=150)
     p.set_defaults(func=cmd_synthesize)
@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="execute a plan against a scripted scenario")
     common(p)
     p.add_argument("--scenario", required=True, help="scenario JSON path")
-    # without --seed the scenario file's own seed applies
-    p.set_defaults(func=cmd_simulate, seed=None)
+    p.add_argument("--seed", type=int, default=None, help="default: the scenario file's seed")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("baseline", help="whole-problem MDP queries")
     p.add_argument("--spec", required=True)

@@ -50,3 +50,7 @@ class ScenarioError(ValueError):
 
 class UnrecoverableMission(RuntimeError):
     """Adaptation escalated to a full replan and no plan exists."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver hit its sweep cap before meeting its tolerance."""

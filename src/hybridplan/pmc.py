@@ -4,22 +4,28 @@ Supports the queries the pipeline needs: reachability probability and
 expected reachability reward on DTMCs, plus maximum reachability probability
 and minimum bounded cumulative reward on MDPs.  Reachability solves use
 graph precomputation of the probability-0/1 sets followed by a linear solve
-(dense below 2k states, sparse direct below 50k, Gauss-Seidel iteration with
-an absolute convergence criterion above).
+(dense up to 225 unknowns, sparse direct up to 50k, Gauss-Seidel iteration
+with an absolute convergence criterion above).  The MDP queries run on an
+array form compiled once per MDP: a sparse matrix with one row per choice,
+so value iteration and bounded backward induction are a sparse product and
+a per-state max/min reduction per sweep.  Iterative loops raise
+ConvergenceError when they hit MAX_SWEEPS.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InfiniteRewardError, ModelError, StateBudgetExceeded
+from .errors import ConvergenceError, InfiniteRewardError, ModelError, StateBudgetExceeded
 
-DENSE_LIMIT = 2_000
+DENSE_LIMIT = 225          # measured dense/sparse-direct crossover (unknowns)
 DIRECT_LIMIT = 50_000
+MAX_SWEEPS = 1_000_000     # iteration cap of value iteration and Gauss-Seidel
 DEFAULT_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 
@@ -86,13 +92,13 @@ class Dtmc:
         return "\n".join(lines) + "\n"
 
 
-def _backward_closure(pred: list[list[int]], seeds: Iterable[int]) -> set[int]:
+def _backward_closure(pred: list[list[int]], seeds: Iterable[int], blocked=frozenset()) -> set[int]:
     seen = set(seeds)
     stack = list(seen)
     while stack:
         s = stack.pop()
         for q in pred[s]:
-            if q not in seen:
+            if q not in seen and q not in blocked:
                 seen.add(q)
                 stack.append(q)
     return seen
@@ -103,9 +109,17 @@ def prob01_sets(dtmc: Dtmc, target: frozenset[int]) -> tuple[set[int], set[int]]
     pred = dtmc.predecessors()
     can_reach = _backward_closure(pred, target)
     prob0 = set(range(dtmc.n_states)) - can_reach
-    reach_prob0 = _backward_closure(pred, prob0)
+    # a path counts once it hits the target, whatever follows
+    reach_prob0 = _backward_closure(pred, prob0, blocked=target)
     prob1 = set(range(dtmc.n_states)) - reach_prob0
     return prob0, prob1
+
+
+def _flatten(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row lengths, column indices, probabilities) of [(index, prob)] rows."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    cols, probs = zip(*itertools.chain.from_iterable(rows)) if lengths.any() else ((), ())
+    return lengths, np.array(cols, np.int64), np.array(probs, np.float64)
 
 
 def _solve_linear(unknowns: list[int], coeff_rows, rhs, tol: float) -> np.ndarray:
@@ -117,30 +131,27 @@ def _solve_linear(unknowns: list[int], coeff_rows, rhs, tol: float) -> np.ndarra
     n = len(unknowns)
     if n == 0:
         return np.zeros(0)
+    if n > DIRECT_LIMIT:
+        return _gauss_seidel(coeff_rows, rhs, tol)
+    lengths, cols, probs = _flatten(coeff_rows)
+    rows = np.repeat(np.arange(n), lengths)
     if n <= DENSE_LIMIT:
         a = np.eye(n)
-        for i, row in enumerate(coeff_rows):
-            for j, p in row:
-                a[i, j] -= p
+        np.subtract.at(a, (rows, cols), probs)
         return np.linalg.solve(a, rhs)
-    if n <= DIRECT_LIMIT:
-        from scipy.sparse import lil_matrix
-        from scipy.sparse.linalg import spsolve
+    from scipy.sparse import coo_matrix, identity
+    from scipy.sparse.linalg import spsolve
 
-        a = lil_matrix((n, n))
-        a.setdiag(1.0)
-        for i, row in enumerate(coeff_rows):
-            for j, p in row:
-                a[i, j] -= p
-        return spsolve(a.tocsr(), rhs)
-    return _gauss_seidel(coeff_rows, rhs, tol)
+    a = identity(n, format="csc") - coo_matrix((probs, (rows, cols)), shape=(n, n)).tocsc()
+    return spsolve(a, rhs)
 
 
 def _gauss_seidel(coeff_rows, rhs, tol: float, on_sweep=None) -> np.ndarray:
     """Gauss-Seidel from zero: iterates are monotonically non-decreasing for
     these non-negative systems, converging from below."""
     x = np.zeros(len(coeff_rows))
-    for _ in range(1_000_000):
+    delta = math.inf
+    for _ in range(MAX_SWEEPS):
         delta = 0.0
         for i, row in enumerate(coeff_rows):
             v = rhs[i]
@@ -151,8 +162,8 @@ def _gauss_seidel(coeff_rows, rhs, tol: float, on_sweep=None) -> np.ndarray:
         if on_sweep is not None:
             on_sweep(x.copy())
         if delta < tol:
-            break
-    return x
+            return x
+    raise ConvergenceError(f"Gauss-Seidel did not converge in {MAX_SWEEPS} sweeps (residual {delta})")
 
 
 def _solve_reach(dtmc: Dtmc, prob0: set[int], prob1: set[int], tol: float) -> dict[int, float]:
@@ -322,32 +333,86 @@ def compose_product(components: Sequence[tuple[str, Dtmc]], state_budget: int = 
 # MDP analysis
 
 
+@dataclass(frozen=True)
+class CompiledMdp:
+    """Array form of an Mdp: one sparse row per choice, in state order.
+
+    trans[c, j] is choice c's probability of moving to j, reward[c] its
+    expected one-step reward and state[c] the state it belongs to; starts[s]
+    is the index of state s's first choice, so per-state optima are ufunc
+    reductions over `starts`.
+    """
+
+    trans: object          # scipy.sparse.csr_matrix, (choices, states)
+    reward: np.ndarray
+    state: np.ndarray
+    starts: np.ndarray
+
+
 @dataclass
 class Mdp:
-    """Explicit MDP; choices[s] lists (action label, [(target, prob)], [rewards])."""
+    """Explicit MDP; choices[s] lists (action label, [(target, prob)], [rewards]).
+
+    The queries run on `compiled()`, which is built once per instance, so
+    the choice table must not change after the first query.
+    """
 
     n_states: int
     initial: int
     choices: list[list[tuple[str, list[tuple[int, float]], list[float]]]]
     labels: dict[str, frozenset[int]]
+    _compiled: Optional[CompiledMdp] = field(default=None, init=False, repr=False, compare=False)
 
     def check(self):
-        if len(self.choices) != self.n_states:
-            raise ModelError("choice table size mismatch")
-        for i, acts in enumerate(self.choices):
-            if not acts:
-                raise ModelError(f"state {i} has no enabled action")
-            for name, row, rew in acts:
-                total = sum(p for _, p in row)
-                if abs(total - 1.0) > PROB_SUM_TOL:
-                    raise ModelError(f"state {i} action '{name}' sums to {total}")
-                if len(rew) != len(row):
-                    raise ModelError(f"state {i} action '{name}' reward misaligned")
+        self.compiled()
+
+    def compiled(self) -> CompiledMdp:
+        if self._compiled is None:
+            self._compiled = _compile_mdp(self)
+        return self._compiled
 
     def states_with_label(self, label: str) -> frozenset[int]:
         if label not in self.labels or not self.labels[label]:
             raise ModelError(f"no state carries label '{label}'")
         return self.labels[label]
+
+
+def _compile_mdp(mdp: Mdp) -> CompiledMdp:
+    """Flatten the choice table into CSR arrays, raising the ModelError of the
+    first malformed state or choice in (state, choice) order."""
+    from scipy.sparse import csr_matrix
+
+    if len(mdp.choices) != mdp.n_states:
+        raise ModelError("choice table size mismatch")
+    counts = np.fromiter(map(len, mdp.choices), np.int64, mdp.n_states)
+    acts = list(itertools.chain.from_iterable(mdp.choices))
+    names, rows, rews = zip(*acts) if acts else ((), (), ())
+    lengths, cols, probs = _flatten(rows)
+    rew_lengths = np.fromiter(map(len, rews), np.int64, len(acts))
+    owner = np.repeat(np.arange(len(acts)), lengths)
+    # bincount adds each row's weights in order from zero, as sum() does
+    totals = np.bincount(owner, weights=probs, minlength=len(acts))
+    state = np.repeat(np.arange(mdp.n_states), counts)
+    empty = np.flatnonzero(counts == 0)
+    faults = np.flatnonzero((np.abs(totals - 1.0) > PROB_SUM_TOL) | (rew_lengths != lengths))
+    if len(empty) and (not len(faults) or empty[0] < state[faults[0]]):
+        raise ModelError(f"state {empty[0]} has no enabled action")
+    if len(faults):
+        c = faults[0]
+        if abs(totals[c] - 1.0) > PROB_SUM_TOL:
+            raise ModelError(f"state {state[c]} action '{names[c]}' sums to {float(totals[c])}")
+        raise ModelError(f"state {state[c]} action '{names[c]}' reward misaligned")
+    rewards = np.fromiter(itertools.chain.from_iterable(rews), np.float64, len(probs))
+    indptr = np.zeros(len(acts) + 1, np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    starts = np.zeros(mdp.n_states, np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return CompiledMdp(
+        trans=csr_matrix((probs, cols, indptr), shape=(len(acts), mdp.n_states)),
+        reward=np.bincount(owner, weights=probs * rewards, minlength=len(acts)),
+        state=state,
+        starts=starts,
+    )
 
 
 def mdp_max_reach_prob(mdp: Mdp, label: str, tol: float = DEFAULT_TOL) -> float:
@@ -356,35 +421,32 @@ def mdp_max_reach_prob(mdp: Mdp, label: str, tol: float = DEFAULT_TOL) -> float:
     Value iteration from below, then an exact linear solve of the greedy
     policy's induced chain to polish the fixed point.
     """
-    mdp.check()
+    cm = mdp.compiled()
     target = mdp.states_with_label(label)
+    pinned = np.fromiter(target, np.int64, len(target))
     x = np.zeros(mdp.n_states)
-    for s in target:
-        x[s] = 1.0
-    for _ in range(1_000_000):
-        delta = 0.0
-        for s in range(mdp.n_states):
-            if s in target:
-                continue
-            best = 0.0
-            for _, row, _ in mdp.choices[s]:
-                v = sum(p * x[j] for j, p in row)
-                best = max(best, v)
-            delta = max(delta, abs(best - x[s]))
-            x[s] = best
+    x[pinned] = 1.0
+    delta = math.inf
+    for _ in range(MAX_SWEEPS):
+        nxt = np.maximum.reduceat(cm.trans @ x, cm.starts)
+        nxt[pinned] = 1.0
+        delta = float(np.max(np.abs(nxt - x)))
+        x = nxt
         if delta < tol:
             break
+    else:
+        raise ConvergenceError(f"value iteration did not converge in {MAX_SWEEPS} sweeps (residual {delta})")
     # polish: evaluate a proper greedy policy exactly.  Ties between
     # value-optimal actions are broken toward actions whose support moves
     # closer to the target; a plain argmax may cycle among equal-value
     # states and never reach it.
+    vals = cm.trans @ x
+    optimal = np.flatnonzero(vals >= np.maximum.reduceat(vals, cm.starts)[cm.state] - 1e-12)
+    owner = cm.state[optimal]
     opt_actions: dict[int, list[int]] = {}
-    for s in range(mdp.n_states):
-        if s in target:
-            continue
-        vals = [sum(p * x[j] for j, p in row) for _, row, _ in mdp.choices[s]]
-        best = max(vals)
-        opt_actions[s] = [i for i, v in enumerate(vals) if v >= best - 1e-12]
+    for s, idx in zip(owner.tolist(), (optimal - cm.starts[owner]).tolist()):
+        if s not in target:
+            opt_actions.setdefault(s, []).append(idx)
     dist = {s: 0 for s in target}
     policy: dict[int, int] = {}
     changed = True
@@ -406,20 +468,14 @@ def mdp_max_reach_prob(mdp: Mdp, label: str, tol: float = DEFAULT_TOL) -> float:
 
 
 def mdp_min_bounded_reward(mdp: Mdp, bound: int = 20) -> float:
-    """Minimum expected reward accumulated within `bound` steps."""
-    mdp.check()
+    """Minimum expected reward accumulated within `bound` steps: `bound`
+    rounds of backward induction over all states at once."""
+    cm = mdp.compiled()
     if bound < 0:
         raise ValueError("bound must be >= 0")
     x = np.zeros(mdp.n_states)
     for _ in range(bound):
-        nxt = np.zeros(mdp.n_states)
-        for s in range(mdp.n_states):
-            best = math.inf
-            for _, row, rew in mdp.choices[s]:
-                v = sum(p * (r + x[j]) for (j, p), r in zip(row, rew))
-                best = min(best, v)
-            nxt[s] = best
-        x = nxt
+        x = np.minimum.reduceat(cm.reward + cm.trans @ x, cm.starts)
     return float(x[mdp.initial])
 
 

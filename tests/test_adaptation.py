@@ -161,6 +161,21 @@ class TestReducePsucc:
         for e in survivors:
             assert remaining_success(ctx, e) >= floor
 
+    def test_suffix_model_built_once_per_reduction(self, field, monkeypatch):
+        import hybridplan.adaptation as adaptation
+
+        ctx = ctx_at(
+            field["spec"], field["plan"], field["model"],
+            [field["deployed"], field["strong"]], field["deployed"], prefix_len=3,
+        )
+        floor = (remaining_success(ctx, field["deployed"]) + remaining_success(ctx, field["strong"])) / 2
+        expected = [e for e in ctx.archive.entries if remaining_success(ctx, e) >= floor]
+        built = []
+        build = adaptation.build_suffix_model
+        monkeypatch.setattr(adaptation, "build_suffix_model", lambda c: built.append(c) or build(c))
+        assert reduce_ps_psucc(ctx, floor) == expected
+        assert len(built) == 1
+
     def test_boundary_floor_is_inclusive(self, field):
         ctx = ctx_at(
             field["spec"], field["plan"], field["model"],

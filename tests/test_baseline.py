@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from hybridplan.baseline import baseline_queries, build_full_mdp, enumerate_policies
 from hybridplan.chains import all_max_assignment, build_parametric_model, instantiate
-from hybridplan.errors import LimitExceeded, StateBudgetExceeded
+from hybridplan.errors import LimitExceeded, ModelError, StateBudgetExceeded
 from hybridplan.planner import plan_mission
+from hybridplan.pmc import Mdp
 from hybridplan.spec import build_problem_spec
 from hybridplan.synthesis import exhaustive_synthesize
 
@@ -123,6 +126,23 @@ class TestPolicies:
         result = enumerate_policies(build_full_mdp(spec), limit=10)
         assert result["policies"] == 1
         assert result["pareto"] == [(0.0, 1.0)]
+
+    def test_non_absorbing_policy_costs_infinity(self):
+        # "wait" loops forever short of the target; its policy keeps success 0
+        mdp = Mdp(
+            2,
+            0,
+            [[("wait", [(0, 1.0)], [1.0]), ("go", [(1, 1.0)], [2.0])], [("stay", [(1, 1.0)], [0.0])]],
+            {"success": frozenset({1}), "done": frozenset({1})},
+        )
+        result = enumerate_policies(mdp, limit=10)
+        assert result["points"] == [(2.0, 1.0), (math.inf, 0.0)]
+        assert result["pareto"] == [(2.0, 1.0)]
+
+    def test_missing_done_label_is_not_swallowed(self):
+        mdp = Mdp(1, 0, [[("stay", [(0, 1.0)], [0.0])]], {"success": frozenset({0})})
+        with pytest.raises(ModelError):
+            enumerate_policies(mdp, limit=10)
 
     def test_limit_enforced(self, m1_mini):
         with pytest.raises(LimitExceeded):

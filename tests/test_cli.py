@@ -42,6 +42,14 @@ class TestSubcommands:
         assert stats["expansions"] > 0 and stats["h0"] <= 8
         assert "stats" not in json.loads((tmp_path / "plan.json").read_text())
 
+    @pytest.mark.parametrize("subcommand", ["plan", "verify", "export-prism"])
+    def test_seed_only_on_seeded_subcommands(self, subcommand, capsys):
+        # the planner and the verifier are deterministic: nothing reads a seed
+        with pytest.raises(SystemExit) as exit_:
+            main([subcommand, "--spec", "vineyard", "--seed", "1"])
+        assert exit_.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_verify_budget_dictionary(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--spec", "vineyard", "--retries", '{"t3l4": 2}'

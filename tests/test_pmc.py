@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridplan.chains import all_min_assignment, instantiate
-from hybridplan.errors import InfiniteRewardError, ModelError, StateBudgetExceeded
+from hybridplan.errors import ConvergenceError, InfiniteRewardError, ModelError, StateBudgetExceeded
 from hybridplan.pmc import (
     Dtmc,
     Mdp,
@@ -52,6 +52,13 @@ class TestReachability:
         prob0, prob1 = prob01_sets(d, frozenset({1}))
         assert prob0 == {2}
         assert prob1 == {1}
+
+    def test_target_left_again_counts_as_reached(self):
+        # 0 -> 1 (target) -> 2 (sink): the target is hit with certainty
+        d = Dtmc(3, 0, [[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"success": frozenset({1})})
+        assert prob01_sets(d, frozenset({1})) == ({2}, {0, 1})
+        assert reach_probability(d, "success") == 1.0
+        assert list(reach_probability_per_state(d, "success")) == [1.0, 1.0, 0.0]
 
     def test_loop_before_target(self):
         # initial loops with 0.5, exits to success with 0.5: reach prob 1
@@ -220,6 +227,21 @@ class TestMdp:
     def test_max_reach_picks_better_agent(self):
         assert mdp_max_reach_prob(two_choice_mdp(), "success") == pytest.approx(0.99, abs=1e-12)
 
+    def test_target_values_stay_pinned(self):
+        # the target's only action leaves it for a sink; reaching it counts
+        # all the same, so the sure action must win over the coin flip
+        mdp = Mdp(
+            3,
+            0,
+            [
+                [("coin", [(1, 0.5), (2, 0.5)], [0.0, 0.0]), ("sure", [(1, 1.0)], [0.0])],
+                [("leave", [(2, 1.0)], [0.0])],
+                [("stay", [(2, 1.0)], [0.0])],
+            ],
+            {"success": frozenset({1})},
+        )
+        assert mdp_max_reach_prob(mdp, "success") == 1.0
+
     def test_bounded_reward_zero_horizon(self):
         assert mdp_min_bounded_reward(two_choice_mdp(), 0) == 0.0
 
@@ -246,3 +268,83 @@ class TestMdp:
         bad = Mdp(2, 0, [[("a", [(1, 0.9)], [0.0])], [("s", [(1, 1.0)], [0.0])]], {"success": frozenset({1})})
         with pytest.raises(ModelError):
             bad.check()
+
+
+class TestMalformedMdp:
+    @pytest.mark.parametrize(
+        "choices, message",
+        [
+            ([[("a", [(1, 1.0)], [0.0])], []], "state 1 has no enabled action"),
+            ([[("a", [(1, 0.5), (1, 0.5 - 2e-12)], [0.0, 0.0])], [("s", [(1, 1.0)], [0.0])]], "sums to"),
+            ([[("a", [(1, 1.0)], [0.0, 1.0])], [("s", [(1, 1.0)], [0.0])]], "reward misaligned"),
+            ([[("a", [(1, 1.0)], [0.0])]], "size mismatch"),
+        ],
+    )
+    def test_rejected_by_check_and_queries(self, choices, message):
+        def mdp():
+            return Mdp(2, 0, choices, {"success": frozenset({1})})
+
+        for query in (Mdp.check, lambda m: mdp_max_reach_prob(m, "success"), mdp_min_bounded_reward):
+            with pytest.raises(ModelError, match=message):
+                query(mdp())
+
+    def test_first_fault_in_state_order(self):
+        # state 0's second action is misaligned; state 1 has no action
+        choices = [
+            [("ok", [(0, 1.0)], [0.0]), ("bad", [(0, 1.0)], [])],
+            [],
+        ]
+        with pytest.raises(ModelError, match="state 0 action 'bad' reward misaligned"):
+            Mdp(2, 0, choices, {"success": frozenset({0})}).check()
+
+    def test_row_sum_within_tolerance_accepted(self):
+        choices = [[("a", [(1, 0.5), (1, 0.5 - 5e-13)], [0.0, 0.0])], [("s", [(1, 1.0)], [0.0])]]
+        Mdp(2, 0, choices, {"success": frozenset({1})}).check()
+
+
+class TestConvergenceCap:
+    def test_value_iteration_raises(self, monkeypatch):
+        import hybridplan.pmc as pmc
+
+        # a 0.9 self-loop needs many sweeps to get within 1e-10
+        mdp = Mdp(
+            2, 0, [[("try", [(0, 0.9), (1, 0.1)], [1.0, 1.0])], [("s", [(1, 1.0)], [0.0])]], {"success": frozenset({1})}
+        )
+        assert mdp_max_reach_prob(mdp, "success") == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(pmc, "MAX_SWEEPS", 5)
+        with pytest.raises(ConvergenceError):
+            mdp_max_reach_prob(mdp, "success")
+
+    def test_gauss_seidel_raises(self, monkeypatch):
+        import hybridplan.pmc as pmc
+
+        rows = [[(0, 0.9)]]
+        assert pmc._gauss_seidel(rows, np.array([0.1]), 1e-10)[0] == pytest.approx(1.0, abs=1e-9)
+        monkeypatch.setattr(pmc, "MAX_SWEEPS", 5)
+        with pytest.raises(ConvergenceError):
+            pmc._gauss_seidel(rows, np.array([0.1]), 1e-10)
+
+
+def test_dense_and_sparse_solves_agree_on_induced_chains(monkeypatch, m1, m1_mini):
+    import hybridplan.pmc as pmc
+    from hybridplan.baseline import build_full_mdp
+
+    systems = []
+    solve = pmc._solve_linear
+
+    def record(unknowns, rows, rhs, tol):
+        systems.append((unknowns, rows, rhs.copy(), tol))
+        return solve(unknowns, rows, rhs, tol)
+
+    monkeypatch.setattr(pmc, "_solve_linear", record)
+    for spec in (m1_mini, m1):
+        mdp_max_reach_prob(build_full_mdp(spec), "success")
+    monkeypatch.setattr(pmc, "_solve_linear", solve)
+    sizes = [len(u) for u, _, _, _ in systems]
+    assert min(sizes) <= pmc.DENSE_LIMIT < max(sizes)
+    for unknowns, rows, rhs, tol in systems:
+        monkeypatch.setattr(pmc, "DENSE_LIMIT", len(unknowns))
+        dense = solve(unknowns, rows, rhs.copy(), tol)
+        monkeypatch.setattr(pmc, "DENSE_LIMIT", 0)
+        sparse = solve(unknowns, rows, rhs.copy(), tol)
+        assert np.max(np.abs(dense - sparse)) <= 1e-12
