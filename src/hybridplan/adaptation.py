@@ -518,27 +518,6 @@ def validate_scenario(changes: list[Change]):
         raise ScenarioError("at most one change per time unit")
 
 
-class _TraceBook:
-    """Trace-order dispatch bookkeeping for the current plan."""
-
-    def __init__(self, plan: Plan):
-        self.order = list(plan.total_order)
-        self.done = [False] * len(self.order)
-
-    def next_actions(self):
-        """Scan in trace order; yields (index, action) candidates for this
-        slot: every action whose predecessors are all complete."""
-        for i, act in enumerate(self.order):
-            if not self.done[i]:
-                yield i, act
-
-    def complete(self, i):
-        self.done[i] = True
-
-    def all_done(self):
-        return all(self.done)
-
-
 def simulate(
     spec: ProblemSpec,
     plan: Plan,
@@ -571,7 +550,9 @@ def simulate(
         ga=ga or GaConfig(),
         planner=planner_cfg or PlannerConfig(),
     )
-    book = _TraceBook(plan)
+    # trace-order dispatch: the current plan's trace and a done flag per action
+    order = list(plan.total_order)
+    done = [False] * len(order)
     queue = list(changes)
     steps: list[TraceStep] = []
     events: list[TraceEvent] = []
@@ -579,7 +560,7 @@ def simulate(
     result = "stalled"
 
     def apply_outcome(out: AdaptationOutcome, change: Change):
-        nonlocal book
+        nonlocal order, done
         events.append(TraceEvent(ctx.progress.clock, change, out.level, out.stages_rerun, out.reduced_size))
         step_events.append(events[-1])
         for s in out.stages_rerun:
@@ -607,7 +588,8 @@ def simulate(
         ctx.epoch_failures = {}
         ctx.progress.failures = {}
         ctx.progress.pointers = {a: 0 for a in out.new_plan.per_agent}
-        book = _TraceBook(out.new_plan)
+        order = list(out.new_plan.total_order)
+        done = [False] * len(order)
 
     while ctx.progress.clock < max_steps:
         t = ctx.progress.clock
@@ -625,20 +607,22 @@ def simulate(
         # dispatch this slot in trace order
         acted: dict[str, tuple] = {}
         busy: set[str] = set()
-        for i, act in book.next_actions():
+        for i, act in enumerate(order):
+            if done[i]:
+                continue
             if act.agent in busy:
                 break
             if isinstance(act, Move):
                 if not is_enabled(ctx.spec, ctx.world, act):
                     break
                 ctx.world = apply_action(ctx.spec, ctx.world, act)
-                book.complete(i)
+                done[i] = True
                 ctx.progress.pointers[act.agent] = ctx.progress.pointers.get(act.agent, 0) + 1
                 busy.add(act.agent)
                 acted[act.agent] = (action_to_json(act), None)
             elif isinstance(act, Do):
                 if act.task in ctx.progress.completed:
-                    book.complete(i)
+                    done[i] = True
                     continue
                 busy.add(act.agent)
                 p = ctx.spec.p_success(act.agent, act.task)
@@ -650,7 +634,7 @@ def simulate(
                 acted[act.agent] = (action_to_json(act), "success" if ok else "failure")
                 if ok:
                     ctx.world = apply_action(ctx.spec, ctx.world, act)
-                    book.complete(i)
+                    done[i] = True
                     ctx.progress.completed.add(act.task)
                     ctx.progress.pointers[act.agent] = ctx.progress.pointers.get(act.agent, 0) + 1
                 else:
@@ -658,7 +642,7 @@ def simulate(
                     apply_outcome(adapt(ctx, Change("C1", t, task=act.task)), Change("C1", t, task=act.task))
                     break  # an unfinished action gates everything behind it
             else:
-                book.complete(i)
+                done[i] = True
 
         if forced_fail is not None:
             raise ScenarioError(
@@ -675,10 +659,10 @@ def simulate(
         )
         ctx.progress.clock = t + 1
 
-        if book.all_done() and not queue:
+        if all(done) and not queue:
             result = "success"
             break
-        if not acted and not queue and not book.all_done():
+        if not acted and not queue and not all(done):
             result = "stalled"
             break
 

@@ -9,6 +9,11 @@ still do it, mirroring the chain semantics so comparisons stay like-for-like
 (stricter than a reallocate-on-failure reading, which would solve a
 different problem).
 
+The world part of a state is the planner's compact key and its actions come
+from the planner's successor generator without the forced-task pruning, so
+the planner and the baseline share one successor function.  The scheduler
+may pick any enabled action, so every one of them is a choice.
+
 The builder reports blow-ups through StateBudgetExceeded carrying the state
 count reached; hitting the budget on realistic missions is an expected
 result, not a bug.
@@ -17,122 +22,96 @@ result, not a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InfiniteRewardError, LimitExceeded, StateBudgetExceeded
+from .planner import _Compact
 from .pmc import Mdp, expected_reward, induced_chain, reach_probability
 from .spec import ProblemSpec
-from .world import Do, Move, WorldState, apply_action, enabled_actions, initial_state
+# The builder runs on compact states and no longer calls this, but it stays
+# a baseline attribute: benchmark/spans.py wraps it by name.
+from .world import enabled_actions  # noqa: F401
 
 RUNNING, SUCCESS, FAIL = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class JointState:
-    world: WorldState
-    counters: tuple[tuple[str, str, int], ...]   # per capable (agent, task) failure counts
-    terminal: int
-
-    def key(self):
-        return (self.world.key(), self.counters, self.terminal)
-
-
 def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
-    """Explicit MDP over joint states; raises StateBudgetExceeded on blow-up."""
-    counter_pairs = sorted(
-        (a.id, t.id)
-        for a in spec.agents
-        for t in spec.tasks
-        if t.id in spec.pending and spec.p_success(a.id, t.id) >= spec.constraints.gamma
-    )
-    world0 = initial_state(spec)
-    start = JointState(
-        world0,
-        tuple((a, t, 0) for a, t in counter_pairs),
-        SUCCESS if spec.pending <= world0.done else RUNNING,
-    )
+    """Explicit MDP over joint states; raises StateBudgetExceeded on blow-up.
 
-    index: dict = {start.key(): 0}
-    states = [start]
-    choices: list = []
-    frontier = [start]
+    A joint state is ``(world, counters, terminal)``: the compact world key,
+    the non-zero failure counters as sorted ``(Do code, count)`` pairs, and
+    the terminal flag.  States are numbered in discovery order from a
+    depth-first stack, the initial state first.
+    """
+    problem = _Compact(spec)
+    n_tasks, n_locs, pending = len(problem.task_ids), len(problem.loc_ids), problem.pending
+    # Do code -> (success probability, cost, retry cap)
+    attempts = {}
+    for t, tid in enumerate(problem.task_ids):
+        for a in problem.capable[t]:
+            aid = problem.agent_ids[a]
+            attempts[~(a * n_tasks + t)] = (
+                spec.p_success(aid, tid), spec.task_cost(aid, tid), spec.max_retries(aid, tid)
+            )
+    names: dict = {}   # (code, origin) -> choice name
 
-    def intern(js: JointState) -> int:
-        k = js.key()
-        if k not in index:
-            if len(states) >= state_budget:
+    def name(code: int, positions: tuple) -> str:
+        k = (code, positions[code // n_locs] if code >= 0 else -1)
+        if k not in names:
+            names[k] = str(problem.action((positions,), code))
+        return names[k]
+
+    def finished(world: tuple) -> int:
+        return SUCCESS if world[2] & pending == pending else RUNNING
+
+    start = (problem.start, (), finished(problem.start))
+    index = {start: 0}
+    terminal = [start[2]]
+    choices: list = [None]
+    frontier = [(0, start)]
+
+    def intern(key: tuple) -> int:
+        sid = index.get(key)
+        if sid is None:
+            if len(terminal) >= state_budget:
                 raise StateBudgetExceeded(
-                    f"full MDP exceeded the {state_budget}-state budget", len(states)
+                    f"full MDP exceeded the {state_budget}-state budget", len(terminal)
                 )
-            index[k] = len(states)
-            states.append(js)
-            frontier.append(js)
-        return index[k]
-
-    def bump(counters, agent, task):
-        return tuple(
-            (a, t, c + 1) if (a, t) == (agent, task) else (a, t, c) for a, t, c in counters
-        )
-
-    def count_of(counters, agent, task):
-        for a, t, c in counters:
-            if (a, t) == (agent, task):
-                return c
-        return 0
+            sid = index[key] = len(terminal)
+            terminal.append(key[2])
+            choices.append(None)
+            frontier.append((sid, key))
+        return sid
 
     while frontier:
-        js = frontier.pop()
-        sid = index[js.key()]
-        while len(choices) <= sid:
-            choices.append(None)
-        if js.terminal != RUNNING:
+        sid, (world, counters, term) = frontier.pop()
+        if term != RUNNING:
             choices[sid] = [("stay", [(sid, 1.0)], [0.0])]
             continue
-
-        acts = enabled_actions(spec, js.world)
         rows = []
-        for act in acts:
-            if isinstance(act, Move):
-                njs = JointState(apply_action(spec, js.world, act), js.counters, RUNNING)
-                rows.append(
-                    (str(act), [(intern(njs), 1.0)], [spec.distance(act.origin, act.dest)])
-                )
-            elif isinstance(act, Do):
-                p = spec.p_success(act.agent, act.task)
-                cost = spec.task_cost(act.agent, act.task)
-                succ_world = apply_action(spec, js.world, act)
-                succ_terminal = SUCCESS if spec.pending <= succ_world.done else RUNNING
-                succ_js = JointState(succ_world, js.counters, succ_terminal)
-                cap = spec.max_retries(act.agent, act.task)
-                used = count_of(js.counters, act.agent, act.task)
-                if p >= 1.0:
-                    rows.append((str(act), [(intern(succ_js), 1.0)], [cost]))
-                else:
-                    if used + 1 >= cap or cap == 0:
-                        fail_js = JointState(js.world, js.counters, FAIL)
-                    else:
-                        fail_js = JointState(js.world, bump(js.counters, act.agent, act.task), RUNNING)
-                    rows.append(
-                        (
-                            str(act),
-                            [(intern(succ_js), p), (intern(fail_js), 1.0 - p)],
-                            [cost, cost],
-                        )
-                    )
-        if not rows:
-            # mutually blocked agents with pending tasks: a dead state; keep the
-            # MDP well-formed with a free self-loop (never reaches success)
-            rows = [("stall", [(sid, 1.0)], [0.0])]
-        choices[sid] = rows
+        for code, child, step in problem.successors(world, False):
+            if code >= 0:
+                rows.append((name(code, world[0]), [(intern((child, counters, RUNNING)), 1.0)], [step]))
+                continue
+            p, cost, cap = attempts[code]
+            succ = intern((child, counters, finished(child)))
+            if p >= 1.0:
+                rows.append((name(code, world[0]), [(succ, 1.0)], [cost]))
+                continue
+            used = dict(counters).get(code, 0)
+            if used + 1 >= cap or cap == 0:
+                fail = (world, counters, FAIL)
+            else:
+                fail = (world, tuple(sorted({**dict(counters), code: used + 1}.items())), RUNNING)
+            rows.append((name(code, world[0]), [(succ, p), (intern(fail), 1.0 - p)], [cost, cost]))
+        # no row: mutually blocked agents with pending tasks, a dead state;
+        # keep the MDP well-formed with a free self-loop (never reaches success)
+        choices[sid] = rows or [("stall", [(sid, 1.0)], [0.0])]
 
-    n = len(states)
     labels = {
-        "success": frozenset(
-            i for i, js in enumerate(states) if js.terminal == SUCCESS
-        ),
-        "done": frozenset(i for i, js in enumerate(states) if js.terminal != RUNNING),
+        "success": frozenset(i for i, t in enumerate(terminal) if t == SUCCESS),
+        "done": frozenset(i for i, t in enumerate(terminal) if t != RUNNING),
     }
-    return Mdp(n, 0, choices, labels)
+    return Mdp(len(terminal), 0, choices, labels)
 
 
 def baseline_queries(mdp: Mdp, bound: int = 20, tol: float = 1e-10) -> dict:

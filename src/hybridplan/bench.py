@@ -110,11 +110,8 @@ def run_cell(
     seeds: list[int],
     planner_cfg: Optional[PlannerConfig] = None,
     ga: Optional[GaConfig] = None,
-    plan_reps: int = 1,
 ) -> CellResult:
-    """One sweep cell.  Stages are timed on CPU time; the planner stage can
-    average over repeated invocations when individual runs are too short for
-    the clock (greedy search at small scales)."""
+    """One sweep cell: one plan per seed, every stage timed on CPU time."""
     planner_cfg = planner_cfg or PlannerConfig(strategy="astar", timeout=600)
     cell = CellResult(n_tasks, n_agents)
     for seed in seeds:
@@ -123,8 +120,7 @@ def run_cell(
         export_pddl_domain(spec)
         export_pddl_problem(spec)
         t1 = time.process_time()
-        for _ in range(plan_reps):
-            plan = plan_mission(spec, planner_cfg)
+        plan = plan_mission(spec, planner_cfg)
         t2 = time.process_time()
         model = build_parametric_model(spec, plan)
         t3 = time.process_time()
@@ -133,7 +129,7 @@ def run_cell(
             synthesize(model, cfg)
         t4 = time.process_time()
         cell.samples.setdefault("s1_export", []).append(t1 - t0)
-        cell.samples.setdefault("s2_plan", []).append((t2 - t1) / plan_reps)
+        cell.samples.setdefault("s2_plan", []).append((t2 - t1))
         cell.samples.setdefault("s3_model", []).append(t3 - t2)
         cell.samples.setdefault("s4_synthesis", []).append(t4 - t3)
         cell.travel_costs.append(plan.travel_cost)
@@ -150,12 +146,11 @@ def run_sweep(
     seeds=(11, 12, 13),
     planner_cfg: Optional[PlannerConfig] = None,
     ga: Optional[GaConfig] = None,
-    plan_reps: int = 1,
 ) -> list[dict]:
     rows = []
     for n_tasks in task_counts:
         for n_agents in agent_counts:
-            cell = run_cell(n_tasks, n_agents, list(seeds), planner_cfg, ga, plan_reps)
+            cell = run_cell(n_tasks, n_agents, list(seeds), planner_cfg, ga)
             rows.append(cell.summary())
     return rows
 

@@ -102,7 +102,7 @@ def cmd_synthesize(args):
     timings["s3_model"] = time.monotonic() - t0
     t0 = time.monotonic()
     archive = synthesize(model, _ga_config(args))
-    timings["s4_synthesize"] = time.monotonic() - t0
+    timings["s4_synthesis"] = time.monotonic() - t0
     artifacts = {
         "plan": _write(out / "plan.json", json.dumps(plan.to_json(), indent=2, sort_keys=True)),
     }

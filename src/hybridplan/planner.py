@@ -12,9 +12,12 @@ agents and tasks become indices, a state is (agent positions, empty-location
 bitmask, done-task bitmask), and distances, neighbour lists and doable-task
 masks are tables.  Emptiness is stored rather than derived from positions
 because of the depot quirk in ``world``: the first agent to leave a shared
-start location marks it empty while others remain there.  ``world`` stays
-the one-step semantics for replay, validation, adaptation and the baseline;
-the encoding is a one-to-one image of it, so plans are the same.
+start location marks it empty while others remain there.  The encoding is a
+one-to-one image of ``world``, so plans are the same.  Its successor
+generator is the one successor function of the package: the search asks for
+the forced-task pruning, the MDP baseline for every enabled action.
+``world`` stays the one-step semantics for replay, validation and
+adaptation, and the reference the property tests check the encoding against.
 
 The sequential trace is also packed into per-slot parallel lanes.  Actions
 dispatch in trace order: an action may start in a slot once every earlier
@@ -195,19 +198,25 @@ class _Compact:
             travel_cost,
         )
 
-    def successors(self, key: tuple) -> list[tuple]:
-        """``(action code, child, step cost)`` triples, as ``world`` would
-        give them: the first doable task in (agent, task) order if there is
-        one (forced-task pruning), else every move in (agent, destination)
-        order.  A move empties its origin even when other agents still stand
-        there (the depot quirk), which is why emptiness is part of the state."""
+    def successors(self, key: tuple, forced: bool) -> list[tuple]:
+        """``(action code, child, step cost)`` triples in ``world`` order:
+        every doable task in (agent, task) order, then every move in (agent,
+        destination) order.  With ``forced`` the first doable task is the
+        only successor if there is one (the planner's forced-task pruning).
+        A move empties its origin even when other agents still stand there
+        (the depot quirk), which is why emptiness is part of the state."""
         positions, empty, done = key
+        out = []
+        n_tasks = len(self.task_ids)
         for a, loc in enumerate(positions):
             todo = self.doable[a][loc] & ~done
-            if todo:
+            if todo and forced:
                 t = (todo & -todo).bit_length() - 1
-                return [(~(a * len(self.task_ids) + t), (positions, empty, done | 1 << t), 0.0)]
-        out = []
+                return [(~(a * n_tasks + t), (positions, empty, done | 1 << t), 0.0)]
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                out.append((~(a * n_tasks + bit.bit_length() - 1), (positions, empty, done | bit), 0.0))
         n_locs = len(self.loc_ids)
         for a, loc in enumerate(positions):
             for dest, step in self.neighbors[loc]:
@@ -360,7 +369,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
             raise PlanTimeout(f"planner exceeded {cfg.timeout}s after {expansions} expansions")
         if expansions > cfg.max_expansions:
             raise PlanTimeout(f"planner exceeded {cfg.max_expansions} expansions")
-        for code, child, step in successors(state):
+        for code, child, step in successors(state, True):
             generated += 1
             cg = g + step
             seen = best.get(child)

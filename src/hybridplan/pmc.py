@@ -71,17 +71,6 @@ class Dtmc:
                     pred[j].append(i)
         return pred
 
-    def reachable_from_initial(self) -> set[int]:
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            s = stack.pop()
-            for j, p in self.transitions[s]:
-                if p > 0.0 and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
-
     def export_transitions(self, reward: Optional[str] = None) -> str:
         """Tab-separated explicit transition list for debugging."""
         lines = []
@@ -92,12 +81,14 @@ class Dtmc:
         return "\n".join(lines) + "\n"
 
 
-def _backward_closure(pred: list[list[int]], seeds: Iterable[int], blocked=frozenset()) -> set[int]:
+def _closure(edges: list[list[int]], seeds: Iterable[int], blocked=frozenset()) -> set[int]:
+    """The seeds plus every state reachable from them along ``edges``
+    without entering a ``blocked`` state."""
     seen = set(seeds)
     stack = list(seen)
     while stack:
         s = stack.pop()
-        for q in pred[s]:
+        for q in edges[s]:
             if q not in seen and q not in blocked:
                 seen.add(q)
                 stack.append(q)
@@ -107,10 +98,10 @@ def _backward_closure(pred: list[list[int]], seeds: Iterable[int], blocked=froze
 def prob01_sets(dtmc: Dtmc, target: frozenset[int]) -> tuple[set[int], set[int]]:
     """(probability-0 set, probability-1 set) for eventually reaching target."""
     pred = dtmc.predecessors()
-    can_reach = _backward_closure(pred, target)
+    can_reach = _closure(pred, target)
     prob0 = set(range(dtmc.n_states)) - can_reach
     # a path counts once it hits the target, whatever follows
-    reach_prob0 = _backward_closure(pred, prob0, blocked=target)
+    reach_prob0 = _closure(pred, prob0, blocked=target)
     prob1 = set(range(dtmc.n_states)) - reach_prob0
     return prob0, prob1
 
@@ -195,39 +186,29 @@ def reach_probability(dtmc: Dtmc, target_label: str, tol: float = DEFAULT_TOL) -
     return _solve_reach(dtmc, prob0, prob1, tol)[dtmc.initial]
 
 
-def reach_probability_per_state(dtmc: Dtmc, target_label: str, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vector of reachability probabilities (used by tests and diagnostics)."""
-    dtmc.check()
-    prob0, prob1 = prob01_sets(dtmc, dtmc.states_with_label(target_label))
-    out = np.zeros(dtmc.n_states)
-    for s in prob1:
-        out[s] = 1.0
-    for s, v in _solve_reach(dtmc, prob0, prob1, tol).items():
-        out[s] = v
-    return out
-
-
 def expected_reward(dtmc: Dtmc, reward_name: str, target_label: str, tol: float = DEFAULT_TOL) -> float:
     """Expected reward accumulated until first hitting the target label.
 
-    Requires the target to be reached almost surely from every state
-    reachable from the initial one; otherwise the expectation diverges and
-    InfiniteRewardError is raised.
+    Requires the target to be reached almost surely from every state the
+    initial one reaches before first hitting it; otherwise the expectation
+    diverges and InfiniteRewardError is raised.
     """
     dtmc.check()
     if reward_name not in dtmc.rewards:
         raise ModelError(f"unknown reward structure '{reward_name}'")
     target = dtmc.states_with_label(target_label)
+    if dtmc.initial in target:
+        return 0.0
     _, prob1 = prob01_sets(dtmc, target)
-    reachable = dtmc.reachable_from_initial()
+    # the states visited before the target is first hit; what follows it is never paid
+    succ = [[j for j, p in row if p > 0.0] for row in dtmc.transitions]
+    reachable = _closure(succ, [dtmc.initial], blocked=target)
     bad = reachable - prob1
     if bad:
         raise InfiniteRewardError(
             f"target '{target_label}' not almost surely reached from {len(bad)} reachable state(s)"
         )
-    unknowns = sorted(reachable - target)
-    if dtmc.initial in target:
-        return 0.0
+    unknowns = sorted(reachable)
     uindex = {s: i for i, s in enumerate(unknowns)}
     rhs = np.zeros(len(unknowns))
     rows: list[list[tuple[int, float]]] = []

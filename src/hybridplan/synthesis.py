@@ -464,7 +464,3 @@ def save_archive(archive: ParetoArchive, path):
         json.dump(archive.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def load_archive(path) -> ParetoArchive:
-    with open(path) as fh:
-        return ParetoArchive.from_json(json.load(fh))

@@ -77,6 +77,9 @@ class TestSubcommands:
         assert archive["config"]["evaluations"] == 150
         assert archive["seed"] == 42
         assert all(e["success_prob"] >= 0.95 for e in archive["entries"])
+        # the same stage names as the bench sweep's columns
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["stage_seconds"]) == {"s2_plan", "s3_model", "s4_synthesis"}
 
     def test_simulate_scripted_scenario(self, capsys, tmp_path, scenario_path):
         code, out, _ = run(

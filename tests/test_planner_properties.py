@@ -51,10 +51,13 @@ def test_compact_successors_match_world(spec, walk_seed):
     for _ in range(25):
         state = problem.decode(key, g)
         assert problem.encode(state) == key
-        succ = problem.successors(key)
+        succ = problem.successors(key, True)
         assert [problem.action(key, code) for code, _, _ in succ] == world_successors(spec, state)
-        for code, child, step in succ:
+        every = problem.successors(key, False)
+        assert [problem.action(key, code) for code, _, _ in every] == enabled_actions(spec, state)
+        for code, child, step in every:
             assert problem.decode(child, g + step) == apply_action(spec, state, problem.action(key, code))
+        assert [s for s in every if s in succ] == succ   # the pruned list, children included
         if not succ:
             break
         _, key, step = rng.choice(succ)

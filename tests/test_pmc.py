@@ -15,7 +15,6 @@ from hybridplan.pmc import (
     mdp_min_bounded_reward,
     prob01_sets,
     reach_probability,
-    reach_probability_per_state,
 )
 
 
@@ -58,7 +57,6 @@ class TestReachability:
         d = Dtmc(3, 0, [[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"success": frozenset({1})})
         assert prob01_sets(d, frozenset({1})) == ({2}, {0, 1})
         assert reach_probability(d, "success") == 1.0
-        assert list(reach_probability_per_state(d, "success")) == [1.0, 1.0, 0.0]
 
     def test_loop_before_target(self):
         # initial loops with 0.5, exits to success with 0.5: reach prob 1
@@ -70,12 +68,6 @@ class TestReachability:
         )
         assert reach_probability(d, "success") == pytest.approx(1.0, abs=1e-12)
 
-    def test_per_state_vector(self):
-        d = chain_dtmc(0.25)
-        vec = reach_probability_per_state(d, "success")
-        assert vec[0] == pytest.approx(0.25, abs=1e-12)
-        assert vec[1] == 1.0 and vec[2] == 0.0
-
 
 class TestExpectedReward:
     def test_zero_rewards(self):
@@ -85,6 +77,12 @@ class TestExpectedReward:
 
     def test_coin_cost(self):
         assert expected_reward(chain_dtmc(0.97), "cost", "done") == pytest.approx(1.0, abs=1e-12)
+
+    def test_target_left_again_stops_the_reward(self):
+        # 0 -> 1 (target) -> 2 (sink), cost 1 per step: only the first step is paid
+        d = Dtmc(3, 0, [[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"done": frozenset({1})},
+                 {"cost": [[1.0], [1.0], [1.0]]})
+        assert expected_reward(d, "cost", "done") == 1.0
 
     def test_immediate_failure_costs_nothing(self):
         d = Dtmc(

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +19,11 @@ from hybridplan.pmc import factored_mission_metrics
 from hybridplan.synthesis import (
     GaConfig,
     Objectives,
+    ParetoArchive,
     dominates,
     evaluate,
     exhaustive_synthesize,
     extend_archive,
-    load_archive,
     save_archive,
     synthesize,
 )
@@ -245,7 +247,7 @@ class TestArchivePersistence:
         archive = exhaustive_synthesize(m2_model)
         path = tmp_path / "archive.json"
         save_archive(archive, path)
-        again = load_archive(path)
+        again = ParetoArchive.from_json(json.loads(path.read_text()))
         assert [e.retries for e in again.entries] == [e.retries for e in archive.entries]
         assert again.front() == archive.front()
 
