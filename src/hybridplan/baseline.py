@@ -89,20 +89,23 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
             continue
         rows = []
         for code, child, step in problem.successors(world, False):
+            label = name(code, world[0])
             if code >= 0:
-                rows.append((name(code, world[0]), [(intern((child, counters, RUNNING)), 1.0)], [step]))
+                rows.append((label, [(intern((child, counters, RUNNING)), 1.0)], [step]))
                 continue
             p, cost, cap = attempts[code]
             succ = intern((child, counters, finished(child)))
             if p >= 1.0:
-                rows.append((name(code, world[0]), [(succ, 1.0)], [cost]))
+                rows.append((label, [(succ, 1.0)], [cost]))
                 continue
-            used = dict(counters).get(code, 0)
+            held = dict(counters)
+            used = held.get(code, 0)
             if used + 1 >= cap or cap == 0:
                 fail = (world, counters, FAIL)
             else:
-                fail = (world, tuple(sorted({**dict(counters), code: used + 1}.items())), RUNNING)
-            rows.append((name(code, world[0]), [(succ, p), (intern(fail), 1.0 - p)], [cost, cost]))
+                held[code] = used + 1
+                fail = (world, tuple(sorted(held.items())), RUNNING)
+            rows.append((label, [(succ, p), (intern(fail), 1.0 - p)], [cost, cost]))
         # no row: mutually blocked agents with pending tasks, a dead state;
         # keep the MDP well-formed with a free self-loop (never reaches success)
         choices[sid] = rows or [("stall", [(sid, 1.0)], [0.0])]

@@ -129,7 +129,7 @@ def run_cell(
             synthesize(model, cfg)
         t4 = time.process_time()
         cell.samples.setdefault("s1_export", []).append(t1 - t0)
-        cell.samples.setdefault("s2_plan", []).append((t2 - t1))
+        cell.samples.setdefault("s2_plan", []).append(t2 - t1)
         cell.samples.setdefault("s3_model", []).append(t3 - t2)
         cell.samples.setdefault("s4_synthesis", []).append(t4 - t3)
         cell.travel_costs.append(plan.travel_cost)

@@ -463,4 +463,3 @@ def save_archive(archive: ParetoArchive, path):
     with open(path, "w") as fh:
         json.dump(archive.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
