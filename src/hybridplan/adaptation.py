@@ -17,12 +17,15 @@ budget) and reset on A3, which plans fresh attempts.  After an A2, archive
 genotypes cover only the remaining suffix; tasks completed before that
 epoch are no longer constrained by it.
 
-The execution harness dispatches the deployed plan slot by slot.  Actions
-start in trace order (an action may start once every earlier trace action
-has completed, possibly earlier in the same slot) with task outcomes drawn
+The execution harness dispatches the deployed plan slot by slot through
+the planner's trace-order dispatcher (``planner.dispatch_slot``, the one that
+packs the plan's lanes): an action may start once every earlier trace action
+has completed, possibly earlier in the same slot.  Task outcomes are drawn
 from a seeded generator; scripted scenario changes inject failures and
 requirement changes at fixed times.  Trace-order gating keeps execution
-deadlock-free for any sequentially valid plan.
+deadlock-free for any sequentially valid plan.  The suffix model is built
+by the chains builder (``chains.build_chains``) over the agents' remaining
+actions, with retry caps net of observed failures.
 """
 
 from __future__ import annotations
@@ -34,23 +37,23 @@ from typing import Optional
 import numpy as np
 
 from .chains import (
-    AgentChain,
-    ChainStep,
     ParametricPlanModel,
     RetryAssignment,
+    build_chains,
     build_parametric_model,
     closed_form_mission_metrics,
 )
 from .errors import NoPlanExists, ScenarioError, UnrecoverableMission
-from .planner import Plan, PlannerConfig, plan_mission
+from .planner import Plan, PlannerConfig, dispatch_slot, plan_mission
 from .spec import ProblemSpec
 from .synthesis import ArchiveEntry, GaConfig, ParetoArchive, evaluate, synthesize
-from .world import Do, Move, WorldState, action_to_json, apply_action, initial_state, is_enabled
+from .world import Do, WorldState, action_to_json, initial_state
 
-# Adaptation no longer calls these two, but they stay adaptation attributes:
+# Adaptation no longer calls these four, but they stay adaptation attributes:
 # benchmark/spans.py wraps them by name.
 from .chains import instantiate  # noqa: F401
 from .pmc import factored_mission_metrics  # noqa: F401
+from .world import apply_action, is_enabled  # noqa: F401
 
 STAGES_NONE: frozenset = frozenset()
 STAGES_A2 = frozenset({"S3", "S4"})
@@ -182,45 +185,14 @@ def _prefix_consistent(ctx: ExecutionContext, entry: ArchiveEntry) -> bool:
     return True
 
 
-def _remaining_chains(ctx: ExecutionContext) -> list[AgentChain]:
-    """Per-agent chains over the not-yet-completed actions, in plan order.
-
-    Retry caps shrink by observed failures so the suffix only budgets
-    attempts that are still physically available.
-    """
-    chains = []
-    for agent in sorted(ctx.plan.per_agent):
-        seq = ctx.plan.per_agent[agent]
-        if not seq:
-            continue
-        idx = ctx.progress.pointers.get(agent, 0)
-        steps = []
-        for act in seq[idx:]:
-            if isinstance(act, Move):
-                steps.append(ChainStep("move", ctx.spec.distance(act.origin, act.dest)))
-            elif isinstance(act, Do):
-                if act.task in ctx.progress.completed:
-                    continue
-                cap = ctx.spec.max_retries(agent, act.task)
-                cap = max(0, cap - ctx.progress.failure_count(act.task))
-                steps.append(
-                    ChainStep(
-                        "do",
-                        ctx.spec.task_cost(agent, act.task),
-                        task=act.task,
-                        p_success=ctx.spec.p_success(agent, act.task),
-                        retry_cap=cap,
-                    )
-                )
-        if steps:
-            chains.append(AgentChain(agent, tuple(steps)))
-    return chains
-
-
 def build_suffix_model(ctx: ExecutionContext) -> ParametricPlanModel:
-    """Parametric model of the remaining mission, conditioned on progress."""
+    """Parametric model of the remaining mission, conditioned on progress:
+    each agent's actions from its pointer on, with retry caps shrunk by the
+    observed failures so that only attempts still available are budgeted."""
+    pointers = ctx.progress.pointers
+    remaining = {a: seq[pointers.get(a, 0):] for a, seq in ctx.plan.per_agent.items()}
     return ParametricPlanModel(
-        chains=_remaining_chains(ctx),
+        chains=build_chains(ctx.spec, remaining, ctx.progress.failures),
         p_succ_threshold=ctx.spec.constraints.p_succ,
         gamma=ctx.spec.constraints.gamma,
         plan_hash=ctx.plan.hash_key() + f"@{ctx.progress.clock}",
@@ -591,10 +563,20 @@ def simulate(
         order = list(out.new_plan.total_order)
         done = [False] * len(order)
 
+    forced_fail: Optional[str] = None   # task of this slot's scripted C1
+
+    def attempt(act: Do) -> bool:
+        # a scripted failure takes the place of this attempt's draw
+        nonlocal forced_fail
+        if forced_fail == act.task:
+            forced_fail = None
+            return False
+        return bool(rng.random() < ctx.spec.p_success(act.agent, act.task))
+
     while ctx.progress.clock < max_steps:
         t = ctx.progress.clock
         step_events: list[TraceEvent] = []
-        forced_fail: Optional[str] = None
+        forced_fail = None
 
         due = [c for c in queue if c.time == t]
         queue = [c for c in queue if c.time != t]
@@ -604,45 +586,16 @@ def simulate(
             else:
                 apply_outcome(adapt(ctx, change), change)
 
-        # dispatch this slot in trace order
-        acted: dict[str, tuple] = {}
-        busy: set[str] = set()
-        for i, act in enumerate(order):
-            if done[i]:
-                continue
-            if act.agent in busy:
-                break
-            if isinstance(act, Move):
-                if not is_enabled(ctx.spec, ctx.world, act):
-                    break
-                ctx.world = apply_action(ctx.spec, ctx.world, act)
-                done[i] = True
+        ctx.world, acted = dispatch_slot(ctx.spec, ctx.world, order, done, attempt)
+        for act, ok in acted.values():
+            if ok:
                 ctx.progress.pointers[act.agent] = ctx.progress.pointers.get(act.agent, 0) + 1
-                busy.add(act.agent)
-                acted[act.agent] = (action_to_json(act), None)
-            elif isinstance(act, Do):
-                if act.task in ctx.progress.completed:
-                    done[i] = True
-                    continue
-                busy.add(act.agent)
-                p = ctx.spec.p_success(act.agent, act.task)
-                if forced_fail == act.task:
-                    ok = False
-                    forced_fail = None
-                else:
-                    ok = bool(rng.random() < p)
-                acted[act.agent] = (action_to_json(act), "success" if ok else "failure")
-                if ok:
-                    ctx.world = apply_action(ctx.spec, ctx.world, act)
-                    done[i] = True
+                if isinstance(act, Do):
                     ctx.progress.completed.add(act.task)
-                    ctx.progress.pointers[act.agent] = ctx.progress.pointers.get(act.agent, 0) + 1
-                else:
-                    ctx.progress.failures[act.task] = ctx.progress.failure_count(act.task) + 1
-                    apply_outcome(adapt(ctx, Change("C1", t, task=act.task)), Change("C1", t, task=act.task))
-                    break  # an unfinished action gates everything behind it
-            else:
-                done[i] = True
+            else:  # a failed attempt stops the slot's scan, so it comes last
+                ctx.progress.failures[act.task] = ctx.progress.failure_count(act.task) + 1
+                change = Change("C1", t, task=act.task)
+                apply_outcome(adapt(ctx, change), change)
 
         if forced_fail is not None:
             raise ScenarioError(
@@ -652,7 +605,10 @@ def simulate(
         steps.append(
             TraceStep(
                 t,
-                [(a, *acted[a]) for a in sorted(acted)],
+                [
+                    (a, action_to_json(act), ("success" if ok else "failure") if isinstance(act, Do) else None)
+                    for a, (act, ok) in sorted(acted.items())
+                ],
                 dict(ctx.world.agent_locs),
                 step_events,
             )

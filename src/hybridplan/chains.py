@@ -86,9 +86,6 @@ class ParametricPlanModel:
             out.extend(chain.retry_slots)
         return out
 
-    def slot_tasks(self) -> list[str]:
-        return [s.task for s in self.retry_slots()]
-
     def bounds(self) -> list[tuple[int, int]]:
         return [(s.lo, s.hi) for s in self.retry_slots()]
 
@@ -102,33 +99,39 @@ class ParametricPlanModel:
 RetryAssignment = dict[str, int]   # task instance id -> attempt budget
 
 
-def build_parametric_model(spec: ProblemSpec, plan: Plan) -> ParametricPlanModel:
-    """One chain per agent with assigned actions, in plan order."""
+def build_chains(
+    spec: ProblemSpec, per_agent: dict[str, list], failures: Optional[dict[str, int]] = None
+) -> list[AgentChain]:
+    """One chain per agent with actions, in agent-id order.
+
+    ``failures`` (task id -> observed failed attempts) shrinks each retry cap,
+    so that a model of the remaining mission budgets only the attempts still
+    physically available.
+    """
+    failures = failures or {}
     chains = []
-    for agent_id in sorted(plan.per_agent):
-        actions = plan.per_agent[agent_id]
-        if not actions:
-            continue
+    for agent_id in sorted(per_agent):
         steps = []
-        for act in actions:
+        for act in per_agent[agent_id]:
             if isinstance(act, Move):
                 steps.append(ChainStep("move", spec.distance(act.origin, act.dest)))
             elif isinstance(act, Do):
                 p = spec.p_success(agent_id, act.task)
                 if p <= 0.0:
                     raise ValueError(f"plan assigns {act.task} to incapable agent {agent_id}")
+                cap = max(0, spec.max_retries(agent_id, act.task) - failures.get(act.task, 0))
                 steps.append(
-                    ChainStep(
-                        "do",
-                        spec.task_cost(agent_id, act.task),
-                        task=act.task,
-                        p_success=p,
-                        retry_cap=spec.max_retries(agent_id, act.task),
-                    )
+                    ChainStep("do", spec.task_cost(agent_id, act.task), task=act.task, p_success=p, retry_cap=cap)
                 )
-        chains.append(AgentChain(agent_id, tuple(steps)))
+        if steps:
+            chains.append(AgentChain(agent_id, tuple(steps)))
+    return chains
+
+
+def build_parametric_model(spec: ProblemSpec, plan: Plan) -> ParametricPlanModel:
+    """One chain per agent with assigned actions, in plan order."""
     return ParametricPlanModel(
-        chains=chains,
+        chains=build_chains(spec, plan.per_agent),
         p_succ_threshold=spec.constraints.p_succ,
         gamma=spec.constraints.gamma,
         plan_hash=plan.hash_key(),

@@ -65,6 +65,20 @@ def _ga_config(args) -> GaConfig:
     return GaConfig(population=args.pop, evaluations=args.evals, seed=args.seed)
 
 
+def _retry_budgets(model, raw) -> dict[str, int]:
+    """Budget vector from a ``--retries`` JSON dictionary: unlisted retryable
+    tasks get 1, an unknown task is a spec error."""
+    budgets = json.loads(raw) if raw else {}
+    if not isinstance(budgets, dict):
+        raise SpecError("--retries must be a JSON dictionary")
+    assignment = {slot.task: 1 for slot in model.retry_slots()}
+    for task, budget in budgets.items():
+        if task not in assignment:
+            raise SpecError(f"unknown retryable task '{task}'")
+        assignment[task] = int(budget)
+    return assignment
+
+
 def cmd_validate(args):
     spec = _read_spec(args)
     issues = validate(spec)
@@ -130,12 +144,7 @@ def cmd_verify(args):
     spec = _read_spec(args)
     plan = plan_mission(spec, _planner_config(args))
     model = build_parametric_model(spec, plan)
-    retries = json.loads(args.retries) if args.retries else {}
-    assignment = {slot.task: 1 for slot in model.retry_slots()}
-    for task, budget in retries.items():
-        if task not in assignment:
-            raise SpecError(f"unknown retryable task '{task}'")
-        assignment[task] = int(budget)
+    assignment = _retry_budgets(model, args.retries)
     metrics = factored_mission_metrics(instantiate(model, assignment), tol=args.tol)
     feasible = metrics.success_prob >= spec.constraints.p_succ
     print(
@@ -213,11 +222,7 @@ def cmd_export_prism(args):
     out = _out_dir(args)
     plan = plan_mission(spec, _planner_config(args))
     model = build_parametric_model(spec, plan)
-    assignment = None
-    if args.retries:
-        retries = json.loads(args.retries)
-        assignment = {slot.task: 1 for slot in model.retry_slots()}
-        assignment.update({k: int(v) for k, v in retries.items()})
+    assignment = _retry_budgets(model, args.retries) if args.retries else None
     if args.max_retries:
         assignment = all_max_assignment(model)
     artifacts = {

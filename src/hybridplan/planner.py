@@ -25,6 +25,9 @@ trace action has started (earlier slot, or earlier in the same slot's scan)
 and its preconditions hold; blocked agents get explicit waits.  Gating on
 the trace order keeps the packing deadlock-free, which a fixed agent
 priority cannot (an agent parked on another's route would stall it forever).
+``dispatch_slot`` runs one slot of it and is the one trace-order dispatcher
+of the package: ``timed_schedule`` packs lanes with it, and the adaptation
+harness executes plans with it, deciding each task attempt's outcome.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import NoPlanExists, PlanTimeout
 from .spec import ProblemSpec
@@ -92,9 +95,6 @@ class Plan:
 
     def makespan(self) -> int:
         return max((len(lane) for lane in self.timed.values()), default=0)
-
-    def active_agents(self) -> list[str]:
-        return [a for a, seq in self.per_agent.items() if seq]
 
     def to_json(self) -> dict:
         return {
@@ -424,43 +424,58 @@ def build_plan(spec: ProblemSpec, actions: list[Action]) -> Plan:
 # parallel packing
 
 
+def dispatch_slot(
+    spec: ProblemSpec,
+    state: WorldState,
+    order: list[Action],
+    done: list[bool],
+    attempt: Optional[Callable[[Do], bool]] = None,
+) -> tuple[WorldState, dict[str, tuple[Action, bool]]]:
+    """Run one slot of trace-order dispatch; marks started actions in ``done``.
+
+    The scan skips done actions and stops at the first action whose agent
+    has already acted this slot or whose world preconditions fail, so no
+    action overtakes an earlier one.  ``attempt`` decides each task's outcome
+    (every task succeeds without it); a failed attempt holds its agent for
+    the slot, stays undone and stops the scan.  Returns the new state and
+    ``{agent: (action, succeeded)}`` in dispatch order.
+    """
+    acted: dict[str, tuple[Action, bool]] = {}
+    for i, act in enumerate(order):
+        if done[i]:
+            continue
+        if act.agent in acted:
+            break
+        try:
+            nxt = apply_action(spec, state, act)
+        except ValueError:
+            break
+        ok = attempt is None or not isinstance(act, Do) or attempt(act)
+        acted[act.agent] = (act, ok)
+        if not ok:
+            break
+        state = nxt
+        done[i] = True
+    return state, acted
+
+
 def timed_schedule(spec: ProblemSpec, plan: Plan) -> dict[str, list[Action]]:
     """Pack the sequential trace into per-agent lanes of one action per slot.
 
-    Trace-order gating: an action starts once all earlier trace actions have
-    started (same slot allowed, scanned in trace order) and its world
-    preconditions hold; otherwise its agent waits that slot.
+    Each slot is one ``dispatch_slot``; an agent that starts nothing waits.
+    A slot that starts nothing leaves the state unchanged, so packing can
+    never progress again and raises.
     """
     order = plan.total_order
-    n = len(order)
-    started = [False] * n
-    lanes: dict[str, list[Action]] = {a: [] for a in plan.per_agent if plan.per_agent[a]}
+    done = [False] * len(order)
+    lanes: dict[str, list[Action]] = {a: [] for a, seq in plan.per_agent.items() if seq}
     state = initial_state(spec)
-    dispatched = 0
-    guard = 0
-    while dispatched < n:
-        busy: set[str] = set()
-        acted_this_slot: dict[str, Action] = {}
-        for i, act in enumerate(order):
-            if started[i]:
-                continue
-            agent = act.agent
-            if agent in busy:
-                break  # later trace actions must not overtake this one
-            try:
-                nxt = apply_action(spec, state, act)
-            except ValueError:
-                break
-            state = nxt
-            started[i] = True
-            dispatched += 1
-            busy.add(agent)
-            acted_this_slot[agent] = act
-        for agent, lane in lanes.items():
-            lane.append(acted_this_slot.get(agent, Wait(agent)))
-        guard += 1
-        if guard > 4 * n + 16:
+    while not all(done):
+        state, acted = dispatch_slot(spec, state, order, done)
+        if not acted:
             raise RuntimeError("parallel packing failed to make progress")
+        for agent, lane in lanes.items():
+            lane.append(acted[agent][0] if agent in acted else Wait(agent))
     for lane in lanes.values():
         while lane and isinstance(lane[-1], Wait):
             lane.pop()

@@ -78,10 +78,6 @@ class MissionConstraints:
     gamma: float       # minimum competency for allocation (C4)
 
 
-# the optimisation objectives are fixed for every mission
-OBJECTIVES = ("minimize expected_cost", "maximize success_prob")
-
-
 @dataclass(frozen=True)
 class Violation:
     severity: str      # "error" | "warning"
@@ -123,7 +119,6 @@ class ProblemSpec:
         self._location_ids = frozenset(l.id for l in self.locations)
         self._task_by_id = {t.id: t for t in self.tasks}
         self._agent_by_id = {a.id: a for a in self.agents}
-        self._group_by_id = {g.id: g for g in self.task_groups}
 
         # symmetric closure over declared paths
         self._dist: dict[tuple[str, str], float] = {}
@@ -149,20 +144,11 @@ class ProblemSpec:
 
     # -- symbol tables -------------------------------------------------
 
-    def location(self, lid: str) -> Location:
-        for l in self.locations:
-            if l.id == lid:
-                return l
-        raise KeyError(lid)
-
     def task(self, tid: str) -> TaskInstance:
         return self._task_by_id[tid]
 
     def agent(self, aid: str) -> Agent:
         return self._agent_by_id[aid]
-
-    def group(self, gid: str) -> TaskGroup:
-        return self._group_by_id[gid]
 
     def location_ids(self) -> frozenset[str]:
         return self._location_ids
@@ -200,10 +186,6 @@ class ProblemSpec:
         """Agents eligible for a task under the allocation threshold."""
         gamma = self.constraints.gamma
         return [a.id for a in self.agents if self.p_success(a.id, task_id) >= gamma]
-
-    @property
-    def objectives(self) -> tuple[str, str]:
-        return OBJECTIVES
 
     # -- derived copies --------------------------------------------------
 

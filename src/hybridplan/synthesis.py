@@ -94,9 +94,6 @@ class ParetoArchive:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def min_cost_entry(self) -> ArchiveEntry:
-        return sorted(self.entries, key=_entry_sort_key)[0]
-
     def to_json(self) -> dict:
         return {
             "plan_hash": self.plan_hash,
@@ -114,30 +111,6 @@ class ParetoArchive:
                 for e in self.entries
             ],
         }
-
-    @staticmethod
-    def from_json(doc: dict) -> "ParetoArchive":
-        entries = []
-        for raw in doc["entries"]:
-            retries = dict(raw["retries"])
-            genotype = tuple(retries[k] for k in sorted(retries))
-            entries.append(
-                ArchiveEntry(
-                    genotype,
-                    retries,
-                    Objectives(
-                        raw["expected_cost"],
-                        raw["success_prob"],
-                        raw["feasible"],
-                        0.0 if raw["feasible"] else 1.0,
-                    ),
-                )
-            )
-        arch = ParetoArchive(
-            doc["plan_hash"], entries, doc["seed"], doc.get("config", {}),
-            doc.get("evaluated", 0), doc.get("exhaustive", False),
-        )
-        return arch
 
     def front_csv(self) -> str:
         buf = io.StringIO()

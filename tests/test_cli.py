@@ -183,6 +183,14 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "SpecError"
 
+    @pytest.mark.parametrize("retries", ['{"nope": 2}', "[2]"])
+    def test_export_prism_bad_retries(self, capsys, tmp_path, retries):
+        code, _, err = run(
+            capsys, "export-prism", "--spec", "m2", "--out", str(tmp_path), "--retries", retries
+        )
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "SpecError"
+
 
 class TestDeterminism:
     def test_byte_identical_artifacts(self, capsys, tmp_path):

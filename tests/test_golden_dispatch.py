@@ -31,7 +31,7 @@ from hybridplan.fixtures import fixture_text, load_fixture
 from hybridplan.planner import PlannerConfig, build_plan, plan_mission
 from hybridplan.synthesis import GaConfig, synthesize
 
-from test_golden_plans import RANDOM_CAP, cases as plan_cases
+from test_golden_plans import cases as plan_cases
 
 GOLDEN = Path(__file__).parent / "golden" / "dispatch_hashes.json"
 
