@@ -10,7 +10,11 @@ trace-order dispatcher shapes:
 - ``Trace.to_jsonl()`` of the bundled adaptation scenario under seeds 0-7;
 - ``Trace.to_jsonl()`` of ``simulate`` runs on random missions with lowered
   task probabilities (so sampled failures drive NA/A1/A3 decisions) and a
-  seeded stream of success-floor changes.
+  seeded stream of success-floor changes;
+- ``Trace.to_jsonl()`` of ``simulate`` runs on the same missions under seeded
+  streams that mix success-floor, allocation-threshold and probability
+  changes, together with the genotype each ``adapt`` decision deploys, and
+  the (change kind, level) pairs those decisions reach.
 
 Regenerate the file only for an intended change of lanes or execution
 traces, and state the reason next to the change:
@@ -21,8 +25,10 @@ import hashlib
 import json
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
+import hybridplan.adaptation as adaptation
 from hybridplan.adaptation import Change, run_scenario, select_new_plan, simulate
 from hybridplan.bench import random_instance
 from hybridplan.chains import build_parametric_model
@@ -43,6 +49,12 @@ SIM_MISSIONS = [(3 + i % 3, 2 + i % 2, 200 + i) for i in range(12)]
 SIM_SEEDS = (0, 1, 2)
 SIM_P = 0.6
 SIM_GA = GaConfig(population=8, evaluations=24, seed=0)
+ADAPT_SEEDS = range(6)
+# every (change kind, level) pair acceptance 7 drives
+ACCEPTANCE_7_PAIRS = {
+    "C1/NA", "C1/A1", "C1/A3", "C2/NA", "C2/A1", "C2/A3",
+    "C3/NA", "C3/A3", "C4/NA", "C4/A2", "C4/A3",
+}
 
 
 def digest(text: str) -> str:
@@ -106,11 +118,75 @@ def simulate_records(doc: dict):
             doc[f"simulate/{tasks}x{agents}s{mission_seed}/seed{seed}"] = out
 
 
+def mixed_stream(spec, plan, rng: random.Random) -> list:
+    """Four changes at distinct times within the makespan: success floors,
+    allocation thresholds around the lowered rate (which only bite once a C4
+    has degraded an allocated pair), and probabilities on any capable pair
+    below, between and above the threshold and the lowered rate."""
+    pairs = sorted((a.id, t.id) for a in spec.agents for t in spec.tasks if spec.p_success(a.id, t.id) > 0.0)
+    changes = []
+    for t in sorted(rng.sample(range(1, max(plan.makespan(), 5)), 4)):
+        kind = rng.choice(("C2", "C3", "C4"))
+        if kind == "C2":
+            changes.append(Change("C2", t, value=round(rng.uniform(0.8, 0.99), 4)))
+        elif kind == "C3":
+            changes.append(Change("C3", t, value=rng.choice((0.55, 0.58))))
+        else:
+            agent, task = rng.choice(pairs)
+            changes.append(Change("C4", t, agent=agent, task=task, value=rng.choice((0.4, 0.56, 0.7))))
+    return changes
+
+
+@contextmanager
+def logged_decisions(log: list):
+    """Append (change kind, level, deployed genotype or None) for every
+    ``adapt`` call the execution harness makes."""
+    original = adaptation.adapt
+
+    def logged(ctx, change):
+        out = original(ctx, change)
+        log.append((change.kind, out.level, None if out.new_entry is None else list(out.new_entry.genotype)))
+        return out
+
+    adaptation.adapt = logged
+    try:
+        yield
+    finally:
+        adaptation.adapt = original
+
+
+def adapt_records(doc: dict):
+    pairs = set()
+    for tasks, agents, mission_seed in SIM_MISSIONS:
+        spec = lowered(random_instance(tasks, agents, mission_seed))
+        plan = plan_mission(spec, PlannerConfig())
+        model = build_parametric_model(spec, plan)
+        archive = synthesize(model, SIM_GA)
+        if archive.is_empty():
+            continue
+        deploy = select_new_plan(archive.entries)
+        for seed in ADAPT_SEEDS:
+            changes = mixed_stream(spec, plan, random.Random(seed))
+            decisions: list = []
+            with logged_decisions(decisions):
+                try:
+                    text = simulate(
+                        spec, plan, model, archive, deploy, changes, seed=seed, max_steps=200, ga=SIM_GA
+                    ).to_jsonl()
+                except UnrecoverableMission as exc:
+                    text = f"unrecoverable: {exc}"
+            pairs.update(f"{kind}/{level}" for kind, level, _ in decisions)
+            genotypes = json.dumps([g for _, _, g in decisions])
+            doc[f"adapt/{tasks}x{agents}s{mission_seed}/seed{seed}"] = digest(text + genotypes)
+    doc["adapt/pairs"] = " ".join(sorted(pairs))
+
+
 def record() -> dict:
     doc: dict = {}
     plan_records(doc)
     scenario_records(doc)
     simulate_records(doc)
+    adapt_records(doc)
     return doc
 
 
@@ -120,10 +196,12 @@ def test_dispatch_matches_golden():
 
 
 def test_golden_covers_every_dispatch_path():
-    # packed plans, failed packings, scenario traces and sampled-failure runs
+    # packed plans, failed packings, scenario traces, sampled-failure runs and
+    # mixed change streams that reach every adaptation branch
     golden = json.loads(GOLDEN.read_text())
-    for prefix in ("plan/", "reversed/", "scenario/", "simulate/"):
+    for prefix in ("plan/", "reversed/", "scenario/", "simulate/", "adapt/"):
         assert any(k.startswith(prefix) for k in golden), prefix
+    assert ACCEPTANCE_7_PAIRS <= set(golden["adapt/pairs"].split())
     assert sum(v.startswith("unrecoverable") or v == "empty archive" for v in golden.values()) * 4 < len(golden)
 
 
