@@ -11,11 +11,17 @@ survives, nothing happens (NA); otherwise a surviving sibling is deployed
 state (A3).  Every adaptation is one pass over a finite archive plus at
 most one pipeline rerun, so each call terminates.
 
+Every reduction is one pass of the same survivor filter (``_survivors``):
+archive entries consistent with the executed prefix that pass the change's
+own test.  A2 and A3 share one synthesis tail (``_synthesize``).
+
 Budget bookkeeping: observed failures are per-task facts.  They persist
 across NA/A1/A2 (the same underlying actions, counted against any entry's
-budget) and reset on A3, which plans fresh attempts.  After an A2, archive
-genotypes cover only the remaining suffix; tasks completed before that
-epoch are no longer constrained by it.
+budget) and reset on A3, which plans fresh attempts.  Entries count
+failures from their archive's epoch: A2 snapshots the failure counts, A3
+clears them.  A task completed before the epoch has failed no further
+since, so it needs one attempt, which every budget allows; no record of
+which tasks completed before the epoch is needed.
 
 The execution harness dispatches the deployed plan slot by slot through
 the planner's trace-order dispatcher (``planner.dispatch_slot``, the one that
@@ -142,7 +148,6 @@ class ExecutionContext:
     deployed: ArchiveEntry
     progress: Progress
     world: WorldState
-    epoch_completed: frozenset = frozenset()   # tasks done before the archive epoch
     epoch_failures: dict = field(default_factory=dict)  # failure counts at the epoch
     ga: GaConfig = field(default_factory=GaConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
@@ -173,16 +178,12 @@ def _entry_budget(entry: ArchiveEntry, task: str) -> int:
 
 
 def _prefix_consistent(ctx: ExecutionContext, entry: ArchiveEntry) -> bool:
-    """The entry's unrolled timeline matches the executed prefix: every task
-    completed since the archive epoch used no more attempts than the entry
-    budgets allow."""
-    for task in ctx.progress.completed:
-        if task in ctx.epoch_completed:
-            continue
-        attempts = ctx.failures_since_epoch(task) + 1
-        if _entry_budget(entry, task) < attempts:
-            return False
-    return True
+    """The entry's unrolled timeline matches the executed prefix: every
+    completed task used no more attempts since the archive epoch than the
+    entry budgets allow."""
+    return all(
+        _entry_budget(entry, task) > ctx.failures_since_epoch(task) for task in ctx.progress.completed
+    )
 
 
 def build_suffix_model(ctx: ExecutionContext) -> ParametricPlanModel:
@@ -213,16 +214,14 @@ def _remaining_assignment(
     return out
 
 
-def remaining_success(ctx: ExecutionContext, entry: ArchiveEntry) -> float:
-    """Suffix success probability under the entry's budgets, conditioned on
-    the executed prefix (attempts already consumed are gone)."""
-    return _remaining_success(ctx, build_suffix_model(ctx), entry)
-
-
-def _remaining_success(
-    ctx: ExecutionContext, model: ParametricPlanModel, entry: ArchiveEntry
+def remaining_success(
+    ctx: ExecutionContext, entry: ArchiveEntry, model: Optional[ParametricPlanModel] = None
 ) -> float:
-    """`remaining_success` against an already built suffix model."""
+    """Suffix success probability under the entry's budgets, conditioned on
+    the executed prefix (attempts already consumed are gone).  ``model`` is
+    the suffix model, when the caller has already built it."""
+    if model is None:
+        model = build_suffix_model(ctx)
     if not model.chains:
         return 1.0
     assignment = _remaining_assignment(ctx, model, entry)
@@ -235,61 +234,48 @@ def _remaining_success(
 # archive reductions (Analyse phase)
 
 
+def _survivors(ctx: ExecutionContext, keep=None) -> list[ArchiveEntry]:
+    """Archive entries consistent with the executed prefix that pass the
+    change's own test ``keep`` (every such entry when it is None)."""
+    return [e for e in ctx.archive.entries if _prefix_consistent(ctx, e) and (keep is None or keep(e))]
+
+
 def reduce_ps_tf(ctx: ExecutionContext, task: str) -> list[ArchiveEntry]:
-    """Task failure: keep prefix-consistent entries that still budget a
-    retry of the failed task (budget strictly above the failures it has
-    consumed since the entry's epoch)."""
+    """Task failure: keep entries that still budget a retry of the failed
+    task (budget strictly above the failures it has consumed since the
+    entry's epoch)."""
     count = ctx.failures_since_epoch(task)
-    return [
-        e
-        for e in ctx.archive.entries
-        if _prefix_consistent(ctx, e) and _entry_budget(e, task) > count
-    ]
+    return _survivors(ctx, lambda e: _entry_budget(e, task) > count)
 
 
 def reduce_ps_psucc(ctx: ExecutionContext, new_floor: float) -> list[ArchiveEntry]:
-    """Success-floor change: keep prefix-consistent entries whose success
-    probability on the remaining suffix, conditioned on the executed prefix,
-    still clears the new floor."""
+    """Success-floor change: keep entries whose success probability on the
+    remaining suffix, conditioned on the executed prefix, still clears the
+    new floor."""
     model = build_suffix_model(ctx)
-    return [
-        e
-        for e in ctx.archive.entries
-        if _prefix_consistent(ctx, e) and _remaining_success(ctx, model, e) >= new_floor
-    ]
+    return _survivors(ctx, lambda e: remaining_success(ctx, e, model) >= new_floor)
 
 
 def reduce_ps_passign(ctx: ExecutionContext, new_gamma: float) -> list[ArchiveEntry]:
     """Allocation-threshold change: every entry follows the same allocation,
     so one disqualified remaining assignment empties the whole set."""
-    for task, agent in sorted(ctx.plan.allocation.items()):
-        if task in ctx.progress.completed:
-            continue
-        if ctx.spec.p_success(agent, task) < new_gamma:
-            return []
-    return [e for e in ctx.archive.entries if _prefix_consistent(ctx, e)]
+    if any(
+        ctx.spec.p_success(agent, task) < new_gamma
+        for task, agent in ctx.plan.allocation.items()
+        if task not in ctx.progress.completed
+    ):
+        return []
+    return _survivors(ctx)
 
 
-@dataclass
-class PtaskResult:
-    entries: Optional[list[ArchiveEntry]] = None
-    rebuild: bool = False
-    escalate: bool = False
-
-
-def reduce_ps_ptask(ctx: ExecutionContext, agent: str, task: str, new_p: float) -> PtaskResult:
-    """Per-(agent,task) probability change.
-
-    Not in the deployed suffix for that agent: archive unchanged.  At or
-    below the allocation threshold: the allocation itself is invalid
-    (escalate to a full replan).  Otherwise: rebuild from the
-    uncertainty-augmentation stage on the remaining suffix.
-    """
-    if ctx.plan.allocation.get(task) != agent or task in ctx.progress.completed:
-        return PtaskResult(entries=[e for e in ctx.archive.entries if _prefix_consistent(ctx, e)])
-    if new_p <= ctx.spec.constraints.gamma:
-        return PtaskResult(escalate=True)
-    return PtaskResult(rebuild=True)
+def reduce_ps_ptask(ctx: ExecutionContext, agent: str, task: str) -> Optional[list[ArchiveEntry]]:
+    """Per-(agent,task) probability change.  Outside the deployed suffix the
+    archive stands; inside it every entry was verified under the old
+    probability, so nothing survives (None) and the suffix is re-modelled,
+    or replanned when the new probability breaks the allocation threshold."""
+    if ctx.plan.allocation.get(task) == agent and task not in ctx.progress.completed:
+        return None
+    return _survivors(ctx)
 
 
 def select_new_plan(entries: list[ArchiveEntry]) -> ArchiveEntry:
@@ -317,79 +303,70 @@ def adapt(ctx: ExecutionContext, change: Change) -> AdaptationOutcome:
     if change.kind == "C1":
         reduced = reduce_ps_tf(ctx, change.task)
     elif change.kind == "C2":
-        spec_after = ctx.spec.with_runtime_state(
-            ctx.spec.initial_locations, ctx.spec.pending, p_succ=change.value
-        )
+        spec_after = ctx.spec.with_runtime_state(p_succ=change.value)
         reduced = reduce_ps_psucc(ctx, change.value)
     elif change.kind == "C3":
-        spec_after = ctx.spec.with_runtime_state(
-            ctx.spec.initial_locations, ctx.spec.pending, gamma=change.value
-        )
+        spec_after = ctx.spec.with_runtime_state(gamma=change.value)
         reduced = reduce_ps_passign(ctx, change.value)
     else:  # C4
-        spec_after = ctx.spec.with_runtime_state(
-            ctx.spec.initial_locations,
-            ctx.spec.pending,
-            p_overrides={(change.agent, change.task): change.value},
-        )
-        result = reduce_ps_ptask(ctx, change.agent, change.task, change.value)
-        if result.escalate:
-            return _full_replan(ctx, spec_after, reduced_size=0)
-        if result.rebuild:
+        spec_after = ctx.spec.with_runtime_state(p_overrides={(change.agent, change.task): change.value})
+        reduced = reduce_ps_ptask(ctx, change.agent, change.task)
+        if reduced is None:
+            if change.value <= ctx.spec.constraints.gamma:
+                return _full_replan(ctx, spec_after)
             return _resynthesize_suffix(replace(ctx, spec=spec_after))
-        reduced = result.entries
 
     if any(e.genotype == ctx.deployed.genotype for e in reduced):
         return AdaptationOutcome(NA, STAGES_NONE, len(reduced), new_spec=spec_after)
     if reduced:
         pick = select_new_plan(reduced)
         return AdaptationOutcome(A1, STAGES_NONE, len(reduced), new_entry=pick, new_spec=spec_after)
-    return _full_replan(ctx, spec_after, reduced_size=0)
+    return _full_replan(ctx, spec_after)
+
+
+def _synthesize(ctx: ExecutionContext, model: ParametricPlanModel) -> Optional[ParetoArchive]:
+    """Budget synthesis on a fresh model, seeded apart for each clock tick;
+    None when the model has no retry slot or no feasible budget vector."""
+    if not model.retry_slots():
+        return None
+    archive = synthesize(model, replace(ctx.ga, seed=ctx.ga.seed + ctx.progress.clock + 1))
+    return None if archive.is_empty() else archive
 
 
 def _resynthesize_suffix(ctx: ExecutionContext) -> AdaptationOutcome:
     """A2: rebuild the parametric model on the remaining suffix and rerun
-    synthesis, producing a fresh archive."""
+    synthesis, producing a fresh archive; a full replan when that fails."""
     model = build_suffix_model(ctx)
-    if not model.retry_slots():
-        return _full_replan(ctx, ctx.spec, reduced_size=0)
-    cfg = replace(ctx.ga, seed=ctx.ga.seed + ctx.progress.clock + 1)
-    archive = synthesize(model, cfg)
-    if archive.is_empty():
-        return _full_replan(ctx, ctx.spec, reduced_size=0)
-    pick = select_new_plan(archive.entries)
+    archive = _synthesize(ctx, model)
+    if archive is None:
+        return _full_replan(ctx, ctx.spec)
     return AdaptationOutcome(
         A2,
         STAGES_A2,
         len(archive.entries),
-        new_entry=pick,
+        new_entry=select_new_plan(archive.entries),
         new_archive=archive,
         new_model=model,
         new_spec=ctx.spec,
     )
 
 
-def _full_replan(ctx: ExecutionContext, spec_after: ProblemSpec, reduced_size: int) -> AdaptationOutcome:
+def _full_replan(ctx: ExecutionContext, spec_after: ProblemSpec) -> AdaptationOutcome:
     """A3: rerun the whole pipeline from the current world state."""
-    pending = sorted(
-        t.id
-        for t in spec_after.tasks
-        if t.id in spec_after.pending and t.id not in ctx.progress.completed
+    new_spec = spec_after.with_runtime_state(
+        dict(ctx.world.agent_locs), spec_after.pending - ctx.progress.completed
     )
-    locations = {aid: loc for aid, loc in ctx.world.agent_locs}
-    new_spec = spec_after.with_runtime_state(locations, pending)
     try:
         plan = plan_mission(new_spec, ctx.planner)
     except NoPlanExists as exc:
         raise UnrecoverableMission(f"replanning failed: {exc}") from exc
 
     model = build_parametric_model(new_spec, plan)
-    if model.retry_slots():
-        cfg = replace(ctx.ga, seed=ctx.ga.seed + ctx.progress.clock + 1)
-        archive = synthesize(model, cfg)
-        if archive.is_empty():
-            raise UnrecoverableMission("replanning found no feasible budget vector")
+    archive = _synthesize(ctx, model)
+    if archive is not None:
         pick = select_new_plan(archive.entries)
+    elif model.retry_slots():
+        raise UnrecoverableMission("replanning found no feasible budget vector")
     else:
         obj = evaluate(model, {})
         if not obj.feasible:
@@ -399,7 +376,7 @@ def _full_replan(ctx: ExecutionContext, spec_after: ProblemSpec, reduced_size: i
     return AdaptationOutcome(
         A3,
         STAGES_A3,
-        reduced_size,
+        0,
         new_entry=pick,
         new_plan=plan,
         new_archive=archive,
@@ -541,22 +518,17 @@ def simulate(
             ctx.spec = out.new_spec
         if out.level == NA:
             return
+        ctx.deployed = out.new_entry
         if out.level == A1:
-            ctx.deployed = out.new_entry
             return
+        # A2/A3: a fresh archive whose budgets count attempts from now on
+        ctx.archive = out.new_archive
+        ctx.model = out.new_model
         if out.level == A2:
-            ctx.archive = out.new_archive
-            ctx.model = out.new_model
-            ctx.deployed = out.new_entry
-            ctx.epoch_completed = frozenset(ctx.progress.completed)
             ctx.epoch_failures = dict(ctx.progress.failures)
             return
         # A3: fresh plan from the current world state, fresh attempt ledger
         ctx.plan = out.new_plan
-        ctx.model = out.new_model
-        ctx.archive = out.new_archive
-        ctx.deployed = out.new_entry
-        ctx.epoch_completed = frozenset(ctx.progress.completed)
         ctx.epoch_failures = {}
         ctx.progress.failures = {}
         ctx.progress.pointers = {a: 0 for a in out.new_plan.per_agent}

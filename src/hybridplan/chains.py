@@ -48,7 +48,6 @@ class ChainStep:
 class RetrySlot:
     agent: str
     task: str
-    step_index: int
     lo: int
     hi: int
 
@@ -65,8 +64,8 @@ class AgentChain:
     @property
     def retry_slots(self) -> tuple[RetrySlot, ...]:
         return tuple(
-            RetrySlot(self.agent, s.task, i, 1, s.retry_cap)
-            for i, s in enumerate(self.steps)
+            RetrySlot(self.agent, s.task, 1, s.retry_cap)
+            for s in self.steps
             if s.kind == "do" and s.retry_cap > 0
         )
 

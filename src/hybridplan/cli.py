@@ -67,15 +67,20 @@ def _ga_config(args) -> GaConfig:
 
 def _retry_budgets(model, raw) -> dict[str, int]:
     """Budget vector from a ``--retries`` JSON dictionary: unlisted retryable
-    tasks get 1, an unknown task is a spec error."""
+    tasks get 1; an unknown task, or a budget that is not an integer within
+    its slot's bounds, is a spec error."""
     budgets = json.loads(raw) if raw else {}
     if not isinstance(budgets, dict):
         raise SpecError("--retries must be a JSON dictionary")
-    assignment = {slot.task: 1 for slot in model.retry_slots()}
+    slots = {slot.task: slot for slot in model.retry_slots()}
+    assignment = {task: 1 for task in slots}
     for task, budget in budgets.items():
-        if task not in assignment:
+        if task not in slots:
             raise SpecError(f"unknown retryable task '{task}'")
-        assignment[task] = int(budget)
+        lo, hi = slots[task].lo, slots[task].hi
+        if type(budget) is not int or not lo <= budget <= hi:
+            raise SpecError(f"budget of '{task}' must be an integer in [{lo}, {hi}], got {budget!r}")
+        assignment[task] = budget
     return assignment
 
 

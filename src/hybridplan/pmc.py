@@ -71,15 +71,6 @@ class Dtmc:
                     pred[j].append(i)
         return pred
 
-    def export_transitions(self, reward: Optional[str] = None) -> str:
-        """Tab-separated explicit transition list for debugging."""
-        lines = []
-        for i, row in enumerate(self.transitions):
-            for k, (j, p) in enumerate(row):
-                r = self.rewards[reward][i][k] if reward else 0.0
-                lines.append(f"{i}\t{j}\t{p!r}\t{r!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _closure(edges: list[list[int]], seeds: Iterable[int], blocked=frozenset()) -> set[int]:
     """The seeds plus every state reachable from them along ``edges``

@@ -191,13 +191,14 @@ class ProblemSpec:
 
     def with_runtime_state(
         self,
-        initial_locations: Mapping[str, str],
-        pending: Iterable[str],
+        initial_locations: Optional[Mapping[str, str]] = None,
+        pending: Optional[Iterable[str]] = None,
         p_overrides: Optional[Mapping[tuple[str, str], float]] = None,
         gamma: Optional[float] = None,
         p_succ: Optional[float] = None,
     ) -> "ProblemSpec":
-        """Copy of this spec re-rooted at a mid-mission configuration."""
+        """Copy of this spec re-rooted at a mid-mission configuration; what
+        is not given is kept from this spec."""
         constraints = MissionConstraints(
             p_succ=self.constraints.p_succ if p_succ is None else p_succ,
             gamma=self.constraints.gamma if gamma is None else gamma,
@@ -211,8 +212,8 @@ class ProblemSpec:
             self.tasks,
             self.agents,
             constraints,
-            initial_locations=initial_locations,
-            pending=pending,
+            initial_locations=self.initial_locations if initial_locations is None else initial_locations,
+            pending=self.pending if pending is None else pending,
             p_overrides=merged,
         )
 

@@ -32,6 +32,7 @@ from .chains import instantiate  # noqa: F401
 from .pmc import factored_mission_metrics  # noqa: F401
 
 EXHAUSTIVE_LIMIT = 4096
+CROSSOVER_RATE = 0.9
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,6 @@ class ArchiveEntry:
 class GaConfig:
     population: int = 30
     evaluations: int = 150
-    crossover_rate: float = 0.9
-    mutation_rate: Optional[float] = None    # default 1/n_slots
     seed: int = 0
 
     def __post_init__(self):
@@ -286,7 +285,7 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
 
     rng = random.Random(cfg.seed)
     ev = _Evaluator(model)
-    mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / len(slots)
+    mut_rate = 1.0 / len(slots)
 
     def random_genotype():
         return tuple(rng.randint(lo, hi) for lo, hi in bounds)
@@ -321,7 +320,7 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
             p1 = tournament(pop, rank_of, crowd_of)
             p2 = tournament(pop, rank_of, crowd_of)
             c1, c2 = list(p1), list(p2)
-            if rng.random() < cfg.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 for k in range(len(bounds)):
                     if rng.random() < 0.5:
                         c1[k], c2[k] = c2[k], c1[k]
@@ -400,8 +399,8 @@ def _config_echo(cfg: GaConfig) -> dict:
     return {
         "population": cfg.population,
         "evaluations": cfg.evaluations,
-        "crossover_rate": cfg.crossover_rate,
-        "mutation_rate": cfg.mutation_rate,
+        "crossover_rate": CROSSOVER_RATE,
+        "mutation_rate": None,   # 1 / number of retry slots
     }
 
 

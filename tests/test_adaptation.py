@@ -381,7 +381,6 @@ class TestEpochAccounting:
         ctx.model = out.new_model
         ctx.deployed = out.new_entry
         ctx.spec = out.new_spec
-        ctx.epoch_completed = frozenset(ctx.progress.completed)
         ctx.epoch_failures = dict(ctx.progress.failures)
 
         # one further failure after the epoch: entries budgeting two suffix
@@ -597,3 +596,43 @@ class TestPrefixPreservation:
         assert out.new_spec.pending == frozenset(
             t.id for t in field["spec"].tasks if t.id not in ctx.progress.completed
         )
+
+
+def readme_scenario() -> dict:
+    """The example under "Scenario files" in the README."""
+    import json
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Scenario files", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+class TestScenarioDeploy:
+    def test_readme_rule_deploys_required_budget(self, vineyard, monkeypatch):
+        import hybridplan.adaptation as adaptation
+
+        scenario = readme_scenario()
+        assert scenario["deploy"] == {"rule": "min_cost_feasible", "require_budget": {"t1l4": 2}}
+        deployed = []
+        run = adaptation.simulate
+        monkeypatch.setattr(
+            adaptation, "simulate", lambda *args, **kw: deployed.append(args[4]) or run(*args, **kw)
+        )
+        trace = run_scenario(vineyard, scenario)
+        assert deployed[0].retries["t1l4"] == 2
+        assert trace.result == "success"
+        assert trace.levels() == [NA, NA, A2, A3]
+
+    @pytest.mark.parametrize(
+        ("deploy", "message"),
+        [
+            ({"rule": "max_success"}, "unknown deploy rule"),
+            ({"retries": {"t1l4": 5}}, "not in the archive"),
+        ],
+    )
+    def test_bad_deploy_is_a_scenario_error(self, vineyard, deploy, message):
+        scenario = {**readme_scenario(), "deploy": deploy}
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(vineyard, scenario)

@@ -183,7 +183,10 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "SpecError"
 
-    @pytest.mark.parametrize("retries", ['{"nope": 2}', "[2]"])
+    @pytest.mark.parametrize(
+        "retries",
+        ['{"nope": 2}', "[2]", '{"t4l2": 2.7}', '{"t4l2": true}', '{"t4l2": 9}', '{"t4l2": "x"}', '{"t4l2": 0}'],
+    )
     def test_export_prism_bad_retries(self, capsys, tmp_path, retries):
         code, _, err = run(
             capsys, "export-prism", "--spec", "m2", "--out", str(tmp_path), "--retries", retries

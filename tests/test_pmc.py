@@ -157,12 +157,6 @@ class TestSolvers:
         for a, b in zip(sweeps, sweeps[1:]):
             assert np.all(b >= a - 1e-15)
 
-    def test_transition_list_export(self):
-        d = chain_dtmc(0.25)
-        lines = d.export_transitions("cost").strip().splitlines()
-        assert lines[0].split("\t") == ["0", "1", "0.25", "1.0"]
-        assert len(lines) == 4  # two branches plus two self-loops
-
     def test_duplicate_free_product_states(self, vineyard_model):
         comps = instantiate(vineyard_model, all_min_assignment(vineyard_model))
         prod = compose_product(comps)
