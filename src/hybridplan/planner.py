@@ -19,6 +19,19 @@ the forced-task pruning, the MDP baseline for every enabled action.
 ``world`` stays the one-step semantics for replay, validation and
 adaptation, and the reference the property tests check the encoding against.
 
+A* also searches one state per orbit of interchangeable agents (Fox & Long,
+IJCAI 1999; Pochter, Zohar & Rosenschein, AAAI 2011).  Agents are
+interchangeable when they have the same success probability (after C4
+overrides), cost and retry cap on every task; permuting their positions maps
+plans to plans of the same travel, and the heuristic is invariant under it.
+The search keeps the best g per canonical key (positions sorted within each
+class, masks unchanged), so a permutation of a state already reached at no
+greater cost is a duplicate.  The heap holds concrete states and each pushed
+child keeps its own predecessor link, so the extracted trace names the
+agents that actually moved.  ``Plan.stats`` therefore counts canonical
+states: one expansion per orbit, not per permutation.  The MDP baseline does
+not use the reduction; it stays the unquotiented native model.
+
 The sequential trace is also packed into per-slot parallel lanes.  Actions
 dispatch in trace order: an action may start in a slot once every earlier
 trace action has started (earlier slot, or earlier in the same slot's scan)
@@ -180,6 +193,15 @@ class _Compact:
             if self.pending >> t & 1:
                 for a in agents:
                     self.doable[a][self.task_loc[t]] |= 1 << t
+        # interchangeable agents: the same effective row (success probability
+        # after C4 overrides, cost, retry cap) on every task; only classes of
+        # two or more matter to the orbit reduction
+        rows: dict[tuple, list] = {}
+        for i, a in enumerate(spec.agents):
+            row = tuple((spec.p_success(a.id, t.id), spec.task_cost(a.id, t.id), spec.max_retries(a.id, t.id))
+                        for t in spec.tasks)
+            rows.setdefault(row, []).append(i)
+        self.classes = [tuple(members) for members in rows.values() if len(members) > 1]
         self.start = self.encode(initial_state(spec))
 
     def encode(self, state: WorldState) -> tuple:
@@ -224,6 +246,19 @@ class _Compact:
                     moved = positions[:a] + (dest,) + positions[a + 1:]
                     out.append((a * n_locs + dest, (moved, empty ^ 1 << dest | 1 << loc, done), step))
         return out
+
+    def canonical(self, key: tuple) -> tuple:
+        """The representative of ``key``'s orbit under permutations of
+        interchangeable agents: positions sorted within each class.  The
+        masks stay as they are; a permutation changes neither."""
+        if not self.classes:
+            return key
+        positions, empty, done = key
+        canon = list(positions)
+        for members in self.classes:
+            for a, loc in zip(members, sorted([positions[a] for a in members])):
+                canon[a] = loc
+        return tuple(canon), empty, done
 
     def action(self, key: tuple, code: int) -> Action:
         """The world action that ``code`` names in state ``key``."""
@@ -335,7 +370,8 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     NoPlanExists when the goal is unreachable and PlanTimeout past the
     configured budget.  The plan's ``stats`` count expansions, generated
     successors, re-opened states (a cheaper path to a state already
-    generated) and the start state's heuristic value ``h0``.
+    generated) and the start state's heuristic value ``h0``; states are
+    counted once per orbit of interchangeable agents.
     """
     cfg = cfg or PlannerConfig()
     problem = _Compact(spec)
@@ -346,22 +382,26 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
         raise NoPlanExists("some pending task is unreachable or unassignable")
 
     counter = itertools.count()
-    # state -> (best g, predecessor, action code); the start has no predecessor
-    best: dict = {start: (0.0, None, None)}
+    canonical = problem.canonical
+    # canonical state -> best g, for the duplicate and stale checks
+    best: dict = {canonical(start): 0.0}
+    # concrete state -> (predecessor, action code) of the push that reached it
+    links: dict = {start: (None, None)}
     astar = cfg.strategy == "astar"
-    # (f, tie-break, push order, g, state): A* ranks by (g + h, h), gbfs by h
-    heap = [(h0, h0 if astar else 0.0, next(counter), 0.0, start)]
+    # (f, tie-break, push order, g, state, canonical state): A* ranks by
+    # (g + h, h), gbfs by h
+    heap = [(h0, h0 if astar else 0.0, next(counter), 0.0, start, canonical(start))]
     push, pop = heapq.heappush, heapq.heappop
     successors, pending = problem.successors, problem.pending
     deadline = time.monotonic() + cfg.timeout
     expansions = generated = reopened = 0
 
     while heap:
-        _, _, _, g, state = pop(heap)
-        if g > best[state][0]:
+        _, _, _, g, state, canon = pop(heap)
+        if g > best[canon]:
             continue  # stale entry
         if state[2] & pending == pending:
-            plan = build_plan(spec, _extract_actions(problem, state, best))
+            plan = build_plan(spec, _extract_actions(problem, state, links))
             plan.stats = {"expansions": expansions, "generated": generated, "reopened": reopened, "h0": h0}
             return plan
         expansions += 1
@@ -372,28 +412,32 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
         for code, child, step in successors(state, True):
             generated += 1
             cg = g + step
-            seen = best.get(child)
-            if seen is None or cg < seen[0]:
+            key = canonical(child)
+            seen = best.get(key)
+            if seen is None or cg < seen:
                 if seen is not None:
                     reopened += 1
-                best[child] = (cg, state, code)
-                ch = h(child)
+                best[key] = cg
+                links[child] = (state, code)
+                ch = h(key)
                 if ch == INF:
                     continue
                 if astar:
-                    push(heap, (cg + ch, ch, next(counter), cg, child))
+                    push(heap, (cg + ch, ch, next(counter), cg, child, key))
                 else:
-                    push(heap, (ch, 0.0, next(counter), cg, child))
+                    push(heap, (ch, 0.0, next(counter), cg, child, key))
 
     raise NoPlanExists("goal unreachable from the initial configuration")
 
 
-def _extract_actions(problem: _Compact, goal: tuple, best: dict) -> list[Action]:
+def _extract_actions(problem: _Compact, goal: tuple, links: dict) -> list[Action]:
+    """Follow predecessor links back from ``goal``.  Each link joins two
+    concrete states, so the actions name the agents that moved."""
     actions: list[Action] = []
-    _, prev, code = best[goal]
+    prev, code = links[goal]
     while prev is not None:
         actions.append(problem.action(prev, code))
-        _, prev, code = best[prev]
+        prev, code = links[prev]
     actions.reverse()
     return actions
 

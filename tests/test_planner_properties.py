@@ -2,16 +2,20 @@
 
 Missions are small random instances, optionally re-rooted mid-mission with
 shared start locations (the depot quirk), a pending subset and C4 overrides.
+Optimality is checked against a uniform-cost search over ``world`` that
+neither prunes nor reduces by agent symmetry.
 """
 
+import heapq
+import itertools
 import random
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hybridplan.bench import GRID, random_instance
-from hybridplan.planner import PlannerConfig, _Compact, plan_mission, validate_plan
-from hybridplan.world import Do, apply_action, enabled_actions, initial_state
+from hybridplan.planner import HEURISTICS, PlannerConfig, _Compact, _Heuristic, plan_mission, validate_plan
+from hybridplan.world import Do, apply_action, enabled_actions, initial_state, is_goal
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -72,3 +76,90 @@ def test_plans_valid_and_optimal(spec, heuristic):
     blind = plan_mission(spec, PlannerConfig(heuristic="blind"))
     assert plan.travel_cost == blind.travel_cost
     assert plan.stats["h0"] <= plan.travel_cost
+
+
+def uniform_cost(spec):
+    """Minimum travel to the goal by Dijkstra over world states, expanding
+    every enabled action: no forced-task pruning, no agent symmetry."""
+    start = initial_state(spec)
+    best = {start.key(): 0.0}
+    heap = [(0.0, 0, start)]
+    tie = itertools.count(1)
+    while heap:
+        g, _, state = heapq.heappop(heap)
+        if g > best[state.key()]:
+            continue
+        if is_goal(spec, state):
+            return g
+        for act in enabled_actions(spec, state):
+            child = apply_action(spec, state, act)
+            if child.travel_cost < best.get(child.key(), float("inf")):
+                best[child.key()] = child.travel_cost
+                heapq.heappush(heap, (child.travel_cost, next(tie), child))
+    return None
+
+
+def rerooted_apart(n_tasks, n_agents, seed):
+    """Every agent on its own start location, so class members start apart."""
+    spec = random_instance(n_tasks, n_agents, seed)
+    return spec.with_runtime_state(
+        initial_locations={a.id: GRID[i] for i, a in enumerate(spec.agents)},
+        pending=[t.id for t in spec.tasks],
+    )
+
+
+@PROPERTY
+@given(missions())
+@example(random_instance(4, 3, 7))
+@example(rerooted_apart(4, 3, 7))
+@example(rerooted_apart(3, 4, 21))
+def test_travel_cost_matches_unreduced_search(spec):
+    assert plan_mission(spec).travel_cost == uniform_cost(spec)
+
+
+def permuted(problem, key, rng):
+    """``key`` with the positions of each class of interchangeable agents
+    shuffled among its members."""
+    positions, empty, done = key
+    out = list(positions)
+    for members in problem.classes:
+        locs = [positions[a] for a in members]
+        rng.shuffle(locs)
+        for a, loc in zip(members, locs):
+            out[a] = loc
+    return tuple(out), empty, done
+
+
+@PROPERTY
+@given(missions(), st.integers(0, 2**32 - 1))
+def test_permuting_a_class_keeps_canonical_key_and_heuristic(spec, walk_seed):
+    problem = _Compact(spec)
+    heuristics = [_Heuristic(problem, kind) for kind in HEURISTICS]
+    rng = random.Random(walk_seed)
+    key = problem.start
+    for _ in range(25):
+        other = permuted(problem, key, rng)
+        assert problem.canonical(other) == problem.canonical(key)
+        assert [h(other) for h in heuristics] == [h(key) for h in heuristics]
+        succ = problem.successors(key, False)
+        if not succ:
+            break
+        _, key, _ = rng.choice(succ)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.sampled_from([4, 6]), st.integers(0, 10_000), st.data())
+def test_c4_override_splits_agent_from_its_class(n_tasks, n_agents, seed, data):
+    spec = random_instance(n_tasks, n_agents, seed)
+    before = _Compact(spec).classes
+    members = data.draw(st.sampled_from(before))
+    agent = data.draw(st.sampled_from(members))
+    task = data.draw(st.sampled_from([t.id for t in spec.tasks]))
+    aid = spec.agents[agent].id
+    value = 0.2 if spec.p_success(aid, task) != 0.2 else 0.9
+    after = _Compact(spec.with_runtime_state(spec.initial_locations, spec.pending,
+                                             p_overrides={(aid, task): value})).classes
+    assert not any(agent in m for m in after)
+    rest = tuple(a for a in members if a != agent)
+    assert (rest in after) == (len(rest) > 1)
+    assert [m for m in after if m != rest] == [m for m in before if m != members]
