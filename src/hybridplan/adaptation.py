@@ -45,8 +45,10 @@ import numpy as np
 from .chains import (
     ParametricPlanModel,
     RetryAssignment,
+    all_min_assignment,
     build_chains,
     build_parametric_model,
+    checked_budgets,
     closed_form_mission_metrics,
 )
 from .errors import NoPlanExists, ScenarioError, UnrecoverableMission
@@ -637,14 +639,12 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     archive = synthesize(model, ga)
     seed_entries = scenario.get("seed_entries", [])
     if seed_entries:
-        slot_tasks = {s.task for s in model.retry_slots()}
-        assignments = []
-        for raw in seed_entries:
-            assignment = {t: 1 for t in slot_tasks}
-            assignment.update({k: int(v) for k, v in raw.items()})
-            assignments.append(assignment)
+        assignments = [
+            {**all_min_assignment(model), **checked_budgets(model, raw, ScenarioError, "seed entry")}
+            for raw in seed_entries
+        ]
         archive = extend_archive(model, archive, assignments)
-    deploy = _pick_deploy(archive, scenario.get("deploy"))
+    deploy = _pick_deploy(model, archive, scenario.get("deploy"))
     changes = [Change.from_json(c) for c in scenario.get("changes", [])]
     return simulate(
         spec,
@@ -660,13 +660,13 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     )
 
 
-def _pick_deploy(archive: ParetoArchive, raw) -> ArchiveEntry:
+def _pick_deploy(model: ParametricPlanModel, archive: ParetoArchive, raw) -> ArchiveEntry:
     if archive.is_empty():
         raise UnrecoverableMission("no feasible budget vector to deploy")
     if not raw:
         return select_new_plan(archive.entries)
     if "retries" in raw:
-        wanted = {k: int(v) for k, v in raw["retries"].items()}
+        wanted = checked_budgets(model, raw["retries"], ScenarioError, "deploy.retries")
         for e in archive.entries:
             if e.retries == wanted:
                 return e
@@ -674,7 +674,7 @@ def _pick_deploy(archive: ParetoArchive, raw) -> ArchiveEntry:
     rule = raw.get("rule", "min_cost_feasible")
     if rule != "min_cost_feasible":
         raise ScenarioError(f"unknown deploy rule '{rule}'")
-    required = {k: int(v) for k, v in raw.get("require_budget", {}).items()}
+    required = checked_budgets(model, raw.get("require_budget", {}), ScenarioError, "deploy.require_budget")
     candidates = [
         e
         for e in archive.entries

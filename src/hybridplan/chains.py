@@ -151,6 +151,23 @@ def validate_assignment(model: ParametricPlanModel, assignment: RetryAssignment)
             raise ValueError(f"budget {budget} for '{s.task}' outside [{s.lo},{s.hi}]")
 
 
+def checked_budgets(model: ParametricPlanModel, budgets, error: type, what: str) -> RetryAssignment:
+    """``budgets`` from user input, once it is a dictionary naming retryable
+    tasks of ``model``, each with a JSON integer (not a float, not a boolean)
+    within its slot's bounds; ``error(message)`` is raised otherwise.
+    ``what`` names the input in that message."""
+    if not isinstance(budgets, dict):
+        raise error(f"{what} must be a JSON dictionary")
+    slots = {slot.task: slot for slot in model.retry_slots()}
+    for task, budget in budgets.items():
+        if task not in slots:
+            raise error(f"{what} names unknown retryable task '{task}'")
+        lo, hi = slots[task].lo, slots[task].hi
+        if type(budget) is not int or not lo <= budget <= hi:
+            raise error(f"{what}: budget of '{task}' must be an integer in [{lo}, {hi}], got {budget!r}")
+    return budgets
+
+
 def all_min_assignment(model: ParametricPlanModel) -> RetryAssignment:
     return {s.task: s.lo for s in model.retry_slots()}
 

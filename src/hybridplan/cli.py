@@ -19,8 +19,16 @@ from . import __version__
 from .adaptation import run_scenario
 from .baseline import baseline_queries, build_full_mdp, enumerate_policies
 from .bench import run_sweep, sweep_to_csv
-from .chains import all_max_assignment, build_parametric_model, instantiate
+from .chains import (
+    all_max_assignment,
+    all_min_assignment,
+    build_parametric_model,
+    checked_budgets,
+    instantiate,
+)
 from .errors import (
+    ConvergenceError,
+    InternalError,
     LimitExceeded,
     NoPlanExists,
     PlanTimeout,
@@ -69,19 +77,8 @@ def _retry_budgets(model, raw) -> dict[str, int]:
     """Budget vector from a ``--retries`` JSON dictionary: unlisted retryable
     tasks get 1; an unknown task, or a budget that is not an integer within
     its slot's bounds, is a spec error."""
-    budgets = json.loads(raw) if raw else {}
-    if not isinstance(budgets, dict):
-        raise SpecError("--retries must be a JSON dictionary")
-    slots = {slot.task: slot for slot in model.retry_slots()}
-    assignment = {task: 1 for task in slots}
-    for task, budget in budgets.items():
-        if task not in slots:
-            raise SpecError(f"unknown retryable task '{task}'")
-        lo, hi = slots[task].lo, slots[task].hi
-        if type(budget) is not int or not lo <= budget <= hi:
-            raise SpecError(f"budget of '{task}' must be an integer in [{lo}, {hi}], got {budget!r}")
-        assignment[task] = budget
-    return assignment
+    budgets = checked_budgets(model, json.loads(raw) if raw else {}, SpecError, "--retries")
+    return {**all_min_assignment(model), **budgets}
 
 
 def cmd_validate(args):
@@ -99,7 +96,7 @@ def cmd_plan(args):
     elapsed = time.monotonic() - t0
     violations = validate_plan(spec, plan)
     if violations:
-        raise RuntimeError(f"planner produced an invalid plan: {violations}")
+        raise InternalError(f"planner produced an invalid plan: {violations}")
     artifacts = {"plan": _write(out / "plan.json", json.dumps(plan.to_json(), indent=2, sort_keys=True))}
     if args.pddl:
         artifacts["domain"] = _write(out / "domain.pddl", export_pddl_domain(spec))
@@ -349,7 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+INTERNAL_FAULTS = (InternalError, ConvergenceError)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand.  Exit 1 on a bad input or an infeasible mission,
+    3 on an internal fault; argparse exits 2 on a bad command line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -373,7 +375,7 @@ def main(argv=None) -> int:
         if isinstance(exc, StateBudgetExceeded):
             error["error"]["states_reached"] = exc.states_reached
         print(json.dumps(error), file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, INTERNAL_FAULTS) else 1
 
 
 if __name__ == "__main__":

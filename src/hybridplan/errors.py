@@ -52,5 +52,10 @@ class UnrecoverableMission(RuntimeError):
     """Adaptation escalated to a full replan and no plan exists."""
 
 
+class InternalError(RuntimeError):
+    """A self-check of the toolkit failed: a bug, not a bad input (an invalid
+    plan from the planner, a non-deterministic benchmark rerun)."""
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver hit its sweep cap before meeting its tolerance."""

@@ -636,3 +636,30 @@ class TestScenarioDeploy:
         scenario = {**readme_scenario(), "deploy": deploy}
         with pytest.raises(ScenarioError, match=message):
             run_scenario(vineyard, scenario)
+
+    @pytest.mark.parametrize(
+        ("budgets", "message"),
+        [
+            ({"t1l4": 2.7}, "budget of 't1l4'"),
+            ({"t1l4": True}, "budget of 't1l4'"),
+            ({"t1l4": "2"}, "budget of 't1l4'"),
+            ({"t1l4": 6}, "budget of 't1l4'"),
+            ({"nope": 1}, "unknown retryable task 'nope'"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["seed_entries", "deploy.retries", "deploy.require_budget"])
+    def test_scenario_budgets_are_integers_within_bounds(self, vineyard, where, budgets, message):
+        # the same rule as the CLI's --retries: no truncation, no booleans
+        import json
+
+        from hybridplan.fixtures import fixture_text
+
+        scenario = json.loads(fixture_text("scenario_adaptation"))
+        if where == "seed_entries":
+            scenario["seed_entries"][0].update(budgets)
+        elif where == "deploy.retries":
+            scenario["deploy"]["retries"].update(budgets)
+        else:
+            scenario["deploy"] = {"rule": "min_cost_feasible", "require_budget": budgets}
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(vineyard, scenario)

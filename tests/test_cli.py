@@ -3,9 +3,12 @@ from pathlib import Path
 
 import pytest
 
+import hybridplan.cli
 from hybridplan.adaptation import run_scenario
 from hybridplan.cli import main
+from hybridplan.errors import ConvergenceError
 from hybridplan.fixtures import fixture_text, load_fixture
+from hybridplan.planner import PlanViolation
 
 
 @pytest.fixture
@@ -193,6 +196,23 @@ class TestErrors:
         )
         assert code == 1
         assert json.loads(err)["error"]["type"] == "SpecError"
+
+    def test_invalid_plan_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
+        violation = PlanViolation("C3", 0, "injected")
+        monkeypatch.setattr(hybridplan.cli, "validate_plan", lambda spec, plan: [violation])
+        code, _, err = run(capsys, "plan", "--spec", "m1", "--out", str(tmp_path))
+        assert code == 3
+        assert json.loads(err)["error"]["type"] == "InternalError"
+        assert not (tmp_path / "plan.json").exists()
+
+    def test_non_convergence_is_an_internal_fault(self, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ConvergenceError("injected")
+
+        monkeypatch.setattr(hybridplan.cli, "factored_mission_metrics", stalled)
+        code, _, err = run(capsys, "verify", "--spec", "m2")
+        assert code == 3
+        assert json.loads(err)["error"]["type"] == "ConvergenceError"
 
 
 class TestDeterminism:
