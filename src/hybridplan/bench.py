@@ -7,6 +7,11 @@ stages separately: S1 model export, S2 planning, S3 uncertainty
 augmentation, S4 synthesis.  Summaries report the geometric median (for
 one-dimensional samples this is the median) and the geometric standard
 deviation, which tolerate the heavy-tailed timing noise of search.
+
+A shared host's speed can change by more than the gap between neighbouring
+cells within a second, so every (cell, seed) runs in ``SWEEP_PASSES`` passes
+interleaved over all cells and keeps its minimum CPU time per stage; the
+passes must agree on travel cost and expansions.
 """
 
 from __future__ import annotations
@@ -19,10 +24,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chains import all_max_assignment, build_parametric_model, instantiate
+from .errors import InternalError
 from .pddl import export_pddl_domain, export_pddl_problem
 from .planner import PlannerConfig, plan_mission
 from .spec import ProblemSpec, build_problem_spec
 from .synthesis import GaConfig, synthesize
+
+SWEEP_PASSES = 3
 
 GRID = ["l1", "l2", "l3", "l4", "l5", "l6", "l7", "l8", "l9"]
 GRID_PATHS = [
@@ -104,6 +112,48 @@ def geometric_sd(xs: list[float]) -> float:
     return math.exp(statistics.pstdev(logs))
 
 
+def _run_pipeline(n_tasks: int, n_agents: int, seed: int, planner_cfg: Optional[PlannerConfig],
+                  ga: Optional[GaConfig]) -> tuple[dict, float, int, int]:
+    """One pipeline run on CPU time: (stage -> seconds, travel cost, A*
+    expansions, chain states)."""
+    spec = random_instance(n_tasks, n_agents, seed)
+    t0 = time.process_time()
+    export_pddl_domain(spec)
+    export_pddl_problem(spec)
+    t1 = time.process_time()
+    plan = plan_mission(spec, planner_cfg or PlannerConfig(strategy="astar", timeout=600))
+    t2 = time.process_time()
+    model = build_parametric_model(spec, plan)
+    t3 = time.process_time()
+    cfg = ga or GaConfig(population=30, evaluations=150, seed=seed)
+    if model.retry_slots():
+        synthesize(model, cfg)
+    t4 = time.process_time()
+    times = {"s1_export": t1 - t0, "s2_plan": t2 - t1, "s3_model": t3 - t2, "s4_synthesis": t4 - t3}
+    # model size convention: every budget at its cap
+    comps = instantiate(model, all_max_assignment(model))
+    return times, plan.travel_cost, plan.stats["expansions"], sum(d.n_states for _, d in comps)
+
+
+def _best_of(n_tasks: int, n_agents: int, passes: list[list[tuple]]) -> CellResult:
+    """A cell from ``SWEEP_PASSES`` runs of every seed: each seed keeps the
+    minimum CPU time of each stage.  Every pass must do the same work, the
+    deterministic companion of the timings."""
+    cell = CellResult(n_tasks, n_agents)
+    for runs in zip(*passes):
+        times, travel, expansions, states = runs[0]
+        if any((r[1], r[2]) != (travel, expansions) for r in runs[1:]):
+            raise InternalError(
+                f"sweep cell {n_tasks}x{n_agents}: travel cost or expansions differ between passes"
+            )
+        for stage in times:
+            cell.samples.setdefault(stage, []).append(min(r[0][stage] for r in runs))
+        cell.travel_costs.append(travel)
+        cell.expansions.append(expansions)
+        cell.chain_states.append(states)
+    return cell
+
+
 def run_cell(
     n_tasks: int,
     n_agents: int,
@@ -111,33 +161,10 @@ def run_cell(
     planner_cfg: Optional[PlannerConfig] = None,
     ga: Optional[GaConfig] = None,
 ) -> CellResult:
-    """One sweep cell: one plan per seed, every stage timed on CPU time."""
-    planner_cfg = planner_cfg or PlannerConfig(strategy="astar", timeout=600)
-    cell = CellResult(n_tasks, n_agents)
-    for seed in seeds:
-        spec = random_instance(n_tasks, n_agents, seed)
-        t0 = time.process_time()
-        export_pddl_domain(spec)
-        export_pddl_problem(spec)
-        t1 = time.process_time()
-        plan = plan_mission(spec, planner_cfg)
-        t2 = time.process_time()
-        model = build_parametric_model(spec, plan)
-        t3 = time.process_time()
-        cfg = ga or GaConfig(population=30, evaluations=150, seed=seed)
-        if model.retry_slots():
-            synthesize(model, cfg)
-        t4 = time.process_time()
-        cell.samples.setdefault("s1_export", []).append(t1 - t0)
-        cell.samples.setdefault("s2_plan", []).append(t2 - t1)
-        cell.samples.setdefault("s3_model", []).append(t3 - t2)
-        cell.samples.setdefault("s4_synthesis", []).append(t4 - t3)
-        cell.travel_costs.append(plan.travel_cost)
-        cell.expansions.append(plan.stats["expansions"])
-        # model size convention: every budget at its cap
-        comps = instantiate(model, all_max_assignment(model))
-        cell.chain_states.append(sum(d.n_states for _, d in comps))
-    return cell
+    """One sweep cell: ``SWEEP_PASSES`` plans per seed, every stage timed on
+    CPU time."""
+    passes = [[_run_pipeline(n_tasks, n_agents, s, planner_cfg, ga) for s in seeds] for _ in range(SWEEP_PASSES)]
+    return _best_of(n_tasks, n_agents, passes)
 
 
 def run_sweep(
@@ -147,12 +174,16 @@ def run_sweep(
     planner_cfg: Optional[PlannerConfig] = None,
     ga: Optional[GaConfig] = None,
 ) -> list[dict]:
-    rows = []
-    for n_tasks in task_counts:
-        for n_agents in agent_counts:
-            cell = run_cell(n_tasks, n_agents, list(seeds), planner_cfg, ga)
-            rows.append(cell.summary())
-    return rows
+    """Every cell, timed in ``SWEEP_PASSES`` interleaved passes over all
+    cells.  A pass runs seed by seed, so the agent counts of one task count
+    and seed run next to each other and a slow spell of the host tends to
+    hit them alike."""
+    cells = [(t, a) for t in task_counts for a in agent_counts]
+    passes = [
+        {(t, a, s): _run_pipeline(t, a, s, planner_cfg, ga) for s in seeds for t, a in cells}
+        for _ in range(SWEEP_PASSES)
+    ]
+    return [_best_of(t, a, [[runs[t, a, s] for s in seeds] for runs in passes]).summary() for t, a in cells]
 
 
 def sweep_to_csv(rows: list[dict]) -> str:

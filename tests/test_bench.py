@@ -1,8 +1,10 @@
+import itertools
 import math
 import statistics
 
 import pytest
 
+import hybridplan.bench as bench
 from hybridplan.bench import (
     geometric_median,
     geometric_sd,
@@ -11,6 +13,7 @@ from hybridplan.bench import (
     run_sweep,
     sweep_to_csv,
 )
+from hybridplan.errors import InternalError
 from hybridplan.planner import PlannerConfig, plan_mission, validate_plan
 from hybridplan.spec import validate
 from hybridplan.synthesis import GaConfig
@@ -58,3 +61,19 @@ class TestSweep:
                          ga=GaConfig(population=5, evaluations=20, seed=0))
         text = sweep_to_csv(rows)
         assert text.splitlines()[0].startswith("tasks,agents,runs")
+
+    def test_each_seed_keeps_its_fastest_pass(self, monkeypatch):
+        times = itertools.cycle([0.3, 0.1, 0.2])
+        monkeypatch.setattr(bench, "_run_pipeline", lambda t, a, s, cfg, ga: ({"s2_plan": next(times)}, 5.0, 7, 3))
+        (row,) = run_sweep(task_counts=(4,), agent_counts=(2,), seeds=(0,))
+        assert bench.SWEEP_PASSES == 3
+        assert row["s2_plan_gmedian_s"] == 0.1
+        assert row["s2_plan_expansions"] == 7
+
+    def test_passes_must_do_the_same_work(self, monkeypatch):
+        expansions = itertools.count()
+        monkeypatch.setattr(
+            bench, "_run_pipeline", lambda t, a, s, cfg, ga: ({"s2_plan": 0.1}, 5.0, next(expansions), 3)
+        )
+        with pytest.raises(InternalError, match="differ between passes"):
+            run_sweep(task_counts=(4,), agent_counts=(2,), seeds=(0,))
