@@ -19,8 +19,8 @@ the forced-task pruning, the MDP baseline for every enabled action.
 ``world`` stays the one-step semantics for replay, validation and
 adaptation, and the reference the property tests check the encoding against.
 
-A* also searches one state per orbit of interchangeable agents (Fox & Long,
-IJCAI 1999; Pochter, Zohar & Rosenschein, AAAI 2011).  Agents are
+The search also visits one state per orbit of interchangeable agents (Fox &
+Long, IJCAI 1999; Pochter, Zohar & Rosenschein, AAAI 2011).  Agents are
 interchangeable when they have the same success probability (after C4
 overrides), cost and retry cap on every task; permuting their positions maps
 plans to plans of the same travel, and the heuristic is invariant under it.
@@ -418,10 +418,10 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
                 if seen is not None:
                     reopened += 1
                 best[key] = cg
-                links[child] = (state, code)
                 ch = h(key)
                 if ch == INF:
                     continue
+                links[child] = (state, code)
                 if astar:
                     push(heap, (cg + ch, ch, next(counter), cg, child, key))
                 else:
