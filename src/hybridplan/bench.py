@@ -9,13 +9,17 @@ one-dimensional samples this is the median) and the geometric standard
 deviation, which tolerate the heavy-tailed timing noise of search.
 
 A shared host's speed can change by more than the gap between neighbouring
-cells within a second, so every (cell, seed) runs in ``SWEEP_PASSES`` passes
-interleaved over all cells and keeps its minimum CPU time per stage; the
-passes must agree on travel cost and expansions.
+cells (1.7x within a second on a 2-core shared host), so stage times are CPU
+seconds at a reference speed: a fixed yardstick computation runs around every
+stage, and the stage's CPU time is scaled by the yardstick's time at the
+reference speed over its time there.  On top of that, every (cell, seed)
+runs in ``SWEEP_PASSES`` passes interleaved over all cells and keeps its
+minimum time per stage; the passes must agree on travel cost and expansions.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import statistics
@@ -31,6 +35,7 @@ from .spec import ProblemSpec, build_problem_spec
 from .synthesis import GaConfig, synthesize
 
 SWEEP_PASSES = 3
+YARDSTICK_S = 0.001   # the yardstick's CPU time at the reference speed
 
 GRID = ["l1", "l2", "l3", "l4", "l5", "l6", "l7", "l8", "l9"]
 GRID_PATHS = [
@@ -112,24 +117,48 @@ def geometric_sd(xs: list[float]) -> float:
     return math.exp(statistics.pstdev(logs))
 
 
+def _yardstick() -> float:
+    """CPU seconds of a fixed best-first search over a 24x24 grid: the
+    planner's kind of work, calling nothing in the library."""
+    t0 = time.process_time()
+    dist = {(0, 0): 0}
+    heap = [(0, (0, 0))]
+    while heap:
+        d, (x, y) = heapq.heappop(heap)
+        if d > dist[x, y]:
+            continue
+        for nx, ny in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
+            nd = d + 1 + (nx ^ ny) % 3
+            if 0 <= nx < 24 and 0 <= ny < 24 and nd < dist.get((nx, ny), 1 << 30):
+                dist[nx, ny] = nd
+                heapq.heappush(heap, (nd, (nx, ny)))
+    return time.process_time() - t0
+
+
+def _timed(fn):
+    """``fn()`` and its CPU time at the reference speed.  The yardstick runs
+    twice right before and twice right after; the faster run of each pair
+    gauges the host's speed, and the time is scaled by ``YARDSTICK_S`` over
+    their mean."""
+    before = min(_yardstick(), _yardstick())
+    t0 = time.process_time()
+    out = fn()
+    spent = time.process_time() - t0
+    after = min(_yardstick(), _yardstick())
+    return out, spent * 2 * YARDSTICK_S / (before + after)
+
+
 def _run_pipeline(n_tasks: int, n_agents: int, seed: int, planner_cfg: Optional[PlannerConfig],
                   ga: Optional[GaConfig]) -> tuple[dict, float, int, int]:
-    """One pipeline run on CPU time: (stage -> seconds, travel cost, A*
-    expansions, chain states)."""
+    """One pipeline run: (stage -> seconds at the reference speed, travel
+    cost, A* expansions, chain states)."""
     spec = random_instance(n_tasks, n_agents, seed)
-    t0 = time.process_time()
-    export_pddl_domain(spec)
-    export_pddl_problem(spec)
-    t1 = time.process_time()
-    plan = plan_mission(spec, planner_cfg or PlannerConfig(strategy="astar", timeout=600))
-    t2 = time.process_time()
-    model = build_parametric_model(spec, plan)
-    t3 = time.process_time()
     cfg = ga or GaConfig(population=30, evaluations=150, seed=seed)
-    if model.retry_slots():
-        synthesize(model, cfg)
-    t4 = time.process_time()
-    times = {"s1_export": t1 - t0, "s2_plan": t2 - t1, "s3_model": t3 - t2, "s4_synthesis": t4 - t3}
+    _, s1 = _timed(lambda: (export_pddl_domain(spec), export_pddl_problem(spec)))
+    plan, s2 = _timed(lambda: plan_mission(spec, planner_cfg or PlannerConfig(strategy="astar", timeout=600)))
+    model, s3 = _timed(lambda: build_parametric_model(spec, plan))
+    _, s4 = _timed(lambda: synthesize(model, cfg) if model.retry_slots() else None)
+    times = {"s1_export": s1, "s2_plan": s2, "s3_model": s3, "s4_synthesis": s4}
     # model size convention: every budget at its cap
     comps = instantiate(model, all_max_assignment(model))
     return times, plan.travel_cost, plan.stats["expansions"], sum(d.n_states for _, d in comps)
@@ -137,7 +166,7 @@ def _run_pipeline(n_tasks: int, n_agents: int, seed: int, planner_cfg: Optional[
 
 def _best_of(n_tasks: int, n_agents: int, passes: list[list[tuple]]) -> CellResult:
     """A cell from ``SWEEP_PASSES`` runs of every seed: each seed keeps the
-    minimum CPU time of each stage.  Every pass must do the same work, the
+    minimum time of each stage.  Every pass must do the same work, the
     deterministic companion of the timings."""
     cell = CellResult(n_tasks, n_agents)
     for runs in zip(*passes):
@@ -161,8 +190,7 @@ def run_cell(
     planner_cfg: Optional[PlannerConfig] = None,
     ga: Optional[GaConfig] = None,
 ) -> CellResult:
-    """One sweep cell: ``SWEEP_PASSES`` plans per seed, every stage timed on
-    CPU time."""
+    """One sweep cell: ``SWEEP_PASSES`` plans per seed, every stage timed."""
     passes = [[_run_pipeline(n_tasks, n_agents, s, planner_cfg, ga) for s in seeds] for _ in range(SWEEP_PASSES)]
     return _best_of(n_tasks, n_agents, passes)
 

@@ -77,3 +77,14 @@ class TestSweep:
         )
         with pytest.raises(InternalError, match="differ between passes"):
             run_sweep(task_counts=(4,), agent_counts=(2,), seeds=(0,))
+
+    def test_stage_times_are_scaled_to_the_reference_speed(self, monkeypatch):
+        # a host running at half the reference speed takes twice as long for
+        # the yardstick and the stage alike; the scaled time is the stage's
+        # time at full speed
+        clock = itertools.count(step=0.5)
+        monkeypatch.setattr(bench.time, "process_time", lambda: next(clock))
+        monkeypatch.setattr(bench, "_yardstick", lambda: 2 * bench.YARDSTICK_S)
+        out, seconds = bench._timed(lambda: "done")
+        assert out == "done"
+        assert seconds == pytest.approx(0.25)
