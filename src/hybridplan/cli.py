@@ -346,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-INTERNAL_FAULTS = (InternalError, ConvergenceError)
-
-
 def main(argv=None) -> int:
     """Run one subcommand.  Exit 1 on a bad input or an infeasible mission,
     3 on an internal fault; argparse exits 2 on a bad command line."""
@@ -375,7 +372,7 @@ def main(argv=None) -> int:
         if isinstance(exc, StateBudgetExceeded):
             error["error"]["states_reached"] = exc.states_reached
         print(json.dumps(error), file=sys.stderr)
-        return 3 if isinstance(exc, INTERNAL_FAULTS) else 1
+        return 3 if isinstance(exc, (InternalError, ConvergenceError)) else 1
 
 
 if __name__ == "__main__":
