@@ -94,18 +94,28 @@ class Change:
 
     @staticmethod
     def from_json(doc: dict) -> "Change":
-        kind = doc["type"]
-        if kind == "C1":
-            return Change("C1", int(doc["time"]), task=doc["task"])
-        if kind == "C2":
-            return Change("C2", int(doc["time"]), value=float(doc["p_succ"]))
-        if kind == "C3":
-            return Change("C3", int(doc["time"]), value=float(doc["gamma"]))
-        if kind == "C4":
+        """A scenario change record, checked without coercion: ``time`` is a
+        JSON integer and a probability a JSON number; __post_init__ checks
+        their ranges."""
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"a change record must be a JSON object, got {doc!r}")
+        kind, time = doc.get("type"), doc.get("time")
+        if type(time) is not int:
+            raise ScenarioError(f"{kind} change: time must be an integer, got {time!r}")
+        key = {"C2": "p_succ", "C3": "gamma", "C4": "p"}.get(kind)
+        value = doc.get(key)
+        if key and type(value) not in (int, float):
+            raise ScenarioError(f"{kind} change at {time}: {key} must be a number, got {value!r}")
+        try:
             return Change(
-                "C4", int(doc["time"]), task=doc["task"], agent=doc["agent"], value=float(doc["p"])
+                kind,
+                time,
+                task=doc.get("task") if kind in ("C1", "C4") else None,
+                agent=doc.get("agent") if kind == "C4" else None,
+                value=None if key is None else float(value),
             )
-        raise ScenarioError(f"unknown change type '{kind}'")
+        except ValueError as exc:
+            raise ScenarioError(f"{kind} change at {time}: {exc}") from None
 
     def to_json(self) -> dict:
         out = {"time": self.time, "type": self.kind}
@@ -623,6 +633,7 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     """
     from .synthesis import extend_archive
 
+    changes = [Change.from_json(c) for c in scenario.get("changes", [])]
     ga_raw = scenario.get("ga", {})
     ga = GaConfig(
         population=ga_raw.get("population", 30),
@@ -645,7 +656,6 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
         ]
         archive = extend_archive(model, archive, assignments)
     deploy = _pick_deploy(model, archive, scenario.get("deploy"))
-    changes = [Change.from_json(c) for c in scenario.get("changes", [])]
     return simulate(
         spec,
         plan,

@@ -129,7 +129,7 @@ def baseline_queries(mdp: Mdp, bound: int = 20, tol: float = 1e-10) -> dict:
     }
 
 
-def enumerate_policies(mdp: Mdp, limit: int = 200_000, tol: float = 1e-10) -> dict:
+def enumerate_policies(mdp: Mdp, limit: int = 200_000) -> dict:
     """Exact Pareto points over memoryless deterministic policies.
 
     Enumerates action assignments over policy-reachable states by
@@ -170,9 +170,9 @@ def enumerate_policies(mdp: Mdp, limit: int = 200_000, tol: float = 1e-10) -> di
     points = []
     for pol in policies:
         chain = induced_chain(mdp, pol)
-        succ = reach_probability(chain, "success", tol)
+        succ = reach_probability(chain, "success")
         try:
-            cost = expected_reward(chain, "cost", "done", tol)
+            cost = expected_reward(chain, "cost", "done")
         except InfiniteRewardError:
             cost = math.inf
         points.append((cost, succ))

@@ -183,18 +183,6 @@ def _best_of(n_tasks: int, n_agents: int, passes: list[list[tuple]]) -> CellResu
     return cell
 
 
-def run_cell(
-    n_tasks: int,
-    n_agents: int,
-    seeds: list[int],
-    planner_cfg: Optional[PlannerConfig] = None,
-    ga: Optional[GaConfig] = None,
-) -> CellResult:
-    """One sweep cell: ``SWEEP_PASSES`` plans per seed, every stage timed."""
-    passes = [[_run_pipeline(n_tasks, n_agents, s, planner_cfg, ga) for s in seeds] for _ in range(SWEEP_PASSES)]
-    return _best_of(n_tasks, n_agents, passes)
-
-
 def run_sweep(
     task_counts=(10, 11, 12, 13),
     agent_counts=(2, 4, 6),

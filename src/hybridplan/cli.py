@@ -147,7 +147,7 @@ def cmd_verify(args):
     plan = plan_mission(spec, _planner_config(args))
     model = build_parametric_model(spec, plan)
     assignment = _retry_budgets(model, args.retries)
-    metrics = factored_mission_metrics(instantiate(model, assignment), tol=args.tol)
+    metrics = factored_mission_metrics(instantiate(model, assignment))
     feasible = metrics.success_prob >= spec.constraints.p_succ
     print(
         json.dumps(
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify one retry-budget dictionary")
     common(p, out=False)
     p.add_argument("--retries", help='JSON dictionary, e.g. \'{"t3l4": 2}\' (unlisted tasks get 1)')
-    p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="execute a plan against a scripted scenario")
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--state-budget", type=int, default=500_000)
     p.add_argument("--bound", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
+    p.add_argument("--tol", type=float, default=1e-10, help="value-iteration tolerance")
     p.add_argument("--enumerate", action="store_true", help="also enumerate policies")
     p.add_argument("--limit", type=int, default=200_000)
     p.set_defaults(func=cmd_baseline)

@@ -60,7 +60,6 @@ from .world import (
     Move,
     Wait,
     WorldState,
-    action_from_json,
     action_to_json,
     apply_action,
     initial_state,
@@ -71,7 +70,7 @@ from .world import (
 from .world import enabled_actions, is_goal  # noqa: F401
 
 STRATEGIES = ("astar", "gbfs")
-HEURISTICS = ("blind", "maxmin", "predecessor", "combined")
+HEURISTICS = ("blind", "combined")
 
 
 @dataclass(frozen=True)
@@ -117,16 +116,6 @@ class Plan:
             "travel_cost": self.travel_cost,
             "timed": {a: [action_to_json(x) for x in lane] for a, lane in self.timed.items()},
         }
-
-    @staticmethod
-    def from_json(doc: dict) -> "Plan":
-        return Plan(
-            total_order=[action_from_json(a) for a in doc["total_order"]],
-            per_agent={a: [action_from_json(x) for x in seq] for a, seq in doc["per_agent"].items()},
-            allocation=dict(doc["allocation"]),
-            travel_cost=float(doc["travel_cost"]),
-            timed={a: [action_from_json(x) for x in lane] for a, lane in doc.get("timed", {}).items()},
-        )
 
     def hash_key(self) -> str:
         import hashlib
@@ -274,13 +263,14 @@ class _Compact:
 
 
 class _Heuristic:
-    """Admissible travel lower bounds over undone tasks, on compact states.
+    """Admissible travel lower bound over undone tasks, on compact states.
 
-    maxmin: some capable agent must still reach the farthest undone task.
-    predecessor: each undone task location is entered by a final leg from
-    either an agent position or another undone task location, and those
-    legs are disjoint; summing per-location minimal legs is a lower bound.
-    combined: max of the two.
+    combined is the max of two bounds.  The farthest-task bound: some
+    capable agent must still reach the farthest undone task.  The
+    predecessor bound: each undone task location is entered by a final leg
+    from either an agent position or another undone task location, and
+    those legs are disjoint; summing per-location minimal legs is a lower
+    bound.  blind is 0 everywhere (uniform-cost search).
 
     What depends on the done set alone is cached per done mask: the undone
     task locations grouped by capable-agent set, and each undone location's
@@ -346,15 +336,11 @@ class _Heuristic:
                     h_max = row[loc]
         if h_max == INF:
             return INF  # some task unreachable by every capable agent
-        if self.kind == "maxmin":
-            return h_max
 
         row = nearest[self.everyone]
         h_pred = 0.0
         for loc, best in legs:
             h_pred += row[loc] if row[loc] < best else best
-        if h_pred == INF or self.kind == "predecessor":
-            return h_pred
         return max(h_max, h_pred)
 
 

@@ -3,13 +3,13 @@
 Supports the queries the pipeline needs: reachability probability and
 expected reachability reward on DTMCs, plus maximum reachability probability
 and minimum bounded cumulative reward on MDPs.  Reachability solves use
-graph precomputation of the probability-0/1 sets followed by a linear solve
-(dense up to 225 unknowns, sparse direct up to 50k, Gauss-Seidel iteration
-with an absolute convergence criterion above).  The MDP queries run on an
-array form compiled once per MDP: a sparse matrix with one row per choice,
-so value iteration and bounded backward induction are a sparse product and
-a per-state max/min reduction per sweep.  Iterative loops raise
-ConvergenceError when they hit MAX_SWEEPS.
+graph precomputation of the probability-0/1 sets followed by an exact
+direct linear solve (dense up to 225 unknowns, sparse above).  The MDP
+queries run on an array form compiled once per MDP: a sparse matrix with
+one row per choice, so value iteration and bounded backward induction are a
+sparse product and a per-state max/min reduction per sweep.  Value
+iteration is the one loop with a tolerance; it raises ConvergenceError
+when it hits MAX_SWEEPS.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ConvergenceError, InfiniteRewardError, ModelError, StateBudgetExceeded
 
 DENSE_LIMIT = 225          # measured dense/sparse-direct crossover (unknowns)
-DIRECT_LIMIT = 50_000
-MAX_SWEEPS = 1_000_000     # iteration cap of value iteration and Gauss-Seidel
+MAX_SWEEPS = 1_000_000     # iteration cap of value iteration
 DEFAULT_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 
@@ -104,17 +103,16 @@ def _flatten(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lengths, np.array(cols, np.int64), np.array(probs, np.float64)
 
 
-def _solve_linear(unknowns: list[int], coeff_rows, rhs, tol: float) -> np.ndarray:
+def _solve_linear(unknowns: list[int], coeff_rows, rhs) -> np.ndarray:
     """Solve x = A x + b restricted to `unknowns`.
 
     coeff_rows[i] lists (unknown-index, probability) for unknowns[i]; rhs is
-    the constant vector.  Picks dense / sparse-direct / Gauss-Seidel by size.
+    the constant vector.  The solve is direct: dense up to DENSE_LIMIT
+    unknowns, sparse LU above.
     """
     n = len(unknowns)
     if n == 0:
         return np.zeros(0)
-    if n > DIRECT_LIMIT:
-        return _gauss_seidel(coeff_rows, rhs, tol)
     lengths, cols, probs = _flatten(coeff_rows)
     rows = np.repeat(np.arange(n), lengths)
     if n <= DENSE_LIMIT:
@@ -128,27 +126,7 @@ def _solve_linear(unknowns: list[int], coeff_rows, rhs, tol: float) -> np.ndarra
     return spsolve(a, rhs)
 
 
-def _gauss_seidel(coeff_rows, rhs, tol: float, on_sweep=None) -> np.ndarray:
-    """Gauss-Seidel from zero: iterates are monotonically non-decreasing for
-    these non-negative systems, converging from below."""
-    x = np.zeros(len(coeff_rows))
-    delta = math.inf
-    for _ in range(MAX_SWEEPS):
-        delta = 0.0
-        for i, row in enumerate(coeff_rows):
-            v = rhs[i]
-            for j, p in row:
-                v += p * x[j]
-            delta = max(delta, abs(v - x[i]))
-            x[i] = v
-        if on_sweep is not None:
-            on_sweep(x.copy())
-        if delta < tol:
-            return x
-    raise ConvergenceError(f"Gauss-Seidel did not converge in {MAX_SWEEPS} sweeps (residual {delta})")
-
-
-def _solve_reach(dtmc: Dtmc, prob0: set[int], prob1: set[int], tol: float) -> dict[int, float]:
+def _solve_reach(dtmc: Dtmc, prob0: set[int], prob1: set[int]) -> dict[int, float]:
     """Reachability probability of every state outside prob0 and prob1."""
     unknowns = sorted(set(range(dtmc.n_states)) - prob0 - prob1)
     uindex = {s: i for i, s in enumerate(unknowns)}
@@ -162,11 +140,11 @@ def _solve_reach(dtmc: Dtmc, prob0: set[int], prob1: set[int], tol: float) -> di
             elif j in uindex:
                 row.append((uindex[j], p))
         rows.append(row)
-    x = _solve_linear(unknowns, rows, rhs, tol)
+    x = _solve_linear(unknowns, rows, rhs)
     return {s: float(x[i]) for s, i in uindex.items()}
 
 
-def reach_probability(dtmc: Dtmc, target_label: str, tol: float = DEFAULT_TOL) -> float:
+def reach_probability(dtmc: Dtmc, target_label: str) -> float:
     """Probability of eventually reaching a state with the target label."""
     dtmc.check()
     prob0, prob1 = prob01_sets(dtmc, dtmc.states_with_label(target_label))
@@ -174,10 +152,10 @@ def reach_probability(dtmc: Dtmc, target_label: str, tol: float = DEFAULT_TOL) -
         return 1.0
     if dtmc.initial in prob0:
         return 0.0
-    return _solve_reach(dtmc, prob0, prob1, tol)[dtmc.initial]
+    return _solve_reach(dtmc, prob0, prob1)[dtmc.initial]
 
 
-def expected_reward(dtmc: Dtmc, reward_name: str, target_label: str, tol: float = DEFAULT_TOL) -> float:
+def expected_reward(dtmc: Dtmc, reward_name: str, target_label: str) -> float:
     """Expected reward accumulated until first hitting the target label.
 
     Requires the target to be reached almost surely from every state the
@@ -211,7 +189,7 @@ def expected_reward(dtmc: Dtmc, reward_name: str, target_label: str, tol: float 
             if j in uindex:
                 row.append((uindex[j], p))
         rows.append(row)
-    x = _solve_linear(unknowns, rows, rhs, tol)
+    x = _solve_linear(unknowns, rows, rhs)
     return float(x[uindex[dtmc.initial]])
 
 
@@ -226,7 +204,7 @@ class MissionMetrics:
     per_chain: tuple[tuple[str, float, float], ...] = ()   # (agent, succ, cost)
 
 
-def factored_mission_metrics(components: Sequence[tuple[str, Dtmc]], tol: float = DEFAULT_TOL) -> MissionMetrics:
+def factored_mission_metrics(components: Sequence[tuple[str, Dtmc]]) -> MissionMetrics:
     """Mission metrics from independent per-agent chains.
 
     Success probabilities multiply and expected costs add because the chains
@@ -236,8 +214,8 @@ def factored_mission_metrics(components: Sequence[tuple[str, Dtmc]], tol: float 
     cost = 0.0
     per = []
     for agent, chain in components:
-        s = reach_probability(chain, "success", tol)
-        c = expected_reward(chain, "cost", "done", tol)
+        s = reach_probability(chain, "success")
+        c = expected_reward(chain, "cost", "done")
         per.append((agent, s, c))
         succ *= s
         cost += c
@@ -436,7 +414,7 @@ def mdp_max_reach_prob(mdp: Mdp, label: str, tol: float = DEFAULT_TOL) -> float:
                     changed = True
                     break
     chain = induced_chain(mdp, policy)
-    return reach_probability(chain, label, tol)
+    return reach_probability(chain, label)
 
 
 def mdp_min_bounded_reward(mdp: Mdp, bound: int = 20) -> float:

@@ -249,6 +249,35 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str, err
             errs.append(Violation("error", path, f"missing key '{key}'"))
 
 
+def _number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_NAME_KEYS = ("id", "type", "start", "end", "location", "agent", "task")
+
+
+def _entries(obj: dict, key: str, path: str, errs: list[Violation]) -> list[tuple[str, dict]]:
+    """(field path, entry) of each object in the array ``obj[key]`` (none if
+    absent).  A value that is not an array, an entry that is not an object
+    and an id or reference that is not a string are violations; such
+    entries are left out."""
+    array = obj.get(key, [])
+    if not isinstance(array, list):
+        errs.append(Violation("error", path, "must be a JSON array"))
+        return []
+    out = []
+    for i, entry in enumerate(array):
+        if not isinstance(entry, dict):
+            errs.append(Violation("error", f"{path}[{i}]", "must be a JSON object"))
+            continue
+        names = [k for k in _NAME_KEYS if k in entry and not isinstance(entry[k], str)]
+        errs.extend(Violation("error", f"{path}[{i}].{k}", "must be a JSON string") for k in names)
+        if not names:
+            out.append((f"{path}[{i}]", entry))
+    return out
+
+
 def parse_problem_spec(text: str) -> ProblemSpec:
     """Parse and fully resolve a JSON mission document.
 
@@ -276,13 +305,14 @@ def build_problem_spec(doc) -> ProblemSpec:
         "$",
         errs,
     )
+    for key in ("constraints", "initial"):
+        _require(isinstance(doc.get(key, {}), dict), key, "must be a JSON object", errs)
     if errs:
         raise SpecError("invalid specification", errs)
 
     locations: list[Location] = []
     seen_loc: set[str] = set()
-    for i, raw in enumerate(doc["locations"]):
-        path = f"locations[{i}]"
+    for path, raw in _entries(doc, "locations", "locations", errs):
         _check_keys(raw, {"id", "description"}, {"id"}, path, errs)
         lid = raw.get("id")
         if lid is None:
@@ -293,8 +323,7 @@ def build_problem_spec(doc) -> ProblemSpec:
 
     paths: list[Path] = []
     seen_pairs: set[tuple[str, str]] = set()
-    for i, raw in enumerate(doc["paths"]):
-        ppath = f"paths[{i}]"
+    for ppath, raw in _entries(doc, "paths", "paths", errs):
         _check_keys(raw, {"start", "end", "distance", "description"}, {"start", "end", "distance"}, ppath, errs)
         start, end = raw.get("start"), raw.get("end")
         dist = raw.get("distance", 1)
@@ -303,18 +332,18 @@ def build_problem_spec(doc) -> ProblemSpec:
         _require(start in seen_loc, ppath + ".start", f"unknown location '{start}'", errs)
         _require(end in seen_loc, ppath + ".end", f"unknown location '{end}'", errs)
         _require(start != end, ppath, "path start and end must differ", errs)
-        _require(isinstance(dist, (int, float)) and dist > 0, ppath + ".distance", "distance must be > 0", errs)
+        _require(_number(dist) and dist > 0, ppath + ".distance", "distance must be > 0", errs)
         pair = (min(start, end), max(start, end))
         _require(pair not in seen_pairs, ppath, f"duplicate path {start}-{end}", errs)
         seen_pairs.add(pair)
-        paths.append(Path(start, end, float(dist), raw.get("description")))
+        if _number(dist):
+            paths.append(Path(start, end, float(dist), raw.get("description")))
 
     groups: list[TaskGroup] = []
     tasks: list[TaskInstance] = []
     seen_group: set[str] = set()
     seen_task: set[str] = set()
-    for i, raw in enumerate(doc["tasks"]):
-        gpath = f"tasks[{i}]"
+    for gpath, raw in _entries(doc, "tasks", "tasks", errs):
         _check_keys(raw, {"id", "description", "instances"}, {"id", "instances"}, gpath, errs)
         gid = raw.get("id")
         if gid is None:
@@ -322,10 +351,8 @@ def build_problem_spec(doc) -> ProblemSpec:
         _require(gid not in seen_group, gpath + ".id", f"duplicate task group id '{gid}'", errs)
         seen_group.add(gid)
         members = []
-        instances = raw.get("instances", [])
-        _require(len(instances) > 0, gpath + ".instances", "task group has no instances", errs)
-        for j, inst in enumerate(instances):
-            ipath = f"{gpath}.instances[{j}]"
+        _require(raw.get("instances", []) != [], gpath + ".instances", "task group has no instances", errs)
+        for ipath, inst in _entries(raw, "instances", gpath + ".instances", errs):
             _check_keys(inst, {"id", "location"}, {"id", "location"}, ipath, errs)
             tid, loc = inst.get("id"), inst.get("location")
             if tid is None:
@@ -339,8 +366,7 @@ def build_problem_spec(doc) -> ProblemSpec:
 
     agents: list[Agent] = []
     seen_agent: set[str] = set()
-    for i, raw in enumerate(doc["agents"]):
-        apath = f"agents[{i}]"
+    for apath, raw in _entries(doc, "agents", "agents", errs):
         _check_keys(raw, {"id", "type", "start", "tasks"}, {"id", "type", "start", "tasks"}, apath, errs)
         aid = raw.get("id")
         if aid is None:
@@ -353,8 +379,7 @@ def build_problem_spec(doc) -> ProblemSpec:
         _require(start in seen_loc, apath + ".start", f"unknown start location '{start}'", errs)
         caps: list[Capability] = []
         seen_cap: set[str] = set()
-        for j, cap in enumerate(raw.get("tasks", [])):
-            cpath = f"{apath}.tasks[{j}]"
+        for cpath, cap in _entries(raw, "tasks", apath + ".tasks", errs):
             _check_keys(cap, {"id", "cost", "p_success", "retries"}, {"id", "cost", "p_success", "retries"}, cpath, errs)
             gid = cap.get("id")
             _require(gid in seen_group, cpath + ".id", f"unknown task group '{gid}'", errs)
@@ -363,16 +388,16 @@ def build_problem_spec(doc) -> ProblemSpec:
             cost = cap.get("cost", 0)
             p = cap.get("p_success", 0)
             retries = cap.get("retries", 0)
-            _require(isinstance(cost, (int, float)) and cost >= 0, cpath + ".cost", "cost must be >= 0", errs)
+            _require(_number(cost) and cost >= 0, cpath + ".cost", "cost must be >= 0", errs)
             _require(
-                isinstance(p, (int, float)) and 0.0 <= p <= 1.0,
+                _number(p) and 0.0 <= p <= 1.0,
                 cpath + ".p_success",
-                f"p_success must lie in [0,1], got {p}",
+                f"p_success must lie in [0,1], got {p!r}",
                 errs,
             )
-            _require(isinstance(retries, int) and retries >= 0, cpath + ".retries", "retries must be an integer >= 0", errs)
-            if gid is not None:
-                caps.append(Capability(gid, float(cost), float(p), int(retries) if isinstance(retries, int) else 0))
+            _require(type(retries) is int and retries >= 0, cpath + ".retries", "retries must be an integer >= 0", errs)
+            if gid is not None and _number(cost) and _number(p):
+                caps.append(Capability(gid, float(cost), float(p), retries if type(retries) is int else 0))
         agents.append(Agent(aid, kind, start, tuple(sorted(caps, key=lambda c: c.group))))
 
     craw = doc["constraints"]
@@ -387,9 +412,9 @@ def build_problem_spec(doc) -> ProblemSpec:
     gamma = craw.get("min_assignment_probability", 1.0)
     for name, value in (("mission_probability_of_success", p_succ), ("min_assignment_probability", gamma)):
         _require(
-            isinstance(value, (int, float)) and 0.0 < value <= 1.0,
+            _number(value) and 0.0 < value <= 1.0,
             f"constraints.{name}",
-            f"must lie in (0,1], got {value}",
+            f"must lie in (0,1], got {value!r}",
             errs,
         )
 
@@ -399,24 +424,34 @@ def build_problem_spec(doc) -> ProblemSpec:
         iraw = doc["initial"]
         _check_keys(iraw, {"locations", "pending"}, set(), "initial", errs)
         if "locations" in iraw:
-            initial_locations = dict(iraw["locations"])
-            for aid, loc in initial_locations.items():
-                _require(aid in seen_agent, f"initial.locations.{aid}", f"unknown agent '{aid}'", errs)
-                _require(loc in seen_loc, f"initial.locations.{aid}", f"unknown location '{loc}'", errs)
+            initial_locations = iraw["locations"]
+            if not isinstance(initial_locations, dict):
+                errs.append(Violation("error", "initial.locations", "must be a JSON object"))
+                initial_locations = None
+            else:
+                for aid, loc in initial_locations.items():
+                    _require(aid in seen_agent, f"initial.locations.{aid}", f"unknown agent '{aid}'", errs)
+                    _require(isinstance(loc, str) and loc in seen_loc, f"initial.locations.{aid}",
+                             f"unknown location {loc!r}", errs)
+                for aid in sorted(seen_agent - initial_locations.keys()):
+                    errs.append(Violation("error", f"initial.locations.{aid}", f"no location for agent '{aid}'"))
         if "pending" in iraw:
-            pending = list(iraw["pending"])
+            pending = iraw["pending"]
+            if not isinstance(pending, list):
+                errs.append(Violation("error", "initial.pending", "must be a JSON array"))
+                pending = []
             for tid in pending:
-                _require(tid in seen_task, "initial.pending", f"unknown task '{tid}'", errs)
+                _require(isinstance(tid, str) and tid in seen_task, "initial.pending", f"unknown task {tid!r}", errs)
 
     p_overrides = {}
-    for i, raw in enumerate(doc.get("overrides", [])):
-        opath = f"overrides[{i}]"
+    for opath, raw in _entries(doc, "overrides", "overrides", errs):
         _check_keys(raw, {"agent", "task", "p_success"}, {"agent", "task", "p_success"}, opath, errs)
         aid, tid, p = raw.get("agent"), raw.get("task"), raw.get("p_success", 0)
         _require(aid in seen_agent, opath + ".agent", f"unknown agent '{aid}'", errs)
         _require(tid in seen_task, opath + ".task", f"unknown task '{tid}'", errs)
-        _require(0.0 <= p <= 1.0, opath + ".p_success", f"p_success must lie in [0,1], got {p}", errs)
-        p_overrides[(aid, tid)] = float(p)
+        _require(_number(p) and 0.0 <= p <= 1.0, opath + ".p_success", f"p_success must lie in [0,1], got {p!r}", errs)
+        if _number(p):
+            p_overrides[(aid, tid)] = float(p)
 
     if errs:
         raise SpecError(f"invalid specification ({len(errs)} violations)", errs)

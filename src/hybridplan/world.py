@@ -151,14 +151,3 @@ def action_to_json(action: Action) -> dict:
     if isinstance(action, Do):
         return {"type": "do", "agent": action.agent, "task": action.task, "location": action.location}
     return {"type": "wait", "agent": action.agent}
-
-
-def action_from_json(doc: dict) -> Action:
-    kind = doc["type"]
-    if kind == "move":
-        return Move(doc["agent"], doc["from"], doc["to"])
-    if kind == "do":
-        return Do(doc["agent"], doc["task"], doc["location"])
-    if kind == "wait":
-        return Wait(doc["agent"])
-    raise ValueError(f"unknown action type '{kind}'")

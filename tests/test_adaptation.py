@@ -638,6 +638,40 @@ class TestScenarioDeploy:
             run_scenario(vineyard, scenario)
 
     @pytest.mark.parametrize(
+        ("index", "key", "value", "message"),
+        [
+            (2, "time", 4.9, "time must be an integer, got 4.9"),
+            (2, "time", -1, "change time must be >= 0"),
+            (2, "p_succ", True, "p_succ must be a number, got True"),
+            (2, "p_succ", "0.8", "p_succ must be a number, got '0.8'"),
+            (2, "p_succ", None, "p_succ must be a number, got None"),   # None: key removed
+            (4, "gamma", 1.5, r"probabilities must lie in \[0,1\]"),
+            (3, "p", "0.89", "p must be a number"),
+            (0, "task", None, "C1 requires a task"),
+            (0, "type", "C9", "unknown change kind 'C9'"),
+        ],
+    )
+    def test_change_records_are_not_coerced(self, vineyard, index, key, value, message):
+        # the bundled scenario's changes are C1, C1, C2, C4, C3
+        import json
+
+        from hybridplan.fixtures import fixture_text
+
+        scenario = json.loads(fixture_text("scenario_adaptation"))
+        record = scenario["changes"][index]
+        if value is None:
+            del record[key]
+        else:
+            record[key] = value
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(vineyard, scenario)
+
+    def test_change_records_are_objects(self, vineyard):
+        scenario = {**readme_scenario(), "changes": [5]}
+        with pytest.raises(ScenarioError, match="must be a JSON object, got 5"):
+            run_scenario(vineyard, scenario)
+
+    @pytest.mark.parametrize(
         ("budgets", "message"),
         [
             ({"t1l4": 2.7}, "budget of 't1l4'"),

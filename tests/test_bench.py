@@ -9,7 +9,6 @@ from hybridplan.bench import (
     geometric_median,
     geometric_sd,
     random_instance,
-    run_cell,
     run_sweep,
     sweep_to_csv,
 )
@@ -53,13 +52,11 @@ class TestStats:
 
 class TestSweep:
     def test_cell_and_csv(self):
-        cell = run_cell(5, 2, seeds=[0, 1], ga=GaConfig(population=5, evaluations=20, seed=0))
-        summary = cell.summary()
+        (summary,) = run_sweep(task_counts=(5,), agent_counts=(2,), seeds=(0, 1),
+                               ga=GaConfig(population=5, evaluations=20, seed=0))
         assert summary["runs"] == 2
         assert summary["s2_plan_gmedian_s"] >= 0.0
-        rows = run_sweep(task_counts=(5,), agent_counts=(2,), seeds=(0,),
-                         ga=GaConfig(population=5, evaluations=20, seed=0))
-        text = sweep_to_csv(rows)
+        text = sweep_to_csv([summary])
         assert text.splitlines()[0].startswith("tasks,agents,runs")
 
     def test_each_seed_keeps_its_fastest_pass(self, monkeypatch):

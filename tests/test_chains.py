@@ -4,6 +4,7 @@ from hybridplan.chains import (
     all_max_assignment,
     all_min_assignment,
     build_parametric_model,
+    closed_form_chain_metrics,
     closed_form_mission_metrics,
     instantiate,
     instantiate_chain,
@@ -11,7 +12,7 @@ from hybridplan.chains import (
     validate_assignment,
 )
 from hybridplan.planner import build_plan, plan_mission
-from hybridplan.pmc import factored_mission_metrics, reach_probability
+from hybridplan.pmc import expected_reward, factored_mission_metrics, reach_probability
 from hybridplan.spec import build_problem_spec
 from hybridplan.world import Do, Move
 
@@ -174,3 +175,27 @@ class TestEngineAgreement:
         exact = factored_mission_metrics(instantiate(vineyard_model, assignment))
         assert abs(mc["success_prob"] - exact.success_prob) <= 4 * mc["success_se"]
         assert abs(mc["expected_cost"] - exact.expected_cost) <= 4 * mc["cost_se"]
+
+    def test_large_chain_solves_directly(self, monkeypatch):
+        # 60,000 attempt states: the sparse direct solve is exact at any size
+        import hybridplan.pmc as pmc
+
+        doc = single_task_doc(p=5e-5, retries=60_000)
+        doc["constraints"]["min_assignment_probability"] = 5e-5
+        spec = build_problem_spec(doc)
+        model = build_parametric_model(spec, plan_mission(spec))
+        assignment = all_max_assignment(model)
+        (chain,) = model.chains
+        dtmc = instantiate_chain(chain, assignment)
+        sizes = []
+        solve = pmc._solve_linear
+
+        def record(unknowns, rows, rhs):
+            sizes.append(len(unknowns))
+            return solve(unknowns, rows, rhs)
+
+        monkeypatch.setattr(pmc, "_solve_linear", record)
+        succ, cost = closed_form_chain_metrics(chain, assignment)
+        assert reach_probability(dtmc, "success") == pytest.approx(succ, rel=0, abs=1e-12)
+        assert expected_reward(dtmc, "cost", "done") == pytest.approx(cost, rel=1e-12)
+        assert min(sizes) > 50_000 and 0.9 < succ < 0.99

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -6,7 +7,6 @@ import pytest
 import hybridplan.cli
 from hybridplan.adaptation import run_scenario
 from hybridplan.cli import main
-from hybridplan.errors import ConvergenceError
 from hybridplan.fixtures import fixture_text, load_fixture
 from hybridplan.planner import PlanViolation
 
@@ -206,13 +206,38 @@ class TestErrors:
         assert not (tmp_path / "plan.json").exists()
 
     def test_non_convergence_is_an_internal_fault(self, capsys, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise ConvergenceError("injected")
+        # value iteration is the one iterative solver; one sweep cannot converge
+        import hybridplan.pmc
 
-        monkeypatch.setattr(hybridplan.cli, "factored_mission_metrics", stalled)
-        code, _, err = run(capsys, "verify", "--spec", "m2")
+        monkeypatch.setattr(hybridplan.pmc, "MAX_SWEEPS", 1)
+        code, _, err = run(capsys, "baseline", "--spec", "m1_mini")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "ConvergenceError"
+
+
+# every option of every subcommand: adding or removing a knob changes this table
+KNOBS = {
+    "validate": ["--spec"],
+    "plan": ["--spec", "--out", "--strategy", "--timeout", "--pddl"],
+    "synthesize": ["--spec", "--out", "--strategy", "--timeout", "--seed", "--pop", "--evals"],
+    "verify": ["--spec", "--strategy", "--timeout", "--retries"],
+    "simulate": ["--spec", "--out", "--strategy", "--timeout", "--scenario", "--seed"],
+    "baseline": ["--spec", "--state-budget", "--bound", "--tol", "--enumerate", "--limit"],
+    "export-pddl": ["--spec", "--out"],
+    "export-prism": ["--spec", "--out", "--strategy", "--timeout", "--retries", "--max-retries"],
+    "bench": ["--out", "--tasks", "--agents", "--reps", "--seed", "--pop", "--evals", "--strategy", "--timeout"],
+}
+
+
+def test_knob_inventory():
+    parser = hybridplan.cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    knobs = {
+        name: [s for action in p._actions for s in action.option_strings if s not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    assert knobs == KNOBS
+    assert sum(map(len, KNOBS.values())) == 46
 
 
 class TestDeterminism:

@@ -63,7 +63,7 @@ def loop_max_reach_prob(mdp: Mdp, label: str, tol: float = 1e-10) -> float:
                     dist[s] = 1 + min(reachable)
                     changed = True
                     break
-    return reach_probability(induced_chain(mdp, policy), label, tol)
+    return reach_probability(induced_chain(mdp, policy), label)
 
 
 def loop_min_bounded_reward(mdp: Mdp, bound: int) -> float:

@@ -6,7 +6,6 @@ from hybridplan.errors import ConvergenceError, InfiniteRewardError, ModelError,
 from hybridplan.pmc import (
     Dtmc,
     Mdp,
-    _solve_linear,
     compose_product,
     expected_reward,
     factored_mission_metrics,
@@ -118,45 +117,6 @@ class TestExpectedReward:
 
 
 class TestSolvers:
-    def test_gauss_seidel_matches_direct(self):
-        # same system solved by the dense and iterative paths
-        rng = np.random.default_rng(5)
-        n = 40
-        rows = []
-        rhs = np.zeros(n)
-        for i in range(n):
-            stay = rng.uniform(0.1, 0.6)
-            rows.append([(j, stay / 2) for j in ((i + 1) % n, (i + 3) % n)])
-            rhs[i] = rng.uniform(0.0, 0.4)
-        dense = _solve_linear(list(range(n)), rows, rhs.copy(), 1e-12)
-        # force the iterative path by calling with a large fake size guard
-        import hybridplan.pmc as pmc
-
-        old_dense, old_direct = pmc.DENSE_LIMIT, pmc.DIRECT_LIMIT
-        pmc.DENSE_LIMIT, pmc.DIRECT_LIMIT = 0, 0
-        try:
-            iterative = _solve_linear(list(range(n)), rows, rhs.copy(), 1e-12)
-        finally:
-            pmc.DENSE_LIMIT, pmc.DIRECT_LIMIT = old_dense, old_direct
-        assert np.allclose(dense, iterative, atol=1e-9)
-
-    def test_iterative_monotone_convergence(self):
-        # Gauss-Seidel iterates from zero never decrease for these systems
-        from hybridplan.pmc import _gauss_seidel
-
-        rng = np.random.default_rng(3)
-        n = 25
-        rows = []
-        rhs = np.zeros(n)
-        for i in range(n):
-            rows.append([((i + 1) % n, 0.45), ((i + 7) % n, 0.3)])
-            rhs[i] = rng.uniform(0.0, 0.25)
-        sweeps = []
-        _gauss_seidel(rows, rhs, 1e-12, on_sweep=sweeps.append)
-        assert len(sweeps) > 3
-        for a, b in zip(sweeps, sweeps[1:]):
-            assert np.all(b >= a - 1e-15)
-
     def test_duplicate_free_product_states(self, vineyard_model):
         comps = instantiate(vineyard_model, all_min_assignment(vineyard_model))
         prod = compose_product(comps)
@@ -307,15 +267,6 @@ class TestConvergenceCap:
         with pytest.raises(ConvergenceError):
             mdp_max_reach_prob(mdp, "success")
 
-    def test_gauss_seidel_raises(self, monkeypatch):
-        import hybridplan.pmc as pmc
-
-        rows = [[(0, 0.9)]]
-        assert pmc._gauss_seidel(rows, np.array([0.1]), 1e-10)[0] == pytest.approx(1.0, abs=1e-9)
-        monkeypatch.setattr(pmc, "MAX_SWEEPS", 5)
-        with pytest.raises(ConvergenceError):
-            pmc._gauss_seidel(rows, np.array([0.1]), 1e-10)
-
 
 def test_dense_and_sparse_solves_agree_on_induced_chains(monkeypatch, m1, m1_mini):
     import hybridplan.pmc as pmc
@@ -324,19 +275,19 @@ def test_dense_and_sparse_solves_agree_on_induced_chains(monkeypatch, m1, m1_min
     systems = []
     solve = pmc._solve_linear
 
-    def record(unknowns, rows, rhs, tol):
-        systems.append((unknowns, rows, rhs.copy(), tol))
-        return solve(unknowns, rows, rhs, tol)
+    def record(unknowns, rows, rhs):
+        systems.append((unknowns, rows, rhs.copy()))
+        return solve(unknowns, rows, rhs)
 
     monkeypatch.setattr(pmc, "_solve_linear", record)
     for spec in (m1_mini, m1):
         mdp_max_reach_prob(build_full_mdp(spec), "success")
     monkeypatch.setattr(pmc, "_solve_linear", solve)
-    sizes = [len(u) for u, _, _, _ in systems]
+    sizes = [len(u) for u, _, _ in systems]
     assert min(sizes) <= pmc.DENSE_LIMIT < max(sizes)
-    for unknowns, rows, rhs, tol in systems:
+    for unknowns, rows, rhs in systems:
         monkeypatch.setattr(pmc, "DENSE_LIMIT", len(unknowns))
-        dense = solve(unknowns, rows, rhs.copy(), tol)
+        dense = solve(unknowns, rows, rhs.copy())
         monkeypatch.setattr(pmc, "DENSE_LIMIT", 0)
-        sparse = solve(unknowns, rows, rhs.copy(), tol)
+        sparse = solve(unknowns, rows, rhs.copy())
         assert np.max(np.abs(dense - sparse)) <= 1e-12

@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from hybridplan.errors import SpecError
-from hybridplan.fixtures import load_fixture
+from hybridplan.fixtures import fixture_text, load_fixture
 from hybridplan.spec import build_problem_spec, parse_problem_spec, serialize, validate
 
 
@@ -87,6 +89,36 @@ class TestParse:
         doc = minimal_doc(paths=[{"start": "l1", "end": "l2", "distance": -2}])
         with pytest.raises(SpecError):
             build_problem_spec(doc)
+
+    @pytest.mark.parametrize(
+        ("edit", "path", "message"),
+        [
+            (lambda d: d.update(initial={"locations": {"w1": "l1"}}), "initial.locations.r1",
+             "no location for agent 'r1'"),
+            (lambda d: d.update(initial={"locations": ["w1", "l1"]}), "initial.locations", "must be a JSON object"),
+            (lambda d: d.update(overrides=[{"agent": "r1", "task": "t3l2", "p_success": "0.5"}]),
+             "overrides[0].p_success", "got '0.5'"),
+            (lambda d: d.update(paths={"start": "l1", "end": "l2", "distance": 1}), "paths", "must be a JSON array"),
+            (lambda d: d["locations"].append("l3"), "locations[2]", "must be a JSON object"),
+            (lambda d: d["agents"][0]["tasks"][0].update(retries=True), "agents[0].tasks[0].retries",
+             "must be an integer"),
+            (lambda d: d["paths"][0].update(distance=True), "paths[0].distance", "must be > 0"),
+            (lambda d: d["constraints"].update(min_assignment_probability=True),
+             "constraints.min_assignment_probability", "got True"),
+            (lambda d: d["locations"][1].update(id=["l2"]), "locations[1].id", "must be a JSON string"),
+            (lambda d: d["agents"][1].update(id=7), "agents[1].id", "must be a JSON string"),
+            (lambda d: d.update(initial={"locations": {"w1": ["l1"], "r1": "l1"}}), "initial.locations.w1",
+             "unknown location ['l1']"),
+            (lambda d: d.update(initial={"pending": [["t3l2"]]}), "initial.pending", "unknown task ['t3l2']"),
+        ],
+    )
+    def test_malformed_fields_are_spec_errors(self, edit, path, message):
+        # every case once crashed with a traceback or was accepted
+        doc = json.loads(fixture_text("m1_mini"))
+        edit(doc)
+        with pytest.raises(SpecError) as err:
+            build_problem_spec(doc)
+        assert any(v.path == path and message in v.message for v in err.value.violations)
 
 
 class TestAccessors:
