@@ -54,7 +54,7 @@ from .chains import (
 from .errors import NoPlanExists, ScenarioError, UnrecoverableMission
 from .planner import Plan, PlannerConfig, dispatch_slot, plan_mission
 from .spec import ProblemSpec
-from .synthesis import ArchiveEntry, GaConfig, ParetoArchive, evaluate, synthesize
+from .synthesis import ArchiveEntry, GaConfig, ParetoArchive, _entry_sort_key, evaluate, extend_archive, synthesize
 from .world import Do, WorldState, action_to_json, initial_state
 
 # Adaptation no longer calls these four, but they stay adaptation attributes:
@@ -234,8 +234,6 @@ def remaining_success(
     the suffix model, when the caller has already built it."""
     if model is None:
         model = build_suffix_model(ctx)
-    if not model.chains:
-        return 1.0
     assignment = _remaining_assignment(ctx, model, entry)
     if assignment is None:
         return 0.0
@@ -295,10 +293,7 @@ def select_new_plan(entries: list[ArchiveEntry]) -> ArchiveEntry:
     then lexicographically smallest genotype."""
     if not entries:
         raise ValueError("cannot select from an empty plan set")
-    return sorted(
-        entries,
-        key=lambda e: (e.objectives.expected_cost, -e.objectives.success_prob, e.genotype),
-    )[0]
+    return min(entries, key=_entry_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -620,35 +615,67 @@ def simulate(
 # scenario files
 
 
+SCENARIO_KEYS = ("seed", "changes", "ga", "planner", "seed_entries", "deploy", "max_steps")
+
+
+def _object(raw, what: str, keys) -> dict:
+    """``raw`` once it is a JSON object naming only ``keys``."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ScenarioError(f"{what} names unknown keys {unknown}")
+    return raw
+
+
+def _count(raw: dict, key: str, default: int) -> int:
+    """``raw[key]`` (``default`` when absent) once it is a JSON integer >= 0."""
+    value = raw.get(key, default)
+    if type(value) is not int or value < 0:
+        raise ScenarioError(f"{key} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     """Full pipeline + simulation for a JSON scenario document.
 
     Schema: {"seed": int, "changes": [{time, type, ...}], "ga": {...}?,
     "planner": {...}?, "seed_entries": [{task: budget, ...}]?,
     "deploy": {"retries": {...}} | {"rule": "min_cost_feasible",
-    "require_budget": {task: budget}?}}.
+    "require_budget": {task: budget}?}, "max_steps": int?}.
 
     seed_entries are extra budget vectors verified and folded into the
     archive before deployment, so a scenario can pin the deployed vector.
+    Unknown keys, values of the wrong JSON type and changes naming agents
+    or tasks the mission does not have are a ScenarioError before planning;
+    budgets, which need the model's slots, are checked once it is built.
     """
-    from .synthesis import extend_archive
-
-    changes = [Change.from_json(c) for c in scenario.get("changes", [])]
-    ga_raw = scenario.get("ga", {})
-    ga = GaConfig(
-        population=ga_raw.get("population", 30),
-        evaluations=ga_raw.get("evaluations", 150),
-        seed=scenario.get("seed", 0),
-    )
-    planner_raw = scenario.get("planner", {})
-    planner_cfg = PlannerConfig(
-        strategy=planner_raw.get("strategy", "astar"),
-        timeout=planner_raw.get("timeout", 120.0),
-    )
+    _object(scenario, "a scenario", SCENARIO_KEYS)
+    seed = _count(scenario, "seed", 0)
+    max_steps = _count(scenario, "max_steps", 10_000)
+    records, seed_entries = scenario.get("changes", []), scenario.get("seed_entries", [])
+    if not isinstance(records, list) or not isinstance(seed_entries, list):
+        raise ScenarioError("a scenario's changes and seed_entries must be JSON arrays")
+    changes = [Change.from_json(c) for c in records]
+    # tuples, not sets: a name read from JSON may be unhashable
+    tasks, agents = tuple(t.id for t in spec.tasks), tuple(a.id for a in spec.agents)
+    for c in changes:
+        if c.task is not None and c.task not in tasks:
+            raise ScenarioError(f"{c.kind} change at {c.time} names unknown task {c.task!r}")
+        if c.agent is not None and c.agent not in agents:
+            raise ScenarioError(f"{c.kind} change at {c.time} names unknown agent {c.agent!r}")
+    ga_raw = _object(scenario.get("ga", {}), "ga", ("population", "evaluations"))
+    planner_raw = _object(scenario.get("planner", {}), "planner", ("strategy", "timeout"))
+    try:
+        ga = GaConfig(population=ga_raw.get("population", 30), evaluations=ga_raw.get("evaluations", 150), seed=seed)
+        planner_cfg = PlannerConfig(
+            strategy=planner_raw.get("strategy", "astar"), timeout=planner_raw.get("timeout", 120.0)
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"scenario ga or planner: {exc}") from None
     plan = plan_mission(spec, planner_cfg)
     model = build_parametric_model(spec, plan)
     archive = synthesize(model, ga)
-    seed_entries = scenario.get("seed_entries", [])
     if seed_entries:
         assignments = [
             {**all_min_assignment(model), **checked_budgets(model, raw, ScenarioError, "seed entry")}
@@ -663,8 +690,8 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
         archive,
         deploy,
         changes,
-        seed=scenario.get("seed", 0),
-        max_steps=scenario.get("max_steps", 10_000),
+        seed=seed,
+        max_steps=max_steps,
         ga=ga,
         planner_cfg=planner_cfg,
     )
@@ -675,6 +702,7 @@ def _pick_deploy(model: ParametricPlanModel, archive: ParetoArchive, raw) -> Arc
         raise UnrecoverableMission("no feasible budget vector to deploy")
     if not raw:
         return select_new_plan(archive.entries)
+    _object(raw, "deploy", ("retries", "rule", "require_budget"))
     if "retries" in raw:
         wanted = checked_budgets(model, raw["retries"], ScenarioError, "deploy.retries")
         for e in archive.entries:
@@ -688,7 +716,7 @@ def _pick_deploy(model: ParametricPlanModel, archive: ParetoArchive, raw) -> Arc
     candidates = [
         e
         for e in archive.entries
-        if all(e.retries.get(t, 1) == b for t, b in required.items())
+        if all(_entry_budget(e, t) == b for t, b in required.items())
     ]
     if not candidates:
         raise ScenarioError(f"no archive entry matches required budgets {required}")

@@ -19,6 +19,7 @@ minimum time per stage; the passes must agree on travel cost and expansions.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import random
@@ -139,11 +140,17 @@ def _timed(fn):
     """``fn()`` and its CPU time at the reference speed.  The yardstick runs
     twice right before and twice right after; the faster run of each pair
     gauges the host's speed, and the time is scaled by ``YARDSTICK_S`` over
-    their mean."""
+    their mean.  The cyclic garbage collector is paused during ``fn()``, as
+    ``timeit`` does: a collection of the whole heap can cost more than a
+    small stage and would land on whichever stage happens to trigger it."""
     before = min(_yardstick(), _yardstick())
-    t0 = time.process_time()
-    out = fn()
-    spent = time.process_time() - t0
+    gc.disable()
+    try:
+        t0 = time.process_time()
+        out = fn()
+        spent = time.process_time() - t0
+    finally:
+        gc.enable()
     after = min(_yardstick(), _yardstick())
     return out, spent * 2 * YARDSTICK_S / (before + after)
 

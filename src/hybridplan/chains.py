@@ -17,12 +17,16 @@ A chain is a DAG with two absorbing sinks, so one forward pass over its steps
 evaluator synthesis and adaptation use.  The explicit DTMCs (`instantiate`)
 feed the model-checking engine, which serves as an oracle and behind
 `hybridplan verify`.
+
+A `ParametricPlanModel` is immutable.  Its table of retry slots (the budget
+space: chain order, then step order) is built once, when the model is
+constructed; every genotype, bound and enumeration reads that one table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -70,29 +74,31 @@ class AgentChain:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParametricPlanModel:
-    """Plan augmented with uncertainty; budgets are the free parameters."""
+    """Plan augmented with uncertainty; budgets are the free parameters.
 
-    chains: list[AgentChain]
+    Immutable: ``chains`` is held as a tuple, and the retry slots are built
+    once at construction."""
+
+    chains: tuple[AgentChain, ...]
     p_succ_threshold: float
     gamma: float
     plan_hash: str
+    _slots: tuple[RetrySlot, ...] = field(init=False, repr=False, compare=False)
 
-    def retry_slots(self) -> list[RetrySlot]:
-        out = []
-        for chain in self.chains:
-            out.extend(chain.retry_slots)
-        return out
+    def __post_init__(self):
+        object.__setattr__(self, "chains", tuple(self.chains))
+        object.__setattr__(self, "_slots", tuple(s for chain in self.chains for s in chain.retry_slots))
 
-    def bounds(self) -> list[tuple[int, int]]:
-        return [(s.lo, s.hi) for s in self.retry_slots()]
+    def retry_slots(self) -> tuple[RetrySlot, ...]:
+        return self._slots
+
+    def bounds(self) -> tuple[tuple[int, int], ...]:
+        return tuple((s.lo, s.hi) for s in self._slots)
 
     def space_size(self) -> int:
-        n = 1
-        for lo, hi in self.bounds():
-            n *= hi - lo + 1
-        return n
+        return math.prod(s.hi - s.lo + 1 for s in self._slots)
 
 
 RetryAssignment = dict[str, int]   # task instance id -> attempt budget
@@ -138,24 +144,19 @@ def build_parametric_model(spec: ProblemSpec, plan: Plan) -> ParametricPlanModel
 
 
 def validate_assignment(model: ParametricPlanModel, assignment: RetryAssignment):
-    slots = model.retry_slots()
-    slot_tasks = {s.task for s in slots}
-    for task, budget in assignment.items():
-        if task not in slot_tasks:
-            raise ValueError(f"assignment names unknown retry slot '{task}'")
-    for s in slots:
-        budget = assignment.get(s.task)
-        if budget is None:
+    """``assignment`` budgets every retry slot of ``model`` by the rule of
+    ``checked_budgets``; ValueError otherwise."""
+    checked_budgets(model, assignment, ValueError, "assignment")
+    for s in model.retry_slots():
+        if s.task not in assignment:
             raise ValueError(f"assignment missing budget for '{s.task}'")
-        if not (s.lo <= budget <= s.hi):
-            raise ValueError(f"budget {budget} for '{s.task}' outside [{s.lo},{s.hi}]")
 
 
 def checked_budgets(model: ParametricPlanModel, budgets, error: type, what: str) -> RetryAssignment:
-    """``budgets`` from user input, once it is a dictionary naming retryable
-    tasks of ``model``, each with a JSON integer (not a float, not a boolean)
-    within its slot's bounds; ``error(message)`` is raised otherwise.
-    ``what`` names the input in that message."""
+    """``budgets`` once it is a dictionary naming retryable tasks of
+    ``model``, each with a JSON integer (not a float, not a boolean) within
+    its slot's bounds; ``error(message)`` is raised otherwise.  ``what``
+    names the input in that message."""
     if not isinstance(budgets, dict):
         raise error(f"{what} must be a JSON dictionary")
     slots = {slot.task: slot for slot in model.retry_slots()}
@@ -212,33 +213,23 @@ def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> "pmc.Dt
         if step.kind == "move":
             trans[sid] = [(nxt(i), 1.0)]
             rewards[sid] = [step.cost]
-        elif step.retry_cap == 0:
+        elif step.retry_cap > 0 and x == assignment[step.task]:
+            trans[sid] = [(fail, 1.0)]
+            rewards[sid] = [0.0]
+        else:
+            # a failed single try ends in the sink, a failed counted retry
+            # moves to the next counter
+            miss = index[(i, x + 1)] if step.retry_cap > 0 else fail
             p = step.p_success
             if p >= 1.0:
                 trans[sid] = [(nxt(i), 1.0)]
                 rewards[sid] = [step.cost]
             elif p <= 0.0:
-                trans[sid] = [(fail, 1.0)]
+                trans[sid] = [(miss, 1.0)]
                 rewards[sid] = [step.cost]
             else:
-                trans[sid] = [(nxt(i), p), (fail, 1.0 - p)]
+                trans[sid] = [(nxt(i), p), (miss, 1.0 - p)]
                 rewards[sid] = [step.cost, step.cost]
-        else:
-            budget = assignment[step.task]
-            if x < budget:
-                p = step.p_success
-                if p >= 1.0:
-                    trans[sid] = [(nxt(i), 1.0)]
-                    rewards[sid] = [step.cost]
-                elif p <= 0.0:
-                    trans[sid] = [(index[(i, x + 1)], 1.0)]
-                    rewards[sid] = [step.cost]
-                else:
-                    trans[sid] = [(nxt(i), p), (index[(i, x + 1)], 1.0 - p)]
-                    rewards[sid] = [step.cost, step.cost]
-            else:
-                trans[sid] = [(fail, 1.0)]
-                rewards[sid] = [0.0]
 
     for sink in (success, fail):
         trans[sink] = [(sink, 1.0)]

@@ -171,6 +171,8 @@ def cmd_simulate(args):
     spec = _read_spec(args)
     out = _out_dir(args)
     scenario = json.loads(Path(args.scenario).read_text())
+    if not isinstance(scenario, dict):
+        raise ScenarioError(f"a scenario must be a JSON object, got {scenario!r}")
     if args.seed is None:
         args.seed = scenario.get("seed", 0)   # recorded in the manifest
     scenario["seed"] = args.seed

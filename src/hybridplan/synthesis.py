@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -63,10 +64,10 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.evaluations < self.population:
-            raise ValueError("evaluations must be >= population")
+        if type(self.population) is not int or self.population < 2:
+            raise ValueError(f"population must be an integer >= 2, got {self.population!r}")
+        if type(self.evaluations) is not int or self.evaluations < self.population:
+            raise ValueError(f"evaluations must be an integer >= population, got {self.evaluations!r}")
 
 
 @dataclass
@@ -177,20 +178,6 @@ def _genotype_to_assignment(model: ParametricPlanModel, genotype: Sequence[int])
     return {slot.task: g for slot, g in zip(model.retry_slots(), genotype)}
 
 
-def _space_iter(bounds):
-    def rec(i, prefix):
-        if i == len(bounds):
-            yield tuple(prefix)
-            return
-        lo, hi = bounds[i]
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            yield from rec(i + 1, prefix)
-            prefix.pop()
-
-    yield from rec(0, [])
-
-
 class _Evaluator:
     """Caching evaluation wrapper; also logs every evaluation for auditing."""
 
@@ -214,6 +201,13 @@ class _Evaluator:
     @property
     def count(self):
         return len(self.cache)
+
+    def archive(self, seed: int, config: dict, exhaustive: bool) -> ParetoArchive:
+        """The run's archive: the feasible nondominated evaluations of the log."""
+        entries = [ArchiveEntry(g, _genotype_to_assignment(self.model, g), o) for g, o in self.log if o.feasible]
+        return ParetoArchive(
+            self.model.plan_hash, _nondominated(entries), seed, config, self.count, exhaustive, list(self.log)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +262,11 @@ def _crowding(objs: list[Objectives], front: list[int]) -> dict[int, float]:
 
 def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> ParetoArchive:
     """Search the budget space; returns the archive of feasible nondominated
-    evaluations.  Small spaces are enumerated exhaustively (see module doc).
-    An empty archive is a reported outcome, not an error: it means no
-    feasible budget vector was found."""
+    evaluations.  Small spaces are enumerated exhaustively (see module doc);
+    a model without retry slots has a space of one vector, so that route
+    rejects it.  An empty archive is a reported outcome, not an error: it
+    means no feasible budget vector was found."""
     cfg = cfg or GaConfig()
-    slots = model.retry_slots()
-    if not slots:
-        raise ValueError("model has no retry slots to synthesise over")
     bounds = model.bounds()
     space = model.space_size()
     if space <= min(cfg.evaluations, EXHAUSTIVE_LIMIT):
@@ -285,7 +277,7 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
 
     rng = random.Random(cfg.seed)
     ev = _Evaluator(model)
-    mut_rate = 1.0 / len(slots)
+    mut_rate = 1.0 / len(bounds)
 
     def random_genotype():
         return tuple(rng.randint(lo, hi) for lo, hi in bounds)
@@ -354,45 +346,20 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
         if stalled >= 50:
             break
 
-    entries = [
-        ArchiveEntry(g, _genotype_to_assignment(model, g), obj)
-        for g, obj in ev.log
-        if obj.feasible
-    ]
-    return ParetoArchive(
-        plan_hash=model.plan_hash,
-        entries=_nondominated(entries),
-        seed=cfg.seed,
-        config=_config_echo(cfg),
-        evaluated=ev.count,
-        exhaustive=False,
-        audit_log=list(ev.log),
-    )
+    return ev.archive(cfg.seed, _config_echo(cfg), exhaustive=False)
 
 
 def exhaustive_synthesize(model: ParametricPlanModel, limit: int = EXHAUSTIVE_LIMIT) -> ParetoArchive:
     """Enumerate the whole budget space; exact Pareto set and front."""
-    slots = model.retry_slots()
-    if not slots:
+    if not model.retry_slots():
         raise ValueError("model has no retry slots to synthesise over")
     space = model.space_size()
     if space > limit:
         raise LimitExceeded(f"genotype space {space} exceeds limit {limit}")
     ev = _Evaluator(model)
-    entries = []
-    for genotype in _space_iter(model.bounds()):
-        obj = ev(genotype)
-        if obj.feasible:
-            entries.append(ArchiveEntry(genotype, _genotype_to_assignment(model, genotype), obj))
-    return ParetoArchive(
-        plan_hash=model.plan_hash,
-        entries=_nondominated(entries),
-        seed=0,
-        config={"exhaustive": True, "limit": limit},
-        evaluated=ev.count,
-        exhaustive=True,
-        audit_log=list(ev.log),
-    )
+    for genotype in itertools.product(*(range(lo, hi + 1) for lo, hi in model.bounds())):
+        ev(genotype)
+    return ev.archive(0, {"exhaustive": True, "limit": limit}, exhaustive=True)
 
 
 def _config_echo(cfg: GaConfig) -> dict:

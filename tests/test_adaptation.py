@@ -649,16 +649,30 @@ class TestScenarioDeploy:
             (3, "p", "0.89", "p must be a number"),
             (0, "task", None, "C1 requires a task"),
             (0, "type", "C9", "unknown change kind 'C9'"),
+            (0, "task", "ghost", "C1 change at 1 names unknown task 'ghost'"),
+            (3, "task", "ghost", "C4 change at 11 names unknown task 'ghost'"),
+            (3, "agent", "zz", "C4 change at 11 names unknown agent 'zz'"),
+            (None, "seed", "3", "seed must be an integer >= 0, got '3'"),
+            (None, "max_steps", "5", "max_steps must be an integer >= 0, got '5'"),
+            (None, "ga", {"population": "30"}, "population must be an integer >= 2, got '30'"),
+            (None, "ga", {"evaluations": 40.5}, "evaluations must be an integer >= population, got 40.5"),
+            (None, "planner", {"timeout": "5"}, "timeout must be a number > 0, got '5'"),
+            (None, "sead", 3, r"a scenario names unknown keys \['sead'\]"),
+            (None, "changes", 5, "changes and seed_entries must be JSON arrays"),
+            (None, "seed_entries", 5, "changes and seed_entries must be JSON arrays"),
         ],
     )
-    def test_change_records_are_not_coerced(self, vineyard, index, key, value, message):
-        # the bundled scenario's changes are C1, C1, C2, C4, C3
+    def test_change_records_are_not_coerced(self, vineyard, monkeypatch, index, key, value, message):
+        # the bundled scenario's changes are C1, C1, C2, C4, C3; index None
+        # edits the scenario's own settings.  Every case fails before planning.
         import json
 
+        import hybridplan.adaptation as adaptation
         from hybridplan.fixtures import fixture_text
 
         scenario = json.loads(fixture_text("scenario_adaptation"))
-        record = scenario["changes"][index]
+        record = scenario if index is None else scenario["changes"][index]
+        monkeypatch.setattr(adaptation, "plan_mission", lambda *a: pytest.fail("planned a bad scenario"))
         if value is None:
             del record[key]
         else:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hybridplan.chains import (
@@ -74,6 +76,12 @@ class TestModelShape:
         assert slots["t1l4"] == (1, 5)
         assert slots["t2l8b"] == (1, 10)
 
+    def test_model_is_immutable(self, vineyard_model):
+        assert isinstance(vineyard_model.chains, tuple)
+        assert vineyard_model.retry_slots() is vineyard_model.retry_slots()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vineyard_model.chains = ()
+
     def test_every_action_in_exactly_one_chain(self, vineyard_model, vineyard_plan):
         total = sum(c.n_act for c in vineyard_model.chains)
         assert total == len(vineyard_plan.total_order)
@@ -86,7 +94,7 @@ class TestModelShape:
     def test_move_only_plan_is_certain(self, vineyard):
         plan = build_plan(vineyard, [Move("w1", "l1", "l4"), Move("w1", "l4", "l5")])
         model = build_parametric_model(vineyard, plan)
-        assert model.retry_slots() == []
+        assert model.retry_slots() == ()
         metrics = factored_mission_metrics(instantiate(model, {}))
         assert metrics.success_prob == 1.0
         assert metrics.expected_cost == 2.0
@@ -115,7 +123,7 @@ class TestBudgetSemantics:
         spec = build_problem_spec(single_task_doc(p=0.8, retries=0))
         plan = plan_mission(spec)
         model = build_parametric_model(spec, plan)
-        assert model.retry_slots() == []
+        assert model.retry_slots() == ()
         metrics = factored_mission_metrics(instantiate(model, {}))
         assert metrics.success_prob == pytest.approx(0.8, abs=1e-12)
 
@@ -126,6 +134,12 @@ class TestBudgetSemantics:
             validate_assignment(single_task_model, {"tg1": 0})
         with pytest.raises(ValueError):
             validate_assignment(single_task_model, {"tg1": 1, "ghost": 1})
+        with pytest.raises(ValueError, match="missing budget for 'tg1'"):
+            validate_assignment(single_task_model, {})
+        with pytest.raises(ValueError, match="must be an integer"):
+            validate_assignment(single_task_model, {"tg1": True})
+        with pytest.raises(ValueError, match="must be an integer"):
+            validate_assignment(single_task_model, {"tg1": 2.0})
 
 
 class TestEngineAgreement:

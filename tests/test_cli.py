@@ -197,6 +197,16 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "SpecError"
 
+    @pytest.mark.parametrize("scenario", ["[]", '{"seed": "3"}', '{"sead": 3}', '{"ga": {"population": "30"}}'])
+    def test_simulate_bad_scenario(self, capsys, tmp_path, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario)
+        code, _, err = run(
+            capsys, "simulate", "--spec", "vineyard", "--out", str(tmp_path), "--scenario", str(path)
+        )
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "ScenarioError"
+
     def test_invalid_plan_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
         violation = PlanViolation("C3", 0, "injected")
         monkeypatch.setattr(hybridplan.cli, "validate_plan", lambda spec, plan: [violation])
