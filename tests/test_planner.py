@@ -208,6 +208,25 @@ class TestViolations:
         plan = build_plan(vineyard, bad)
         assert any(v.constraint == "C4" for v in validate_plan(vineyard, plan))
 
+    @pytest.mark.parametrize(
+        ("trace", "expected"),
+        [
+            ([Move("w2", "l1", "l9")], ("C1", 0, "no path l1->l9")),
+            ([Move("w2", "l4", "l5")], ("C2", 0, "w2 is not at l4")),
+            ([Move("w2", "l1", "l4"), Move("w1", "l1", "l4")], ("C3", 1, "l4 is occupied")),
+            ([Do("w2", "t1l4", "l4")], ("C2", 0, "w2 cannot do t1l4 at l4")),
+            ([Move("w2", "l1", "l4"), Do("w2", "t1l4", "l1")], ("C2", 1, "w2 cannot do t1l4 at l1")),
+            ([Move("r1", "l1", "l4"), Do("r1", "t1l4", "l4")], ("C4", 1, "r1 below allocation threshold for t1l4")),
+            (
+                [Move("w2", "l1", "l4"), Do("w2", "t1l4", "l4"), Do("w2", "t1l4", "l4")],
+                ("C5", 2, "t1l4 done twice"),
+            ),
+        ],
+    )
+    def test_first_violation_names_constraint_and_cause(self, vineyard, trace, expected):
+        first = validate_plan(vineyard, build_plan(vineyard, trace))[0]
+        assert (first.constraint, first.index, first.message) == expected
+
 
 class TestTimedSchedule:
     def test_lanes_cover_all_actions(self, vineyard, vineyard_plan):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from hybridplan.bench import GRID, random_instance
 from hybridplan.planner import HEURISTICS, PlannerConfig, _Compact, _Heuristic, plan_mission, validate_plan
-from hybridplan.world import Do, apply_action, enabled_actions, initial_state, is_goal
+from hybridplan.world import Do, Move, apply_action, enabled_actions, initial_state, is_enabled, is_goal
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -66,6 +66,31 @@ def test_compact_successors_match_world(spec, walk_seed):
             break
         _, key, step = rng.choice(succ)
         g += step
+
+
+@PROPERTY
+@given(missions(), st.data(), st.integers(0, 2**32 - 1))
+def test_is_enabled_agrees_with_enabled_actions(spec, data, walk_seed):
+    # overrides at exactly the allocation threshold (0.5 in random_instance)
+    # put some agent-task pairs on the boundary of C4
+    agents = [a.id for a in spec.agents]
+    tasks = [t.id for t in spec.tasks]
+    spec = spec.with_runtime_state(p_overrides=data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(agents), st.sampled_from(tasks)), st.sampled_from([0.2, 0.5, 0.9]), max_size=4,
+    )))
+    rng = random.Random(walk_seed)
+    state = initial_state(spec)
+    for _ in range(25):
+        enabled = set(enabled_actions(spec, state))
+        candidates = [Do(a, t.id, t.location) for a in agents for t in spec.tasks] + [
+            Move(a, state.location_of(a), dest) for a in agents
+            for dest in sorted(spec.location_ids() - {state.location_of(a)})
+        ]
+        for act in candidates:
+            assert is_enabled(spec, state, act) == (act in enabled), act
+        if not enabled:
+            break
+        state = apply_action(spec, state, rng.choice(sorted(enabled, key=str)))
 
 
 @PROPERTY
