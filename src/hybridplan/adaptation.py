@@ -207,7 +207,6 @@ def build_suffix_model(ctx: ExecutionContext) -> ParametricPlanModel:
     return ParametricPlanModel(
         chains=build_chains(ctx.spec, remaining, ctx.progress.failures),
         p_succ_threshold=ctx.spec.constraints.p_succ,
-        gamma=ctx.spec.constraints.gamma,
         plan_hash=ctx.plan.hash_key() + f"@{ctx.progress.clock}",
     )
 
@@ -269,8 +268,9 @@ def reduce_ps_psucc(ctx: ExecutionContext, new_floor: float) -> list[ArchiveEntr
 def reduce_ps_passign(ctx: ExecutionContext, new_gamma: float) -> list[ArchiveEntry]:
     """Allocation-threshold change: every entry follows the same allocation,
     so one disqualified remaining assignment empties the whole set."""
+    spec_after = ctx.spec.with_runtime_state(gamma=new_gamma)
     if any(
-        ctx.spec.p_success(agent, task) < new_gamma
+        not spec_after.eligible(agent, task)
         for task, agent in ctx.plan.allocation.items()
         if task not in ctx.progress.completed
     ):
@@ -319,7 +319,7 @@ def adapt(ctx: ExecutionContext, change: Change) -> AdaptationOutcome:
         spec_after = ctx.spec.with_runtime_state(p_overrides={(change.agent, change.task): change.value})
         reduced = reduce_ps_ptask(ctx, change.agent, change.task)
         if reduced is None:
-            if change.value <= ctx.spec.constraints.gamma:
+            if not spec_after.eligible(change.agent, change.task):
                 return _full_replan(ctx, spec_after)
             return _resynthesize_suffix(replace(ctx, spec=spec_after))
 

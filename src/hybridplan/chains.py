@@ -83,7 +83,6 @@ class ParametricPlanModel:
 
     chains: tuple[AgentChain, ...]
     p_succ_threshold: float
-    gamma: float
     plan_hash: str
     _slots: tuple[RetrySlot, ...] = field(init=False, repr=False, compare=False)
 
@@ -138,7 +137,6 @@ def build_parametric_model(spec: ProblemSpec, plan: Plan) -> ParametricPlanModel
     return ParametricPlanModel(
         chains=build_chains(spec, plan.per_agent),
         p_succ_threshold=spec.constraints.p_succ,
-        gamma=spec.constraints.gamma,
         plan_hash=plan.hash_key(),
     )
 

@@ -278,12 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, out=True, planner=True):
         p.add_argument("--spec", required=True, help=f"mission JSON path or bundled fixture {FIXTURES}")
         if out:
             p.add_argument("--out", default="out", help="artifact directory")
-        p.add_argument("--strategy", choices=("astar", "gbfs"), default="astar")
-        p.add_argument("--timeout", type=float, default=120.0)
+        if planner:
+            p.add_argument("--strategy", choices=("astar", "gbfs"), default="astar")
+            p.add_argument("--timeout", type=float, default=120.0)
 
     p = sub.add_parser("validate", help="check a mission specification")
     p.add_argument("--spec", required=True)
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="execute a plan against a scripted scenario")
-    common(p)
+    common(p, planner=False)   # the scenario's "planner" object configures every search
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("--seed", type=int, default=None, help="default: the scenario file's seed")
     p.set_defaults(func=cmd_simulate)

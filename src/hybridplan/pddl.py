@@ -13,6 +13,7 @@ planners cross-check the built-in search.
 from __future__ import annotations
 
 from .spec import ProblemSpec
+from .world import initial_state
 
 
 def _fmt(x: float) -> str:
@@ -81,13 +82,13 @@ def export_pddl_problem(spec: ProblemSpec, name: str = "mission-1", domain: str 
             seen.add((a, b))
             init.append(f"(path {a} {b})")
             init.append(f"(= (distance {a} {b}) {_fmt(p.distance)})")
-    occupied = set(spec.initial_locations.values())
+    start = initial_state(spec)
     for l in spec.locations:
-        if l.id not in occupied:
+        if l.id in start.empty:
             init.append(f"(empty {l.id})")
     for t in spec.tasks:
         init.append(f"(task_loc {t.id} {t.location})")
-        if t.id not in spec.pending:
+        if t.id in start.done:
             init.append(f"(task_done {t.id})")
     for aid, loc in spec.initial_locations.items():
         init.append(f"(agent_at {aid} {loc})")

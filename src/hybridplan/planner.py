@@ -63,7 +63,7 @@ from .world import (
     action_to_json,
     apply_action,
     initial_state,
-    is_enabled,
+    violation,
 )
 # The search runs on compact states and no longer calls these two, but they
 # stay planner attributes: benchmark/spans.py wraps them by name.
@@ -171,10 +171,7 @@ class _Compact:
         self.neighbors = [
             [(index[dst], spec.distance(lid, dst)) for dst in spec.neighbors(lid)] for lid in self.loc_ids
         ]
-        gamma = spec.constraints.gamma
-        self.capable = [
-            tuple(i for i, a in enumerate(spec.agents) if spec.p_success(a.id, t.id) >= gamma) for t in spec.tasks
-        ]
+        self.capable = [tuple(i for i, a in enumerate(spec.agents) if spec.eligible(a.id, t.id)) for t in spec.tasks]
         self.pending = sum(1 << i for i, t in enumerate(spec.tasks) if t.id in spec.pending)
         # doable[agent][location]: pending tasks there the agent may execute (C4)
         self.doable = [[0] * len(self.loc_ids) for _ in self.agent_ids]
@@ -532,29 +529,11 @@ def validate_plan(spec: ProblemSpec, plan: Plan) -> list[PlanViolation]:
     out: list[PlanViolation] = []
     state = initial_state(spec)
     for i, act in enumerate(plan.total_order):
-        if isinstance(act, Move):
-            if not spec.has_path(act.origin, act.dest):
-                out.append(PlanViolation("C1", i, f"no path {act.origin}->{act.dest}"))
-                continue
-            if state.location_of(act.agent) != act.origin:
-                out.append(PlanViolation("C2", i, f"{act.agent} is not at {act.origin}"))
-                continue
-            if act.dest not in state.empty:
-                out.append(PlanViolation("C3", i, f"{act.dest} is occupied"))
-                continue
-        elif isinstance(act, Do):
-            if state.location_of(act.agent) != act.location or spec.task_location(act.task) != act.location:
-                out.append(PlanViolation("C2", i, f"{act.agent} cannot do {act.task} at {act.location}"))
-                continue
-            if act.task in state.done:
-                out.append(PlanViolation("C5", i, f"{act.task} done twice"))
-                continue
-            if spec.p_success(act.agent, act.task) < spec.constraints.gamma:
-                out.append(
-                    PlanViolation("C4", i, f"{act.agent} below allocation threshold for {act.task}")
-                )
-                continue
-        state = apply_action(spec, state, act) if is_enabled(spec, state, act) else state
+        broken = violation(spec, state, act)
+        if broken:
+            out.append(PlanViolation(broken[0], i, broken[1]))
+        else:
+            state = apply_action(spec, state, act)
     missing = (spec.pending - state.done)
     if missing:
         out.append(PlanViolation("C5", len(plan.total_order), f"unfinished tasks: {sorted(missing)}"))
@@ -563,7 +542,8 @@ def validate_plan(spec: ProblemSpec, plan: Plan) -> list[PlanViolation]:
     # shared start locations are excluded, matching the seeding semantics
     if plan.timed:
         positions = dict(spec.initial_locations)
-        depot = set(spec.initial_locations.values())
+        starts = list(positions.values())
+        depot = {loc for loc in starts if starts.count(loc) > 1}
         for slot in range(max(len(l) for l in plan.timed.values())):
             for agent, lane in plan.timed.items():
                 if slot < len(lane) and isinstance(lane[slot], Move):

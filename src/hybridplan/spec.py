@@ -182,10 +182,15 @@ class ProblemSpec:
         cap = self._agent_by_id[agent_id].capability_for(self._task_by_id[task_id].group)
         return cap.max_retries if cap is not None else 0
 
+    def eligible(self, agent_id: str, task_id: str) -> bool:
+        """The allocation threshold (C4): the agent may be given the task iff
+        its success probability, after overrides, is at least gamma.  This
+        is the one place the threshold is compared."""
+        return self.p_success(agent_id, task_id) >= self.constraints.gamma
+
     def capable_agents(self, task_id: str) -> list[str]:
         """Agents eligible for a task under the allocation threshold."""
-        gamma = self.constraints.gamma
-        return [a.id for a in self.agents if self.p_success(a.id, task_id) >= gamma]
+        return [a.id for a in self.agents if self.eligible(a.id, task_id)]
 
     # -- derived copies --------------------------------------------------
 

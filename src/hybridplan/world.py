@@ -1,10 +1,13 @@
 """Grounded deterministic planning semantics.
 
 States track agent positions, location emptiness flags, completed tasks and
-accumulated travel cost.  Action enabledness follows the mission constraints:
-moves need a path, the agent at the origin and an empty destination; task
-execution needs co-location, a pending task and agent competency at or above
-the allocation threshold.
+accumulated travel cost.  Each mission rule has one home here:
+``violation`` states the action preconditions (moves need a path, the agent
+at the origin and an empty destination; task execution needs co-location, a
+pending task and an agent eligible under the allocation threshold, which
+``ProblemSpec.eligible`` decides), and ``initial_state`` seeds emptiness and
+completed tasks.  ``is_enabled``, ``enabled_actions``, plan validation and
+the PDDL export all read these two.
 
 Emptiness is seeded exactly like the exported planning problem: every
 location is empty except those hosting an agent.  When several agents share
@@ -73,6 +76,8 @@ class WorldState:
 
 
 def initial_state(spec: ProblemSpec) -> WorldState:
+    """The spec's root: agents at their initial locations, every other
+    location empty, every task outside ``pending`` done."""
     locs = tuple(sorted(spec.initial_locations.items()))
     occupied = {loc for _, loc in locs}
     empty = frozenset(spec.location_ids() - occupied)
@@ -80,42 +85,45 @@ def initial_state(spec: ProblemSpec) -> WorldState:
     return WorldState(locs, empty, done, 0.0)
 
 
-def enabled_actions(spec: ProblemSpec, state: WorldState) -> list[Action]:
-    """All actions applicable in `state`, in canonical order (Do before Move,
-    each sorted by agent then target)."""
-    gamma = spec.constraints.gamma
-    dos: list[Action] = []
-    moves: list[Action] = []
-    for aid, loc in state.agent_locs:
-        for task in spec.tasks:
-            if task.id in state.done or task.id not in spec.pending:
-                continue
-            if task.location == loc and spec.p_success(aid, task.id) >= gamma:
-                dos.append(Do(aid, task.id, loc))
-        for dest in spec.neighbors(loc):
-            if dest in state.empty:
-                moves.append(Move(aid, loc, dest))
-    dos.sort(key=lambda a: (a.agent, a.task))
-    moves.sort(key=lambda a: (a.agent, a.dest))
-    return dos + moves
+def violation(spec: ProblemSpec, state: WorldState, action: Action) -> Optional[tuple[str, str]]:
+    """``(constraint, message)`` for the first mission constraint ``action``
+    breaks in ``state``, or None when it is enabled.
+
+    A move checks C1 (a path joins origin and destination), C2 (the agent
+    stands at the origin) and C3 (the destination is empty); a task checks
+    C2 (agent and task both at the action's location), C5 (the task is still
+    to do: pending and not done) and C4 (``spec.eligible``).  A wait is
+    always enabled.
+    """
+    if isinstance(action, Move):
+        if not spec.has_path(action.origin, action.dest):
+            return "C1", f"no path {action.origin}->{action.dest}"
+        if state.location_of(action.agent) != action.origin:
+            return "C2", f"{action.agent} is not at {action.origin}"
+        if action.dest not in state.empty:
+            return "C3", f"{action.dest} is occupied"
+    elif isinstance(action, Do):
+        if state.location_of(action.agent) != action.location or spec.task_location(action.task) != action.location:
+            return "C2", f"{action.agent} cannot do {action.task} at {action.location}"
+        # a task outside ``pending`` was done before the spec's root
+        if action.task in state.done or action.task not in spec.pending:
+            return "C5", f"{action.task} done twice"
+        if not spec.eligible(action.agent, action.task):
+            return "C4", f"{action.agent} below allocation threshold for {action.task}"
+    return None
 
 
 def is_enabled(spec: ProblemSpec, state: WorldState, action: Action) -> bool:
-    if isinstance(action, Wait):
-        return True
-    if isinstance(action, Move):
-        return (
-            spec.has_path(action.origin, action.dest)
-            and state.location_of(action.agent) == action.origin
-            and action.dest in state.empty
-        )
-    return (
-        state.location_of(action.agent) == action.location
-        and spec.task_location(action.task) == action.location
-        and action.task not in state.done
-        and action.task in spec.pending
-        and spec.p_success(action.agent, action.task) >= spec.constraints.gamma
-    )
+    return violation(spec, state, action) is None
+
+
+def enabled_actions(spec: ProblemSpec, state: WorldState) -> list[Action]:
+    """All actions applicable in `state`, in canonical order (Do before Move,
+    each sorted by agent then target): every task at an agent's location and
+    every move to a neighbour, kept when enabled."""
+    dos = [Do(aid, task.id, loc) for aid, loc in state.agent_locs for task in spec.tasks if task.location == loc]
+    moves = [Move(aid, loc, dest) for aid, loc in state.agent_locs for dest in spec.neighbors(loc)]
+    return [act for act in dos + moves if is_enabled(spec, state, act)]
 
 
 def apply_action(spec: ProblemSpec, state: WorldState, action: Action) -> WorldState:

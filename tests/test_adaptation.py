@@ -300,6 +300,18 @@ class TestReducePtask:
         assert out.level == A3
         assert out.new_plan.allocation["t3l9"] != "w1"
 
+    def test_probability_at_threshold_keeps_allocation(self, field):
+        # p = gamma (0.5) still qualifies, so the suffix is re-synthesised
+        # with w1 on t3l9 instead of replanned
+        ctx = ctx_at(
+            field["spec"], field["plan"], field["model"],
+            [field["deployed"]], field["deployed"], 0,
+        )
+        out = adapt(ctx, Change("C4", ctx.progress.clock, agent="w1", task="t3l9", value=0.5))
+        assert out.level == A2 and out.new_plan is None
+        chain = {c.agent: c for c in out.new_model.chains}["w1"]
+        assert next(s for s in chain.steps if s.task == "t3l9").p_success == 0.5
+
 
 class TestContractChecks:
     def test_change_in_the_past_rejected(self, field):

@@ -53,6 +53,15 @@ class TestSubcommands:
         assert exit_.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--strategy", "--timeout"])
+    def test_simulate_takes_no_planner_flags(self, flag, capsys, scenario_path):
+        # the scenario's "planner" object configures the search; nothing read these
+        value = {"--strategy": "gbfs", "--timeout": "0.000001"}[flag]
+        with pytest.raises(SystemExit) as exit_:
+            main(["simulate", "--spec", "vineyard", "--scenario", str(scenario_path), flag, value])
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_verify_budget_dictionary(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--spec", "vineyard", "--retries", '{"t3l4": 2}'
@@ -231,7 +240,7 @@ KNOBS = {
     "plan": ["--spec", "--out", "--strategy", "--timeout", "--pddl"],
     "synthesize": ["--spec", "--out", "--strategy", "--timeout", "--seed", "--pop", "--evals"],
     "verify": ["--spec", "--strategy", "--timeout", "--retries"],
-    "simulate": ["--spec", "--out", "--strategy", "--timeout", "--scenario", "--seed"],
+    "simulate": ["--spec", "--out", "--scenario", "--seed"],
     "baseline": ["--spec", "--state-budget", "--bound", "--tol", "--enumerate", "--limit"],
     "export-pddl": ["--spec", "--out"],
     "export-prism": ["--spec", "--out", "--strategy", "--timeout", "--retries", "--max-retries"],
@@ -247,7 +256,7 @@ def test_knob_inventory():
         for name, p in sub.choices.items()
     }
     assert knobs == KNOBS
-    assert sum(map(len, KNOBS.values())) == 46
+    assert sum(map(len, KNOBS.values())) == 44
 
 
 class TestDeterminism:

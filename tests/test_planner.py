@@ -227,6 +227,17 @@ class TestViolations:
         first = validate_plan(vineyard, build_plan(vineyard, trace))[0]
         assert (first.constraint, first.index, first.message) == expected
 
+    def test_co_location_exempt_only_at_shared_start(self, vineyard):
+        # r1 and r2 share l1 (the depot quirk); w1 and w2 each start alone
+        spec = vineyard.with_runtime_state(initial_locations={"r1": "l1", "r2": "l1", "w1": "l2", "w2": "l3"},
+                                           pending=[])
+        plan = build_plan(spec, [])
+        plan.timed = {"w1": [Move("w1", "l2", "l1")]}
+        assert validate_plan(spec, plan) == []
+        plan.timed = {"w2": [Move("w2", "l3", "l2")]}
+        found = [(v.constraint, v.index, v.message) for v in validate_plan(spec, plan)]
+        assert found == [("timed", 0, "w2 and w1 co-located at l2")]
+
 
 class TestTimedSchedule:
     def test_lanes_cover_all_actions(self, vineyard, vineyard_plan):

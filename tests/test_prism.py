@@ -36,7 +36,7 @@ class TestModelExport:
         assert "= xmax_" not in text.split('rewards "cost"')[1]
 
     def test_zero_agent_model_rejected(self):
-        empty = ParametricPlanModel([], 0.9, 0.5, "x")
+        empty = ParametricPlanModel([], 0.9, "x")
         with pytest.raises(ValueError, match="degenerate"):
             export_model_source(empty)
         with pytest.raises(ValueError, match="degenerate"):

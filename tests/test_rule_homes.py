@@ -1,0 +1,41 @@
+"""The allocation threshold is compared in one place.
+
+``ProblemSpec.eligible`` is the one comparison against gamma, and every
+other module asks it.  Besides ``spec`` (which parses, copies and writes
+gamma), only the PDDL export reads gamma, to write it into the domain file.
+The scan reads the package sources and imports nothing from them.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+from hybridplan.chains import ParametricPlanModel
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hybridplan"
+READERS = {"spec.py", "pddl.py"}
+
+
+def gamma_reads(path: Path) -> list[int]:
+    """Line numbers of every ``<expr>.gamma`` load in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "gamma" and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_gamma_read_only_in_spec_and_pddl():
+    outside = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in READERS
+        for line in gamma_reads(path)
+    ]
+    assert outside == []
+    assert gamma_reads(SRC / "spec.py")   # the scan sees the reads it allows
+
+
+def test_parametric_model_carries_no_threshold():
+    assert "gamma" not in {f.name for f in dataclasses.fields(ParametricPlanModel)}

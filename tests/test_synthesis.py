@@ -46,7 +46,7 @@ def truncate_model(model, keep, cap):
             else:
                 steps.append(step)
         chains.append(AgentChain(chain.agent, tuple(steps)))
-    return ParametricPlanModel(chains, model.p_succ_threshold, model.gamma, model.plan_hash + f"-trunc{keep}")
+    return ParametricPlanModel(chains, model.p_succ_threshold, model.plan_hash + f"-trunc{keep}")
 
 
 def two_slot_model(p1=0.9, p2=0.92, cost1=2.0, cost2=2.0, cap=3, floor=0.95):
@@ -60,7 +60,7 @@ def two_slot_model(p1=0.9, p2=0.92, cost1=2.0, cost2=2.0, cap=3, floor=0.95):
             ),
         )
     ]
-    return ParametricPlanModel(chains, floor, 0.5, "toy")
+    return ParametricPlanModel(chains, floor, "toy")
 
 
 class TestEvaluate:
