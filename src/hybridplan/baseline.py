@@ -117,12 +117,12 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
     return Mdp(len(terminal), 0, choices, labels)
 
 
-def baseline_queries(mdp: Mdp, bound: int = 20, tol: float = 1e-10) -> dict:
+def baseline_queries(mdp: Mdp, bound: int = 20) -> dict:
     """The two single-objective queries used for baseline comparison."""
     from .pmc import mdp_max_reach_prob, mdp_min_bounded_reward
 
     return {
-        "p_max": mdp_max_reach_prob(mdp, "success", tol),
+        "p_max": mdp_max_reach_prob(mdp, "success"),
         "r_min_bounded": mdp_min_bounded_reward(mdp, bound),
         "bound": bound,
         "states": mdp.n_states,

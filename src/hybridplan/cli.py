@@ -26,19 +26,9 @@ from .chains import (
     checked_budgets,
     instantiate,
 )
-from .errors import (
-    ConvergenceError,
-    InternalError,
-    LimitExceeded,
-    NoPlanExists,
-    PlanTimeout,
-    ScenarioError,
-    SpecError,
-    StateBudgetExceeded,
-    UnrecoverableMission,
-)
+from .errors import ConvergenceError, InternalError, ScenarioError, SpecError, StateBudgetExceeded
 from .pddl import export_pddl_domain, export_pddl_problem
-from .planner import PlannerConfig, plan_metrics, plan_mission, validate_plan
+from .planner import STRATEGIES, PlannerConfig, plan_metrics, plan_mission, validate_plan
 from .pmc import factored_mission_metrics
 from .prism import export_model_source, export_properties
 from .spec import parse_problem_spec, validate
@@ -60,9 +50,27 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _write(path: Path, text: str):
     path.write_text(text)
     return str(path)
+
+
+def _emit(doc) -> int:
+    """Print a subcommand's result document; the exit code of a success."""
+    print(_json(doc))
+    return 0
+
+
+def _stage(timings: dict, name: str, fn, *args):
+    """``fn(*args)``, with its wall-clock seconds recorded as ``timings[name]``."""
+    t0 = time.monotonic()
+    result = fn(*args)
+    timings[name] = time.monotonic() - t0
+    return result
 
 
 def _planner_config(args) -> PlannerConfig:
@@ -71,6 +79,22 @@ def _planner_config(args) -> PlannerConfig:
 
 def _ga_config(args) -> GaConfig:
     return GaConfig(population=args.pop, evaluations=args.evals, seed=args.seed)
+
+
+def _plan(args, spec, timings: dict):
+    """The searched plan, checked against the mission: a plan that breaks a
+    mission rule is a planner fault (InternalError, exit 3), never output."""
+    plan = _stage(timings, "s2_plan", plan_mission, spec, _planner_config(args))
+    violations = validate_plan(spec, plan)
+    if violations:
+        raise InternalError(f"planner produced an invalid plan: {violations}")
+    return plan
+
+
+def _model(args, spec, timings: dict):
+    """The checked plan and its parametric model."""
+    plan = _plan(args, spec, timings)
+    return plan, _stage(timings, "s3_model", build_parametric_model, spec, plan)
 
 
 def _retry_budgets(model, raw) -> dict[str, int]:
@@ -89,152 +113,104 @@ def cmd_validate(args):
 
 
 def cmd_plan(args):
-    spec = _read_spec(args)
-    out = _out_dir(args)
-    t0 = time.monotonic()
-    plan = plan_mission(spec, _planner_config(args))
-    elapsed = time.monotonic() - t0
-    violations = validate_plan(spec, plan)
-    if violations:
-        raise InternalError(f"planner produced an invalid plan: {violations}")
-    artifacts = {"plan": _write(out / "plan.json", json.dumps(plan.to_json(), indent=2, sort_keys=True))}
-    if args.pddl:
-        artifacts["domain"] = _write(out / "domain.pddl", export_pddl_domain(spec))
-        artifacts["problem"] = _write(out / "problem.pddl", export_pddl_problem(spec))
-    _manifest(out, "plan", args, artifacts, {"s2_plan": elapsed}, {"planner": plan.stats})
-    print(json.dumps({"metrics": plan_metrics(plan), "artifacts": artifacts}, indent=2, sort_keys=True))
-    return 0
+    spec, out, timings = _read_spec(args), _out_dir(args), {}
+    plan = _plan(args, spec, timings)
+    artifacts = {"plan": _write(out / "plan.json", _json(plan.to_json()))}
+    _manifest(out, args, artifacts, timings, {"planner": plan.stats})
+    return _emit({"metrics": plan_metrics(plan), "artifacts": artifacts})
 
 
 def cmd_synthesize(args):
-    spec = _read_spec(args)
-    out = _out_dir(args)
-    timings = {}
-    t0 = time.monotonic()
-    plan = plan_mission(spec, _planner_config(args))
-    timings["s2_plan"] = time.monotonic() - t0
-    t0 = time.monotonic()
-    model = build_parametric_model(spec, plan)
-    timings["s3_model"] = time.monotonic() - t0
-    t0 = time.monotonic()
-    archive = synthesize(model, _ga_config(args))
-    timings["s4_synthesis"] = time.monotonic() - t0
-    artifacts = {
-        "plan": _write(out / "plan.json", json.dumps(plan.to_json(), indent=2, sort_keys=True)),
-    }
+    spec, out, timings = _read_spec(args), _out_dir(args), {}
+    plan, model = _model(args, spec, timings)
+    archive = _stage(timings, "s4_synthesis", synthesize, model, _ga_config(args))
     save_archive(archive, out / "archive.json")
-    artifacts["archive"] = str(out / "archive.json")
-    artifacts["front"] = _write(out / "front.csv", archive.front_csv())
-    _manifest(out, "synthesize", args, artifacts, timings, {"planner": plan.stats})
-    print(
-        json.dumps(
-            {
-                "front": archive.front(),
-                "entries": len(archive.entries),
-                "evaluated": archive.evaluated,
-                "exhaustive": archive.exhaustive,
-                "artifacts": artifacts,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    artifacts = {
+        "plan": _write(out / "plan.json", _json(plan.to_json())),
+        "archive": str(out / "archive.json"),
+        "front": _write(out / "front.csv", archive.front_csv()),
+    }
+    _manifest(out, args, artifacts, timings, {"planner": plan.stats})
+    return _emit(
+        {
+            "front": archive.front(),
+            "entries": len(archive.entries),
+            "evaluated": archive.evaluated,
+            "exhaustive": archive.exhaustive,
+            "artifacts": artifacts,
+        }
     )
-    return 0
 
 
 def cmd_verify(args):
     spec = _read_spec(args)
-    plan = plan_mission(spec, _planner_config(args))
-    model = build_parametric_model(spec, plan)
-    assignment = _retry_budgets(model, args.retries)
-    metrics = factored_mission_metrics(instantiate(model, assignment))
-    feasible = metrics.success_prob >= spec.constraints.p_succ
-    print(
-        json.dumps(
-            {
-                "expected_cost": metrics.expected_cost,
-                "success_prob": metrics.success_prob,
-                "feasible": feasible,
-                "per_chain": [
-                    {"agent": a, "success_prob": s, "expected_cost": c}
-                    for a, s, c in metrics.per_chain
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    _, model = _model(args, spec, {})
+    metrics = factored_mission_metrics(instantiate(model, _retry_budgets(model, args.retries)))
+    return _emit(
+        {
+            "expected_cost": metrics.expected_cost,
+            "success_prob": metrics.success_prob,
+            "feasible": metrics.success_prob >= spec.constraints.p_succ,
+            "per_chain": [
+                {"agent": a, "success_prob": s, "expected_cost": c} for a, s, c in metrics.per_chain
+            ],
+        }
     )
-    return 0
 
 
 def cmd_simulate(args):
-    spec = _read_spec(args)
-    out = _out_dir(args)
+    spec, out, timings = _read_spec(args), _out_dir(args), {}
     scenario = json.loads(Path(args.scenario).read_text())
     if not isinstance(scenario, dict):
         raise ScenarioError(f"a scenario must be a JSON object, got {scenario!r}")
     if args.seed is None:
         args.seed = scenario.get("seed", 0)   # recorded in the manifest
     scenario["seed"] = args.seed
-    t0 = time.monotonic()
-    trace = run_scenario(spec, scenario)
-    elapsed = time.monotonic() - t0
+    trace = _stage(timings, "simulate", run_scenario, spec, scenario)
     artifacts = {"trace": _write(out / "trace.jsonl", trace.to_jsonl())}
-    _manifest(out, "simulate", args, artifacts, {"simulate": elapsed})
-    print(
-        json.dumps(
-            {
-                "result": trace.result,
-                "levels": trace.levels(),
-                "event_times": [e.time for e in trace.events],
-                "stage_counts": trace.stage_counts,
-                "clock": trace.clock,
-                "travel_cost": trace.travel_cost,
-                "artifacts": artifacts,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    _manifest(out, args, artifacts, timings)
+    return _emit(
+        {
+            "result": trace.result,
+            "levels": trace.levels(),
+            "event_times": [e.time for e in trace.events],
+            "stage_counts": trace.stage_counts,
+            "clock": trace.clock,
+            "travel_cost": trace.travel_cost,
+            "artifacts": artifacts,
+        }
     )
-    return 0
 
 
 def cmd_baseline(args):
-    spec = _read_spec(args)
-    mdp = build_full_mdp(spec, state_budget=args.state_budget)
-    queries = baseline_queries(mdp, bound=args.bound, tol=args.tol)
-    out = {"queries": queries}
+    mdp = build_full_mdp(_read_spec(args), state_budget=args.state_budget)
+    doc = {"queries": baseline_queries(mdp, bound=args.bound)}
     if args.enumerate:
-        out["policies"] = enumerate_policies(mdp, limit=args.limit)
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return 0
+        doc["policies"] = enumerate_policies(mdp, limit=args.limit)
+    return _emit(doc)
 
 
 def cmd_export_pddl(args):
-    spec = _read_spec(args)
-    out = _out_dir(args)
+    spec, out = _read_spec(args), _out_dir(args)
     artifacts = {
         "domain": _write(out / "domain.pddl", export_pddl_domain(spec)),
         "problem": _write(out / "problem.pddl", export_pddl_problem(spec)),
     }
-    print(json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True))
-    return 0
+    return _emit({"artifacts": artifacts})
 
 
 def cmd_export_prism(args):
-    spec = _read_spec(args)
-    out = _out_dir(args)
-    plan = plan_mission(spec, _planner_config(args))
-    model = build_parametric_model(spec, plan)
-    assignment = _retry_budgets(model, args.retries) if args.retries else None
+    spec, out = _read_spec(args), _out_dir(args)
+    _, model = _model(args, spec, {})
     if args.max_retries:
         assignment = all_max_assignment(model)
+    else:
+        assignment = _retry_budgets(model, args.retries) if args.retries else None
     artifacts = {
         "model": _write(out / "model.prism", export_model_source(model, assignment)),
         "properties": _write(out / "model.props", export_properties(model)),
     }
-    print(json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True))
-    return 0
+    return _emit({"artifacts": artifacts})
 
 
 def cmd_bench(args):
@@ -243,22 +219,21 @@ def cmd_bench(args):
         task_counts=tuple(args.tasks),
         agent_counts=tuple(args.agents),
         seeds=tuple(range(args.seed, args.seed + args.reps)),
-        planner_cfg=PlannerConfig(strategy=args.strategy, timeout=args.timeout),
-        ga=GaConfig(population=args.pop, evaluations=args.evals, seed=args.seed),
+        planner_cfg=_planner_config(args),
+        ga=_ga_config(args),
     )
     artifacts = {
-        "sweep_json": _write(out / "bench.json", json.dumps(rows, indent=2, sort_keys=True)),
+        "sweep_json": _write(out / "bench.json", _json(rows)),
         "sweep_csv": _write(out / "bench.csv", sweep_to_csv(rows)),
     }
-    _manifest(out, "bench", args, artifacts, {})
-    print(json.dumps({"cells": len(rows), "artifacts": artifacts}, indent=2, sort_keys=True))
-    return 0
+    _manifest(out, args, artifacts, {})
+    return _emit({"cells": len(rows), "artifacts": artifacts})
 
 
-def _manifest(out: Path, subcommand: str, args, artifacts: dict, timings: dict, counters: dict | None = None):
+def _manifest(out: Path, args, artifacts: dict, timings: dict, counters: dict | None = None):
     doc = {
         "tool_version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "spec": getattr(args, "spec", None),
         "seed": getattr(args, "seed", None),
         "args": {k: v for k, v in vars(args).items() if k != "func"},
@@ -278,28 +253,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def planner_flags(p, timeout=120.0):
+        p.add_argument("--strategy", choices=STRATEGIES, default="astar")
+        p.add_argument("--timeout", type=float, default=timeout)
+
+    def ga_flags(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--pop", type=int, default=30)
+        p.add_argument("--evals", type=int, default=150)
+
     def common(p, out=True, planner=True):
         p.add_argument("--spec", required=True, help=f"mission JSON path or bundled fixture {FIXTURES}")
         if out:
             p.add_argument("--out", default="out", help="artifact directory")
         if planner:
-            p.add_argument("--strategy", choices=("astar", "gbfs"), default="astar")
-            p.add_argument("--timeout", type=float, default=120.0)
+            planner_flags(p)
 
     p = sub.add_parser("validate", help="check a mission specification")
-    p.add_argument("--spec", required=True)
+    common(p, out=False, planner=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("plan", help="search for a feasible minimum-travel plan")
     common(p)
-    p.add_argument("--pddl", action="store_true", help="also export the PDDL pair")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("synthesize", help="synthesise Pareto-optimal retry budgets")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pop", type=int, default=30)
-    p.add_argument("--evals", type=int, default=150)
+    ga_flags(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", help="verify one retry-budget dictionary")
@@ -314,23 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("baseline", help="whole-problem MDP queries")
-    p.add_argument("--spec", required=True)
+    common(p, out=False, planner=False)
     p.add_argument("--state-budget", type=int, default=500_000)
     p.add_argument("--bound", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-10, help="value-iteration tolerance")
     p.add_argument("--enumerate", action="store_true", help="also enumerate policies")
     p.add_argument("--limit", type=int, default=200_000)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("export-pddl", help="write the PDDL domain/problem pair")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", default="out")
+    common(p, planner=False)
     p.set_defaults(func=cmd_export_pddl)
 
     p = sub.add_parser("export-prism", help="write the probabilistic model and properties")
     common(p)
-    p.add_argument("--retries", help="fix budgets (JSON dictionary); omit for parametric output")
-    p.add_argument("--max-retries", action="store_true", help="fix every budget at its cap")
+    budgets = p.add_mutually_exclusive_group()
+    budgets.add_argument("--retries", help="fix budgets (JSON dictionary); omit for parametric output")
+    budgets.add_argument("--max-retries", action="store_true", help="fix every budget at its cap")
     p.set_defaults(func=cmd_export_prism)
 
     p = sub.add_parser("bench", help="scaling sweep with per-stage timings")
@@ -338,11 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, nargs="+", default=[10, 11, 12, 13])
     p.add_argument("--agents", type=int, nargs="+", default=[2, 4, 6])
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pop", type=int, default=30)
-    p.add_argument("--evals", type=int, default=150)
-    p.add_argument("--strategy", choices=("astar", "gbfs"), default="astar")
-    p.add_argument("--timeout", type=float, default=600.0)
+    ga_flags(p)
+    planner_flags(p, timeout=600.0)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -355,19 +331,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SpecError,
-        NoPlanExists,
-        PlanTimeout,
-        StateBudgetExceeded,
-        LimitExceeded,
-        ScenarioError,
-        UnrecoverableMission,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        RuntimeError,
-        ValueError,
-    ) as exc:
+    # every typed error is a RuntimeError or a ValueError (SpecError,
+    # ScenarioError and JSONDecodeError among the latter)
+    except (FileNotFoundError, RuntimeError, ValueError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, SpecError) and exc.violations:
             error["error"]["violations"] = [vars(v) for v in exc.violations]

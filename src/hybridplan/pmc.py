@@ -25,7 +25,7 @@ from .errors import ConvergenceError, InfiniteRewardError, ModelError, StateBudg
 
 DENSE_LIMIT = 225          # measured dense/sparse-direct crossover (unknowns)
 MAX_SWEEPS = 1_000_000     # iteration cap of value iteration
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10        # value iteration stops below this residual
 PROB_SUM_TOL = 1e-12
 
 
@@ -365,7 +365,7 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     )
 
 
-def mdp_max_reach_prob(mdp: Mdp, label: str, tol: float = DEFAULT_TOL) -> float:
+def mdp_max_reach_prob(mdp: Mdp, label: str) -> float:
     """Maximum probability of reaching the label over all policies.
 
     Value iteration from below, then an exact linear solve of the greedy
@@ -382,7 +382,7 @@ def mdp_max_reach_prob(mdp: Mdp, label: str, tol: float = DEFAULT_TOL) -> float:
         nxt[pinned] = 1.0
         delta = float(np.max(np.abs(nxt - x)))
         x = nxt
-        if delta < tol:
+        if delta < DEFAULT_TOL:
             break
     else:
         raise ConvergenceError(f"value iteration did not converge in {MAX_SWEEPS} sweeps (residual {delta})")

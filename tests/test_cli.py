@@ -31,14 +31,11 @@ class TestSubcommands:
         assert json.loads(out) == {"violations": []}
 
     def test_plan_writes_artifacts(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "plan", "--spec", "vineyard", "--out", str(tmp_path), "--pddl"
-        )
+        code, out, _ = run(capsys, "plan", "--spec", "vineyard", "--out", str(tmp_path))
         assert code == 0
         payload = json.loads(out)
         assert payload["metrics"]["travel_cost"] == 8
-        for key in ("plan", "domain", "problem"):
-            assert Path(payload["artifacts"][key]).exists()
+        assert Path(payload["artifacts"]["plan"]).exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         stats = manifest["counters"]["planner"]
         assert set(stats) == {"expansions", "generated", "reopened", "h0"}
@@ -61,6 +58,15 @@ class TestSubcommands:
             main(["simulate", "--spec", "vineyard", "--scenario", str(scenario_path), flag, value])
         assert exit_.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_export_prism_budgets_are_exclusive(self, capsys, tmp_path):
+        # --max-retries would silently drop the checked --retries vector
+        with pytest.raises(SystemExit) as exit_:
+            main(["export-prism", "--spec", "m2", "--out", str(tmp_path),
+                  "--retries", '{"t4l2": 2}', "--max-retries"])
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_budget_dictionary(self, capsys):
         code, out, _ = run(
@@ -216,13 +222,15 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ScenarioError"
 
-    def test_invalid_plan_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("subcommand", ["plan", "synthesize", "verify", "export-prism"])
+    def test_invalid_plan_is_an_internal_fault(self, capsys, tmp_path, monkeypatch, subcommand):
         violation = PlanViolation("C3", 0, "injected")
         monkeypatch.setattr(hybridplan.cli, "validate_plan", lambda spec, plan: [violation])
-        code, _, err = run(capsys, "plan", "--spec", "m1", "--out", str(tmp_path))
+        out = [] if subcommand == "verify" else ["--out", str(tmp_path)]
+        code, stdout, err = run(capsys, subcommand, "--spec", "m1", *out)
         assert code == 3
         assert json.loads(err)["error"]["type"] == "InternalError"
-        assert not (tmp_path / "plan.json").exists()
+        assert stdout == "" and list(tmp_path.iterdir()) == []
 
     def test_non_convergence_is_an_internal_fault(self, capsys, monkeypatch):
         # value iteration is the one iterative solver; one sweep cannot converge
@@ -237,11 +245,11 @@ class TestErrors:
 # every option of every subcommand: adding or removing a knob changes this table
 KNOBS = {
     "validate": ["--spec"],
-    "plan": ["--spec", "--out", "--strategy", "--timeout", "--pddl"],
+    "plan": ["--spec", "--out", "--strategy", "--timeout"],
     "synthesize": ["--spec", "--out", "--strategy", "--timeout", "--seed", "--pop", "--evals"],
     "verify": ["--spec", "--strategy", "--timeout", "--retries"],
     "simulate": ["--spec", "--out", "--scenario", "--seed"],
-    "baseline": ["--spec", "--state-budget", "--bound", "--tol", "--enumerate", "--limit"],
+    "baseline": ["--spec", "--state-budget", "--bound", "--enumerate", "--limit"],
     "export-pddl": ["--spec", "--out"],
     "export-prism": ["--spec", "--out", "--strategy", "--timeout", "--retries", "--max-retries"],
     "bench": ["--out", "--tasks", "--agents", "--reps", "--seed", "--pop", "--evals", "--strategy", "--timeout"],
@@ -256,7 +264,7 @@ def test_knob_inventory():
         for name, p in sub.choices.items()
     }
     assert knobs == KNOBS
-    assert sum(map(len, KNOBS.values())) == 44
+    assert sum(map(len, KNOBS.values())) == 42
 
 
 class TestDeterminism:
