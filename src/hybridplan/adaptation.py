@@ -641,8 +641,8 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
 
     Schema: {"seed": int, "changes": [{time, type, ...}], "ga": {...}?,
     "planner": {...}?, "seed_entries": [{task: budget, ...}]?,
-    "deploy": {"retries": {...}} | {"rule": "min_cost_feasible",
-    "require_budget": {task: budget}?}, "max_steps": int?}.
+    "deploy": {"retries": {...}} | {"require_budget": {task: budget}},
+    "max_steps": int?}.
 
     seed_entries are extra budget vectors verified and folded into the
     archive before deployment, so a scenario can pin the deployed vector.
@@ -698,20 +698,22 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
 
 
 def _pick_deploy(model: ParametricPlanModel, archive: ParetoArchive, raw) -> ArchiveEntry:
+    """The archive entry with exactly the ``retries`` vector, else the
+    cheapest entry with the ``require_budget`` budgets (any entry without a
+    ``deploy`` object)."""
     if archive.is_empty():
         raise UnrecoverableMission("no feasible budget vector to deploy")
     if not raw:
         return select_new_plan(archive.entries)
-    _object(raw, "deploy", ("retries", "rule", "require_budget"))
+    _object(raw, "deploy", ("retries", "require_budget"))
+    if "retries" in raw and "require_budget" in raw:
+        raise ScenarioError("deploy takes retries or require_budget, not both")
     if "retries" in raw:
         wanted = checked_budgets(model, raw["retries"], ScenarioError, "deploy.retries")
         for e in archive.entries:
             if e.retries == wanted:
                 return e
         raise ScenarioError(f"deploy vector {wanted} is not in the archive")
-    rule = raw.get("rule", "min_cost_feasible")
-    if rule != "min_cost_feasible":
-        raise ScenarioError(f"unknown deploy rule '{rule}'")
     required = checked_budgets(model, raw.get("require_budget", {}), ScenarioError, "deploy.require_budget")
     candidates = [
         e

@@ -44,7 +44,6 @@ class TaskInstance:
 @dataclass(frozen=True)
 class TaskGroup:
     id: str
-    members: tuple[str, ...]
     description: Optional[str] = None
 
 
@@ -143,12 +142,6 @@ class ProblemSpec:
         self.p_overrides = dict(p_overrides or {})
 
     # -- symbol tables -------------------------------------------------
-
-    def task(self, tid: str) -> TaskInstance:
-        return self._task_by_id[tid]
-
-    def agent(self, aid: str) -> Agent:
-        return self._agent_by_id[aid]
 
     def location_ids(self) -> frozenset[str]:
         return self._location_ids
@@ -355,7 +348,6 @@ def build_problem_spec(doc) -> ProblemSpec:
             continue
         _require(gid not in seen_group, gpath + ".id", f"duplicate task group id '{gid}'", errs)
         seen_group.add(gid)
-        members = []
         _require(raw.get("instances", []) != [], gpath + ".instances", "task group has no instances", errs)
         for ipath, inst in _entries(raw, "instances", gpath + ".instances", errs):
             _check_keys(inst, {"id", "location"}, {"id", "location"}, ipath, errs)
@@ -365,9 +357,8 @@ def build_problem_spec(doc) -> ProblemSpec:
             _require(tid not in seen_task and tid not in seen_group, ipath + ".id", f"duplicate task id '{tid}'", errs)
             seen_task.add(tid)
             _require(loc in seen_loc, ipath + ".location", f"unknown location '{loc}'", errs)
-            members.append(tid)
             tasks.append(TaskInstance(tid, gid, loc))
-        groups.append(TaskGroup(gid, tuple(sorted(members)), raw.get("description")))
+        groups.append(TaskGroup(gid, raw.get("description")))
 
     agents: list[Agent] = []
     seen_agent: set[str] = set()

@@ -461,6 +461,69 @@ def pipeline(spec):
     return plan, model, archive
 
 
+def slotless_suffix_mission():
+    """One agent walks l1 -> l2 -> l3: the retryable task ``tr`` at l2 comes
+    first, the single-try task ``tn`` (retries 0) at l3 last, so once ``tr``
+    is done no remaining task has a retry slot."""
+    return build_problem_spec(
+        {
+            "locations": [{"id": "l1"}, {"id": "l2"}, {"id": "l3"}],
+            "paths": [
+                {"start": "l1", "end": "l2", "distance": 1},
+                {"start": "l2", "end": "l3", "distance": 1},
+            ],
+            "tasks": [
+                {"id": "gr", "instances": [{"id": "tr", "location": "l2"}]},
+                {"id": "gn", "instances": [{"id": "tn", "location": "l3"}]},
+            ],
+            "agents": [
+                {
+                    "id": "a1",
+                    "type": "robot",
+                    "start": "l1",
+                    "tasks": [
+                        {"id": "gr", "cost": 1, "p_success": 0.6, "retries": 2},
+                        {"id": "gn", "cost": 1, "p_success": 0.9, "retries": 0},
+                    ],
+                }
+            ],
+            "constraints": {
+                "mission_probability_of_success": 0.7,
+                "min_assignment_probability": 0.5,
+            },
+        }
+    )
+
+
+class TestSlotlessReplan:
+    """A C4 on the last task re-models a suffix without retry slots, so the
+    replan has nothing to synthesise: it evaluates the single-try mission."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        spec = slotless_suffix_mission()
+        plan = plan_mission(spec)
+        model = build_parametric_model(spec, plan)
+        deployed = make_entry(model, {"tr": 2})
+        ctx = ctx_at(spec, plan, model, [deployed], deployed, prefix_len=2)
+        assert ctx.progress.completed == {"tr"}
+        assert [s.task for s in model.retry_slots()] == ["tr"]
+        return ctx
+
+    def test_feasible_suffix_deploys_the_empty_genotype(self, ctx):
+        out = adapt(ctx, Change("C4", ctx.progress.clock, agent="a1", task="tn", value=0.85))
+        assert out.level == A3
+        assert out.new_model.retry_slots() == ()
+        assert out.new_archive.entries == [out.new_entry]
+        assert (out.new_entry.genotype, out.new_entry.retries) == ((), {})
+        assert out.new_entry.objectives.success_prob == pytest.approx(0.85)
+
+    def test_infeasible_suffix_is_unrecoverable(self, ctx):
+        # 0.6 still clears the allocation threshold, not the 0.7 floor
+        with pytest.raises(UnrecoverableMission, match="cannot meet the success floor"):
+            adapt(ctx, Change("C4", ctx.progress.clock, agent="a1", task="tn", value=0.6))
+
+
 class TestSimulate:
     def test_certain_mission_replays_verbatim(self):
         spec = tiny_mission(p=1.0, retries=1)
@@ -626,7 +689,7 @@ class TestScenarioDeploy:
         import hybridplan.adaptation as adaptation
 
         scenario = readme_scenario()
-        assert scenario["deploy"] == {"rule": "min_cost_feasible", "require_budget": {"t1l4": 2}}
+        assert scenario["deploy"] == {"require_budget": {"t1l4": 2}}
         deployed = []
         run = adaptation.simulate
         monkeypatch.setattr(
@@ -637,11 +700,29 @@ class TestScenarioDeploy:
         assert trace.result == "success"
         assert trace.levels() == [NA, NA, A2, A3]
 
+    def test_no_deploy_object_deploys_the_cheapest_entry(self, vineyard, monkeypatch):
+        import hybridplan.adaptation as adaptation
+
+        seen = []
+        monkeypatch.setattr(adaptation, "simulate", lambda *args, **kw: seen.append(args[3:5]))
+        run_scenario(vineyard, {k: v for k, v in readme_scenario().items() if k != "deploy"})
+        ((archive, deployed),) = seen
+        assert len(archive.entries) > 1
+        assert deployed == select_new_plan(archive.entries)
+        assert deployed.objectives.expected_cost == min(e.objectives.expected_cost for e in archive.entries)
+
+    def test_empty_archive_deploys_nothing(self):
+        # a single try at 0.9 cannot meet a 0.95 floor: no vector is feasible
+        spec = tiny_mission(p=0.9, retries=1).with_runtime_state(p_succ=0.95)
+        with pytest.raises(UnrecoverableMission, match="no feasible budget vector to deploy"):
+            run_scenario(spec, {"seed": 0})
+
     @pytest.mark.parametrize(
         ("deploy", "message"),
         [
-            ({"rule": "max_success"}, "unknown deploy rule"),
+            ({"rule": "max_success"}, r"deploy names unknown keys \['rule'\]"),
             ({"retries": {"t1l4": 5}}, "not in the archive"),
+            ({"retries": {"t1l4": 2}, "require_budget": {"t1l4": 3}}, "retries or require_budget, not both"),
         ],
     )
     def test_bad_deploy_is_a_scenario_error(self, vineyard, deploy, message):
@@ -720,6 +801,6 @@ class TestScenarioDeploy:
         elif where == "deploy.retries":
             scenario["deploy"]["retries"].update(budgets)
         else:
-            scenario["deploy"] = {"rule": "min_cost_feasible", "require_budget": budgets}
+            scenario["deploy"] = {"require_budget": budgets}
         with pytest.raises(ScenarioError, match=message):
             run_scenario(vineyard, scenario)
