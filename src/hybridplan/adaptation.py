@@ -37,6 +37,7 @@ actions, with retry caps net of observed failures.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -54,7 +55,7 @@ from .chains import (
 from .errors import NoPlanExists, ScenarioError, UnrecoverableMission
 from .planner import Plan, PlannerConfig, dispatch_slot, plan_mission
 from .spec import ProblemSpec
-from .synthesis import ArchiveEntry, GaConfig, ParetoArchive, _entry_sort_key, evaluate, extend_archive, synthesize
+from .synthesis import ArchiveEntry, GaConfig, ParetoArchive, _entry_sort_key, extend_archive, synthesize
 from .world import Do, WorldState, action_to_json, initial_state
 
 # Adaptation no longer calls these four, but they stay adaptation attributes:
@@ -63,11 +64,16 @@ from .chains import instantiate  # noqa: F401
 from .pmc import factored_mission_metrics  # noqa: F401
 from .world import apply_action, is_enabled  # noqa: F401
 
-STAGES_NONE: frozenset = frozenset()
-STAGES_A2 = frozenset({"S3", "S4"})
-STAGES_A3 = frozenset({"S0", "S1", "S2", "S3", "S4"})
-
 NA, A1, A2, A3 = "NA", "A1", "A2", "A3"
+# the pipeline stages each adaptation level reruns
+STAGES = {
+    NA: frozenset(),
+    A1: frozenset(),
+    A2: frozenset({"S3", "S4"}),
+    A3: frozenset({"S0", "S1", "S2", "S3", "S4"}),
+}
+# the JSON key of each change kind's value
+VALUE_KEYS = {"C2": "p_succ", "C3": "gamma", "C4": "p"}
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,7 @@ class Change:
         kind, time = doc.get("type"), doc.get("time")
         if type(time) is not int:
             raise ScenarioError(f"{kind} change: time must be an integer, got {time!r}")
-        key = {"C2": "p_succ", "C3": "gamma", "C4": "p"}.get(kind)
+        key = VALUE_KEYS.get(kind)
         value = doc.get(key)
         if key and type(value) not in (int, float):
             raise ScenarioError(f"{kind} change at {time}: {key} must be a number, got {value!r}")
@@ -118,26 +124,19 @@ class Change:
             raise ScenarioError(f"{kind} change at {time}: {exc}") from None
 
     def to_json(self) -> dict:
-        out = {"time": self.time, "type": self.kind}
-        if self.kind == "C1":
-            out["task"] = self.task
-        elif self.kind == "C2":
-            out["p_succ"] = self.value
-        elif self.kind == "C3":
-            out["gamma"] = self.value
-        else:
-            out.update({"agent": self.agent, "task": self.task, "p": self.value})
-        return out
+        out = {"time": self.time, "type": self.kind, "task": self.task, "agent": self.agent}
+        if self.kind in VALUE_KEYS:
+            out[VALUE_KEYS[self.kind]] = self.value
+        return {k: v for k, v in out.items() if v is not None}
 
 
 @dataclass
 class Progress:
     """Executed-prefix bookkeeping for the deployed plan."""
 
-    clock: int = 0
-    completed: set = field(default_factory=set)       # finished task ids
-    failures: dict = field(default_factory=dict)      # task id -> observed failures
-    pointers: dict = field(default_factory=dict)      # agent -> next per-agent action index
+    clock: int
+    failures: dict    # task id -> observed failures
+    done: list        # the dispatcher's flag per action of the plan's total order
 
     def failure_count(self, task: str) -> int:
         return self.failures.get(task, 0)
@@ -167,17 +166,25 @@ class ExecutionContext:
     def failures_since_epoch(self, task: str) -> int:
         return self.progress.failure_count(task) - self.epoch_failures.get(task, 0)
 
+    def completed(self) -> frozenset:
+        """The spec's pending tasks that have finished.  A3 roots its spec
+        after the tasks finished before it, so those drop out here."""
+        return self.world.done & self.spec.pending
+
 
 @dataclass
 class AdaptationOutcome:
     level: str
-    stages_rerun: frozenset
     reduced_size: int
     new_entry: Optional[ArchiveEntry] = None
     new_plan: Optional[Plan] = None
     new_archive: Optional[ParetoArchive] = None
     new_model: Optional[ParametricPlanModel] = None
     new_spec: Optional[ProblemSpec] = None
+
+    @property
+    def stages_rerun(self) -> frozenset:
+        return STAGES[self.level]
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +196,23 @@ def _entry_budget(entry: ArchiveEntry, task: str) -> int:
     return entry.retries.get(task, 1)
 
 
-def _prefix_consistent(ctx: ExecutionContext, entry: ArchiveEntry) -> bool:
+def _prefix_consistent(ctx: ExecutionContext, entry: ArchiveEntry, completed: frozenset) -> bool:
     """The entry's unrolled timeline matches the executed prefix: every
     completed task used no more attempts since the archive epoch than the
     entry budgets allow."""
-    return all(
-        _entry_budget(entry, task) > ctx.failures_since_epoch(task) for task in ctx.progress.completed
-    )
+    return all(_entry_budget(entry, task) > ctx.failures_since_epoch(task) for task in completed)
 
 
 def build_suffix_model(ctx: ExecutionContext) -> ParametricPlanModel:
     """Parametric model of the remaining mission, conditioned on progress:
-    each agent's actions from its pointer on, with retry caps shrunk by the
-    observed failures so that only attempts still available are budgeted."""
-    pointers = ctx.progress.pointers
-    remaining = {a: seq[pointers.get(a, 0):] for a, seq in ctx.plan.per_agent.items()}
+    each agent's undone actions in trace order, with retry caps shrunk by
+    the observed failures so that only attempts still available are
+    budgeted.  An agent's done actions are a prefix of its own, because
+    dispatch never passes an agent's undone action."""
+    remaining: dict[str, list] = {a: [] for a in ctx.plan.per_agent}
+    for act, done in zip(ctx.plan.total_order, ctx.progress.done):
+        if not done:
+            remaining[act.agent].append(act)
     return ParametricPlanModel(
         chains=build_chains(ctx.spec, remaining, ctx.progress.failures),
         p_succ_threshold=ctx.spec.constraints.p_succ,
@@ -246,7 +255,8 @@ def remaining_success(
 def _survivors(ctx: ExecutionContext, keep=None) -> list[ArchiveEntry]:
     """Archive entries consistent with the executed prefix that pass the
     change's own test ``keep`` (every such entry when it is None)."""
-    return [e for e in ctx.archive.entries if _prefix_consistent(ctx, e) and (keep is None or keep(e))]
+    completed = ctx.completed()
+    return [e for e in ctx.archive.entries if _prefix_consistent(ctx, e, completed) and (keep is None or keep(e))]
 
 
 def reduce_ps_tf(ctx: ExecutionContext, task: str) -> list[ArchiveEntry]:
@@ -269,10 +279,9 @@ def reduce_ps_passign(ctx: ExecutionContext, new_gamma: float) -> list[ArchiveEn
     """Allocation-threshold change: every entry follows the same allocation,
     so one disqualified remaining assignment empties the whole set."""
     spec_after = ctx.spec.with_runtime_state(gamma=new_gamma)
+    completed = ctx.completed()
     if any(
-        not spec_after.eligible(agent, task)
-        for task, agent in ctx.plan.allocation.items()
-        if task not in ctx.progress.completed
+        not spec_after.eligible(agent, task) for task, agent in ctx.plan.allocation.items() if task not in completed
     ):
         return []
     return _survivors(ctx)
@@ -283,7 +292,7 @@ def reduce_ps_ptask(ctx: ExecutionContext, agent: str, task: str) -> Optional[li
     archive stands; inside it every entry was verified under the old
     probability, so nothing survives (None) and the suffix is re-modelled,
     or replanned when the new probability breaks the allocation threshold."""
-    if ctx.plan.allocation.get(task) == agent and task not in ctx.progress.completed:
+    if ctx.plan.allocation.get(task) == agent and task not in ctx.completed():
         return None
     return _survivors(ctx)
 
@@ -324,32 +333,31 @@ def adapt(ctx: ExecutionContext, change: Change) -> AdaptationOutcome:
             return _resynthesize_suffix(replace(ctx, spec=spec_after))
 
     if any(e.genotype == ctx.deployed.genotype for e in reduced):
-        return AdaptationOutcome(NA, STAGES_NONE, len(reduced), new_spec=spec_after)
+        return AdaptationOutcome(NA, len(reduced), new_spec=spec_after)
     if reduced:
         pick = select_new_plan(reduced)
-        return AdaptationOutcome(A1, STAGES_NONE, len(reduced), new_entry=pick, new_spec=spec_after)
+        return AdaptationOutcome(A1, len(reduced), new_entry=pick, new_spec=spec_after)
     return _full_replan(ctx, spec_after)
 
 
 def _synthesize(ctx: ExecutionContext, model: ParametricPlanModel) -> Optional[ParetoArchive]:
     """Budget synthesis on a fresh model, seeded apart for each clock tick;
-    None when the model has no retry slot or no feasible budget vector."""
-    if not model.retry_slots():
-        return None
+    None when no budget vector is feasible."""
     archive = synthesize(model, replace(ctx.ga, seed=ctx.ga.seed + ctx.progress.clock + 1))
     return None if archive.is_empty() else archive
 
 
 def _resynthesize_suffix(ctx: ExecutionContext) -> AdaptationOutcome:
     """A2: rebuild the parametric model on the remaining suffix and rerun
-    synthesis, producing a fresh archive; a full replan when that fails."""
+    synthesis, producing a fresh archive; a full replan when that fails.
+    A suffix without a retry slot leaves no budget to re-synthesise, so it
+    escalates to the full replan too."""
     model = build_suffix_model(ctx)
-    archive = _synthesize(ctx, model)
+    archive = _synthesize(ctx, model) if model.retry_slots() else None
     if archive is None:
         return _full_replan(ctx, ctx.spec)
     return AdaptationOutcome(
         A2,
-        STAGES_A2,
         len(archive.entries),
         new_entry=select_new_plan(archive.entries),
         new_archive=archive,
@@ -360,9 +368,7 @@ def _resynthesize_suffix(ctx: ExecutionContext) -> AdaptationOutcome:
 
 def _full_replan(ctx: ExecutionContext, spec_after: ProblemSpec) -> AdaptationOutcome:
     """A3: rerun the whole pipeline from the current world state."""
-    new_spec = spec_after.with_runtime_state(
-        dict(ctx.world.agent_locs), spec_after.pending - ctx.progress.completed
-    )
+    new_spec = spec_after.with_runtime_state(dict(ctx.world.agent_locs), spec_after.pending - ctx.completed())
     try:
         plan = plan_mission(new_spec, ctx.planner)
     except NoPlanExists as exc:
@@ -370,21 +376,16 @@ def _full_replan(ctx: ExecutionContext, spec_after: ProblemSpec) -> AdaptationOu
 
     model = build_parametric_model(new_spec, plan)
     archive = _synthesize(ctx, model)
-    if archive is not None:
-        pick = select_new_plan(archive.entries)
-    elif model.retry_slots():
-        raise UnrecoverableMission("replanning found no feasible budget vector")
-    else:
-        obj = evaluate(model, {})
-        if not obj.feasible:
-            raise UnrecoverableMission("replanned mission cannot meet the success floor")
-        pick = ArchiveEntry((), {}, obj)
-        archive = ParetoArchive(model.plan_hash, [pick], 0, {"replan": True}, 1, True)
+    if archive is None:
+        raise UnrecoverableMission(
+            "replanning found no feasible budget vector"
+            if model.retry_slots()
+            else "replanned mission cannot meet the success floor"
+        )
     return AdaptationOutcome(
         A3,
-        STAGES_A3,
         0,
-        new_entry=pick,
+        new_entry=select_new_plan(archive.entries),
         new_plan=plan,
         new_archive=archive,
         new_model=model,
@@ -401,8 +402,11 @@ class TraceEvent:
     time: int
     change: Change
     level: str
-    stages_rerun: frozenset
     reduced_size: int
+
+    @property
+    def stages_rerun(self) -> frozenset:
+        return STAGES[self.level]
 
     def to_json(self) -> dict:
         return {
@@ -429,10 +433,14 @@ class Trace:
     result: str                   # "success" | "stalled" (replan failures raise)
     clock: int
     travel_cost: float
-    stage_counts: dict
 
     def levels(self) -> list[str]:
         return [e.level for e in self.events]
+
+    @property
+    def stage_counts(self) -> dict[str, int]:
+        """How many adaptations reran each pipeline stage."""
+        return dict(sorted(Counter(s for e in self.events for s in e.stages_rerun).items()))
 
     def to_jsonl(self) -> str:
         lines = []
@@ -501,26 +509,19 @@ def simulate(
         model=model,
         archive=archive,
         deployed=deploy,
-        progress=Progress(pointers={a: 0 for a in plan.per_agent}),
+        progress=Progress(0, {}, [False] * len(plan.total_order)),
         world=initial_state(spec),
         ga=ga or GaConfig(),
         planner=planner_cfg or PlannerConfig(),
     )
-    # trace-order dispatch: the current plan's trace and a done flag per action
-    order = list(plan.total_order)
-    done = [False] * len(order)
     queue = list(changes)
     steps: list[TraceStep] = []
     events: list[TraceEvent] = []
-    stage_counts: dict[str, int] = {}
     result = "stalled"
 
     def apply_outcome(out: AdaptationOutcome, change: Change):
-        nonlocal order, done
-        events.append(TraceEvent(ctx.progress.clock, change, out.level, out.stages_rerun, out.reduced_size))
+        events.append(TraceEvent(ctx.progress.clock, change, out.level, out.reduced_size))
         step_events.append(events[-1])
-        for s in out.stages_rerun:
-            stage_counts[s] = stage_counts.get(s, 0) + 1
         if out.new_spec is not None:
             ctx.spec = out.new_spec
         if out.level == NA:
@@ -538,9 +539,7 @@ def simulate(
         ctx.plan = out.new_plan
         ctx.epoch_failures = {}
         ctx.progress.failures = {}
-        ctx.progress.pointers = {a: 0 for a in out.new_plan.per_agent}
-        order = list(out.new_plan.total_order)
-        done = [False] * len(order)
+        ctx.progress.done = [False] * len(out.new_plan.total_order)
 
     forced_fail: Optional[str] = None   # task of this slot's scripted C1
 
@@ -565,13 +564,9 @@ def simulate(
             else:
                 apply_outcome(adapt(ctx, change), change)
 
-        ctx.world, acted = dispatch_slot(ctx.spec, ctx.world, order, done, attempt)
+        ctx.world, acted = dispatch_slot(ctx.spec, ctx.world, ctx.plan.total_order, ctx.progress.done, attempt)
         for act, ok in acted.values():
-            if ok:
-                ctx.progress.pointers[act.agent] = ctx.progress.pointers.get(act.agent, 0) + 1
-                if isinstance(act, Do):
-                    ctx.progress.completed.add(act.task)
-            else:  # a failed attempt stops the slot's scan, so it comes last
+            if not ok:  # a failed attempt stops the slot's scan, so it comes last
                 ctx.progress.failures[act.task] = ctx.progress.failure_count(act.task) + 1
                 change = Change("C1", t, task=act.task)
                 apply_outcome(adapt(ctx, change), change)
@@ -594,10 +589,10 @@ def simulate(
         )
         ctx.progress.clock = t + 1
 
-        if all(done) and not queue:
+        if all(ctx.progress.done) and not queue:
             result = "success"
             break
-        if not acted and not queue and not all(done):
+        if not acted and not queue and not all(ctx.progress.done):
             result = "stalled"
             break
 
@@ -607,7 +602,6 @@ def simulate(
         result=result,
         clock=ctx.progress.clock,
         travel_cost=ctx.world.travel_cost,
-        stage_counts=stage_counts,
     )
 
 

@@ -107,9 +107,8 @@ def _retry_budgets(model, raw) -> dict[str, int]:
 
 def cmd_validate(args):
     spec = _read_spec(args)
-    issues = validate(spec)
-    print(json.dumps({"violations": [vars(v) for v in issues]}, indent=2))
-    return 0 if not any(v.severity == "error" for v in issues) else 1
+    print(json.dumps({"violations": [vars(v) for v in validate(spec)]}, indent=2))
+    return 0
 
 
 def cmd_plan(args):

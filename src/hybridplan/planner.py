@@ -156,7 +156,8 @@ class _Compact:
     Locations, agents and tasks are numbered in sorted-id order.  A state is
     ``(positions, empty, done)``: the agents' location indices, a bitmask of
     empty locations and a bitmask of done tasks (non-pending tasks start
-    done).  It is a one-to-one image of ``WorldState.key()``.
+    done).  It is a one-to-one image of a ``WorldState`` without its travel
+    cost: ``(agent_locs, empty, done)``.
     """
 
     def __init__(self, spec: ProblemSpec):

@@ -452,7 +452,7 @@ def build_problem_spec(doc) -> ProblemSpec:
     if errs:
         raise SpecError(f"invalid specification ({len(errs)} violations)", errs)
 
-    spec = ProblemSpec(
+    return ProblemSpec(
         locations,
         paths,
         groups,
@@ -463,39 +463,16 @@ def build_problem_spec(doc) -> ProblemSpec:
         pending=pending,
         p_overrides=p_overrides,
     )
-    hard = [v for v in validate(spec) if v.severity == "error"]
-    if hard:
-        raise SpecError(f"inconsistent specification ({len(hard)} errors)", hard)
-    return spec
 
 
 def validate(spec: ProblemSpec) -> list[Violation]:
-    """Cross-reference and consistency checks; empty list iff all invariants hold.
+    """Warnings about a parsed spec; empty list iff there are none.
 
-    Errors are structural breakages; a task nobody can perform at the
-    allocation threshold is only a warning (the mission may still be edited).
+    The parser already rejects every structural error, so what remains is a
+    pending task nobody can perform at the allocation threshold: only a
+    warning, since the mission may still be edited.
     """
     out: list[Violation] = []
-    loc_ids = spec.location_ids()
-    for p in spec.paths:
-        if p.start not in loc_ids:
-            out.append(Violation("error", f"paths[{p.start}->{p.end}].start", f"unknown location '{p.start}'"))
-        if p.end not in loc_ids:
-            out.append(Violation("error", f"paths[{p.start}->{p.end}].end", f"unknown location '{p.end}'"))
-    for t in spec.tasks:
-        if t.location not in loc_ids:
-            out.append(Violation("error", f"tasks.{t.id}.location", f"unknown location '{t.location}'"))
-    for a in spec.agents:
-        if a.start not in loc_ids:
-            out.append(Violation("error", f"agents.{a.id}.start", f"unknown location '{a.start}'"))
-        for cap in a.capabilities:
-            if not 0.0 <= cap.p_success <= 1.0:
-                out.append(
-                    Violation("error", f"agents.{a.id}.tasks.{cap.group}.p_success", f"out of range: {cap.p_success}")
-                )
-    for aid, loc in spec.initial_locations.items():
-        if loc not in loc_ids:
-            out.append(Violation("error", f"initial.locations.{aid}", f"unknown location '{loc}'"))
     for t in spec.tasks:
         if t.id in spec.pending and not spec.capable_agents(t.id):
             out.append(

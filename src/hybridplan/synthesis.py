@@ -263,14 +263,14 @@ def _crowding(objs: list[Objectives], front: list[int]) -> dict[int, float]:
 def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> ParetoArchive:
     """Search the budget space; returns the archive of feasible nondominated
     evaluations.  Small spaces are enumerated exhaustively (see module doc);
-    a model without retry slots has a space of one vector, so that route
-    rejects it.  An empty archive is a reported outcome, not an error: it
+    a model without retry slots has a space of one vector, the empty
+    genotype.  An empty archive is a reported outcome, not an error: it
     means no feasible budget vector was found."""
     cfg = cfg or GaConfig()
     bounds = model.bounds()
     space = model.space_size()
     if space <= min(cfg.evaluations, EXHAUSTIVE_LIMIT):
-        archive = exhaustive_synthesize(model, limit=EXHAUSTIVE_LIMIT)
+        archive = exhaustive_synthesize(model)
         archive.seed = cfg.seed
         archive.config = _config_echo(cfg)
         return archive
@@ -349,17 +349,16 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
     return ev.archive(cfg.seed, _config_echo(cfg), exhaustive=False)
 
 
-def exhaustive_synthesize(model: ParametricPlanModel, limit: int = EXHAUSTIVE_LIMIT) -> ParetoArchive:
-    """Enumerate the whole budget space; exact Pareto set and front."""
-    if not model.retry_slots():
-        raise ValueError("model has no retry slots to synthesise over")
+def exhaustive_synthesize(model: ParametricPlanModel) -> ParetoArchive:
+    """Enumerate the whole budget space; exact Pareto set and front.  A
+    model without retry slots has one vector, the empty genotype."""
     space = model.space_size()
-    if space > limit:
-        raise LimitExceeded(f"genotype space {space} exceeds limit {limit}")
+    if space > EXHAUSTIVE_LIMIT:
+        raise LimitExceeded(f"genotype space {space} exceeds limit {EXHAUSTIVE_LIMIT}")
     ev = _Evaluator(model)
     for genotype in itertools.product(*(range(lo, hi + 1) for lo, hi in model.bounds())):
         ev(genotype)
-    return ev.archive(0, {"exhaustive": True, "limit": limit}, exhaustive=True)
+    return ev.archive(0, {"exhaustive": True, "limit": EXHAUSTIVE_LIMIT}, exhaustive=True)
 
 
 def _config_echo(cfg: GaConfig) -> dict:

@@ -70,10 +70,6 @@ class WorldState:
                 return loc
         raise KeyError(agent)
 
-    def key(self):
-        """Hashable identity ignoring accumulated cost."""
-        return (self.agent_locs, self.empty, self.done)
-
 
 def initial_state(spec: ProblemSpec) -> WorldState:
     """The spec's root: agents at their initial locations, every other

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hybridplan.adaptation import (
@@ -19,9 +21,10 @@ from hybridplan.adaptation import (
     simulate,
     validate_scenario,
 )
-from hybridplan.chains import all_min_assignment, build_parametric_model
+from hybridplan.bench import random_instance
+from hybridplan.chains import all_min_assignment, build_chains, build_parametric_model
 from hybridplan.errors import ScenarioError, UnrecoverableMission
-from hybridplan.planner import PlannerConfig, plan_mission
+from hybridplan.planner import PlannerConfig, dispatch_slot, plan_mission
 from hybridplan.spec import build_problem_spec
 from hybridplan.synthesis import (
     ArchiveEntry,
@@ -45,12 +48,7 @@ def make_entry(model, overrides):
 
 def ctx_at(spec, plan, model, entries, deployed, prefix_len, failures=None, clock=None):
     """Execution context after replaying a prefix of the sequential trace."""
-    prefix = plan.total_order[:prefix_len]
-    world = replay(spec, prefix)
-    completed = {a.task for a in prefix if isinstance(a, Do)}
-    pointers = {agent: 0 for agent in plan.per_agent}
-    for act in prefix:
-        pointers[act.agent] += 1
+    world = replay(spec, plan.total_order[:prefix_len])
     archive = ParetoArchive(model.plan_hash, list(entries), 0, {}, len(entries))
     return ExecutionContext(
         spec=spec,
@@ -60,9 +58,8 @@ def ctx_at(spec, plan, model, entries, deployed, prefix_len, failures=None, cloc
         deployed=deployed,
         progress=Progress(
             clock=prefix_len if clock is None else clock,
-            completed=completed,
             failures=dict(failures or {}),
-            pointers=pointers,
+            done=[i < prefix_len for i in range(len(plan.total_order))],
         ),
         world=world,
         ga=GaConfig(population=10, evaluations=60, seed=1),
@@ -223,7 +220,7 @@ class TestReducePassign:
         assert out.new_spec.constraints.gamma == gamma
         # oracle: scan the remaining allocation pairs directly
         for task, agent in ctx.plan.allocation.items():
-            if task not in ctx.progress.completed:
+            if task not in ctx.completed():
                 assert ctx.spec.p_success(agent, task) >= gamma
 
     @pytest.mark.parametrize("prefix_len", [0, 3])
@@ -260,7 +257,7 @@ class TestReducePtask:
             field["spec"], field["plan"], field["model"],
             [field["deployed"]], field["deployed"], prefix_len,
         )
-        assert "t3l4" in ctx.progress.completed
+        assert "t3l4" in ctx.completed()
         out = adapt(ctx, Change("C4", ctx.progress.clock, agent="w1", task="t3l4", value=0.6))
         assert out.level == NA and out.stages_rerun == frozenset()
 
@@ -426,6 +423,25 @@ class TestSuffixModel:
         slot = next(s for s in model.retry_slots() if s.task == "t1l4")
         assert slot.hi == 3  # cap 5 minus two observed failures
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_done_flags_match_the_pointer_rule(self, seed):
+        # reference: each agent has finished its first k_a actions, so its
+        # suffix is per_agent[a][k_a:]; dispatch with sampled failures
+        rng = random.Random(seed)
+        spec = random_instance(3 + seed % 4, 2 + seed % 2, seed)
+        plan = plan_mission(spec)
+        model = build_parametric_model(spec, plan)
+        done, world = [False] * len(plan.total_order), initial_state(spec)
+        for _ in range(rng.randrange(plan.makespan() + 3)):
+            world, _ = dispatch_slot(spec, world, plan.total_order, done, lambda act: rng.random() < 0.7)
+        archive = ParetoArchive(model.plan_hash, [], 0, {})
+        ctx = ExecutionContext(spec, plan, model, archive, None, Progress(0, {}, done), world)
+        finished = [act for act, d in zip(plan.total_order, done) if d]
+        k = {a: sum(act.agent == a for act in finished) for a in plan.per_agent}
+        reference = build_chains(spec, {a: seq[k[a]:] for a, seq in plan.per_agent.items()})
+        assert list(build_suffix_model(ctx).chains) == reference
+        assert ctx.completed() == {act.task for act in finished if isinstance(act, Do)}
+
     def test_remaining_success_conditional(self, field):
         ctx0 = ctx_at(field["spec"], field["plan"], field["model"], [field["deployed"]], field["deployed"], 0)
         ctx6 = ctx_at(field["spec"], field["plan"], field["model"], [field["deployed"]], field["deployed"], 6)
@@ -497,7 +513,7 @@ def slotless_suffix_mission():
 
 class TestSlotlessReplan:
     """A C4 on the last task re-models a suffix without retry slots, so the
-    replan has nothing to synthesise: it evaluates the single-try mission."""
+    replan's budget space is one vector, the single-try mission."""
 
     @pytest.fixture(scope="class")
     def ctx(self):
@@ -506,7 +522,7 @@ class TestSlotlessReplan:
         model = build_parametric_model(spec, plan)
         deployed = make_entry(model, {"tr": 2})
         ctx = ctx_at(spec, plan, model, [deployed], deployed, prefix_len=2)
-        assert ctx.progress.completed == {"tr"}
+        assert ctx.completed() == {"tr"}
         assert [s.task for s in model.retry_slots()] == ["tr"]
         return ctx
 
@@ -669,7 +685,7 @@ class TestPrefixPreservation:
         replayed = initial_state(out.new_spec)
         assert dict(replayed.agent_locs) == locs
         assert out.new_spec.pending == frozenset(
-            t.id for t in field["spec"].tasks if t.id not in ctx.progress.completed
+            t.id for t in field["spec"].tasks if t.id not in ctx.completed()
         )
 
 

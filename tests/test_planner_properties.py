@@ -105,21 +105,26 @@ def test_plans_valid_and_optimal(spec):
 
 def uniform_cost(spec):
     """Minimum travel to the goal by Dijkstra over world states, expanding
-    every enabled action: no forced-task pruning, no agent symmetry."""
+    every enabled action: no forced-task pruning, no agent symmetry.  States
+    are told apart without their accumulated cost."""
+
+    def key(state):
+        return (state.agent_locs, state.empty, state.done)
+
     start = initial_state(spec)
-    best = {start.key(): 0.0}
+    best = {key(start): 0.0}
     heap = [(0.0, 0, start)]
     tie = itertools.count(1)
     while heap:
         g, _, state = heapq.heappop(heap)
-        if g > best[state.key()]:
+        if g > best[key(state)]:
             continue
         if is_goal(spec, state):
             return g
         for act in enabled_actions(spec, state):
             child = apply_action(spec, state, act)
-            if child.travel_cost < best.get(child.key(), float("inf")):
-                best[child.key()] = child.travel_cost
+            if child.travel_cost < best.get(key(child), float("inf")):
+                best[key(child)] = child.travel_cost
                 heapq.heappush(heap, (child.travel_cost, next(tie), child))
     return None
 

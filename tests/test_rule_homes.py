@@ -1,15 +1,20 @@
-"""The allocation threshold is compared in one place.
+"""Each rule and record has one home.
 
 ``ProblemSpec.eligible`` is the one comparison against gamma, and every
 other module asks it.  Besides ``spec`` (which parses, copies and writes
 gamma), only the PDDL export reads gamma, to write it into the domain file.
 The scan reads the package sources and imports nothing from them.
+
+The adaptation harness records what has run once, as the dispatcher's done
+flags, and the stages each level reruns once, in ``STAGES``.
 """
 
 import ast
 import dataclasses
 from pathlib import Path
 
+import hybridplan.adaptation as adaptation
+from hybridplan.adaptation import Progress
 from hybridplan.chains import ParametricPlanModel
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hybridplan"
@@ -39,3 +44,12 @@ def test_gamma_read_only_in_spec_and_pddl():
 
 def test_parametric_model_carries_no_threshold():
     assert "gamma" not in {f.name for f in dataclasses.fields(ParametricPlanModel)}
+
+
+def test_progress_keeps_one_record_of_what_ran():
+    assert [f.name for f in dataclasses.fields(Progress)] == ["clock", "failures", "done"]
+
+
+def test_stages_come_from_the_level_table():
+    assert [name for name in vars(adaptation) if name.startswith("STAGES_")] == []
+    assert set(adaptation.STAGES) == {adaptation.NA, adaptation.A1, adaptation.A2, adaptation.A3}

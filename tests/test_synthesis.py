@@ -78,14 +78,17 @@ class TestEvaluate:
         assert obj.success_prob == pytest.approx(0.950894951, abs=1e-9)
         assert obj.feasible
 
-    def test_no_retry_slots_single_outcome(self, vineyard):
-        from hybridplan.planner import build_plan
-        from hybridplan.world import Move
-
-        plan = build_plan(vineyard, [Move("w1", "l1", "l4")])
-        model = build_parametric_model(vineyard, plan)
-        with pytest.raises(ValueError, match="no retry slots"):
-            synthesize(model, GaConfig())
+    def test_no_retry_slots_single_outcome(self, vineyard_model):
+        # without retry slots the budget space is one vector, the empty genotype
+        single = truncate_model(vineyard_model, keep=0, cap=1)
+        assert single.retry_slots() == ()
+        archive = synthesize(ParametricPlanModel(single.chains, 0.9, single.plan_hash), GaConfig())
+        assert archive.evaluated == 1
+        assert [(e.genotype, e.retries) for e in archive.entries] == [((), {})]
+        assert archive.entries[0].objectives.success_prob == pytest.approx(0.941480149401, abs=1e-9)
+        # the 0.95 floor lies above the single-try success
+        empty = synthesize(single, GaConfig())
+        assert empty.evaluated == 1 and empty.is_empty()
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -157,7 +160,7 @@ class TestExhaustive:
 
     def test_space_limit(self, vineyard_model):
         with pytest.raises(LimitExceeded):
-            exhaustive_synthesize(vineyard_model, limit=100)
+            exhaustive_synthesize(vineyard_model)
 
     def test_infeasible_space_reports_empty(self):
         model = two_slot_model(floor=1.0)
