@@ -59,6 +59,8 @@ class TestAcceptance:
         plan = plan_mission(vineyard, PlannerConfig(strategy="astar", timeout=60))
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0
+        # the deterministic companion of the timing check: the search's work
+        assert plan.stats == {"expansions": 150, "generated": 653, "reopened": 2, "h0": 6.0}
         assert plan.travel_cost == 8
         done = {a.task for a in plan.total_order if isinstance(a, Do)}
         assert len(done) == 10

@@ -1,10 +1,12 @@
 """Plan identity against recorded golden plans.
 
 ``golden/plan_hashes.json`` holds, for every case below, the plan's
-``hash_key()`` and travel cost (or the fact that the search ran out of its
-expansion budget).  Any change to the planner's expansion order, tie-breaking
-or successor order shows up here as a changed hash, so downstream artifacts
-(chains, archives, fronts) stay byte-identical as long as this test passes.
+``hash_key()``, travel cost and search work (expansions, generated and
+re-opened states), or the fact that the search ran out of its expansion
+budget.  Any change to the planner's expansion order, tie-breaking or
+successor order shows up here as a changed hash, so downstream artifacts
+(chains, archives, fronts) stay byte-identical as long as this test passes;
+a change that only makes the search faster must leave the work counts equal.
 
 Regenerate the file only for an intended plan change, and state the reason
 next to the change:  ``PYTHONPATH=src python tests/test_golden_plans.py --write``.
@@ -61,7 +63,8 @@ def outcome(spec, strategy, heuristic, cap):
         plan = plan_mission(spec, cfg)
     except PlanTimeout:
         return {"timeout": True}
-    return {"hash": plan.hash_key(), "travel_cost": plan.travel_cost}
+    work = {k: plan.stats[k] for k in ("expansions", "generated", "reopened")}
+    return {"hash": plan.hash_key(), "travel_cost": plan.travel_cost, **work}
 
 
 def record() -> dict:
