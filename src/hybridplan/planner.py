@@ -26,8 +26,11 @@ overrides), cost and retry cap on every task; permuting their positions maps
 plans to plans of the same travel, and the heuristic is invariant under it.
 The search keeps the best g per canonical key (positions sorted within each
 class, masks unchanged), so a permutation of a state already reached at no
-greater cost is a duplicate.  The heap holds concrete states and each pushed
-child keeps its own predecessor link, so the extracted trace names the
+greater cost is a duplicate.  ``canonical`` defines the key and builds the
+start's; every child's key is derived from its parent's, because a task keeps
+all positions and a move changes one agent's, so only that agent's slot, or
+its class's sorted slots, change.  The heap holds concrete states and each
+pushed child keeps its own predecessor link, so the extracted trace names the
 agents that actually moved.  ``Plan.stats`` therefore counts canonical
 states: one expansion per orbit, not per permutation.  The MDP baseline does
 not use the reduction; it stays the unquotiented native model.
@@ -49,7 +52,9 @@ import heapq
 import itertools
 import json
 import time
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import NoPlanExists, PlanTimeout
@@ -189,6 +194,16 @@ class _Compact:
                         for t in spec.tasks)
             rows.setdefault(row, []).append(i)
         self.classes = [tuple(members) for members in rows.values() if len(members) > 1]
+        # class_views[agent]: None outside every class, else two getters for
+        # the agent's class: one takes the class's slots out of a positions
+        # tuple, the other puts them back from values appended to the tuple
+        n = len(self.agent_ids)
+        self.class_views: list[Optional[tuple]] = [None] * n
+        for members in self.classes:
+            appended = {a: n + k for k, a in enumerate(members)}
+            view = itemgetter(*members), itemgetter(*[appended.get(a, a) for a in range(n)])
+            for a in members:
+                self.class_views[a] = view
         self.start = self.encode(initial_state(spec))
 
     def encode(self, state: WorldState) -> tuple:
@@ -197,15 +212,6 @@ class _Compact:
         empty = sum(1 << self.loc_index[lid] for lid in state.empty)
         done = sum(1 << i for i, tid in enumerate(self.task_ids) if tid in state.done)
         return positions, empty, done
-
-    def decode(self, key: tuple, travel_cost: float = 0.0) -> WorldState:
-        positions, empty, done = key
-        return WorldState(
-            tuple((aid, self.loc_ids[p]) for aid, p in zip(self.agent_ids, positions)),
-            frozenset(lid for i, lid in enumerate(self.loc_ids) if empty >> i & 1),
-            frozenset(tid for i, tid in enumerate(self.task_ids) if done >> i & 1),
-            travel_cost,
-        )
 
     def successors(self, key: tuple, forced: bool) -> list[tuple]:
         """``(action code, child, step cost)`` triples in ``world`` order:
@@ -246,6 +252,26 @@ class _Compact:
             for a, loc in zip(members, sorted([positions[a] for a in members])):
                 canon[a] = loc
         return tuple(canon), empty, done
+
+    def child_canonical(self, canon: tuple, key: tuple, code: int, child: tuple) -> tuple:
+        """``canonical(child)`` derived from ``canon``, the canonical key of
+        ``key``, where ``child`` is the successor of ``key`` under ``code``.
+        A task keeps every position; a move changes one agent's, so only that
+        agent's slot changes or, for a class member, its old location is
+        swapped for the new one in the class's sorted slots."""
+        positions, empty, done = child
+        if code < 0:
+            return canon[0], empty, done
+        a = code // len(self.loc_ids)
+        slots = canon[0]
+        view = self.class_views[a]
+        if view is None:
+            return slots[:a] + (positions[a],) + slots[a + 1:], empty, done
+        take, put = view
+        locs = list(take(slots))
+        locs.remove(key[0][a])
+        insort(locs, positions[a])
+        return put(slots + tuple(locs)), empty, done
 
     def action(self, key: tuple, code: int) -> Action:
         """The world action that ``code`` names in state ``key``."""
@@ -355,7 +381,9 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     configured budget.  The plan's ``stats`` count expansions, generated
     successors, re-opened states (a cheaper path to a state already
     generated) and the start state's heuristic value ``h0``; states are
-    counted once per orbit of interchangeable agents.
+    counted once per orbit of interchangeable agents.  Each child's orbit key
+    is derived from the popped state's (``_Compact.child_canonical``) rather
+    than rebuilt by ``_Compact.canonical``, which defines it.
     """
     cfg = cfg or PlannerConfig()
     problem = _Compact(spec)
@@ -366,17 +394,20 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
         raise NoPlanExists("some pending task is unreachable or unassignable")
 
     counter = itertools.count()
-    canonical = problem.canonical
+    start_key = problem.canonical(start)
     # canonical state -> best g, for the duplicate and stale checks
-    best: dict = {canonical(start): 0.0}
+    best: dict = {start_key: 0.0}
     # concrete state -> (predecessor, action code) of the push that reached it
     links: dict = {start: (None, None)}
     astar = cfg.strategy == "astar"
     # (f, tie-break, push order, g, state, canonical state): A* ranks by
     # (g + h, h), gbfs by h
-    heap = [(h0, h0 if astar else 0.0, next(counter), 0.0, start, canonical(start))]
+    heap = [(h0, h0 if astar else 0.0, next(counter), 0.0, start, start_key)]
     push, pop = heapq.heappush, heapq.heappop
-    successors, pending = problem.successors, problem.pending
+    successors, derive, pending = problem.successors, problem.child_canonical, problem.pending
+    # without classes a state is its own key; using the child itself also
+    # lets ``best`` and ``links`` share one tuple per state
+    reduced = bool(problem.classes)
     deadline = time.monotonic() + cfg.timeout
     expansions = generated = reopened = 0
 
@@ -396,7 +427,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
         for code, child, step in successors(state, True):
             generated += 1
             cg = g + step
-            key = canonical(child)
+            key = derive(canon, state, code, child) if reduced else child
             seen = best.get(key)
             if seen is None or cg < seen:
                 if seen is not None:

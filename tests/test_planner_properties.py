@@ -50,22 +50,23 @@ def world_successors(spec, state):
 def test_compact_successors_match_world(spec, walk_seed):
     problem = _Compact(spec)
     rng = random.Random(walk_seed)
-    key, g = problem.start, 0.0
-    assert problem.decode(key) == initial_state(spec)
+    key, state, g = problem.start, initial_state(spec), 0.0
     for _ in range(25):
-        state = problem.decode(key, g)
         assert problem.encode(state) == key
         succ = problem.successors(key, True)
         assert [problem.action(key, code) for code, _, _ in succ] == world_successors(spec, state)
         every = problem.successors(key, False)
         assert [problem.action(key, code) for code, _, _ in every] == enabled_actions(spec, state)
         for code, child, step in every:
-            assert problem.decode(child, g + step) == apply_action(spec, state, problem.action(key, code))
+            next_state = apply_action(spec, state, problem.action(key, code))
+            assert problem.encode(next_state) == child
+            assert next_state.travel_cost == g + step
         assert [s for s in every if s in succ] == succ   # the pruned list, children included
         if not succ:
             break
-        _, key, step = rng.choice(succ)
-        g += step
+        code, child, step = rng.choice(succ)
+        state = apply_action(spec, state, problem.action(key, code))
+        key, g = child, g + step
 
 
 @PROPERTY
@@ -177,18 +178,45 @@ def test_permuting_a_class_keeps_canonical_key_and_heuristic(spec, walk_seed):
         _, key, _ = rng.choice(succ)
 
 
-@PROPERTY
-@given(st.integers(1, 6), st.sampled_from([4, 6]), st.integers(0, 10_000), st.data())
-def test_c4_override_splits_agent_from_its_class(n_tasks, n_agents, seed, data):
-    spec = random_instance(n_tasks, n_agents, seed)
-    before = _Compact(spec).classes
-    members = data.draw(st.sampled_from(before))
-    agent = data.draw(st.sampled_from(members))
-    task = data.draw(st.sampled_from([t.id for t in spec.tasks]))
+@st.composite
+def class_splits(draw):
+    """``(spec, members, agent, split)``: a 4- or 6-agent random mission, one
+    of its classes, one member, and the mission with a C4 override that makes
+    that member's row differ from the rest of its class."""
+    spec = random_instance(draw(st.integers(1, 6)), draw(st.sampled_from([4, 6])), draw(st.integers(0, 10_000)))
+    members = draw(st.sampled_from(_Compact(spec).classes))
+    agent = draw(st.sampled_from(members))
+    task = draw(st.sampled_from([t.id for t in spec.tasks]))
     aid = spec.agents[agent].id
     value = 0.2 if spec.p_success(aid, task) != 0.2 else 0.9
-    after = _Compact(spec.with_runtime_state(spec.initial_locations, spec.pending,
-                                             p_overrides={(aid, task): value})).classes
+    split = spec.with_runtime_state(spec.initial_locations, spec.pending, p_overrides={(aid, task): value})
+    return spec, members, agent, split
+
+
+@PROPERTY
+@given(st.one_of(missions(), class_splits().map(lambda drawn: drawn[3])), st.integers(0, 2**32 - 1))
+def test_child_canonical_matches_canonical(spec, walk_seed):
+    # split missions give agents outside every class and, when a middle
+    # member leaves a class of three, a class that is not contiguous
+    problem = _Compact(spec)
+    rng = random.Random(walk_seed)
+    key = problem.start
+    for _ in range(25):
+        canon = problem.canonical(key)
+        every = problem.successors(key, False)
+        for code, child, _ in problem.successors(key, True) + every:
+            assert problem.child_canonical(canon, key, code, child) == problem.canonical(child)
+        if not every:
+            break
+        _, key, _ = rng.choice(every)
+
+
+@PROPERTY
+@given(class_splits())
+def test_c4_override_splits_agent_from_its_class(drawn):
+    spec, members, agent, split = drawn
+    before = _Compact(spec).classes
+    after = _Compact(split).classes
     assert not any(agent in m for m in after)
     rest = tuple(a for a in members if a != agent)
     assert (rest in after) == (len(rest) > 1)
