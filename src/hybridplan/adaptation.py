@@ -136,7 +136,7 @@ class Progress:
 
     clock: int
     failures: dict    # task id -> observed failures
-    done: list        # the dispatcher's flag per action of the plan's total order
+    done: int         # the dispatcher's cursor: actions of the plan's total order started
 
     def failure_count(self, task: str) -> int:
         return self.failures.get(task, 0)
@@ -205,14 +205,12 @@ def _prefix_consistent(ctx: ExecutionContext, entry: ArchiveEntry, completed: fr
 
 def build_suffix_model(ctx: ExecutionContext) -> ParametricPlanModel:
     """Parametric model of the remaining mission, conditioned on progress:
-    each agent's undone actions in trace order, with retry caps shrunk by
-    the observed failures so that only attempts still available are
-    budgeted.  An agent's done actions are a prefix of its own, because
-    dispatch never passes an agent's undone action."""
+    each agent's actions of the trace past the dispatch cursor, in trace
+    order, with retry caps shrunk by the observed failures so that only
+    attempts still available are budgeted."""
     remaining: dict[str, list] = {a: [] for a in ctx.plan.per_agent}
-    for act, done in zip(ctx.plan.total_order, ctx.progress.done):
-        if not done:
-            remaining[act.agent].append(act)
+    for act in ctx.plan.total_order[ctx.progress.done:]:
+        remaining[act.agent].append(act)
     return ParametricPlanModel(
         chains=build_chains(ctx.spec, remaining, ctx.progress.failures),
         p_succ_threshold=ctx.spec.constraints.p_succ,
@@ -429,10 +427,14 @@ class TraceStep:
 @dataclass
 class Trace:
     steps: list[TraceStep]
-    events: list[TraceEvent]
     result: str                   # "success" | "stalled" (replan failures raise)
     clock: int
     travel_cost: float
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every adaptation event, in the order the steps recorded them."""
+        return [e for step in self.steps for e in step.events]
 
     def levels(self) -> list[str]:
         return [e.level for e in self.events]
@@ -509,19 +511,17 @@ def simulate(
         model=model,
         archive=archive,
         deployed=deploy,
-        progress=Progress(0, {}, [False] * len(plan.total_order)),
+        progress=Progress(0, {}, 0),
         world=initial_state(spec),
         ga=ga or GaConfig(),
         planner=planner_cfg or PlannerConfig(),
     )
     queue = list(changes)
     steps: list[TraceStep] = []
-    events: list[TraceEvent] = []
     result = "stalled"
 
     def apply_outcome(out: AdaptationOutcome, change: Change):
-        events.append(TraceEvent(ctx.progress.clock, change, out.level, out.reduced_size))
-        step_events.append(events[-1])
+        step_events.append(TraceEvent(ctx.progress.clock, change, out.level, out.reduced_size))
         if out.new_spec is not None:
             ctx.spec = out.new_spec
         if out.level == NA:
@@ -539,7 +539,7 @@ def simulate(
         ctx.plan = out.new_plan
         ctx.epoch_failures = {}
         ctx.progress.failures = {}
-        ctx.progress.done = [False] * len(out.new_plan.total_order)
+        ctx.progress.done = 0
 
     forced_fail: Optional[str] = None   # task of this slot's scripted C1
 
@@ -564,7 +564,9 @@ def simulate(
             else:
                 apply_outcome(adapt(ctx, change), change)
 
-        ctx.world, acted = dispatch_slot(ctx.spec, ctx.world, ctx.plan.total_order, ctx.progress.done, attempt)
+        ctx.world, acted, ctx.progress.done = dispatch_slot(
+            ctx.spec, ctx.world, ctx.plan.total_order, ctx.progress.done, attempt
+        )
         for act, ok in acted.values():
             if not ok:  # a failed attempt stops the slot's scan, so it comes last
                 ctx.progress.failures[act.task] = ctx.progress.failure_count(act.task) + 1
@@ -589,16 +591,16 @@ def simulate(
         )
         ctx.progress.clock = t + 1
 
-        if all(ctx.progress.done) and not queue:
+        finished = ctx.progress.done == len(ctx.plan.total_order)
+        if finished and not queue:
             result = "success"
             break
-        if not acted and not queue and not all(ctx.progress.done):
+        if not acted and not queue and not finished:
             result = "stalled"
             break
 
     return Trace(
         steps=steps,
-        events=events,
         result=result,
         clock=ctx.progress.clock,
         travel_cost=ctx.world.travel_cost,

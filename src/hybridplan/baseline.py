@@ -17,6 +17,9 @@ may pick any enabled action, so every one of them is a choice.
 The builder reports blow-ups through StateBudgetExceeded carrying the state
 count reached; hitting the budget on realistic missions is an expected
 result, not a bug.
+
+`p_max` is solved on the greedy policy's rows of the compiled MDP; policy
+enumeration solves one induced chain (`pmc.induced_chain`) per policy.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ A chain is a DAG with two absorbing sinks, so one forward pass over its steps
 (`closed_form_chain_metrics`) gives its metrics exactly; that is the
 evaluator synthesis and adaptation use.  The explicit DTMCs (`instantiate`)
 feed the model-checking engine, which serves as an oracle and behind
-`hybridplan verify`.
+`hybridplan verify`; it compiles each one as an MDP with one choice per
+state, the same sparse form as the baseline's MDPs.
 
 A `ParametricPlanModel` is immutable.  Its table of retry slots (the budget
 space: chain order, then step order) is built once, when the model is

@@ -43,7 +43,9 @@ the trace order keeps the packing deadlock-free, which a fixed agent
 priority cannot (an agent parked on another's route would stall it forever).
 ``dispatch_slot`` runs one slot of it and is the one trace-order dispatcher
 of the package: ``timed_schedule`` packs lanes with it, and the adaptation
-harness executes plans with it, deciding each task attempt's outcome.
+harness executes plans with it, deciding each task attempt's outcome.  What
+has started is always a prefix of the trace, so one cursor (its length)
+records it.
 """
 
 from __future__ import annotations
@@ -487,22 +489,22 @@ def dispatch_slot(
     spec: ProblemSpec,
     state: WorldState,
     order: list[Action],
-    done: list[bool],
+    done: int,
     attempt: Optional[Callable[[Do], bool]] = None,
-) -> tuple[WorldState, dict[str, tuple[Action, bool]]]:
-    """Run one slot of trace-order dispatch; marks started actions in ``done``.
+) -> tuple[WorldState, dict[str, tuple[Action, bool]], int]:
+    """Run one slot of trace-order dispatch from the cursor ``done``, the
+    number of actions of ``order`` already started.
 
-    The scan skips done actions and stops at the first action whose agent
-    has already acted this slot or whose world preconditions fail, so no
-    action overtakes an earlier one.  ``attempt`` decides each task's outcome
-    (every task succeeds without it); a failed attempt holds its agent for
-    the slot, stays undone and stops the scan.  Returns the new state and
-    ``{agent: (action, succeeded)}`` in dispatch order.
+    The scan starts at ``order[done]`` and stops at the first action whose
+    agent has already acted this slot or whose world preconditions fail, so
+    no action overtakes an earlier one and the started actions are always a
+    prefix of the trace.  ``attempt`` decides each task's outcome (every
+    task succeeds without it); a failed attempt holds its agent for the
+    slot, stays unstarted and stops the scan.  Returns the new state,
+    ``{agent: (action, succeeded)}`` in dispatch order, and the new cursor.
     """
     acted: dict[str, tuple[Action, bool]] = {}
-    for i, act in enumerate(order):
-        if done[i]:
-            continue
+    for act in order[done:]:
         if act.agent in acted:
             break
         try:
@@ -514,8 +516,8 @@ def dispatch_slot(
         if not ok:
             break
         state = nxt
-        done[i] = True
-    return state, acted
+        done += 1
+    return state, acted, done
 
 
 def timed_schedule(spec: ProblemSpec, plan: Plan) -> dict[str, list[Action]]:
@@ -526,11 +528,11 @@ def timed_schedule(spec: ProblemSpec, plan: Plan) -> dict[str, list[Action]]:
     never progress again and raises.
     """
     order = plan.total_order
-    done = [False] * len(order)
+    done = 0
     lanes: dict[str, list[Action]] = {a: [] for a, seq in plan.per_agent.items() if seq}
     state = initial_state(spec)
-    while not all(done):
-        state, acted = dispatch_slot(spec, state, order, done)
+    while done < len(order):
+        state, acted, done = dispatch_slot(spec, state, order, done)
         if not acted:
             raise RuntimeError("parallel packing failed to make progress")
         for agent, lane in lanes.items():

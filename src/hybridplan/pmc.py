@@ -2,14 +2,17 @@
 
 Supports the queries the pipeline needs: reachability probability and
 expected reachability reward on DTMCs, plus maximum reachability probability
-and minimum bounded cumulative reward on MDPs.  Reachability solves use
-graph precomputation of the probability-0/1 sets followed by an exact
-direct linear solve (dense up to 225 unknowns, sparse above).  The MDP
-queries run on an array form compiled once per MDP: a sparse matrix with
-one row per choice, so value iteration and bounded backward induction are a
-sparse product and a per-state max/min reduction per sweep.  Value
-iteration is the one loop with a tolerance; it raises ConvergenceError
-when it hits MAX_SWEEPS.
+and minimum bounded cumulative reward on MDPs.  Every model runs on one
+array form, `CompiledMdp`: a sparse matrix with one row per choice, built
+and checked by `_compile_mdp`.  A DTMC compiles as an MDP with one choice
+per state.  Reachability and expected-reward solves share one path on
+that matrix: graph precomputation of the probability-0/1 sets (breadth-first
+searches over its positive entries), then an exact direct linear solve
+(dense up to 225 unknowns, sparse above).  Value iteration and bounded
+backward induction are a sparse product and a per-state max/min reduction
+per sweep; the maximum-probability query then solves its greedy policy's
+rows of the same matrix.  Value iteration is the one loop with a tolerance;
+it raises ConvergenceError when it hits MAX_SWEEPS.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,77 +47,76 @@ class Dtmc:
     rewards: dict[str, list[list[float]]] = field(default_factory=dict)
 
     def check(self):
-        if len(self.transitions) != self.n_states:
-            raise ModelError("transition table size mismatch")
-        for i, row in enumerate(self.transitions):
-            if not row:
-                raise ModelError(f"state {i} has no outgoing transitions")
-            total = sum(p for _, p in row)
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ModelError(f"state {i} outgoing probabilities sum to {total}")
-        for name, rows in self.rewards.items():
-            for i, row in enumerate(rows):
-                if len(row) != len(self.transitions[i]):
-                    raise ModelError(f"reward '{name}' misaligned at state {i}")
+        self.compiled()
 
-    def states_with_label(self, label: str) -> frozenset[int]:
-        if label not in self.labels or not self.labels[label]:
-            raise ModelError(f"no state carries label '{label}'")
-        return self.labels[label]
-
-    def predecessors(self) -> list[list[int]]:
-        pred: list[list[int]] = [[] for _ in range(self.n_states)]
-        for i, row in enumerate(self.transitions):
-            for j, p in row:
-                if p > 0.0:
-                    pred[j].append(i)
-        return pred
+    def compiled(self, reward: Optional[str] = None) -> CompiledMdp:
+        """The chain as an MDP with one choice per state.  Each reward
+        structure is compiled in turn, so `_compile_mdp` checks the rows and
+        every structure's alignment; the result carries the `reward`
+        structure (with None, the last one, or zeros if there is none)."""
+        structures = self.rewards or {None: [[0.0] * len(row) for row in self.transitions]}
+        forms = {}
+        for name, rows in structures.items():
+            pairs = itertools.zip_longest(self.transitions, rows, fillvalue=())
+            choices = [[("step", row, rew)] for row, rew in pairs]
+            forms[name] = _compile_mdp(Mdp(self.n_states, self.initial, choices, self.labels))
+        if reward is None:
+            return forms.popitem()[1]
+        if reward not in forms:
+            raise ModelError(f"unknown reward structure '{reward}'")
+        return forms[reward]
 
 
-def _closure(edges: list[list[int]], seeds: Iterable[int], blocked=frozenset()) -> set[int]:
-    """The seeds plus every state reachable from them along ``edges``
-    without entering a ``blocked`` state."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for q in edges[s]:
-            if q not in seen and q not in blocked:
-                seen.add(q)
-                stack.append(q)
-    return seen
+def _label_mask(model, label: str) -> np.ndarray:
+    """Mask of the states of `model` (a Dtmc or an Mdp) carrying `label`."""
+    if not model.labels.get(label):
+        raise ModelError(f"no state carries label '{label}'")
+    mask = np.zeros(model.n_states, bool)
+    mask[list(model.labels[label])] = True
+    return mask
 
 
-def prob01_sets(dtmc: Dtmc, target: frozenset[int]) -> tuple[set[int], set[int]]:
-    """(probability-0 set, probability-1 set) for eventually reaching target."""
-    pred = dtmc.predecessors()
-    can_reach = _closure(pred, target)
-    prob0 = set(range(dtmc.n_states)) - can_reach
+def _closure(adj, seeds, blocked: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the seeds and every state reachable from them along the
+    positive entries of `adj` without entering a `blocked` state.  `adj`
+    lists each state's neighbours: a CSR chain matrix its successors, a CSC
+    one its predecessors.  One breadth-first search from a super-source
+    joined to every seed."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = len(adj.indptr) - 1
+    keep = adj.data > 0.0
+    if blocked is not None:
+        keep &= ~blocked[adj.indices]
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    indptr = np.append(kept[adj.indptr], kept[-1] + len(seeds))
+    indices = np.append(adj.indices[keep], seeds)
+    search = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+    seen = np.zeros(n + 1, bool)
+    seen[breadth_first_order(search, n, return_predecessors=False)] = True
+    return seen[:n]
+
+
+def prob01_sets(trans, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the states that reach `target` (a mask) with probability 0
+    and with probability 1, in the chain whose row s is trans[s]."""
+    pred = trans.tocsc()
+    prob0 = ~_closure(pred, np.flatnonzero(target))
     # a path counts once it hits the target, whatever follows
-    reach_prob0 = _closure(pred, prob0, blocked=target)
-    prob1 = set(range(dtmc.n_states)) - reach_prob0
+    prob1 = ~_closure(pred, np.flatnonzero(prob0), blocked=target)
     return prob0, prob1
 
 
-def _flatten(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row lengths, column indices, probabilities) of [(index, prob)] rows."""
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    cols, probs = zip(*itertools.chain.from_iterable(rows)) if lengths.any() else ((), ())
-    return lengths, np.array(cols, np.int64), np.array(probs, np.float64)
-
-
-def _solve_linear(unknowns: list[int], coeff_rows, rhs) -> np.ndarray:
+def _solve_linear(unknowns: np.ndarray, coeff, rhs) -> np.ndarray:
     """Solve x = A x + b restricted to `unknowns`.
 
-    coeff_rows[i] lists (unknown-index, probability) for unknowns[i]; rhs is
-    the constant vector.  The solve is direct: dense up to DENSE_LIMIT
-    unknowns, sparse LU above.
+    coeff is A over the unknowns as (row, column, probability) arrays, in
+    row order with repeats kept; rhs is b.  The solve is direct: dense up to
+    DENSE_LIMIT unknowns, sparse LU above.
     """
+    rows, cols, probs = coeff
     n = len(unknowns)
-    if n == 0:
-        return np.zeros(0)
-    lengths, cols, probs = _flatten(coeff_rows)
-    rows = np.repeat(np.arange(n), lengths)
     if n <= DENSE_LIMIT:
         a = np.eye(n)
         np.subtract.at(a, (rows, cols), probs)
@@ -126,33 +128,36 @@ def _solve_linear(unknowns: list[int], coeff_rows, rhs) -> np.ndarray:
     return spsolve(a, rhs)
 
 
-def _solve_reach(dtmc: Dtmc, prob0: set[int], prob1: set[int]) -> dict[int, float]:
-    """Reachability probability of every state outside prob0 and prob1."""
-    unknowns = sorted(set(range(dtmc.n_states)) - prob0 - prob1)
-    uindex = {s: i for i, s in enumerate(unknowns)}
-    rhs = np.zeros(len(unknowns))
-    rows: list[list[tuple[int, float]]] = []
-    for i, s in enumerate(unknowns):
-        row = []
-        for j, p in dtmc.transitions[s]:
-            if j in prob1:
-                rhs[i] += p
-            elif j in uindex:
-                row.append((uindex[j], p))
-        rows.append(row)
-    x = _solve_linear(unknowns, rows, rhs)
-    return {s: float(x[i]) for s, i in uindex.items()}
+def _solve_at(trans, unknown: np.ndarray, b: np.ndarray, initial: int) -> float:
+    """x[initial] of x = A x + b over the `unknown` states (a mask), A being
+    the chain `trans` restricted to them.  The unknowns are in ascending
+    order and each row's entries in the matrix's order."""
+    unknowns = np.flatnonzero(unknown)
+    index = np.full(len(unknown), -1)
+    index[unknowns] = np.arange(len(unknowns))
+    rows = index[np.repeat(np.arange(len(unknown)), np.diff(trans.indptr))]
+    cols = index[trans.indices]
+    keep = (rows >= 0) & (cols >= 0)
+    coeff = (rows[keep], cols[keep], trans.data[keep])
+    return float(_solve_linear(unknowns, coeff, b[unknowns])[index[initial]])
+
+
+def _reach(trans, initial: int, target: np.ndarray) -> float:
+    """Probability of reaching `target` from `initial` in the chain whose
+    row s is trans[s]."""
+    prob0, prob1 = prob01_sets(trans, target)
+    if prob1[initial]:
+        return 1.0
+    if prob0[initial]:
+        return 0.0
+    # trans @ prob1 adds each row's entries into prob1 in order (the others add 0.0)
+    return _solve_at(trans, ~(prob0 | prob1), trans @ prob1.astype(np.float64), initial)
 
 
 def reach_probability(dtmc: Dtmc, target_label: str) -> float:
     """Probability of eventually reaching a state with the target label."""
-    dtmc.check()
-    prob0, prob1 = prob01_sets(dtmc, dtmc.states_with_label(target_label))
-    if dtmc.initial in prob1:
-        return 1.0
-    if dtmc.initial in prob0:
-        return 0.0
-    return _solve_reach(dtmc, prob0, prob1)[dtmc.initial]
+    trans = dtmc.compiled().trans
+    return _reach(trans, dtmc.initial, _label_mask(dtmc, target_label))
 
 
 def expected_reward(dtmc: Dtmc, reward_name: str, target_label: str) -> float:
@@ -162,35 +167,19 @@ def expected_reward(dtmc: Dtmc, reward_name: str, target_label: str) -> float:
     initial one reaches before first hitting it; otherwise the expectation
     diverges and InfiniteRewardError is raised.
     """
-    dtmc.check()
-    if reward_name not in dtmc.rewards:
-        raise ModelError(f"unknown reward structure '{reward_name}'")
-    target = dtmc.states_with_label(target_label)
-    if dtmc.initial in target:
+    cm = dtmc.compiled(reward_name)
+    target = _label_mask(dtmc, target_label)
+    if target[dtmc.initial]:
         return 0.0
-    _, prob1 = prob01_sets(dtmc, target)
+    _, prob1 = prob01_sets(cm.trans, target)
     # the states visited before the target is first hit; what follows it is never paid
-    succ = [[j for j, p in row if p > 0.0] for row in dtmc.transitions]
-    reachable = _closure(succ, [dtmc.initial], blocked=target)
-    bad = reachable - prob1
+    reachable = _closure(cm.trans, [dtmc.initial], blocked=target)
+    bad = np.count_nonzero(reachable & ~prob1)
     if bad:
         raise InfiniteRewardError(
-            f"target '{target_label}' not almost surely reached from {len(bad)} reachable state(s)"
+            f"target '{target_label}' not almost surely reached from {bad} reachable state(s)"
         )
-    unknowns = sorted(reachable)
-    uindex = {s: i for i, s in enumerate(unknowns)}
-    rhs = np.zeros(len(unknowns))
-    rows: list[list[tuple[int, float]]] = []
-    rew = dtmc.rewards[reward_name]
-    for i, s in enumerate(unknowns):
-        row = []
-        for k, (j, p) in enumerate(dtmc.transitions[s]):
-            rhs[i] += p * rew[s][k]
-            if j in uindex:
-                row.append((uindex[j], p))
-        rows.append(row)
-    x = _solve_linear(unknowns, rows, rhs)
-    return float(x[uindex[dtmc.initial]])
+    return _solve_at(cm.trans, reachable, cm.reward, dtmc.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +310,6 @@ class Mdp:
             self._compiled = _compile_mdp(self)
         return self._compiled
 
-    def states_with_label(self, label: str) -> frozenset[int]:
-        if label not in self.labels or not self.labels[label]:
-            raise ModelError(f"no state carries label '{label}'")
-        return self.labels[label]
-
 
 def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     """Flatten the choice table into CSR arrays, raising the ModelError of the
@@ -337,7 +321,9 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     counts = np.fromiter(map(len, mdp.choices), np.int64, mdp.n_states)
     acts = list(itertools.chain.from_iterable(mdp.choices))
     names, rows, rews = zip(*acts) if acts else ((), (), ())
-    lengths, cols, probs = _flatten(rows)
+    lengths = np.fromiter(map(len, rows), np.int64, len(acts))
+    cols, probs = zip(*itertools.chain.from_iterable(rows)) if lengths.any() else ((), ())
+    cols, probs = np.array(cols, np.int64), np.array(probs, np.float64)
     rew_lengths = np.fromiter(map(len, rews), np.int64, len(acts))
     owner = np.repeat(np.arange(len(acts)), lengths)
     # bincount adds each row's weights in order from zero, as sum() does
@@ -368,12 +354,12 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
 def mdp_max_reach_prob(mdp: Mdp, label: str) -> float:
     """Maximum probability of reaching the label over all policies.
 
-    Value iteration from below, then an exact linear solve of the greedy
-    policy's induced chain to polish the fixed point.
+    Value iteration from below, then an exact linear solve on the greedy
+    policy's rows of the compiled matrix to polish the fixed point.
     """
     cm = mdp.compiled()
-    target = mdp.states_with_label(label)
-    pinned = np.fromiter(target, np.int64, len(target))
+    target = _label_mask(mdp, label)
+    pinned = np.flatnonzero(target)
     x = np.zeros(mdp.n_states)
     x[pinned] = 1.0
     delta = math.inf
@@ -387,34 +373,33 @@ def mdp_max_reach_prob(mdp: Mdp, label: str) -> float:
     else:
         raise ConvergenceError(f"value iteration did not converge in {MAX_SWEEPS} sweeps (residual {delta})")
     # polish: evaluate a proper greedy policy exactly.  Ties between
-    # value-optimal actions are broken toward actions whose support moves
-    # closer to the target; a plain argmax may cycle among equal-value
-    # states and never reach it.
+    # value-optimal actions are broken toward actions whose support reaches
+    # a state already routed to the target; a plain argmax may cycle among
+    # equal-value states and never reach it.  Unrouted states (the targets
+    # among them) keep their first choice.
     vals = cm.trans @ x
     optimal = np.flatnonzero(vals >= np.maximum.reduceat(vals, cm.starts)[cm.state] - 1e-12)
+    optimal = optimal[~target[cm.state[optimal]]]
     owner = cm.state[optimal]
     opt_actions: dict[int, list[int]] = {}
     for s, idx in zip(owner.tolist(), (optimal - cm.starts[owner]).tolist()):
-        if s not in target:
-            opt_actions.setdefault(s, []).append(idx)
-    dist = {s: 0 for s in target}
-    policy: dict[int, int] = {}
+        opt_actions.setdefault(s, []).append(idx)
+    routed = set(pinned.tolist())
+    choice = np.zeros(mdp.n_states, np.int64)
     changed = True
     while changed:
         changed = False
         for s, idxs in opt_actions.items():
-            if s in policy:
+            if s in routed:
                 continue
             for idx in idxs:
                 _, row, _ = mdp.choices[s][idx]
-                reachable = [dist[j] for j, p in row if p > 0.0 and j in dist]
-                if reachable:
-                    policy[s] = idx
-                    dist[s] = 1 + min(reachable)
+                if any(p > 0.0 and j in routed for j, p in row):
+                    choice[s] = idx
+                    routed.add(s)
                     changed = True
                     break
-    chain = induced_chain(mdp, policy)
-    return reach_probability(chain, label)
+    return _reach(cm.trans[cm.starts + choice], mdp.initial, target)
 
 
 def mdp_min_bounded_reward(mdp: Mdp, bound: int = 20) -> float:

@@ -59,7 +59,7 @@ def ctx_at(spec, plan, model, entries, deployed, prefix_len, failures=None, cloc
         progress=Progress(
             clock=prefix_len if clock is None else clock,
             failures=dict(failures or {}),
-            done=[i < prefix_len for i in range(len(plan.total_order))],
+            done=prefix_len,
         ),
         world=world,
         ga=GaConfig(population=10, evaluations=60, seed=1),
@@ -431,12 +431,13 @@ class TestSuffixModel:
         spec = random_instance(3 + seed % 4, 2 + seed % 2, seed)
         plan = plan_mission(spec)
         model = build_parametric_model(spec, plan)
-        done, world = [False] * len(plan.total_order), initial_state(spec)
+        done, world = 0, initial_state(spec)
         for _ in range(rng.randrange(plan.makespan() + 3)):
-            world, _ = dispatch_slot(spec, world, plan.total_order, done, lambda act: rng.random() < 0.7)
+            world, _, done = dispatch_slot(spec, world, plan.total_order, done, lambda act: rng.random() < 0.7)
         archive = ParetoArchive(model.plan_hash, [], 0, {})
         ctx = ExecutionContext(spec, plan, model, archive, None, Progress(0, {}, done), world)
-        finished = [act for act, d in zip(plan.total_order, done) if d]
+        finished = plan.total_order[:done]
+        assert replay(spec, finished) == world
         k = {a: sum(act.agent == a for act in finished) for a in plan.per_agent}
         reference = build_chains(spec, {a: seq[k[a]:] for a, seq in plan.per_agent.items()})
         assert list(build_suffix_model(ctx).chains) == reference

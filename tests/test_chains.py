@@ -204,9 +204,9 @@ class TestEngineAgreement:
         sizes = []
         solve = pmc._solve_linear
 
-        def record(unknowns, rows, rhs):
+        def record(unknowns, coeff, rhs):
             sizes.append(len(unknowns))
-            return solve(unknowns, rows, rhs)
+            return solve(unknowns, coeff, rhs)
 
         monkeypatch.setattr(pmc, "_solve_linear", record)
         succ, cost = closed_form_chain_metrics(chain, assignment)

@@ -1,10 +1,12 @@
-"""Property tests: the array MDP engines agree with per-state loops.
+"""Property tests: the array engines agree with per-state loops.
 
-The reference functions below are the loop forms of the two MDP queries
-(Gauss-Seidel value iteration with the same polish, and backward induction
-one state and one choice at a time).  They run on random small MDPs and on
+The reference functions below are the loop forms of the queries.  For MDPs:
+Gauss-Seidel value iteration with the same polish, and backward induction
+one state and one choice at a time.  They run on random small MDPs and on
 the whole-problem MDPs of 2-task random missions (those above 3,000 states
-are skipped to keep the loops quick).
+are skipped to keep the loops quick).  For DTMCs: the list-based
+probability-0/1 closure and linear-system assembly that the compiled
+matrix replaced; the DTMC answers must match them to the bit.
 """
 
 import math
@@ -16,8 +18,17 @@ from hypothesis import strategies as st
 
 from hybridplan.baseline import build_full_mdp
 from hybridplan.bench import random_instance
-from hybridplan.errors import StateBudgetExceeded
-from hybridplan.pmc import Mdp, induced_chain, mdp_max_reach_prob, mdp_min_bounded_reward, reach_probability
+from hybridplan.errors import InfiniteRewardError, ModelError, StateBudgetExceeded
+from hybridplan import pmc
+from hybridplan.pmc import (
+    Dtmc,
+    Mdp,
+    expected_reward,
+    induced_chain,
+    mdp_max_reach_prob,
+    mdp_min_bounded_reward,
+    reach_probability,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -25,7 +36,7 @@ CLOSE = dict(rel=1e-12, abs=1e-12)
 
 
 def loop_max_reach_prob(mdp: Mdp, label: str, tol: float = 1e-10) -> float:
-    target = mdp.states_with_label(label)
+    target = mdp.labels[label]
     x = np.zeros(mdp.n_states)
     for s in target:
         x[s] = 1.0
@@ -76,6 +87,173 @@ def loop_min_bounded_reward(mdp: Mdp, bound: int) -> float:
             )
         x = nxt
     return float(x[mdp.initial])
+
+
+def loop_closure(edges, seeds, blocked=frozenset()) -> set:
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        s = stack.pop()
+        for q in edges[s]:
+            if q not in seen and q not in blocked:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
+def loop_prob01_sets(dtmc: Dtmc, target) -> tuple[set, set]:
+    pred = [[] for _ in range(dtmc.n_states)]
+    for i, row in enumerate(dtmc.transitions):
+        for j, p in row:
+            if p > 0.0:
+                pred[j].append(i)
+    prob0 = set(range(dtmc.n_states)) - loop_closure(pred, target)
+    prob1 = set(range(dtmc.n_states)) - loop_closure(pred, prob0, blocked=target)
+    return prob0, prob1
+
+
+def loop_solve_linear(coeff_rows, rhs) -> np.ndarray:
+    from scipy.sparse import coo_matrix, identity
+    from scipy.sparse.linalg import spsolve
+
+    n = len(coeff_rows)
+    rows = np.repeat(np.arange(n), [len(r) for r in coeff_rows])
+    cols = np.array([j for r in coeff_rows for j, _ in r], np.int64)
+    probs = np.array([p for r in coeff_rows for _, p in r], np.float64)
+    if n <= pmc.DENSE_LIMIT:
+        a = np.eye(n)
+        np.subtract.at(a, (rows, cols), probs)
+        return np.linalg.solve(a, rhs)
+    return spsolve(identity(n, format="csc") - coo_matrix((probs, (rows, cols)), shape=(n, n)).tocsc(), rhs)
+
+
+def loop_reach_probability(dtmc: Dtmc, label: str) -> float:
+    prob0, prob1 = loop_prob01_sets(dtmc, dtmc.labels[label])
+    if dtmc.initial in prob1:
+        return 1.0
+    if dtmc.initial in prob0:
+        return 0.0
+    unknowns = sorted(set(range(dtmc.n_states)) - prob0 - prob1)
+    uindex = {s: i for i, s in enumerate(unknowns)}
+    rhs = np.zeros(len(unknowns))
+    rows = []
+    for i, s in enumerate(unknowns):
+        row = []
+        for j, p in dtmc.transitions[s]:
+            if j in prob1:
+                rhs[i] += p
+            elif j in uindex:
+                row.append((uindex[j], p))
+        rows.append(row)
+    return float(loop_solve_linear(rows, rhs)[uindex[dtmc.initial]])
+
+
+def loop_expected_reward(dtmc: Dtmc, reward_name: str, label: str) -> float:
+    target = dtmc.labels[label]
+    if dtmc.initial in target:
+        return 0.0
+    _, prob1 = loop_prob01_sets(dtmc, target)
+    succ = [[j for j, p in row if p > 0.0] for row in dtmc.transitions]
+    reachable = loop_closure(succ, [dtmc.initial], blocked=target)
+    if reachable - prob1:
+        raise InfiniteRewardError(label)
+    unknowns = sorted(reachable)
+    uindex = {s: i for i, s in enumerate(unknowns)}
+    rhs = np.zeros(len(unknowns))
+    rows = []
+    rew = dtmc.rewards[reward_name]
+    for i, s in enumerate(unknowns):
+        row = []
+        for k, (j, p) in enumerate(dtmc.transitions[s]):
+            rhs[i] += p * rew[s][k]
+            if j in uindex:
+                row.append((uindex[j], p))
+        rows.append(row)
+    return float(loop_solve_linear(rows, rhs)[uindex[dtmc.initial]])
+
+
+def outcome(query, *args):
+    """The query's answer, or the string "infinite" if it diverges."""
+    try:
+        return query(*args)
+    except InfiniteRewardError:
+        return "infinite"
+
+
+@st.composite
+def small_dtmcs(draw):
+    """Random chains with zero-probability entries, self-loops and repeated
+    targets in a row.  Transient states 0..k-1 move among themselves and
+    into a failure sink k and a success sink k+1; up to two more states
+    lead into them but nothing leads to those, and labels may name them."""
+    k = draw(st.integers(1, 7))
+    extra = draw(st.integers(0, 2))
+    n = k + 2 + extra
+    transitions, rewards = [], []
+    for s in range(n):
+        targets = draw(st.lists(st.integers(0, k + 1), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            targets.append(s)
+        weights = [draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0])) for _ in targets]
+        if s in (k, k + 1):   # the sinks absorb
+            targets, weights = [s] + targets, [1.0] + [0.0] * len(targets)
+        if not any(weights):
+            weights[0] = 1.0
+        transitions.append([(j, w / sum(weights)) for j, w in zip(targets, weights)])
+        rewards.append([draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7])) for _ in targets])
+    anywhere = st.sets(st.integers(0, n - 1), max_size=1)
+    labels = {"success": frozenset({k + 1} | draw(anywhere)), "done": frozenset({k, k + 1} | draw(anywhere))}
+    initial = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+    return Dtmc(n, initial, transitions, labels, {"cost": rewards})
+
+
+class TestDtmcQueriesMatchLoops:
+    @settings(PROPERTY, max_examples=100)
+    @given(small_dtmcs(), st.booleans())
+    def test_random_small_dtmcs_to_the_bit(self, dtmc, sparse):
+        limit = pmc.DENSE_LIMIT
+        pmc.DENSE_LIMIT = 0 if sparse else limit
+        try:
+            for label in ("success", "done"):
+                assert reach_probability(dtmc, label) == loop_reach_probability(dtmc, label)
+                assert outcome(expected_reward, dtmc, "cost", label) == outcome(
+                    loop_expected_reward, dtmc, "cost", label)
+        finally:
+            pmc.DENSE_LIMIT = limit
+
+    def test_reference_loops_on_a_retry_loop(self):
+        # retry with p = 0.5, cost 1 per try: success 1, two tries expected
+        d = Dtmc(2, 0, [[(0, 0.5), (1, 0.5)], [(1, 1.0)]], {"done": frozenset({1})},
+                 {"cost": [[1.0, 1.0], [0.0]]})
+        assert loop_reach_probability(d, "done") == 1.0
+        assert math.isclose(loop_expected_reward(d, "cost", "done"), 2.0, abs_tol=1e-12)
+
+
+GOOD = [[(1, 0.5), (0, 0.5)], [(1, 1.0)]]
+GOOD_COST = [[1.0, 1.0], [0.0]]
+
+
+@pytest.mark.parametrize(
+    "n, transitions, rewards",
+    [
+        (3, GOOD, {"cost": GOOD_COST}),                                  # size mismatch
+        (2, [[(1, 1.0)], []], {"cost": [[1.0], []]}),                     # empty row
+        (2, [[(1, 0.5)], [(1, 1.0)]], {"cost": [[1.0], [0.0]]}),          # row sums to 0.5
+        (2, [[(1, 0.5), (1, 0.5 + 1e-9)], [(1, 1.0)]], {"cost": GOOD_COST}),   # just above 1
+        (2, GOOD, {"cost": [[1.0], [0.0]]}),                              # misaligned reward
+        (2, GOOD, {"cost": GOOD_COST, "time": [[1.0, 1.0], [0.0, 0.0]]}),   # in a second structure
+        (2, GOOD, {"time": [[1.0, 1.0]], "cost": GOOD_COST}),             # a structure short of rows
+        (2, GOOD, {"cost": GOOD_COST + [[0.0]]}),                         # a structure with a row too many
+    ],
+)
+def test_malformed_chains_raise_model_error(n, transitions, rewards):
+    def chain():
+        return Dtmc(n, 0, transitions, {"done": frozenset({1})}, rewards)
+
+    for query in (Dtmc.check, lambda d: reach_probability(d, "done"),
+                  lambda d: expected_reward(d, "cost", "done")):
+        with pytest.raises(ModelError):
+            query(chain())
 
 
 @st.composite

@@ -46,15 +46,15 @@ class TestReachability:
             reach_probability(d, "success")
 
     def test_prob01_sets(self):
-        d = chain_dtmc(0.5)
-        prob0, prob1 = prob01_sets(d, frozenset({1}))
-        assert prob0 == {2}
-        assert prob1 == {1}
+        prob0, prob1 = prob01_sets(chain_dtmc(0.5).compiled().trans, np.array([False, True, False]))
+        assert prob0.tolist() == [False, False, True]
+        assert prob1.tolist() == [False, True, False]
 
     def test_target_left_again_counts_as_reached(self):
         # 0 -> 1 (target) -> 2 (sink): the target is hit with certainty
         d = Dtmc(3, 0, [[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"success": frozenset({1})})
-        assert prob01_sets(d, frozenset({1})) == ({2}, {0, 1})
+        prob0, prob1 = prob01_sets(d.compiled().trans, np.array([False, True, False]))
+        assert (prob0.tolist(), prob1.tolist()) == ([False, False, True], [True, True, False])
         assert reach_probability(d, "success") == 1.0
 
     def test_loop_before_target(self):
@@ -275,9 +275,9 @@ def test_dense_and_sparse_solves_agree_on_induced_chains(monkeypatch, m1, m1_min
     systems = []
     solve = pmc._solve_linear
 
-    def record(unknowns, rows, rhs):
-        systems.append((unknowns, rows, rhs.copy()))
-        return solve(unknowns, rows, rhs)
+    def record(unknowns, coeff, rhs):
+        systems.append((unknowns, coeff, rhs.copy()))
+        return solve(unknowns, coeff, rhs)
 
     monkeypatch.setattr(pmc, "_solve_linear", record)
     for spec in (m1_mini, m1):
@@ -285,9 +285,9 @@ def test_dense_and_sparse_solves_agree_on_induced_chains(monkeypatch, m1, m1_min
     monkeypatch.setattr(pmc, "_solve_linear", solve)
     sizes = [len(u) for u, _, _ in systems]
     assert min(sizes) <= pmc.DENSE_LIMIT < max(sizes)
-    for unknowns, rows, rhs in systems:
+    for unknowns, coeff, rhs in systems:
         monkeypatch.setattr(pmc, "DENSE_LIMIT", len(unknowns))
-        dense = solve(unknowns, rows, rhs.copy())
+        dense = solve(unknowns, coeff, rhs.copy())
         monkeypatch.setattr(pmc, "DENSE_LIMIT", 0)
-        sparse = solve(unknowns, rows, rhs.copy())
+        sparse = solve(unknowns, coeff, rhs.copy())
         assert np.max(np.abs(dense - sparse)) <= 1e-12

@@ -5,8 +5,8 @@ other module asks it.  Besides ``spec`` (which parses, copies and writes
 gamma), only the PDDL export reads gamma, to write it into the domain file.
 The scan reads the package sources and imports nothing from them.
 
-The adaptation harness records what has run once, as the dispatcher's done
-flags, and the stages each level reruns once, in ``STAGES``.
+The adaptation harness records what has run once, as the dispatcher's trace
+cursor, and the stages each level reruns once, in ``STAGES``.
 """
 
 import ast
