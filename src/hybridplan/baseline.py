@@ -18,8 +18,9 @@ The builder reports blow-ups through StateBudgetExceeded carrying the state
 count reached; hitting the budget on realistic missions is an expected
 result, not a bug.
 
-`p_max` is solved on the greedy policy's rows of the compiled MDP; policy
-enumeration solves one induced chain (`pmc.induced_chain`) per policy.
+`p_max` is solved on the rows of a greedy policy routed breadth-first from
+the target in the compiled MDP; policy enumeration solves one induced chain
+(`pmc.induced_chain`, compiled once for both of its queries) per policy.
 """
 
 from __future__ import annotations
@@ -132,43 +133,46 @@ def baseline_queries(mdp: Mdp, bound: int = 20) -> dict:
     }
 
 
+def pareto_front(points) -> list[tuple[float, float]]:
+    """The (cost, success) points no other point dominates, by ascending
+    cost: one sweep by cost, keeping each point that beats the best success
+    seen so far (a tie in cost sorts the higher success first)."""
+    front = []
+    for c, s in sorted(set(points), key=lambda p: (p[0], -p[1])):
+        if not front or s > front[-1][1]:
+            front.append((c, s))
+    return front
+
+
 def enumerate_policies(mdp: Mdp, limit: int = 200_000) -> dict:
     """Exact Pareto points over memoryless deterministic policies.
 
-    Enumerates action assignments over policy-reachable states by
-    backtracking; each complete policy induces a chain solved for success
-    probability and expected cost to absorption.  Policies that do not
-    absorb almost surely get infinite cost.  Raises LimitExceeded past
+    Enumerates action assignments over policy-reachable states depth-first
+    with an explicit stack; each complete policy induces a chain solved for
+    success probability and expected cost to absorption.  Policies that do
+    not absorb almost surely get infinite cost.  Raises LimitExceeded past
     `limit` complete policies.
     """
     mdp.check()
-    n = mdp.n_states
 
     policies: list[dict[int, int]] = []
-
-    def successors(state: int, choice: int):
-        _, row, _ = mdp.choices[state][choice]
-        return [j for j, p in row if p > 0.0]
-
-    def expand(assignment: dict[int, int], pending: tuple[int, ...]):
-        # pending: reached states without an assigned choice yet
+    # (assignment, pending): pending lists reached states, some maybe assigned
+    stack: list[tuple[dict[int, int], tuple[int, ...]]] = [({}, (mdp.initial,))]
+    while stack:
+        assignment, pending = stack.pop()
         todo = [s for s in pending if s not in assignment]
         if not todo:
             if len(policies) >= limit:
                 raise LimitExceeded(f"policy enumeration exceeded {limit}")
-            policies.append(dict(assignment))
-            return
+            policies.append(assignment)
+            continue
         s = todo[-1]
         rest = tuple(todo[:-1])
-        for choice in range(len(mdp.choices[s])):
-            assignment[s] = choice
-            new = tuple(
-                j for j in successors(s, choice) if j not in assignment and j not in rest and j != s
-            )
-            expand(assignment, rest + new)
-            del assignment[s]
-
-    expand({}, (mdp.initial,))
+        # pushed last choice first, so choices pop in index order
+        for choice in reversed(range(len(mdp.choices[s]))):
+            _, row, _ = mdp.choices[s][choice]
+            new = tuple(j for j, p in row if p > 0.0 and j not in assignment and j not in rest and j != s)
+            stack.append(({**assignment, s: choice}, rest + new))
 
     points = []
     for pol in policies:
@@ -179,13 +183,8 @@ def enumerate_policies(mdp: Mdp, limit: int = 200_000) -> dict:
         except InfiniteRewardError:
             cost = math.inf
         points.append((cost, succ))
-
-    pareto = []
-    for c, s in sorted(set(points)):
-        if not any((c2 <= c and s2 >= s and (c2 < c or s2 > s)) for c2, s2 in points):
-            pareto.append((c, s))
     return {
         "policies": len(policies),
         "points": sorted(set(points)),
-        "pareto": pareto,
+        "pareto": pareto_front(points),
     }

@@ -10,9 +10,11 @@ that matrix: graph precomputation of the probability-0/1 sets (breadth-first
 searches over its positive entries), then an exact direct linear solve
 (dense up to 225 unknowns, sparse above).  Value iteration and bounded
 backward induction are a sparse product and a per-state max/min reduction
-per sweep; the maximum-probability query then solves its greedy policy's
-rows of the same matrix.  Value iteration is the one loop with a tolerance;
-it raises ConvergenceError when it hits MAX_SWEEPS.
+per sweep; the maximum-probability query then routes its greedy policy
+breadth-first from the target over the value-optimal rows and solves that
+policy's rows of the same matrix.  Each model is compiled once, on its first
+query.  Value iteration is the one loop with a tolerance; it raises
+ConvergenceError when it hits MAX_SWEEPS.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ class Dtmc:
     """Explicit discrete-time Markov chain with transition rewards.
 
     transitions[i] lists (target, probability); rewards[name][i] is the
-    parallel list of per-transition rewards.
+    parallel list of per-transition rewards.  The queries run on
+    `compiled()`, which is built once per instance, so the tables must not
+    change after the first query.
     """
 
     n_states: int
@@ -45,6 +49,7 @@ class Dtmc:
     transitions: list[list[tuple[int, float]]]
     labels: dict[str, frozenset[int]]
     rewards: dict[str, list[list[float]]] = field(default_factory=dict)
+    _forms: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def check(self):
         self.compiled()
@@ -53,18 +58,21 @@ class Dtmc:
         """The chain as an MDP with one choice per state.  Each reward
         structure is compiled in turn, so `_compile_mdp` checks the rows and
         every structure's alignment; the result carries the `reward`
-        structure (with None, the last one, or zeros if there is none)."""
-        structures = self.rewards or {None: [[0.0] * len(row) for row in self.transitions]}
-        forms = {}
-        for name, rows in structures.items():
-            pairs = itertools.zip_longest(self.transitions, rows, fillvalue=())
-            choices = [[("step", row, rew)] for row, rew in pairs]
-            forms[name] = _compile_mdp(Mdp(self.n_states, self.initial, choices, self.labels))
+        structure (with None, the last one, or zeros if there is none).  They
+        are kept once all compile, so a malformed chain fails every query."""
+        if self._forms is None:
+            structures = self.rewards or {None: [[0.0] * len(row) for row in self.transitions]}
+            forms = {}
+            for name, rows in structures.items():
+                pairs = itertools.zip_longest(self.transitions, rows, fillvalue=())
+                choices = [[("step", row, rew)] for row, rew in pairs]
+                forms[name] = _compile_mdp(Mdp(self.n_states, self.initial, choices, self.labels))
+            self._forms = forms
         if reward is None:
-            return forms.popitem()[1]
-        if reward not in forms:
+            return next(reversed(self._forms.values()))
+        if reward not in self._forms:
             raise ModelError(f"unknown reward structure '{reward}'")
-        return forms[reward]
+        return self._forms[reward]
 
 
 def _label_mask(model, label: str) -> np.ndarray:
@@ -351,16 +359,11 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     )
 
 
-def mdp_max_reach_prob(mdp: Mdp, label: str) -> float:
-    """Maximum probability of reaching the label over all policies.
-
-    Value iteration from below, then an exact linear solve on the greedy
-    policy's rows of the compiled matrix to polish the fixed point.
-    """
-    cm = mdp.compiled()
-    target = _label_mask(mdp, label)
+def _max_reach_values(cm: CompiledMdp, target: np.ndarray) -> np.ndarray:
+    """Value iteration from below for the maximum probability of reaching
+    the `target` mask, every state at once."""
     pinned = np.flatnonzero(target)
-    x = np.zeros(mdp.n_states)
+    x = np.zeros(len(target))
     x[pinned] = 1.0
     delta = math.inf
     for _ in range(MAX_SWEEPS):
@@ -369,36 +372,31 @@ def mdp_max_reach_prob(mdp: Mdp, label: str) -> float:
         delta = float(np.max(np.abs(nxt - x)))
         x = nxt
         if delta < DEFAULT_TOL:
-            break
-    else:
-        raise ConvergenceError(f"value iteration did not converge in {MAX_SWEEPS} sweeps (residual {delta})")
-    # polish: evaluate a proper greedy policy exactly.  Ties between
-    # value-optimal actions are broken toward actions whose support reaches
-    # a state already routed to the target; a plain argmax may cycle among
-    # equal-value states and never reach it.  Unrouted states (the targets
-    # among them) keep their first choice.
-    vals = cm.trans @ x
+            return x
+    raise ConvergenceError(f"value iteration did not converge in {MAX_SWEEPS} sweeps (residual {delta})")
+
+
+def mdp_max_reach_prob(mdp: Mdp, label: str) -> float:
+    """Maximum probability of reaching the label over all policies.
+
+    Value iteration, then an exact solve on a proper greedy policy's rows of
+    the compiled matrix.  A plain argmax may cycle among equal-value states,
+    so the policy is routed breadth-first from the target: each round, every
+    unrouted state with a value-optimal row entering a routed state takes its
+    first such row.  Unrouted states (the targets among them) keep choice 0.
+    """
+    cm = mdp.compiled()
+    target = _label_mask(mdp, label)
+    vals = cm.trans @ _max_reach_values(cm, target)
     optimal = np.flatnonzero(vals >= np.maximum.reduceat(vals, cm.starts)[cm.state] - 1e-12)
-    optimal = optimal[~target[cm.state[optimal]]]
     owner = cm.state[optimal]
-    opt_actions: dict[int, list[int]] = {}
-    for s, idx in zip(owner.tolist(), (optimal - cm.starts[owner]).tolist()):
-        opt_actions.setdefault(s, []).append(idx)
-    routed = set(pinned.tolist())
+    enters = (cm.trans[optimal] > 0.0).astype(np.float64)   # the optimal rows' positive entries
+    routed = target.copy()
     choice = np.zeros(mdp.n_states, np.int64)
-    changed = True
-    while changed:
-        changed = False
-        for s, idxs in opt_actions.items():
-            if s in routed:
-                continue
-            for idx in idxs:
-                _, row, _ = mdp.choices[s][idx]
-                if any(p > 0.0 and j in routed for j, p in row):
-                    choice[s] = idx
-                    routed.add(s)
-                    changed = True
-                    break
+    while (hits := np.flatnonzero((enters @ routed.astype(np.float64) > 0.0) & ~routed[owner])).size:
+        states, first = np.unique(owner[hits], return_index=True)
+        choice[states] = optimal[hits[first]] - cm.starts[states]
+        routed[states] = True
     return _reach(cm.trans[cm.starts + choice], mdp.initial, target)
 
 

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridplan.baseline import baseline_queries, build_full_mdp, enumerate_policies
+from hybridplan.baseline import baseline_queries, build_full_mdp, enumerate_policies, pareto_front
 from hybridplan.chains import all_max_assignment, build_parametric_model, instantiate
 from hybridplan.errors import LimitExceeded, ModelError, StateBudgetExceeded
 from hybridplan.planner import plan_mission
@@ -148,6 +150,22 @@ class TestPolicies:
         with pytest.raises(LimitExceeded):
             enumerate_policies(build_full_mdp(m1_mini), limit=3)
 
+    def test_limit_counts_complete_policies(self, m1_mini):
+        mdp = build_full_mdp(m1_mini)
+        assert enumerate_policies(mdp, limit=42)["policies"] == 42
+        with pytest.raises(LimitExceeded):
+            enumerate_policies(mdp, limit=41)
+
+    def test_long_chain_needs_no_recursion(self):
+        # each policy-reached state is one level of the search: 1,500 of them
+        n = 1500
+        choices = [[("go", [(s + 1, 1.0)], [1.0])] for s in range(n - 1)]
+        choices.append([("stay", [(n - 1, 1.0)], [0.0])])
+        last = frozenset({n - 1})
+        result = enumerate_policies(Mdp(n, 0, choices, {"success": last, "done": last}))
+        assert result["policies"] == 1
+        assert result["pareto"] == [(1499.0, 1.0)]
+
     def test_mini_instance_dominance(self, m1_mini):
         mdp = build_full_mdp(m1_mini)
         result = enumerate_policies(mdp, limit=100_000)
@@ -165,6 +183,23 @@ class TestPolicies:
         model = build_parametric_model(m1_mini, plan)
         archive = exhaustive_synthesize(model)
         assert all(e.objectives.success_prob <= p_max + 1e-9 for e in archive.entries)
+
+
+def quadratic_pareto(points):
+    """Reference filter: each distinct point checked against every other."""
+    return [
+        (c, s) for c, s in sorted(set(points))
+        if not any(c2 <= c and s2 >= s and (c2 < c or s2 > s) for c2, s2 in points)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf]), st.floats(0.0, 10.0)),
+    st.one_of(st.sampled_from([0.0, 0.5, 0.97, 1.0]), st.floats(0.0, 1.0)),
+), max_size=12))
+def test_pareto_sweep_matches_the_quadratic_filter(points):
+    assert pareto_front(points) == quadratic_pareto(points)
 
 
 class TestSizeOrdering:

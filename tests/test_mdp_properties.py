@@ -6,7 +6,10 @@ one state and one choice at a time.  They run on random small MDPs and on
 the whole-problem MDPs of 2-task random missions (those above 3,000 states
 are skipped to keep the loops quick).  For DTMCs: the list-based
 probability-0/1 closure and linear-system assembly that the compiled
-matrix replaced; the DTMC answers must match them to the bit.
+matrix replaced; the DTMC answers must match them to the bit.  On every
+golden baseline MDP, the maximum-probability polish must also match, to the
+bit, the earlier polish that routed its greedy policy by repeated sweeps over
+the states.
 """
 
 import math
@@ -29,6 +32,7 @@ from hybridplan.pmc import (
     mdp_min_bounded_reward,
     reach_probability,
 )
+from test_golden_mdps import cases as golden_mdp_cases
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -75,6 +79,38 @@ def loop_max_reach_prob(mdp: Mdp, label: str, tol: float = 1e-10) -> float:
                     changed = True
                     break
     return reach_probability(induced_chain(mdp, policy), label)
+
+
+def sweep_max_reach_prob(mdp: Mdp, label: str) -> float:
+    """The earlier polish: the same value iteration, then a tie-break that
+    sweeps the states in order until none changes, each state taking its
+    first value-optimal choice that enters a state routed so far (earlier
+    in the same sweep included)."""
+    cm = mdp.compiled()
+    target = pmc._label_mask(mdp, label)
+    vals = cm.trans @ pmc._max_reach_values(cm, target)
+    optimal = np.flatnonzero(vals >= np.maximum.reduceat(vals, cm.starts)[cm.state] - 1e-12)
+    optimal = optimal[~target[cm.state[optimal]]]
+    owner = cm.state[optimal]
+    opt_actions = {}
+    for s, idx in zip(owner.tolist(), (optimal - cm.starts[owner]).tolist()):
+        opt_actions.setdefault(s, []).append(idx)
+    routed = set(np.flatnonzero(target).tolist())
+    choice = np.zeros(mdp.n_states, np.int64)
+    changed = True
+    while changed:
+        changed = False
+        for s, idxs in opt_actions.items():
+            if s in routed:
+                continue
+            for idx in idxs:
+                _, row, _ = mdp.choices[s][idx]
+                if any(p > 0.0 and j in routed for j, p in row):
+                    choice[s] = idx
+                    routed.add(s)
+                    changed = True
+                    break
+    return pmc._reach(cm.trans[cm.starts + choice], mdp.initial, target)
 
 
 def loop_min_bounded_reward(mdp: Mdp, bound: int) -> float:
@@ -252,8 +288,10 @@ def test_malformed_chains_raise_model_error(n, transitions, rewards):
 
     for query in (Dtmc.check, lambda d: reach_probability(d, "done"),
                   lambda d: expected_reward(d, "cost", "done")):
-        with pytest.raises(ModelError):
-            query(chain())
+        d = chain()
+        for _ in range(2):   # a failed compile leaves nothing behind
+            with pytest.raises(ModelError):
+                query(d)
 
 
 @st.composite
@@ -290,6 +328,18 @@ class TestArrayEnginesMatchLoops:
         assume(mdp.labels["success"])   # some task no agent can do
         assert mdp_max_reach_prob(mdp, "success") == pytest.approx(loop_max_reach_prob(mdp, "success"), **CLOSE)
         assert mdp_min_bounded_reward(mdp, 20) == pytest.approx(loop_min_bounded_reward(mdp, 20), **CLOSE)
+
+
+@pytest.mark.parametrize("case_id, make", golden_mdp_cases(), ids=[c for c, _ in golden_mdp_cases()])
+def test_breadth_first_routing_keeps_the_sweeps_bits(case_id, make):
+    # the two tie-breaks may pick different optimal choices; p_max must not move
+    mdp = build_full_mdp(make())
+    if not mdp.labels["success"]:   # some task no agent can do: no target to route to
+        for query in (mdp_max_reach_prob, sweep_max_reach_prob):
+            with pytest.raises(ModelError):
+                query(mdp, "success")
+        return
+    assert mdp_max_reach_prob(mdp, "success") == sweep_max_reach_prob(mdp, "success")
 
 
 def test_reference_loops_on_two_choice_toy():

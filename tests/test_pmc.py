@@ -157,6 +157,33 @@ class TestFactoredAndProduct:
             compose_product(comps, state_budget=10)
 
 
+class TestCompileOnce:
+    def test_factored_metrics_compile_each_structure_once(self, monkeypatch, m2_model):
+        import hybridplan.pmc as pmc
+
+        comps = instantiate(m2_model, all_min_assignment(m2_model))
+        compiles = []
+        compile_mdp = pmc._compile_mdp
+
+        def count(mdp):
+            compiles.append(mdp.n_states)
+            return compile_mdp(mdp)
+
+        monkeypatch.setattr(pmc, "_compile_mdp", count)
+        metrics = factored_mission_metrics(comps)
+        # each chain has one reward structure ("cost"), compiled once for
+        # both reach_probability and expected_reward
+        assert all(list(chain.rewards) == ["cost"] for _, chain in comps)
+        assert len(compiles) == len(comps)
+        assert factored_mission_metrics(comps) == metrics
+        assert len(compiles) == len(comps)
+
+    def test_second_query_reuses_the_forms(self):
+        d = chain_dtmc(0.5)
+        assert d.compiled("cost") is d.compiled("cost")
+        assert d.compiled() is d.compiled("cost")
+
+
 def two_choice_mdp():
     """One decision: do the task as the careful agent (p=.99, cost 5) or the
     cheap one (p=.97, cost 1)."""
