@@ -20,7 +20,8 @@ result, not a bug.
 
 `p_max` is solved on the rows of a greedy policy routed breadth-first from
 the target in the compiled MDP; policy enumeration solves one induced chain
-(`pmc.induced_chain`, compiled once for both of its queries) per policy.
+per policy (`pmc.induced_chain`, an `Mdp` with one choice per state, compiled
+once for both of its queries).
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def enumerate_policies(mdp: Mdp, limit: int = 200_000) -> dict:
         chain = induced_chain(mdp, pol)
         succ = reach_probability(chain, "success")
         try:
-            cost = expected_reward(chain, "cost", "done")
+            cost = expected_reward(chain, "done")
         except InfiniteRewardError:
             cost = math.inf
         points.append((cost, succ))

@@ -16,8 +16,8 @@ A chain is a DAG with two absorbing sinks, so one forward pass over its steps
 (`closed_form_chain_metrics`) gives its metrics exactly; that is the
 evaluator synthesis and adaptation use.  The explicit DTMCs (`instantiate`)
 feed the model-checking engine, which serves as an oracle and behind
-`hybridplan verify`; it compiles each one as an MDP with one choice per
-state, the same sparse form as the baseline's MDPs.
+`hybridplan verify`; each is a `pmc.Mdp` with one choice per state, the
+same model type as the baseline's MDPs.
 
 A `ParametricPlanModel` is immutable.  Its table of retry slots (the budget
 space: chain order, then step order) is built once, when the model is
@@ -180,8 +180,9 @@ def all_max_assignment(model: ParametricPlanModel) -> RetryAssignment:
 # concrete chain DTMCs
 
 
-def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> "pmc.Dtmc":
-    """Concrete DTMC of one chain under fixed budgets.
+def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> pmc.Mdp:
+    """Concrete DTMC of one chain under fixed budgets: an `Mdp` with one
+    choice per state, whose rewards are the transition costs.
 
     States: position i (about to run step i), success sink (i = n), failure
     sink, plus per-budgeted-task attempt counters 1..budget.  Counters reset
@@ -199,10 +200,7 @@ def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> "pmc.Dt
                 index[(i, x)] = len(index)
     success = len(index)
     fail = success + 1
-    n_states = fail + 1
-
-    trans: list[list[tuple[int, float]]] = [[] for _ in range(n_states)]
-    rewards: list[list[float]] = [[] for _ in range(n_states)]
+    choices: list = [None] * (fail + 1)
 
     def nxt(i):
         return success if i + 1 == n else index[(i + 1, 0)]
@@ -210,46 +208,37 @@ def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> "pmc.Dt
     for (i, x), sid in index.items():
         step = chain.steps[i]
         if step.kind == "move":
-            trans[sid] = [(nxt(i), 1.0)]
-            rewards[sid] = [step.cost]
+            row, cost = [(nxt(i), 1.0)], step.cost
         elif step.retry_cap > 0 and x == assignment[step.task]:
-            trans[sid] = [(fail, 1.0)]
-            rewards[sid] = [0.0]
+            row, cost = [(fail, 1.0)], 0.0
         else:
             # a failed single try ends in the sink, a failed counted retry
             # moves to the next counter
             miss = index[(i, x + 1)] if step.retry_cap > 0 else fail
             p = step.p_success
             if p >= 1.0:
-                trans[sid] = [(nxt(i), 1.0)]
-                rewards[sid] = [step.cost]
+                row = [(nxt(i), 1.0)]
             elif p <= 0.0:
-                trans[sid] = [(miss, 1.0)]
-                rewards[sid] = [step.cost]
+                row = [(miss, 1.0)]
             else:
-                trans[sid] = [(nxt(i), p), (miss, 1.0 - p)]
-                rewards[sid] = [step.cost, step.cost]
+                row = [(nxt(i), p), (miss, 1.0 - p)]
+            cost = step.cost
+        choices[sid] = [("step", row, [cost] * len(row))]
 
     for sink in (success, fail):
-        trans[sink] = [(sink, 1.0)]
-        rewards[sink] = [0.0]
+        choices[sink] = [("step", [(sink, 1.0)], [0.0])]
 
     labels = {
         "success": frozenset({success}),
         "done": frozenset({success, fail}),
     }
     initial = index[(0, 0)] if n > 0 else success
-    return pmc.Dtmc(
-        n_states=n_states,
-        initial=initial,
-        transitions=trans,
-        labels=labels,
-        rewards={"cost": rewards},
-    )
+    return pmc.Mdp(fail + 1, initial, choices, labels)
 
 
-def instantiate(model: ParametricPlanModel, assignment: RetryAssignment) -> list[tuple[str, "pmc.Dtmc"]]:
-    """Factored concrete model: one component chain DTMC per agent."""
+def instantiate(model: ParametricPlanModel, assignment: RetryAssignment) -> list[tuple[str, pmc.Mdp]]:
+    """Factored concrete model: one chain (an `Mdp` with one choice per
+    state) per agent."""
     validate_assignment(model, assignment)
     return [(c.agent, instantiate_chain(c, assignment)) for c in model.chains]
 

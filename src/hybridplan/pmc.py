@@ -2,10 +2,11 @@
 
 Supports the queries the pipeline needs: reachability probability and
 expected reachability reward on DTMCs, plus maximum reachability probability
-and minimum bounded cumulative reward on MDPs.  Every model runs on one
-array form, `CompiledMdp`: a sparse matrix with one row per choice, built
-and checked by `_compile_mdp`.  A DTMC compiles as an MDP with one choice
-per state.  Reachability and expected-reward solves share one path on
+and minimum bounded cumulative reward on MDPs.  There is one model type,
+`Mdp`; a DTMC is an `Mdp` with one choice per state, and the DTMC queries
+reject any other.  Every model runs on one array form, `CompiledMdp`: a
+sparse matrix with one row per choice, built and checked by `_compile_mdp`.
+Reachability and expected-reward solves share one path on
 that matrix: graph precomputation of the probability-0/1 sets (breadth-first
 searches over its positive entries), then an exact direct linear solve
 (dense up to 225 unknowns, sparse above).  Value iteration and bounded
@@ -34,51 +35,11 @@ DEFAULT_TOL = 1e-10        # value iteration stops below this residual
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass
-class Dtmc:
-    """Explicit discrete-time Markov chain with transition rewards.
-
-    transitions[i] lists (target, probability); rewards[name][i] is the
-    parallel list of per-transition rewards.  The queries run on
-    `compiled()`, which is built once per instance, so the tables must not
-    change after the first query.
-    """
-
-    n_states: int
-    initial: int
-    transitions: list[list[tuple[int, float]]]
-    labels: dict[str, frozenset[int]]
-    rewards: dict[str, list[list[float]]] = field(default_factory=dict)
-    _forms: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
-
-    def check(self):
-        self.compiled()
-
-    def compiled(self, reward: Optional[str] = None) -> CompiledMdp:
-        """The chain as an MDP with one choice per state.  Each reward
-        structure is compiled in turn, so `_compile_mdp` checks the rows and
-        every structure's alignment; the result carries the `reward`
-        structure (with None, the last one, or zeros if there is none).  They
-        are kept once all compile, so a malformed chain fails every query."""
-        if self._forms is None:
-            structures = self.rewards or {None: [[0.0] * len(row) for row in self.transitions]}
-            forms = {}
-            for name, rows in structures.items():
-                pairs = itertools.zip_longest(self.transitions, rows, fillvalue=())
-                choices = [[("step", row, rew)] for row, rew in pairs]
-                forms[name] = _compile_mdp(Mdp(self.n_states, self.initial, choices, self.labels))
-            self._forms = forms
-        if reward is None:
-            return next(reversed(self._forms.values()))
-        if reward not in self._forms:
-            raise ModelError(f"unknown reward structure '{reward}'")
-        return self._forms[reward]
-
-
-def _label_mask(model, label: str) -> np.ndarray:
-    """Mask of the states of `model` (a Dtmc or an Mdp) carrying `label`."""
-    if not model.labels.get(label):
-        raise ModelError(f"no state carries label '{label}'")
+def _label_mask(model: Mdp, label: str) -> np.ndarray:
+    """Mask of the states of `model` carrying `label`.  A declared label
+    may carry no state; a label the model does not declare is an error."""
+    if label not in model.labels:
+        raise ModelError(f"model declares no label '{label}'")
     mask = np.zeros(model.n_states, bool)
     mask[list(model.labels[label])] = True
     return mask
@@ -162,32 +123,41 @@ def _reach(trans, initial: int, target: np.ndarray) -> float:
     return _solve_at(trans, ~(prob0 | prob1), trans @ prob1.astype(np.float64), initial)
 
 
-def reach_probability(dtmc: Dtmc, target_label: str) -> float:
+def _chain(model: Mdp) -> CompiledMdp:
+    """The compiled form of `model`, which must be a chain: an Mdp with one
+    choice per state."""
+    cm = model.compiled()
+    if cm.trans.shape[0] != model.n_states:
+        raise ModelError("chain query on a model with more than one choice in a state")
+    return cm
+
+
+def reach_probability(chain: Mdp, target_label: str) -> float:
     """Probability of eventually reaching a state with the target label."""
-    trans = dtmc.compiled().trans
-    return _reach(trans, dtmc.initial, _label_mask(dtmc, target_label))
+    trans = _chain(chain).trans
+    return _reach(trans, chain.initial, _label_mask(chain, target_label))
 
 
-def expected_reward(dtmc: Dtmc, reward_name: str, target_label: str) -> float:
+def expected_reward(chain: Mdp, target_label: str) -> float:
     """Expected reward accumulated until first hitting the target label.
 
     Requires the target to be reached almost surely from every state the
     initial one reaches before first hitting it; otherwise the expectation
     diverges and InfiniteRewardError is raised.
     """
-    cm = dtmc.compiled(reward_name)
-    target = _label_mask(dtmc, target_label)
-    if target[dtmc.initial]:
+    cm = _chain(chain)
+    target = _label_mask(chain, target_label)
+    if target[chain.initial]:
         return 0.0
     _, prob1 = prob01_sets(cm.trans, target)
     # the states visited before the target is first hit; what follows it is never paid
-    reachable = _closure(cm.trans, [dtmc.initial], blocked=target)
+    reachable = _closure(cm.trans, [chain.initial], blocked=target)
     bad = np.count_nonzero(reachable & ~prob1)
     if bad:
         raise InfiniteRewardError(
             f"target '{target_label}' not almost surely reached from {bad} reachable state(s)"
         )
-    return _solve_at(cm.trans, reachable, cm.reward, dtmc.initial)
+    return _solve_at(cm.trans, reachable, cm.reward, chain.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +171,7 @@ class MissionMetrics:
     per_chain: tuple[tuple[str, float, float], ...] = ()   # (agent, succ, cost)
 
 
-def factored_mission_metrics(components: Sequence[tuple[str, Dtmc]]) -> MissionMetrics:
+def factored_mission_metrics(components: Sequence[tuple[str, Mdp]]) -> MissionMetrics:
     """Mission metrics from independent per-agent chains.
 
     Success probabilities multiply and expected costs add because the chains
@@ -212,15 +182,15 @@ def factored_mission_metrics(components: Sequence[tuple[str, Dtmc]]) -> MissionM
     per = []
     for agent, chain in components:
         s = reach_probability(chain, "success")
-        c = expected_reward(chain, "cost", "done")
+        c = expected_reward(chain, "done")
         per.append((agent, s, c))
         succ *= s
         cost += c
     return MissionMetrics(succ, cost, tuple(per))
 
 
-def compose_product(components: Sequence[tuple[str, Dtmc]], state_budget: int = 200_000) -> Dtmc:
-    """Round-robin interleaving product of independent chains.
+def compose_product(components: Sequence[tuple[str, Mdp]], state_budget: int = 200_000) -> Mdp:
+    """Round-robin interleaving product of independent chains, itself a chain.
 
     Deterministic scheduling preserves both reachability and accumulated
     reward for independent components; the product exists purely as a
@@ -229,51 +199,37 @@ def compose_product(components: Sequence[tuple[str, Dtmc]], state_budget: int = 
     if not components:
         raise ModelError("cannot compose an empty component list")
     chains = [c for _, c in components]
+    for c in chains:
+        _chain(c)   # a component with two choices in a state is no chain
     k = len(chains)
     init = (0,) + tuple(c.initial for c in chains)
     index: dict[tuple, int] = {init: 0}
-    order = [init]
-    trans: list[list[tuple[int, float]]] = []
-    rewards: list[list[float]] = []
+    choices: list = [None]
     frontier = [init]
     while frontier:
         state = frontier.pop()
-        sid = index[state]
-        while len(trans) <= sid:
-            trans.append([])
-            rewards.append([])
         turn, locs = state[0], state[1:]
-        comp = chains[turn]
+        _, moves, rewards = chains[turn].choices[locs[turn]][0]
         row = []
-        rew_row = []
-        for kk, (j, p) in enumerate(comp.transitions[locs[turn]]):
-            nlocs = list(locs)
-            nlocs[turn] = j
-            nstate = ((turn + 1) % k,) + tuple(nlocs)
+        for j, p in moves:
+            nstate = ((turn + 1) % k,) + locs[:turn] + (j,) + locs[turn + 1:]
             if nstate not in index:
                 if len(index) >= state_budget:
                     raise StateBudgetExceeded(
                         f"product exceeded {state_budget} states", len(index)
                     )
                 index[nstate] = len(index)
-                order.append(nstate)
+                choices.append(None)
                 frontier.append(nstate)
             row.append((index[nstate], p))
-            rew = comp.rewards.get("cost")
-            rew_row.append(rew[locs[turn]][kk] if rew else 0.0)
-        trans[sid] = row
-        rewards[sid] = rew_row
-    n = len(index)
-    while len(trans) < n:
-        trans.append([])
-        rewards.append([])
+        choices[index[state]] = [("step", row, rewards)]
 
     def all_labelled(state, label):
         return all(state[1 + i] in chains[i].labels[label] for i in range(k))
 
-    success = frozenset(index[s] for s in order if all_labelled(s, "success"))
-    done = frozenset(index[s] for s in order if all_labelled(s, "done"))
-    return Dtmc(n, 0, trans, {"success": success, "done": done}, {"cost": rewards})
+    success = frozenset(sid for s, sid in index.items() if all_labelled(s, "success"))
+    done = frozenset(sid for s, sid in index.items() if all_labelled(s, "done"))
+    return Mdp(len(index), 0, choices, {"success": success, "done": done})
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +256,10 @@ class CompiledMdp:
 class Mdp:
     """Explicit MDP; choices[s] lists (action label, [(target, prob)], [rewards]).
 
-    The queries run on `compiled()`, which is built once per instance, so
-    the choice table must not change after the first query.
+    A chain has one choice per state, `("step", row, rewards)`.  The queries
+    run on `compiled()`, which is built once per instance (a failed compile
+    stores nothing), so the choice table must not change after the first
+    query.
     """
 
     n_states: int
@@ -412,13 +370,9 @@ def mdp_min_bounded_reward(mdp: Mdp, bound: int = 20) -> float:
     return float(x[mdp.initial])
 
 
-def induced_chain(mdp: Mdp, policy: dict[int, int]) -> Dtmc:
-    """DTMC induced by a memoryless deterministic policy (index per state);
-    unspecified states (e.g. targets) keep their first choice."""
-    trans = []
-    rewards = []
-    for s in range(mdp.n_states):
-        name, row, rew = mdp.choices[s][policy.get(s, 0)]
-        trans.append(list(row))
-        rewards.append(list(rew))
-    return Dtmc(mdp.n_states, mdp.initial, trans, dict(mdp.labels), {"cost": rewards})
+def induced_chain(mdp: Mdp, policy: dict[int, int]) -> Mdp:
+    """The chain a memoryless deterministic policy (choice index per state)
+    induces: an Mdp with each state's chosen choice as its only one.
+    Unspecified states (e.g. targets) keep their first choice."""
+    choices = [[mdp.choices[s][policy.get(s, 0)]] for s in range(mdp.n_states)]
+    return Mdp(mdp.n_states, mdp.initial, choices, dict(mdp.labels))

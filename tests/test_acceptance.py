@@ -83,7 +83,7 @@ class TestAcceptance:
 
         product = compose_product(comps)
         assert reach_probability(product, "success") == pytest.approx(EXPECT_SUCCESS, abs=1e-9)
-        assert expected_reward(product, "cost", "done") == pytest.approx(EXPECT_COST, abs=1e-9)
+        assert expected_reward(product, "done") == pytest.approx(EXPECT_COST, abs=1e-9)
 
         runs = 1_000_000
         mc = simulate_mission_mc(vineyard_model, ones, runs=runs, seed=7)

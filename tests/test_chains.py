@@ -157,7 +157,7 @@ class TestEngineAgreement:
     def test_rows_are_stochastic(self, vineyard_model):
         for _, dtmc in instantiate(vineyard_model, all_max_assignment(vineyard_model)):
             dtmc.check()
-            for row in dtmc.transitions:
+            for ((_, row, _),) in dtmc.choices:
                 assert sum(p for _, p in row) == pytest.approx(1.0, abs=1e-12)
 
     def test_budget_monotonicity(self, vineyard_model):
@@ -211,5 +211,5 @@ class TestEngineAgreement:
         monkeypatch.setattr(pmc, "_solve_linear", record)
         succ, cost = closed_form_chain_metrics(chain, assignment)
         assert reach_probability(dtmc, "success") == pytest.approx(succ, rel=0, abs=1e-12)
-        assert expected_reward(dtmc, "cost", "done") == pytest.approx(cost, rel=1e-12)
+        assert expected_reward(dtmc, "done") == pytest.approx(cost, rel=1e-12)
         assert min(sizes) > 50_000 and 0.9 < succ < 0.99

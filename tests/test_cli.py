@@ -1,14 +1,17 @@
 import argparse
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 import hybridplan.cli
 from hybridplan.adaptation import run_scenario
+from hybridplan.bench import random_instance
 from hybridplan.cli import main
 from hybridplan.fixtures import fixture_text, load_fixture
 from hybridplan.planner import PlanViolation
+from hybridplan.spec import serialize
 
 
 @pytest.fixture
@@ -141,6 +144,18 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["queries"]["p_max"] == pytest.approx(0.99, abs=1e-9)
         assert payload["policies"]["policies"] > 1
+
+    def test_baseline_without_a_success_state(self, capsys, tmp_path):
+        # a pending task no agent can do (the parser only warns): no state succeeds
+        path = tmp_path / "mission.json"
+        path.write_text(serialize(random_instance(2, 1, 0)))
+        code, out, _ = run(capsys, "baseline", "--spec", str(path), "--enumerate")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["queries"]["p_max"] == 0.0
+        assert payload["queries"]["r_min_bounded"] == 20.0
+        assert payload["policies"]["policies"] == 1232
+        assert payload["policies"]["pareto"] == [[math.inf, 0.0]]
 
     def test_export_pddl(self, capsys, tmp_path):
         code, out, _ = run(capsys, "export-pddl", "--spec", "m1", "--out", str(tmp_path))

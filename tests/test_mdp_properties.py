@@ -12,6 +12,7 @@ bit, the earlier polish that routed its greedy policy by repeated sweeps over
 the states.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from hybridplan.bench import random_instance
 from hybridplan.errors import InfiniteRewardError, ModelError, StateBudgetExceeded
 from hybridplan import pmc
 from hybridplan.pmc import (
-    Dtmc,
     Mdp,
     expected_reward,
     induced_chain,
@@ -137,14 +137,14 @@ def loop_closure(edges, seeds, blocked=frozenset()) -> set:
     return seen
 
 
-def loop_prob01_sets(dtmc: Dtmc, target) -> tuple[set, set]:
-    pred = [[] for _ in range(dtmc.n_states)]
-    for i, row in enumerate(dtmc.transitions):
-        for j, p in row:
+def loop_prob01_sets(chain: Mdp, target) -> tuple[set, set]:
+    pred = [[] for _ in range(chain.n_states)]
+    for i in range(chain.n_states):
+        for j, p in chain.choices[i][0][1]:
             if p > 0.0:
                 pred[j].append(i)
-    prob0 = set(range(dtmc.n_states)) - loop_closure(pred, target)
-    prob1 = set(range(dtmc.n_states)) - loop_closure(pred, prob0, blocked=target)
+    prob0 = set(range(chain.n_states)) - loop_closure(pred, target)
+    prob1 = set(range(chain.n_states)) - loop_closure(pred, prob0, blocked=target)
     return prob0, prob1
 
 
@@ -163,49 +163,49 @@ def loop_solve_linear(coeff_rows, rhs) -> np.ndarray:
     return spsolve(identity(n, format="csc") - coo_matrix((probs, (rows, cols)), shape=(n, n)).tocsc(), rhs)
 
 
-def loop_reach_probability(dtmc: Dtmc, label: str) -> float:
-    prob0, prob1 = loop_prob01_sets(dtmc, dtmc.labels[label])
-    if dtmc.initial in prob1:
+def loop_reach_probability(chain: Mdp, label: str) -> float:
+    prob0, prob1 = loop_prob01_sets(chain, chain.labels[label])
+    if chain.initial in prob1:
         return 1.0
-    if dtmc.initial in prob0:
+    if chain.initial in prob0:
         return 0.0
-    unknowns = sorted(set(range(dtmc.n_states)) - prob0 - prob1)
+    unknowns = sorted(set(range(chain.n_states)) - prob0 - prob1)
     uindex = {s: i for i, s in enumerate(unknowns)}
     rhs = np.zeros(len(unknowns))
     rows = []
     for i, s in enumerate(unknowns):
         row = []
-        for j, p in dtmc.transitions[s]:
+        for j, p in chain.choices[s][0][1]:
             if j in prob1:
                 rhs[i] += p
             elif j in uindex:
                 row.append((uindex[j], p))
         rows.append(row)
-    return float(loop_solve_linear(rows, rhs)[uindex[dtmc.initial]])
+    return float(loop_solve_linear(rows, rhs)[uindex[chain.initial]])
 
 
-def loop_expected_reward(dtmc: Dtmc, reward_name: str, label: str) -> float:
-    target = dtmc.labels[label]
-    if dtmc.initial in target:
+def loop_expected_reward(chain: Mdp, label: str) -> float:
+    target = chain.labels[label]
+    if chain.initial in target:
         return 0.0
-    _, prob1 = loop_prob01_sets(dtmc, target)
-    succ = [[j for j, p in row if p > 0.0] for row in dtmc.transitions]
-    reachable = loop_closure(succ, [dtmc.initial], blocked=target)
+    _, prob1 = loop_prob01_sets(chain, target)
+    succ = [[j for j, p in acts[0][1] if p > 0.0] for acts in chain.choices]
+    reachable = loop_closure(succ, [chain.initial], blocked=target)
     if reachable - prob1:
         raise InfiniteRewardError(label)
     unknowns = sorted(reachable)
     uindex = {s: i for i, s in enumerate(unknowns)}
     rhs = np.zeros(len(unknowns))
     rows = []
-    rew = dtmc.rewards[reward_name]
     for i, s in enumerate(unknowns):
         row = []
-        for k, (j, p) in enumerate(dtmc.transitions[s]):
-            rhs[i] += p * rew[s][k]
+        _, moves, rew = chain.choices[s][0]
+        for (j, p), r in zip(moves, rew):
+            rhs[i] += p * r
             if j in uindex:
                 row.append((uindex[j], p))
         rows.append(row)
-    return float(loop_solve_linear(rows, rhs)[uindex[dtmc.initial]])
+    return float(loop_solve_linear(rows, rhs)[uindex[chain.initial]])
 
 
 def outcome(query, *args):
@@ -218,14 +218,15 @@ def outcome(query, *args):
 
 @st.composite
 def small_dtmcs(draw):
-    """Random chains with zero-probability entries, self-loops and repeated
-    targets in a row.  Transient states 0..k-1 move among themselves and
-    into a failure sink k and a success sink k+1; up to two more states
-    lead into them but nothing leads to those, and labels may name them."""
+    """Random chains (one choice per state) with zero-probability entries,
+    self-loops and repeated targets in a row.  Transient states 0..k-1 move
+    among themselves and into a failure sink k and a success sink k+1; up to
+    two more states lead into them but nothing leads to those, and labels
+    may name them."""
     k = draw(st.integers(1, 7))
     extra = draw(st.integers(0, 2))
     n = k + 2 + extra
-    transitions, rewards = [], []
+    choices = []
     for s in range(n):
         targets = draw(st.lists(st.integers(0, k + 1), min_size=1, max_size=4))
         if draw(st.booleans()):
@@ -235,12 +236,12 @@ def small_dtmcs(draw):
             targets, weights = [s] + targets, [1.0] + [0.0] * len(targets)
         if not any(weights):
             weights[0] = 1.0
-        transitions.append([(j, w / sum(weights)) for j, w in zip(targets, weights)])
-        rewards.append([draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7])) for _ in targets])
+        row = [(j, w / sum(weights)) for j, w in zip(targets, weights)]
+        choices.append([("step", row, [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7])) for _ in targets])])
     anywhere = st.sets(st.integers(0, n - 1), max_size=1)
     labels = {"success": frozenset({k + 1} | draw(anywhere)), "done": frozenset({k, k + 1} | draw(anywhere))}
     initial = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
-    return Dtmc(n, initial, transitions, labels, {"cost": rewards})
+    return Mdp(n, initial, choices, labels)
 
 
 class TestDtmcQueriesMatchLoops:
@@ -252,17 +253,16 @@ class TestDtmcQueriesMatchLoops:
         try:
             for label in ("success", "done"):
                 assert reach_probability(dtmc, label) == loop_reach_probability(dtmc, label)
-                assert outcome(expected_reward, dtmc, "cost", label) == outcome(
-                    loop_expected_reward, dtmc, "cost", label)
+                assert outcome(expected_reward, dtmc, label) == outcome(loop_expected_reward, dtmc, label)
         finally:
             pmc.DENSE_LIMIT = limit
 
     def test_reference_loops_on_a_retry_loop(self):
         # retry with p = 0.5, cost 1 per try: success 1, two tries expected
-        d = Dtmc(2, 0, [[(0, 0.5), (1, 0.5)], [(1, 1.0)]], {"done": frozenset({1})},
-                 {"cost": [[1.0, 1.0], [0.0]]})
+        d = Mdp(2, 0, [[("step", [(0, 0.5), (1, 0.5)], [1.0, 1.0])], [("step", [(1, 1.0)], [0.0])]],
+                {"done": frozenset({1})})
         assert loop_reach_probability(d, "done") == 1.0
-        assert math.isclose(loop_expected_reward(d, "cost", "done"), 2.0, abs_tol=1e-12)
+        assert math.isclose(loop_expected_reward(d, "done"), 2.0, abs_tol=1e-12)
 
 
 GOOD = [[(1, 0.5), (0, 0.5)], [(1, 1.0)]]
@@ -272,22 +272,20 @@ GOOD_COST = [[1.0, 1.0], [0.0]]
 @pytest.mark.parametrize(
     "n, transitions, rewards",
     [
-        (3, GOOD, {"cost": GOOD_COST}),                                  # size mismatch
-        (2, [[(1, 1.0)], []], {"cost": [[1.0], []]}),                     # empty row
-        (2, [[(1, 0.5)], [(1, 1.0)]], {"cost": [[1.0], [0.0]]}),          # row sums to 0.5
-        (2, [[(1, 0.5), (1, 0.5 + 1e-9)], [(1, 1.0)]], {"cost": GOOD_COST}),   # just above 1
-        (2, GOOD, {"cost": [[1.0], [0.0]]}),                              # misaligned reward
-        (2, GOOD, {"cost": GOOD_COST, "time": [[1.0, 1.0], [0.0, 0.0]]}),   # in a second structure
-        (2, GOOD, {"time": [[1.0, 1.0]], "cost": GOOD_COST}),             # a structure short of rows
-        (2, GOOD, {"cost": GOOD_COST + [[0.0]]}),                         # a structure with a row too many
+        (3, GOOD, GOOD_COST),                                    # size mismatch
+        (2, [[(1, 1.0)], []], [[1.0], []]),                      # empty row
+        (2, [[(1, 0.5)], [(1, 1.0)]], [[1.0], [0.0]]),           # row sums to 0.5
+        (2, [[(1, 0.5), (1, 0.5 + 1e-9)], [(1, 1.0)]], GOOD_COST),   # just above 1
+        (2, GOOD, [[1.0], [0.0]]),                               # misaligned reward
+        (2, GOOD, GOOD_COST + [[0.0]]),                          # a reward row too many
     ],
 )
 def test_malformed_chains_raise_model_error(n, transitions, rewards):
     def chain():
-        return Dtmc(n, 0, transitions, {"done": frozenset({1})}, rewards)
+        pairs = itertools.zip_longest(transitions, rewards, fillvalue=())
+        return Mdp(n, 0, [[("step", row, rew)] for row, rew in pairs], {"done": frozenset({1})})
 
-    for query in (Dtmc.check, lambda d: reach_probability(d, "done"),
-                  lambda d: expected_reward(d, "cost", "done")):
+    for query in (Mdp.check, lambda d: reach_probability(d, "done"), lambda d: expected_reward(d, "done")):
         d = chain()
         for _ in range(2):   # a failed compile leaves nothing behind
             with pytest.raises(ModelError):
@@ -332,13 +330,9 @@ class TestArrayEnginesMatchLoops:
 
 @pytest.mark.parametrize("case_id, make", golden_mdp_cases(), ids=[c for c, _ in golden_mdp_cases()])
 def test_breadth_first_routing_keeps_the_sweeps_bits(case_id, make):
-    # the two tie-breaks may pick different optimal choices; p_max must not move
+    # the two tie-breaks may pick different optimal choices; p_max must not move.
+    # A mission with a task no agent can do has no success state: 0.0 on both sides
     mdp = build_full_mdp(make())
-    if not mdp.labels["success"]:   # some task no agent can do: no target to route to
-        for query in (mdp_max_reach_prob, sweep_max_reach_prob):
-            with pytest.raises(ModelError):
-                query(mdp, "success")
-        return
     assert mdp_max_reach_prob(mdp, "success") == sweep_max_reach_prob(mdp, "success")
 
 

@@ -4,7 +4,6 @@ import pytest
 from hybridplan.chains import all_min_assignment, instantiate
 from hybridplan.errors import ConvergenceError, InfiniteRewardError, ModelError, StateBudgetExceeded
 from hybridplan.pmc import (
-    Dtmc,
     Mdp,
     compose_product,
     expected_reward,
@@ -17,20 +16,25 @@ from hybridplan.pmc import (
 )
 
 
-def chain_dtmc(p):
+def chain(rows, labels, costs=None):
+    """A DTMC from state 0: an Mdp whose state s has the one choice
+    ("step", rows[s], costs[s]); the costs default to zero."""
+    costs = costs or [[0.0] * len(row) for row in rows]
+    return Mdp(len(rows), 0, [[("step", row, cost)] for row, cost in zip(rows, costs)], labels)
+
+
+def chain_dtmc(p, cost=1.0):
     """Two-state coin: initial -> success with p, else fail; both absorb."""
-    return Dtmc(
-        n_states=3,
-        initial=0,
-        transitions=[[(1, p), (2, 1 - p)], [(1, 1.0)], [(2, 1.0)]],
-        labels={"success": frozenset({1}), "done": frozenset({1, 2})},
-        rewards={"cost": [[1.0, 1.0], [0.0], [0.0]]},
+    return chain(
+        [[(1, p), (2, 1 - p)], [(1, 1.0)], [(2, 1.0)]],
+        {"success": frozenset({1}), "done": frozenset({1, 2})},
+        [[cost, cost], [0.0], [0.0]],
     )
 
 
 class TestReachability:
     def test_absorbing_success(self):
-        d = Dtmc(1, 0, [[(0, 1.0)]], {"success": frozenset({0})})
+        d = chain([[(0, 1.0)]], {"success": frozenset({0})})
         assert reach_probability(d, "success") == 1.0
 
     def test_two_state_coin(self):
@@ -40,8 +44,13 @@ class TestReachability:
         with pytest.raises(ModelError):
             reach_probability(chain_dtmc(0.5), "nope")
 
+    def test_declared_label_without_states_is_never_reached(self):
+        d = chain([[(1, 1.0)], [(1, 1.0)]], {"success": frozenset(), "done": frozenset({1})})
+        assert reach_probability(d, "success") == 0.0
+        assert mdp_max_reach_prob(d, "success") == 0.0
+
     def test_non_stochastic_row_raises(self):
-        d = Dtmc(2, 0, [[(1, 0.5)], [(1, 1.0)]], {"success": frozenset({1})})
+        d = chain([[(1, 0.5)], [(1, 1.0)]], {"success": frozenset({1})})
         with pytest.raises(ModelError):
             reach_probability(d, "success")
 
@@ -52,68 +61,42 @@ class TestReachability:
 
     def test_target_left_again_counts_as_reached(self):
         # 0 -> 1 (target) -> 2 (sink): the target is hit with certainty
-        d = Dtmc(3, 0, [[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"success": frozenset({1})})
+        d = chain([[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"success": frozenset({1})})
         prob0, prob1 = prob01_sets(d.compiled().trans, np.array([False, True, False]))
         assert (prob0.tolist(), prob1.tolist()) == ([False, False, True], [True, True, False])
         assert reach_probability(d, "success") == 1.0
 
     def test_loop_before_target(self):
         # initial loops with 0.5, exits to success with 0.5: reach prob 1
-        d = Dtmc(
-            2,
-            0,
-            [[(0, 0.5), (1, 0.5)], [(1, 1.0)]],
-            {"success": frozenset({1})},
-        )
+        d = chain([[(0, 0.5), (1, 0.5)], [(1, 1.0)]], {"success": frozenset({1})})
         assert reach_probability(d, "success") == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectedReward:
     def test_zero_rewards(self):
-        d = chain_dtmc(0.5)
-        d.rewards["zero"] = [[0.0, 0.0], [0.0], [0.0]]
-        assert expected_reward(d, "zero", "done") == 0.0
+        assert expected_reward(chain_dtmc(0.5, cost=0.0), "done") == 0.0
 
     def test_coin_cost(self):
-        assert expected_reward(chain_dtmc(0.97), "cost", "done") == pytest.approx(1.0, abs=1e-12)
+        assert expected_reward(chain_dtmc(0.97), "done") == pytest.approx(1.0, abs=1e-12)
 
     def test_target_left_again_stops_the_reward(self):
         # 0 -> 1 (target) -> 2 (sink), cost 1 per step: only the first step is paid
-        d = Dtmc(3, 0, [[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"done": frozenset({1})},
-                 {"cost": [[1.0], [1.0], [1.0]]})
-        assert expected_reward(d, "cost", "done") == 1.0
+        d = chain([[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"done": frozenset({1})}, [[1.0], [1.0], [1.0]])
+        assert expected_reward(d, "done") == 1.0
 
     def test_immediate_failure_costs_nothing(self):
-        d = Dtmc(
-            2,
-            0,
-            [[(1, 1.0)], [(1, 1.0)]],
-            {"success": frozenset(), "done": frozenset({1})},
-            rewards={"cost": [[0.0], [0.0]]},
-        )
-        assert expected_reward(d, "cost", "done") == 0.0
+        d = chain([[(1, 1.0)], [(1, 1.0)]], {"success": frozenset(), "done": frozenset({1})})
+        assert expected_reward(d, "done") == 0.0
 
     def test_unreachable_target_is_infinite(self):
-        d = Dtmc(
-            2,
-            0,
-            [[(0, 1.0)], [(1, 1.0)]],
-            {"done": frozenset({1})},
-            rewards={"cost": [[1.0], [0.0]]},
-        )
+        d = chain([[(0, 1.0)], [(1, 1.0)]], {"done": frozenset({1})}, [[1.0], [0.0]])
         with pytest.raises(InfiniteRewardError):
-            expected_reward(d, "cost", "done")
+            expected_reward(d, "done")
 
     def test_geometric_accumulation(self):
         # retry loop: cost 1 per trial, success 0.5: expected trials = 2
-        d = Dtmc(
-            2,
-            0,
-            [[(0, 0.5), (1, 0.5)], [(1, 1.0)]],
-            {"done": frozenset({1})},
-            rewards={"cost": [[1.0, 1.0], [0.0]]},
-        )
-        assert expected_reward(d, "cost", "done") == pytest.approx(2.0, abs=1e-10)
+        d = chain([[(0, 0.5), (1, 0.5)], [(1, 1.0)]], {"done": frozenset({1})}, [[1.0, 1.0], [0.0]])
+        assert expected_reward(d, "done") == pytest.approx(2.0, abs=1e-10)
 
 
 class TestSolvers:
@@ -121,7 +104,7 @@ class TestSolvers:
         comps = instantiate(vineyard_model, all_min_assignment(vineyard_model))
         prod = compose_product(comps)
         # every state id distinct by construction; transition targets in range
-        for row in prod.transitions:
+        for ((_, row, _),) in prod.choices:
             for j, p in row:
                 assert 0 <= j < prod.n_states
 
@@ -132,7 +115,7 @@ class TestFactoredAndProduct:
         prod = compose_product([("a", a), ("b", b)])
         assert prod.n_states <= 2 * 3 * 3
         assert reach_probability(prod, "success") == pytest.approx(0.72, abs=1e-9)
-        assert expected_reward(prod, "cost", "done") == pytest.approx(2.0, abs=1e-9)
+        assert expected_reward(prod, "done") == pytest.approx(2.0, abs=1e-9)
 
     def test_single_chain_product_identity(self):
         a = chain_dtmc(0.6)
@@ -144,7 +127,7 @@ class TestFactoredAndProduct:
         fact = factored_mission_metrics(comps)
         prod = compose_product(comps)
         assert reach_probability(prod, "success") == pytest.approx(fact.success_prob, abs=1e-9)
-        assert expected_reward(prod, "cost", "done") == pytest.approx(fact.expected_cost, abs=1e-9)
+        assert expected_reward(prod, "done") == pytest.approx(fact.expected_cost, abs=1e-9)
 
     def test_single_chain_factored_identity(self):
         a = chain_dtmc(0.42)
@@ -158,7 +141,7 @@ class TestFactoredAndProduct:
 
 
 class TestCompileOnce:
-    def test_factored_metrics_compile_each_structure_once(self, monkeypatch, m2_model):
+    def test_factored_metrics_compile_each_chain_once(self, monkeypatch, m2_model):
         import hybridplan.pmc as pmc
 
         comps = instantiate(m2_model, all_min_assignment(m2_model))
@@ -171,17 +154,14 @@ class TestCompileOnce:
 
         monkeypatch.setattr(pmc, "_compile_mdp", count)
         metrics = factored_mission_metrics(comps)
-        # each chain has one reward structure ("cost"), compiled once for
-        # both reach_probability and expected_reward
-        assert all(list(chain.rewards) == ["cost"] for _, chain in comps)
+        # each chain is compiled once for both reach_probability and expected_reward
         assert len(compiles) == len(comps)
         assert factored_mission_metrics(comps) == metrics
         assert len(compiles) == len(comps)
 
     def test_second_query_reuses_the_forms(self):
         d = chain_dtmc(0.5)
-        assert d.compiled("cost") is d.compiled("cost")
-        assert d.compiled() is d.compiled("cost")
+        assert d.compiled() is d.compiled()
 
 
 def two_choice_mdp():
@@ -242,6 +222,12 @@ class TestMdp:
         mdp = two_choice_mdp()
         chain = induced_chain(mdp, {0: 1})
         assert reach_probability(chain, "success") == pytest.approx(0.97, abs=1e-12)
+
+    def test_chain_queries_reject_a_state_with_two_choices(self):
+        for query in (lambda m: reach_probability(m, "success"), lambda m: expected_reward(m, "done"),
+                      lambda m: compose_product([("a", m)])):
+            with pytest.raises(ModelError, match="more than one choice"):
+                query(two_choice_mdp())
 
     def test_malformed_mdp_rejected(self):
         bad = Mdp(2, 0, [[("a", [(1, 0.9)], [0.0])], [("s", [(1, 1.0)], [0.0])]], {"success": frozenset({1})})

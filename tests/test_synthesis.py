@@ -195,6 +195,27 @@ class TestGaOracleEquivalence:
         assert ga.front() == oracle.front()
 
 
+class TestGaRoute:
+    """NSGA-II itself: an evaluation budget below the space size keeps the
+    search off the exhaustive route, and the exact front checks its output.
+    The share of the exact front found varies by seed and is not asserted."""
+
+    @pytest.fixture(scope="class")
+    def mid_size(self, vineyard_model):
+        model = truncate_model(vineyard_model, keep=5, cap=4)
+        return model, exhaustive_synthesize(model).front()
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_sound_against_the_exact_front(self, mid_size, seed):
+        model, exact = mid_size
+        archive = synthesize(model, GaConfig(population=30, evaluations=200, seed=seed))
+        assert archive.exhaustive is False
+        for entry in archive.entries:
+            assert evaluate(model, entry.retries) == entry.objectives
+        for cost, succ in archive.front():
+            assert any(c <= cost and s >= succ for c, s in exact)
+
+
 class TestGaSearch:
     def test_field_mission_finds_feasible(self, vineyard_model):
         archive = synthesize(vineyard_model, GaConfig(population=30, evaluations=150, seed=42))
