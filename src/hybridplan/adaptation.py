@@ -95,6 +95,8 @@ class Change:
             raise ValueError(f"{self.kind} requires a value")
         if self.kind in ("C2", "C3", "C4") and not 0.0 <= self.value <= 1.0:
             raise ValueError("probabilities must lie in [0,1]")
+        if self.kind in ("C2", "C3") and self.value == 0.0:
+            raise ValueError(f"{VALUE_KEYS[self.kind]} must lie in (0,1], got {self.value!r}")
         if self.kind == "C4" and (not self.task or not self.agent):
             raise ValueError("C4 requires an agent and a task")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -51,7 +52,7 @@ def _out_dir(args) -> Path:
 
 
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _write(path: Path, text: str):
@@ -185,7 +186,9 @@ def cmd_baseline(args):
     mdp = build_full_mdp(_read_spec(args), state_budget=args.state_budget)
     doc = {"queries": baseline_queries(mdp, bound=args.bound)}
     if args.enumerate:
-        doc["policies"] = enumerate_policies(mdp, limit=args.limit)
+        policies = doc["policies"] = enumerate_policies(mdp, limit=args.limit)
+        for key in ("points", "pareto"):   # an infinite cost is written as null
+            policies[key] = [(None if math.isinf(cost) else cost, p) for cost, p in policies[key]]
     return _emit(doc)
 
 

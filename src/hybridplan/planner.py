@@ -436,8 +436,6 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
                     reopened += 1
                 best[key] = cg
                 ch = h(key)
-                if ch == INF:
-                    continue
                 links[child] = (state, code)
                 if astar:
                     push(heap, (cg + ch, ch, next(counter), cg, child, key))

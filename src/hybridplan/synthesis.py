@@ -21,7 +21,7 @@ import io
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .chains import ParametricPlanModel, RetryAssignment, closed_form_mission_metrics, validate_assignment
@@ -74,7 +74,8 @@ class GaConfig:
 class ParetoArchive:
     """Feasible nondominated evaluations plus run provenance.
 
-    audit_log holds every evaluation the run performed (feasible or not);
+    audit_log holds every (genotype, objectives) evaluation behind the
+    archive, feasible or not, in evaluation order and each genotype once;
     it backs post-run soundness checks and is not serialized.
     """
 
@@ -82,9 +83,12 @@ class ParetoArchive:
     entries: list[ArchiveEntry]
     seed: int
     config: dict
-    evaluated: int = 0
+    audit_log: list[tuple[tuple[int, ...], Objectives]]
     exhaustive: bool = False
-    audit_log: list = None
+
+    @property
+    def evaluated(self) -> int:
+        return len(self.audit_log)
 
     def front(self) -> list[tuple[float, float]]:
         """Distinct nondominated objective points, cost-ascending."""
@@ -156,18 +160,8 @@ def dominates(a: Objectives, b: Objectives) -> bool:
 
 
 def _nondominated(entries: list[ArchiveEntry]) -> list[ArchiveEntry]:
-    keep = []
-    for e in entries:
-        if not any(dominates(o.objectives, e.objectives) for o in entries if o is not e):
-            keep.append(e)
-    # dedupe identical genotypes, canonical order
-    seen = set()
-    out = []
-    for e in sorted(keep, key=_entry_sort_key):
-        if e.genotype not in seen:
-            seen.add(e.genotype)
-            out.append(e)
-    return out
+    keep = [e for e in entries if not any(dominates(o.objectives, e.objectives) for o in entries if o is not e)]
+    return sorted(keep, key=_entry_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +173,17 @@ def _genotype_to_assignment(model: ParametricPlanModel, genotype: Sequence[int])
 
 
 class _Evaluator:
-    """Caching evaluation wrapper; also logs every evaluation for auditing."""
+    """Caching evaluation wrapper.  The cache is the evaluation log: a dict
+    keeps insertion order, so it lists each genotype once, in the order it
+    was first evaluated.  ``log`` seeds it with earlier evaluations."""
 
-    def __init__(self, model: ParametricPlanModel):
+    def __init__(self, model: ParametricPlanModel, log=()):
         self.model = model
-        self.cache: dict[tuple[int, ...], Objectives] = {}
-        self.log: list[tuple[tuple[int, ...], Objectives]] = []
+        self.cache: dict[tuple[int, ...], Objectives] = dict(log)
 
     def __call__(self, genotype: tuple[int, ...]) -> Objectives:
         if genotype not in self.cache:
-            obj = evaluate(self.model, _genotype_to_assignment(self.model, genotype))
-            self.cache[genotype] = obj
-            self.log.append((genotype, obj))
+            self.cache[genotype] = evaluate(self.model, _genotype_to_assignment(self.model, genotype))
         return self.cache[genotype]
 
     def evaluate_batch(self, genotypes: list[tuple[int, ...]]):
@@ -204,10 +197,9 @@ class _Evaluator:
 
     def archive(self, seed: int, config: dict, exhaustive: bool) -> ParetoArchive:
         """The run's archive: the feasible nondominated evaluations of the log."""
-        entries = [ArchiveEntry(g, _genotype_to_assignment(self.model, g), o) for g, o in self.log if o.feasible]
-        return ParetoArchive(
-            self.model.plan_hash, _nondominated(entries), seed, config, self.count, exhaustive, list(self.log)
-        )
+        log = list(self.cache.items())
+        entries = [ArchiveEntry(g, _genotype_to_assignment(self.model, g), o) for g, o in log if o.feasible]
+        return ParetoArchive(self.model.plan_hash, _nondominated(entries), seed, config, log, exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +262,7 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
     bounds = model.bounds()
     space = model.space_size()
     if space <= min(cfg.evaluations, EXHAUSTIVE_LIMIT):
-        archive = exhaustive_synthesize(model)
-        archive.seed = cfg.seed
-        archive.config = _config_echo(cfg)
-        return archive
+        return replace(exhaustive_synthesize(model), seed=cfg.seed, config=_config_echo(cfg))
 
     rng = random.Random(cfg.seed)
     ev = _Evaluator(model)
@@ -323,8 +312,7 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
             offspring.append(tuple(c1))
             if len(offspring) < cfg.population:
                 offspring.append(tuple(c2))
-        budget_left = cfg.evaluations - ev.count
-        offspring = offspring[: max(0, budget_left)] or offspring[:1]
+        offspring = offspring[: cfg.evaluations - ev.count]
         ev.evaluate_batch(offspring)
 
         union = list(dict.fromkeys(pop + offspring))
@@ -373,28 +361,18 @@ def _config_echo(cfg: GaConfig) -> dict:
 def extend_archive(
     model: ParametricPlanModel, archive: ParetoArchive, assignments: Sequence[RetryAssignment]
 ) -> ParetoArchive:
-    """Evaluate extra budget vectors and fold the feasible ones in.
+    """Evaluate extra budget vectors and rebuild the archive from its log.
 
     The archive accumulates every feasible evaluation ever seen, so scenario
-    harnesses may pin specific deployable vectors; the nondominated filter
-    reruns afterwards, keeping the archive sound.
+    harnesses may pin specific deployable vectors.  The new vectors join the
+    end of the archive's evaluation log (a vector already there is not
+    evaluated again) and the nondominated filter reruns over the whole log.
     """
-    entries = list(archive.entries)
-    added = 0
+    ev = _Evaluator(model, archive.audit_log)
     for assignment in assignments:
-        obj = evaluate(model, assignment)
-        added += 1
-        if obj.feasible:
-            genotype = tuple(assignment[s.task] for s in model.retry_slots())
-            entries.append(ArchiveEntry(genotype, dict(assignment), obj))
-    return ParetoArchive(
-        plan_hash=archive.plan_hash,
-        entries=_nondominated(entries),
-        seed=archive.seed,
-        config=archive.config,
-        evaluated=archive.evaluated + added,
-        exhaustive=archive.exhaustive,
-    )
+        validate_assignment(model, assignment)
+        ev(tuple(assignment[s.task] for s in model.retry_slots()))
+    return ev.archive(archive.seed, archive.config, archive.exhaustive)
 
 
 def save_archive(archive: ParetoArchive, path):

@@ -49,7 +49,7 @@ def make_entry(model, overrides):
 def ctx_at(spec, plan, model, entries, deployed, prefix_len, failures=None, clock=None):
     """Execution context after replaying a prefix of the sequential trace."""
     world = replay(spec, plan.total_order[:prefix_len])
-    archive = ParetoArchive(model.plan_hash, list(entries), 0, {}, len(entries))
+    archive = ParetoArchive(model.plan_hash, list(entries), 0, {}, [(e.genotype, e.objectives) for e in entries])
     return ExecutionContext(
         spec=spec,
         plan=plan,
@@ -434,7 +434,7 @@ class TestSuffixModel:
         done, world = 0, initial_state(spec)
         for _ in range(rng.randrange(plan.makespan() + 3)):
             world, _, done = dispatch_slot(spec, world, plan.total_order, done, lambda act: rng.random() < 0.7)
-        archive = ParetoArchive(model.plan_hash, [], 0, {})
+        archive = ParetoArchive(model.plan_hash, [], 0, {}, [])
         ctx = ExecutionContext(spec, plan, model, archive, None, Progress(0, {}, done), world)
         finished = plan.total_order[:done]
         assert replay(spec, finished) == world
@@ -561,6 +561,15 @@ class TestSimulate:
         assert trace.levels() == [A1, A3]
         assert trace.stage_counts == {"S0": 1, "S1": 1, "S2": 1, "S3": 1, "S4": 1}
         assert trace.result == "success"
+
+    def test_blocked_plan_stalls(self, m2):
+        # the plan's first move takes r1 to l2; starting there, no action of
+        # the plan is enabled and the run stops in its first slot
+        plan, model, archive = pipeline(m2)
+        moved = m2.with_runtime_state(initial_locations={"r1": "l2"})
+        trace = simulate(moved, plan, model, archive, archive.entries[0], [], seed=0)
+        assert trace.result == "stalled"
+        assert trace.clock == 1
 
     def test_change_after_completion_is_noop(self):
         spec = tiny_mission(p=1.0, retries=1)
@@ -756,6 +765,8 @@ class TestScenarioDeploy:
             (2, "p_succ", "0.8", "p_succ must be a number, got '0.8'"),
             (2, "p_succ", None, "p_succ must be a number, got None"),   # None: key removed
             (4, "gamma", 1.5, r"probabilities must lie in \[0,1\]"),
+            (4, "gamma", 0.0, r"gamma must lie in \(0,1\], got 0.0"),
+            (2, "p_succ", 0, r"p_succ must lie in \(0,1\], got 0.0"),
             (3, "p", "0.89", "p must be a number"),
             (0, "task", None, "C1 requires a task"),
             (0, "type", "C9", "unknown change kind 'C9'"),
@@ -789,6 +800,24 @@ class TestScenarioDeploy:
             record[key] = value
         with pytest.raises(ScenarioError, match=message):
             run_scenario(vineyard, scenario)
+
+    def test_zero_threshold_is_rejected_before_planning(self, vineyard, monkeypatch):
+        # a zero threshold would make the p = 0 agent of the C4 eligible
+        import hybridplan.adaptation as adaptation
+
+        monkeypatch.setattr(adaptation, "plan_mission", lambda *a: pytest.fail("planned a bad scenario"))
+        changes = [
+            {"time": 1, "type": "C3", "gamma": 0.0},
+            {"time": 2, "type": "C4", "agent": "w1", "task": "t1l6a", "p": 0.0},
+        ]
+        with pytest.raises(ScenarioError, match=r"C3 change at 1: gamma must lie in \(0,1\]"):
+            run_scenario(vineyard, {"changes": changes})
+
+    def test_a_zero_capability_is_still_a_valid_change(self, vineyard):
+        change = {"time": 2, "type": "C4", "agent": "w1", "task": "t1l6a", "p": 0.0}
+        trace = run_scenario(vineyard, {"changes": [change]})
+        assert trace.levels() == ["A3"]
+        assert trace.result == "success"
 
     def test_change_records_are_objects(self, vineyard):
         scenario = {**readme_scenario(), "changes": [5]}

@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,15 @@ def scenario_path(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(fixture_text("scenario_adaptation"))
     return path
+
+
+def strict_json(text):
+    """``text`` parsed as strict JSON: Infinity and NaN are refused."""
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run(capsys, *argv):
@@ -141,7 +149,7 @@ class TestSubcommands:
     def test_baseline_queries(self, capsys):
         code, out, _ = run(capsys, "baseline", "--spec", "m1_mini", "--enumerate")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["queries"]["p_max"] == pytest.approx(0.99, abs=1e-9)
         assert payload["policies"]["policies"] > 1
 
@@ -151,11 +159,12 @@ class TestSubcommands:
         path.write_text(serialize(random_instance(2, 1, 0)))
         code, out, _ = run(capsys, "baseline", "--spec", str(path), "--enumerate")
         assert code == 0
-        payload = json.loads(out)
+        payload = strict_json(out)
         assert payload["queries"]["p_max"] == 0.0
         assert payload["queries"]["r_min_bounded"] == 20.0
         assert payload["policies"]["policies"] == 1232
-        assert payload["policies"]["pareto"] == [[math.inf, 0.0]]
+        # the policies that never absorb have an infinite cost, written as null
+        assert payload["policies"]["pareto"] == [[None, 0.0]]
 
     def test_export_pddl(self, capsys, tmp_path):
         code, out, _ = run(capsys, "export-pddl", "--spec", "m1", "--out", str(tmp_path))
@@ -236,6 +245,13 @@ class TestErrors:
         )
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ScenarioError"
+
+    def test_baseline_state_budget(self, capsys):
+        code, out, err = run(capsys, "baseline", "--spec", "vineyard", "--state-budget", "1000")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "StateBudgetExceeded"
+        assert error["states_reached"] == 1000
 
     @pytest.mark.parametrize("subcommand", ["plan", "synthesize", "verify", "export-prism"])
     def test_invalid_plan_is_an_internal_fault(self, capsys, tmp_path, monkeypatch, subcommand):

@@ -115,6 +115,27 @@ class TestOptimality:
         with pytest.raises(NoPlanExists):
             plan_mission(build_problem_spec(doc))
 
+    def test_open_list_runs_dry(self):
+        # corridor g00-g01-g02: the idle robot at g01 blocks the worker's way
+        # to its task at g00 and can never clear it, so the start's
+        # heuristic is finite but no state reaches the goal
+        doc = grid_doc(
+            1,
+            3,
+            [{"id": "t1", "instances": [{"id": "t1a", "location": "g00"}]}],
+            [
+                {"id": "r1", "type": "robot", "start": "g01", "tasks": []},
+                {
+                    "id": "w1",
+                    "type": "worker",
+                    "start": "g02",
+                    "tasks": [{"id": "t1", "cost": 1, "p_success": 1.0, "retries": 1}],
+                },
+            ],
+        )
+        with pytest.raises(NoPlanExists, match="goal unreachable from the initial configuration"):
+            plan_mission(build_problem_spec(doc))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_astar_matches_blind_search_on_random_grids(self, seed):
         # optimality oracle: uniform-cost search (blind heuristic) on

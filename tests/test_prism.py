@@ -2,9 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from hybridplan.chains import all_min_assignment
+from hybridplan.chains import ParametricPlanModel, all_min_assignment, build_parametric_model
+from hybridplan.planner import plan_mission
 from hybridplan.prism import export_model_source, export_properties
-from hybridplan.chains import ParametricPlanModel
+from hybridplan.spec import build_problem_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,6 +42,28 @@ class TestModelExport:
             export_model_source(empty)
         with pytest.raises(ValueError, match="degenerate"):
             export_properties(empty)
+
+    def test_single_try_task(self):
+        # retries 0: one attempt, no budget constant and no attempt counter
+        doc = {
+            "locations": [{"id": "l0"}, {"id": "l1"}],
+            "paths": [{"start": "l0", "end": "l1", "distance": 1}],
+            "tasks": [{"id": "pick", "instances": [{"id": "t1", "location": "l1"}]}],
+            "agents": [
+                {
+                    "id": "w1",
+                    "type": "worker",
+                    "start": "l0",
+                    "tasks": [{"id": "pick", "cost": 2, "p_success": 0.9, "retries": 0}],
+                }
+            ],
+            "constraints": {"mission_probability_of_success": 0.5, "min_assignment_probability": 0.5},
+        }
+        spec = build_problem_spec(doc)
+        text = export_model_source(build_parametric_model(spec, plan_mission(spec)))
+        assert "  [] c_w1 = 1 -> p_w1_t1 : (c_w1' = 2) + 1 - p_w1_t1 : (c_w1' = 3);\n" in text
+        assert "  [] c_w1 = 1 : 2.0;\n" in text.split('rewards "cost"')[1]
+        assert "xmax_" not in text
 
     def test_byte_stable_golden(self, m2_model):
         assert export_model_source(m2_model) == (GOLDEN / "m2_model.prism").read_text()

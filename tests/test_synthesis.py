@@ -17,6 +17,7 @@ from hybridplan.errors import LimitExceeded
 from hybridplan.planner import plan_mission
 from hybridplan.pmc import factored_mission_metrics
 from hybridplan.synthesis import (
+    ArchiveEntry,
     GaConfig,
     Objectives,
     dominates,
@@ -215,6 +216,20 @@ class TestGaRoute:
         for cost, succ in archive.front():
             assert any(c <= cost and s >= succ for c, s in exact)
 
+    def test_stall_exit_stops_below_the_budget(self, vineyard_model):
+        # two individuals converge and keep emitting cached genotypes, so the
+        # search gives up on the rest of its budget (71 of 78 evaluations)
+        model = truncate_model(vineyard_model, keep=4, cap=3)
+        cfg = GaConfig(population=2, evaluations=78, seed=0)
+        archive = synthesize(model, cfg)
+        assert model.space_size() == 81
+        assert archive.exhaustive is False
+        assert archive.evaluated == 71
+        for entry in archive.entries:
+            assert evaluate(model, entry.retries) == entry.objectives
+        again = synthesize(model, cfg)
+        assert again.to_json() == archive.to_json() and again.audit_log == archive.audit_log
+
 
 class TestGaSearch:
     def test_field_mission_finds_feasible(self, vineyard_model):
@@ -290,3 +305,29 @@ class TestArchivePersistence:
         assert any(e.retries == pinned for e in bigger.entries)
         # the infeasible all-min vector must not enter
         assert not any(e.retries == base for e in bigger.entries)
+
+    def test_extend_archive_appends_to_its_log(self, vineyard_model):
+        archive = synthesize(vineyard_model, GaConfig(population=10, evaluations=40, seed=1))
+        slots = [s.task for s in vineyard_model.retry_slots()]
+        base = all_min_assignment(vineyard_model)
+        pinned = {**base, "t1l4": 2, "t2l8b": 2}
+        logged = dict(zip(slots, archive.audit_log[0][0]))
+        new = [tuple(a[t] for t in slots) for a in (pinned, base)]
+        assert not set(new) & {g for g, _ in archive.audit_log}
+        bigger = extend_archive(vineyard_model, archive, [pinned, base, pinned, logged])
+        # the old log is a prefix; each new vector is appended once
+        assert bigger.audit_log == archive.audit_log + [(g, evaluate(vineyard_model, dict(zip(slots, g)))) for g in new]
+        assert bigger.evaluated == len(bigger.audit_log) == archive.evaluated + 2
+        # the entries are the nondominated feasible set of the old entries
+        # and the new feasible vectors, as when the log was not kept
+        candidates = archive.entries + [
+            ArchiveEntry(g, dict(zip(slots, g)), o) for g, o in bigger.audit_log[archive.evaluated :] if o.feasible
+        ]
+        expected = sorted(
+            (e for e in candidates if not any(dominates(o.objectives, e.objectives) for o in candidates)),
+            key=lambda e: (e.objectives.expected_cost, -e.objectives.success_prob, e.genotype),
+        )
+        assert [(e.genotype, e.objectives) for e in bigger.entries] == [(e.genotype, e.objectives) for e in expected]
+        assert (bigger.plan_hash, bigger.seed, bigger.config, bigger.exhaustive) == (
+            archive.plan_hash, archive.seed, archive.config, archive.exhaustive
+        )
