@@ -429,7 +429,7 @@ class TraceStep:
 @dataclass
 class Trace:
     steps: list[TraceStep]
-    result: str                   # "success" | "stalled" (replan failures raise)
+    result: str                   # "success" | "stalled" | "step_limit" (replan failures raise)
     clock: int
     travel_cost: float
 
@@ -520,7 +520,7 @@ def simulate(
     )
     queue = list(changes)
     steps: list[TraceStep] = []
-    result = "stalled"
+    result = "step_limit"   # unless the loop breaks on success or a blocked plan
 
     def apply_outcome(out: AdaptationOutcome, change: Change):
         step_events.append(TraceEvent(ctx.progress.clock, change, out.level, out.reduced_size))

@@ -21,7 +21,7 @@ result, not a bug.
 `p_max` is solved on the rows of a greedy policy routed breadth-first from
 the target in the compiled MDP; policy enumeration solves one induced chain
 per policy (`pmc.induced_chain`, an `Mdp` with one choice per state, compiled
-once for both of its queries).
+once for both of its queries); `synthesis.pareto_front` filters its points.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import InfiniteRewardError, LimitExceeded, StateBudgetExceeded
 from .planner import _Compact
 from .pmc import Mdp, expected_reward, induced_chain, reach_probability
 from .spec import ProblemSpec
+from .synthesis import pareto_front
 # The builder runs on compact states and no longer calls this, but it stays
 # a baseline attribute: benchmark/spans.py wraps it by name.
 from .world import enabled_actions  # noqa: F401
@@ -132,17 +133,6 @@ def baseline_queries(mdp: Mdp, bound: int = 20) -> dict:
         "bound": bound,
         "states": mdp.n_states,
     }
-
-
-def pareto_front(points) -> list[tuple[float, float]]:
-    """The (cost, success) points no other point dominates, by ascending
-    cost: one sweep by cost, keeping each point that beats the best success
-    seen so far (a tie in cost sorts the higher success first)."""
-    front = []
-    for c, s in sorted(set(points), key=lambda p: (p[0], -p[1])):
-        if not front or s > front[-1][1]:
-            front.append((c, s))
-    return front
 
 
 def enumerate_policies(mdp: Mdp, limit: int = 200_000) -> dict:

@@ -20,6 +20,11 @@ class PlanTimeout(RuntimeError):
     """Planner exceeded its configured wall-clock budget."""
 
 
+class ExpansionLimit(PlanTimeout):
+    """Planner exceeded its configured expansion cap (deterministic, unlike
+    the wall clock)."""
+
+
 class ModelError(ValueError):
     """A probabilistic model is malformed (non-stochastic rows, bad labels...)."""
 

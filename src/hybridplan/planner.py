@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .errors import NoPlanExists, PlanTimeout
+from .errors import ExpansionLimit, NoPlanExists, PlanTimeout
 from .spec import ProblemSpec
 from .world import (
     Action,
@@ -379,8 +379,9 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
 
     astar returns a travel-optimal plan (admissible heuristic, re-opening
     on cheaper paths); gbfs returns a feasible plan fast.  Raises
-    NoPlanExists when the goal is unreachable and PlanTimeout past the
-    configured budget.  The plan's ``stats`` count expansions, generated
+    NoPlanExists when the goal is unreachable, PlanTimeout past the
+    configured wall-clock budget and its subclass ExpansionLimit past the
+    expansion cap.  The plan's ``stats`` count expansions, generated
     successors, re-opened states (a cheaper path to a state already
     generated) and the start state's heuristic value ``h0``; states are
     counted once per orbit of interchangeable agents.  Each child's orbit key
@@ -425,7 +426,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
         if expansions % 1024 == 0 and time.monotonic() > deadline:
             raise PlanTimeout(f"planner exceeded {cfg.timeout}s after {expansions} expansions")
         if expansions > cfg.max_expansions:
-            raise PlanTimeout(f"planner exceeded {cfg.max_expansions} expansions")
+            raise ExpansionLimit(f"planner exceeded {cfg.max_expansions} expansions")
         for code, child, step in successors(state, True):
             generated += 1
             cg = g + step

@@ -6,7 +6,8 @@ probabilities multiply, expected costs add).  The mission success
 floor enters the search through constrained dominance: feasible solutions
 beat infeasible ones, infeasible ones compare by constraint violation.  The
 archive accumulates every feasible evaluation ever seen and keeps the
-nondominated ones, so several budget vectors may share one front point.
+nondominated ones, found by one sorted sweep that the baseline shares
+(`pareto_front`); several budget vectors may share one front point.
 
 Genotype spaces no larger than the evaluation budget (and the exhaustive
 limit) are enumerated outright instead of sampled; a randomised search
@@ -159,9 +160,22 @@ def dominates(a: Objectives, b: Objectives) -> bool:
     return worse_nowhere and better_somewhere
 
 
+def pareto_front(points) -> list[tuple[float, float]]:
+    """The (cost, success) points no other point dominates, by ascending
+    cost: one sweep by cost, keeping each point that beats the best success
+    seen so far (a tie in cost sorts the higher success first)."""
+    front = []
+    for c, s in sorted(set(points), key=lambda p: (p[0], -p[1])):
+        if not front or s > front[-1][1]:
+            front.append((c, s))
+    return front
+
+
 def _nondominated(entries: list[ArchiveEntry]) -> list[ArchiveEntry]:
-    keep = [e for e in entries if not any(dominates(o.objectives, e.objectives) for o in entries if o is not e)]
-    return sorted(keep, key=_entry_sort_key)
+    """Takes feasible entries, among which constrained dominance is plain
+    (cost, success) dominance: keeps every entry at a `pareto_front` point."""
+    front = set(pareto_front(e.point() for e in entries))
+    return sorted((e for e in entries if e.point() in front), key=_entry_sort_key)
 
 
 # ---------------------------------------------------------------------------

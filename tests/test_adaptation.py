@@ -571,6 +571,14 @@ class TestSimulate:
         assert trace.result == "stalled"
         assert trace.clock == 1
 
+    def test_step_limit_names_itself(self, field):
+        # cut after two slots with most of the plan ahead and nothing blocked
+        deployed = field["deployed"]
+        archive = ParetoArchive(field["model"].plan_hash, [deployed], 0, {}, [(deployed.genotype, deployed.objectives)])
+        trace = simulate(field["spec"], field["plan"], field["model"], archive, deployed, [], seed=0, max_steps=2)
+        assert trace.result == "step_limit"
+        assert trace.clock == 2
+
     def test_change_after_completion_is_noop(self):
         spec = tiny_mission(p=1.0, retries=1)
         plan, model, archive = pipeline(spec)

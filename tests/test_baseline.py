@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridplan.baseline import baseline_queries, build_full_mdp, enumerate_policies, pareto_front
+from hybridplan.baseline import baseline_queries, build_full_mdp, enumerate_policies
 from hybridplan.chains import all_max_assignment, build_parametric_model, instantiate
 from hybridplan.errors import LimitExceeded, ModelError, StateBudgetExceeded
 from hybridplan.planner import plan_mission
 from hybridplan.pmc import Mdp
 from hybridplan.spec import build_problem_spec
-from hybridplan.synthesis import exhaustive_synthesize
+from hybridplan.synthesis import exhaustive_synthesize, pareto_front
 
 
 def zero_task_spec():

@@ -5,6 +5,10 @@ other module asks it.  Besides ``spec`` (which parses, copies and writes
 gamma), only the PDDL export reads gamma, to write it into the domain file.
 The scan reads the package sources and imports nothing from them.
 
+The Pareto filter has one home: ``synthesis.pareto_front`` is the sorted
+sweep behind every archive and the baseline's policy enumeration, and the
+archive filter asks it rather than testing pairs with ``dominates``.
+
 The adaptation harness records what has run once, as the dispatcher's trace
 cursor, and the stages each level reruns once, in ``STAGES``.
 """
@@ -40,6 +44,23 @@ def test_gamma_read_only_in_spec_and_pddl():
     ]
     assert outside == []
     assert gamma_reads(SRC / "spec.py")   # the scan sees the reads it allows
+
+
+def function_defs(path: Path, name: str) -> list[ast.FunctionDef]:
+    """Every ``def name`` in one source file, nested ones included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name]
+
+
+def test_pareto_front_defined_only_in_synthesis():
+    homes = [path.name for path in sorted(SRC.glob("*.py")) for _ in function_defs(path, "pareto_front")]
+    assert homes == ["synthesis.py"]
+
+
+def test_archive_filter_runs_the_sweep():
+    (node,) = function_defs(SRC / "synthesis.py", "_nondominated")
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    assert "pareto_front" in names and "dominates" not in names
 
 
 def test_parametric_model_carries_no_threshold():

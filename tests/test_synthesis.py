@@ -20,6 +20,7 @@ from hybridplan.synthesis import (
     ArchiveEntry,
     GaConfig,
     Objectives,
+    _nondominated,
     dominates,
     evaluate,
     exhaustive_synthesize,
@@ -138,6 +139,29 @@ class TestDominance:
 
     def test_infeasible_compare_by_violation(self):
         assert dominates(self.infeas(30, 0.94), self.infeas(10, 0.90))
+
+
+def quadratic_nondominated(entries):
+    """Reference filter: each entry checked against every other one."""
+    keep = [e for e in entries if not any(dominates(o.objectives, e.objectives) for o in entries if o is not e)]
+    return sorted(keep, key=lambda e: (e.objectives.expected_cost, -e.objectives.success_prob, e.genotype))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.one_of(st.sampled_from([1.0, 2.5, 4.0]), st.floats(0.0, 10.0)),
+        st.one_of(st.sampled_from([0.9, 0.95, 1.0]), st.floats(0.9, 1.0)),
+    ),
+    max_size=16,
+    unique_by=lambda t: t[0],
+))
+def test_sweep_keeps_the_quadratic_filters_entries(rows):
+    # feasible entries with distinct genotypes; small sampled pools repeat
+    # costs and whole points, so ties at a front point are exercised
+    entries = [ArchiveEntry(g, {"a": g[0], "b": g[1]}, Objectives(c, p, True, 0.0)) for g, c, p in rows]
+    assert [e.genotype for e in _nondominated(entries)] == [e.genotype for e in quadratic_nondominated(entries)]
 
 
 class TestExhaustive:
@@ -323,10 +347,7 @@ class TestArchivePersistence:
         candidates = archive.entries + [
             ArchiveEntry(g, dict(zip(slots, g)), o) for g, o in bigger.audit_log[archive.evaluated :] if o.feasible
         ]
-        expected = sorted(
-            (e for e in candidates if not any(dominates(o.objectives, e.objectives) for o in candidates)),
-            key=lambda e: (e.objectives.expected_cost, -e.objectives.success_prob, e.genotype),
-        )
+        expected = quadratic_nondominated(candidates)
         assert [(e.genotype, e.objectives) for e in bigger.entries] == [(e.genotype, e.objectives) for e in expected]
         assert (bigger.plan_hash, bigger.seed, bigger.config, bigger.exhaustive) == (
             archive.plan_hash, archive.seed, archive.config, archive.exhaustive
