@@ -12,7 +12,10 @@ different problem).
 The world part of a state is the planner's compact key and its actions come
 from the planner's successor generator without the forced-task pruning, so
 the planner and the baseline share one successor function.  The scheduler
-may pick any enabled action, so every one of them is a choice.
+may pick any enabled action, so every one of them is a choice.  Successors
+and choice names depend on the world part alone, so each world part is
+numbered on first sight and its rows are built once, on its first
+expansion; joint states are keyed by world number.
 
 The builder reports blow-ups through StateBudgetExceeded carrying the state
 count reached; hitting the budget on realistic missions is an expected
@@ -41,13 +44,16 @@ RUNNING, SUCCESS, FAIL = 0, 1, 2
 
 
 def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
-    """Explicit MDP over joint states; raises StateBudgetExceeded on blow-up.
+    """Explicit MDP over joint states; raises StateBudgetExceeded on blow-up
+    and ValueError for a budget below one state.
 
-    A joint state is ``(world, counters, terminal)``: the compact world key,
-    the non-zero failure counters as sorted ``(Do code, count)`` pairs, and
-    the terminal flag.  States are numbered in discovery order from a
-    depth-first stack, the initial state first.
+    A joint state is ``(world, counters, terminal)``: the number of the
+    compact world key, the non-zero failure counters as sorted ``(Do code,
+    count)`` pairs, and the terminal flag.  States are numbered in discovery
+    order from a depth-first stack, the initial state first.
     """
+    if state_budget < 1:
+        raise ValueError(f"state budget must be at least 1, got {state_budget!r}")
     problem = _Compact(spec)
     n_tasks, n_locs, pending = len(problem.task_ids), len(problem.loc_ids), problem.pending
     # Do code -> (success probability, cost, retry cap)
@@ -69,7 +75,29 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
     def finished(world: tuple) -> int:
         return SUCCESS if world[2] & pending == pending else RUNNING
 
-    start = (problem.start, (), finished(problem.start))
+    # world part -> number in first-sight order; a world's row templates
+    # (name, code, child number, child flag, reward, p, cap) are built on
+    # its first expansion and shared by every counter vector it meets
+    numbers: dict = {}
+    worlds: list = []
+    templates: dict = {}
+
+    def number(world: tuple) -> int:
+        if world not in numbers:
+            numbers[world] = len(worlds)
+            worlds.append(world)
+        return numbers[world]
+
+    def template(wid: int) -> list:
+        world = worlds[wid]
+        rows = []
+        for code, child, step in problem.successors(world, False):
+            # a move keeps p 1: the reward is its step, its child still runs
+            p, cost, cap = attempts[code] if code < 0 else (1.0, step, 0)
+            rows.append((name(code, world[0]), code, number(child), finished(child), cost, p, cap))
+        return rows
+
+    start = (number(problem.start), (), finished(problem.start))
     index = {start: 0}
     terminal = [start[2]]
     choices: list = [None]
@@ -89,28 +117,25 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         return sid
 
     while frontier:
-        sid, (world, counters, term) = frontier.pop()
+        sid, (wid, counters, term) = frontier.pop()
         if term != RUNNING:
             choices[sid] = [("stay", [(sid, 1.0)], [0.0])]
             continue
+        if wid not in templates:
+            templates[wid] = template(wid)
         rows = []
-        for code, child, step in problem.successors(world, False):
-            label = name(code, world[0])
-            if code >= 0:
-                rows.append((label, [(intern((child, counters, RUNNING)), 1.0)], [step]))
-                continue
-            p, cost, cap = attempts[code]
-            succ = intern((child, counters, finished(child)))
+        for label, code, child, child_term, cost, p, cap in templates[wid]:
+            succ = intern((child, counters, child_term))
             if p >= 1.0:
                 rows.append((label, [(succ, 1.0)], [cost]))
                 continue
             held = dict(counters)
             used = held.get(code, 0)
             if used + 1 >= cap or cap == 0:
-                fail = (world, counters, FAIL)
+                fail = (wid, counters, FAIL)
             else:
                 held[code] = used + 1
-                fail = (world, tuple(sorted(held.items())), RUNNING)
+                fail = (wid, tuple(sorted(held.items())), RUNNING)
             rows.append((label, [(succ, p), (intern(fail), 1.0 - p)], [cost, cost]))
         # no row: mutually blocked agents with pending tasks, a dead state;
         # keep the MDP well-formed with a free self-loop (never reaches success)

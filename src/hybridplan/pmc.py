@@ -196,6 +196,8 @@ def compose_product(components: Sequence[tuple[str, Mdp]], state_budget: int = 2
     reward for independent components; the product exists purely as a
     cross-check oracle for the factored metrics.
     """
+    if state_budget < 1:
+        raise ValueError(f"state budget must be at least 1, got {state_budget!r}")
     if not components:
         raise ModelError("cannot compose an empty component list")
     chains = [c for _, c in components]

@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridplan.baseline import baseline_queries, build_full_mdp, enumerate_policies
+from hybridplan.baseline import (
+    FAIL, RUNNING, SUCCESS, baseline_queries, build_full_mdp, enumerate_policies,
+)
+from hybridplan.bench import random_instance
 from hybridplan.chains import all_max_assignment, build_parametric_model, instantiate
 from hybridplan.errors import LimitExceeded, ModelError, StateBudgetExceeded
-from hybridplan.planner import plan_mission
+from hybridplan.planner import _Compact, plan_mission
 from hybridplan.pmc import Mdp
 from hybridplan.spec import build_problem_spec
 from hybridplan.synthesis import exhaustive_synthesize, pareto_front
+from test_golden_mdps import digest
 
 
 def zero_task_spec():
@@ -39,6 +43,16 @@ class TestBuild:
         with pytest.raises(StateBudgetExceeded) as err:
             build_full_mdp(vineyard, state_budget=20_000)
         assert err.value.states_reached == 20_000
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_state_is_rejected(self, m1_mini, budget):
+        with pytest.raises(ValueError, match="at least 1"):
+            build_full_mdp(m1_mini, state_budget=budget)
+
+    def test_one_state_budget_holds_only_the_start(self, m1_mini):
+        with pytest.raises(StateBudgetExceeded) as err:
+            build_full_mdp(m1_mini, state_budget=1)
+        assert err.value.states_reached == 1
 
     def test_zero_task_spec_trivial(self):
         mdp = build_full_mdp(zero_task_spec())
@@ -84,6 +98,133 @@ class TestStateSpace:
             for _, row, _ in acts:
                 for j, _p in row:
                     assert 0 <= j < a.n_states
+
+
+def reference_full_mdp(spec, state_budget=500_000):
+    """The per-state builder: successors and choice names are recomputed
+    for every joint state, which is keyed by the world tuple itself."""
+    problem = _Compact(spec)
+    n_tasks, pending = len(problem.task_ids), problem.pending
+    attempts = {}
+    for t, tid in enumerate(problem.task_ids):
+        for a in problem.capable[t]:
+            aid = problem.agent_ids[a]
+            attempts[~(a * n_tasks + t)] = (
+                spec.p_success(aid, tid), spec.task_cost(aid, tid), spec.max_retries(aid, tid)
+            )
+
+    def name(code, positions):
+        return str(problem.action((positions,), code))
+
+    def finished(world):
+        return SUCCESS if world[2] & pending == pending else RUNNING
+
+    start = (problem.start, (), finished(problem.start))
+    index = {start: 0}
+    terminal = [start[2]]
+    choices = [None]
+    frontier = [(0, start)]
+
+    def intern(key):
+        sid = index.get(key)
+        if sid is None:
+            if len(terminal) >= state_budget:
+                raise StateBudgetExceeded("reference budget", len(terminal))
+            sid = index[key] = len(terminal)
+            terminal.append(key[2])
+            choices.append(None)
+            frontier.append((sid, key))
+        return sid
+
+    while frontier:
+        sid, (world, counters, term) = frontier.pop()
+        if term != RUNNING:
+            choices[sid] = [("stay", [(sid, 1.0)], [0.0])]
+            continue
+        rows = []
+        for code, child, step in problem.successors(world, False):
+            label = name(code, world[0])
+            if code >= 0:
+                rows.append((label, [(intern((child, counters, RUNNING)), 1.0)], [step]))
+                continue
+            p, cost, cap = attempts[code]
+            succ = intern((child, counters, finished(child)))
+            if p >= 1.0:
+                rows.append((label, [(succ, 1.0)], [cost]))
+                continue
+            held = dict(counters)
+            used = held.get(code, 0)
+            if used + 1 >= cap or cap == 0:
+                fail = (world, counters, FAIL)
+            else:
+                held[code] = used + 1
+                fail = (world, tuple(sorted(held.items())), RUNNING)
+            rows.append((label, [(succ, p), (intern(fail), 1.0 - p)], [cost, cost]))
+        choices[sid] = rows or [("stall", [(sid, 1.0)], [0.0])]
+
+    labels = {
+        "success": frozenset(i for i, t in enumerate(terminal) if t == SUCCESS),
+        "done": frozenset(i for i, t in enumerate(terminal) if t != RUNNING),
+    }
+    return Mdp(len(terminal), 0, choices, labels)
+
+
+def outcome(build, spec, budget):
+    """The MDP's digest, or the states reached when the budget is hit."""
+    try:
+        return digest(build(spec, state_budget=budget))
+    except StateBudgetExceeded as err:
+        return ("budget", err.states_reached)
+
+
+@st.composite
+def baseline_specs(draw):
+    """2-task random missions, some re-rooted with a random pending subset
+    and C4 overrides at or above gamma (an override may make an agent
+    without the capability eligible, with no retries)."""
+    spec = random_instance(2, draw(st.sampled_from([1, 2])), draw(st.integers(0, 40)))
+    if draw(st.booleans()):
+        tasks = [t.id for t in spec.tasks]
+        pairs = [(a.id, t) for a in spec.agents for t in tasks]
+        overrides = draw(st.dictionaries(
+            st.sampled_from(pairs), st.sampled_from([spec.constraints.gamma, 0.8, 1.0]), max_size=3
+        ))
+        pending = draw(st.lists(st.sampled_from(tasks), unique=True))
+        spec = spec.with_runtime_state(pending=pending, p_overrides=overrides)
+    return spec
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(baseline_specs(), st.one_of(st.just(3000), st.integers(1, 400)))
+def test_builder_matches_the_per_state_reference(spec, budget):
+    # equal digests, or the budget hit at the same state count on both sides
+    assert outcome(build_full_mdp, spec, budget) == outcome(reference_full_mdp, spec, budget)
+
+
+def successor_calls(monkeypatch, spec) -> list:
+    """The world keys build_full_mdp(spec) expands, one per successors call."""
+    calls = []
+    successors = _Compact.successors
+
+    def counted(self, key, forced):
+        calls.append(key)
+        return successors(self, key, forced)
+
+    monkeypatch.setattr(_Compact, "successors", counted)
+    build_full_mdp(spec)
+    return calls
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: random_instance(2, 2, 0), 267),   # 2,670 with one call per joint state
+    ("m1", 1085),
+    ("m1_mini", 21),
+], ids=["rand2x2s0", "m1", "m1_mini"])
+def test_successors_run_once_per_world_part(monkeypatch, request, make, expected):
+    spec = request.getfixturevalue(make) if isinstance(make, str) else make()
+    calls = successor_calls(monkeypatch, spec)
+    assert len(calls) == expected
+    assert len(set(calls)) == len(calls)
 
 
 class TestPolicies:

@@ -253,6 +253,13 @@ class TestErrors:
         assert error["type"] == "StateBudgetExceeded"
         assert error["states_reached"] == 1000
 
+    def test_baseline_state_budget_below_one(self, capsys):
+        code, out, err = run(capsys, "baseline", "--spec", "m1_mini", "--state-budget", "0")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "states_reached" not in error
+
     @pytest.mark.parametrize("subcommand", ["plan", "synthesize", "verify", "export-prism"])
     def test_invalid_plan_is_an_internal_fault(self, capsys, tmp_path, monkeypatch, subcommand):
         violation = PlanViolation("C3", 0, "injected")

@@ -139,6 +139,16 @@ class TestFactoredAndProduct:
         with pytest.raises(StateBudgetExceeded):
             compose_product(comps, state_budget=10)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_state_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="at least 1"):
+            compose_product([("a", chain_dtmc(0.6))], state_budget=budget)
+
+    def test_one_state_budget_holds_only_the_start(self):
+        with pytest.raises(StateBudgetExceeded) as err:
+            compose_product([("a", chain_dtmc(0.6))], state_budget=1)
+        assert err.value.states_reached == 1
+
 
 class TestCompileOnce:
     def test_factored_metrics_compile_each_chain_once(self, monkeypatch, m2_model):
