@@ -15,7 +15,8 @@ the planner and the baseline share one successor function.  The scheduler
 may pick any enabled action, so every one of them is a choice.  Successors
 and choice names depend on the world part alone, so each world part is
 numbered on first sight and its rows are built once, on its first
-expansion; joint states are keyed by world number.
+expansion; joint states are keyed by world number.  Rows are immutable
+tuples, and a world's reward tuples are shared by every joint state over it.
 
 The builder reports blow-ups through StateBudgetExceeded carrying the state
 count reached; hitting the budget on realistic missions is an expected
@@ -41,6 +42,7 @@ from .synthesis import pareto_front
 from .world import enabled_actions  # noqa: F401
 
 RUNNING, SUCCESS, FAIL = 0, 1, 2
+FREE = (0.0,)   # the reward tuple of a terminal or dead state's self-loop
 
 
 def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
@@ -76,8 +78,9 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         return SUCCESS if world[2] & pending == pending else RUNNING
 
     # world part -> number in first-sight order; a world's row templates
-    # (name, code, child number, child flag, reward, p, cap) are built on
-    # its first expansion and shared by every counter vector it meets
+    # (name, Do code, child number, child flag, p, 1 - p, cap, rewards) are
+    # built on its first expansion, and every counter vector it meets shares
+    # their reward tuples
     numbers: dict = {}
     worlds: list = []
     templates: dict = {}
@@ -94,7 +97,8 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         for code, child, step in problem.successors(world, False):
             # a move keeps p 1: the reward is its step, its child still runs
             p, cost, cap = attempts[code] if code < 0 else (1.0, step, 0)
-            rows.append((name(code, world[0]), code, number(child), finished(child), cost, p, cap))
+            rewards = (cost,) if p >= 1.0 else (cost, cost)
+            rows.append((name(code, world[0]), code, number(child), finished(child), p, 1.0 - p, cap, rewards))
         return rows
 
     start = (number(problem.start), (), finished(problem.start))
@@ -103,43 +107,48 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
     choices: list = [None]
     frontier = [(0, start)]
 
-    def intern(key: tuple) -> int:
-        sid = index.get(key)
-        if sid is None:
-            if len(terminal) >= state_budget:
-                raise StateBudgetExceeded(
-                    f"full MDP exceeded the {state_budget}-state budget", len(terminal)
-                )
-            sid = index[key] = len(terminal)
-            terminal.append(key[2])
-            choices.append(None)
-            frontier.append((sid, key))
+    def add(key: tuple) -> int:
+        """Number a joint state not seen before and queue it."""
+        if len(terminal) >= state_budget:
+            raise StateBudgetExceeded(
+                f"full MDP exceeded the {state_budget}-state budget", len(terminal)
+            )
+        sid = index[key] = len(terminal)
+        terminal.append(key[2])
+        choices.append(None)
+        frontier.append((sid, key))
         return sid
 
     while frontier:
         sid, (wid, counters, term) = frontier.pop()
         if term != RUNNING:
-            choices[sid] = [("stay", [(sid, 1.0)], [0.0])]
+            choices[sid] = [("stay", ((sid, 1.0),), FREE)]
             continue
         if wid not in templates:
             templates[wid] = template(wid)
         rows = []
-        for label, code, child, child_term, cost, p, cap in templates[wid]:
-            succ = intern((child, counters, child_term))
+        for label, code, child, child_term, p, q, cap, rewards in templates[wid]:
+            key = (child, counters, child_term)
+            succ = index.get(key)
+            if succ is None:
+                succ = add(key)
             if p >= 1.0:
-                rows.append((label, [(succ, 1.0)], [cost]))
+                rows.append((label, ((succ, 1.0),), rewards))
                 continue
             held = dict(counters)
             used = held.get(code, 0)
             if used + 1 >= cap or cap == 0:
-                fail = (wid, counters, FAIL)
+                key = (wid, counters, FAIL)
             else:
                 held[code] = used + 1
-                fail = (wid, tuple(sorted(held.items())), RUNNING)
-            rows.append((label, [(succ, p), (intern(fail), 1.0 - p)], [cost, cost]))
+                key = (wid, tuple(sorted(held.items())), RUNNING)
+            fail = index.get(key)
+            if fail is None:
+                fail = add(key)
+            rows.append((label, ((succ, p), (fail, q)), rewards))
         # no row: mutually blocked agents with pending tasks, a dead state;
         # keep the MDP well-formed with a free self-loop (never reaches success)
-        choices[sid] = rows or [("stall", [(sid, 1.0)], [0.0])]
+        choices[sid] = rows or [("stall", ((sid, 1.0),), FREE)]
 
     labels = {
         "success": frozenset(i for i, t in enumerate(terminal) if t == SUCCESS),

@@ -5,7 +5,8 @@ expected reachability reward on DTMCs, plus maximum reachability probability
 and minimum bounded cumulative reward on MDPs.  There is one model type,
 `Mdp`; a DTMC is an `Mdp` with one choice per state, and the DTMC queries
 reject any other.  Every model runs on one array form, `CompiledMdp`: a
-sparse matrix with one row per choice, built and checked by `_compile_mdp`.
+sparse matrix with one row per choice, built and checked by `_compile_mdp`,
+which also rejects any transition target outside the states.
 Reachability and expected-reward solves share one path on
 that matrix: graph precomputation of the probability-0/1 sets (breadth-first
 searches over its positive entries), then an exact direct linear solve
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -256,9 +258,12 @@ class CompiledMdp:
 
 @dataclass
 class Mdp:
-    """Explicit MDP; choices[s] lists (action label, [(target, prob)], [rewards]).
+    """Explicit MDP; choices[s] lists (action label, row, rewards).
 
-    A chain has one choice per state, `("step", row, rewards)`.  The queries
+    A row is a sequence of (target, probability) pairs and its rewards a
+    sequence of one reward per entry; lists and tuples both do, and the
+    baseline builder's are tuples, reward tuples shared between states.  A
+    chain has one choice per state, `("step", row, rewards)`.  The queries
     run on `compiled()`, which is built once per instance (a failed compile
     stores nothing), so the choice table must not change after the first
     query.
@@ -266,7 +271,7 @@ class Mdp:
 
     n_states: int
     initial: int
-    choices: list[list[tuple[str, list[tuple[int, float]], list[float]]]]
+    choices: list[Sequence[tuple[str, Sequence[tuple[int, float]], Sequence[float]]]]
     labels: dict[str, frozenset[int]]
     _compiled: Optional[CompiledMdp] = field(default=None, init=False, repr=False, compare=False)
 
@@ -279,40 +284,72 @@ class Mdp:
         return self._compiled
 
 
+def _entry_fault(entry, n_states: int) -> Optional[str]:
+    """Why a transition entry is no (target, probability) pair with its
+    target among the states, or None when it is one."""
+    try:
+        target, prob = entry
+        target, prob = int(target), float(prob)
+    except (TypeError, ValueError, OverflowError):
+        return f"entry {entry!r} is not a (target, probability) pair"
+    if not 0 <= target < n_states:
+        return f"target {target} outside [0, {n_states})"
+    return None
+
+
 def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     """Flatten the choice table into CSR arrays, raising the ModelError of the
-    first malformed state or choice in (state, choice) order."""
+    first malformed state or choice in (state, choice) order.  Within a
+    choice a malformed entry or a target outside the states comes first,
+    then the probability sum, then the reward count."""
     from scipy.sparse import csr_matrix
 
-    if len(mdp.choices) != mdp.n_states:
+    n = mdp.n_states
+    if len(mdp.choices) != n:
         raise ModelError("choice table size mismatch")
-    counts = np.fromiter(map(len, mdp.choices), np.int64, mdp.n_states)
+    counts = np.fromiter(map(len, mdp.choices), np.int64, n)
     acts = list(itertools.chain.from_iterable(mdp.choices))
-    names, rows, rews = zip(*acts) if acts else ((), (), ())
+    rows = list(map(itemgetter(1), acts))
     lengths = np.fromiter(map(len, rows), np.int64, len(acts))
-    cols, probs = zip(*itertools.chain.from_iterable(rows)) if lengths.any() else ((), ())
-    cols, probs = np.array(cols, np.int64), np.array(probs, np.float64)
-    rew_lengths = np.fromiter(map(len, rews), np.int64, len(acts))
+    rew_lengths = np.fromiter(map(len, map(itemgetter(2), acts)), np.int64, len(acts))
+    entries = list(itertools.chain.from_iterable(rows))
+    try:
+        ok = np.fromiter(map(len, entries), np.int64, len(entries)) == 2
+        cols = np.fromiter(map(itemgetter(0), entries), np.int64, len(entries))
+        probs = np.fromiter(map(itemgetter(1), entries), np.float64, len(entries))
+        ok &= (cols >= 0) & (cols < n)
+    except (TypeError, IndexError, ValueError, OverflowError):
+        # some entry is no pair of numbers: find each one, the slow way
+        ok = np.fromiter((_entry_fault(e, n) is None for e in entries), bool, len(entries))
+        cols = np.fromiter((e[0] if k else 0 for e, k in zip(entries, ok)), np.int64, len(entries))
+        probs = np.fromiter((e[1] if k else 0.0 for e, k in zip(entries, ok)), np.float64, len(entries))
     owner = np.repeat(np.arange(len(acts)), lengths)
     # bincount adds each row's weights in order from zero, as sum() does
     totals = np.bincount(owner, weights=probs, minlength=len(acts))
-    state = np.repeat(np.arange(mdp.n_states), counts)
+    state = np.repeat(np.arange(n), counts)
+    bad_entry = np.zeros(len(acts), bool)
+    bad_entry[owner[~ok]] = True
+    # a NaN sum is no sum to one either
+    unsummed = ~(np.abs(totals - 1.0) <= PROB_SUM_TOL)
+    faults = np.flatnonzero(bad_entry | unsummed | (rew_lengths != lengths))
     empty = np.flatnonzero(counts == 0)
-    faults = np.flatnonzero((np.abs(totals - 1.0) > PROB_SUM_TOL) | (rew_lengths != lengths))
     if len(empty) and (not len(faults) or empty[0] < state[faults[0]]):
         raise ModelError(f"state {empty[0]} has no enabled action")
     if len(faults):
         c = faults[0]
-        if abs(totals[c] - 1.0) > PROB_SUM_TOL:
-            raise ModelError(f"state {state[c]} action '{names[c]}' sums to {float(totals[c])}")
-        raise ModelError(f"state {state[c]} action '{names[c]}' reward misaligned")
-    rewards = np.fromiter(itertools.chain.from_iterable(rews), np.float64, len(probs))
+        where = f"state {state[c]} action '{acts[c][0]}'"
+        if bad_entry[c]:
+            raise ModelError(f"{where} {_entry_fault(entries[np.flatnonzero(~ok)[0]], n)}")
+        if unsummed[c]:
+            raise ModelError(f"{where} sums to {float(totals[c])}")
+        raise ModelError(f"{where} reward misaligned")
+    rewards = np.fromiter(itertools.chain.from_iterable(map(itemgetter(2), acts)), np.float64, len(probs))
     indptr = np.zeros(len(acts) + 1, np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    starts = np.zeros(mdp.n_states, np.int64)
+    starts = np.zeros(n, np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
     return CompiledMdp(
-        trans=csr_matrix((probs, cols, indptr), shape=(len(acts), mdp.n_states)),
+        trans=csr_matrix((probs, cols, indptr), shape=(len(acts), n)),
         reward=np.bincount(owner, weights=probs * rewards, minlength=len(acts)),
         state=state,
         starts=starts,

@@ -9,7 +9,8 @@ probability-0/1 closure and linear-system assembly that the compiled
 matrix replaced; the DTMC answers must match them to the bit.  On every
 golden baseline MDP, the maximum-probability polish must also match, to the
 bit, the earlier polish that routed its greedy policy by repeated sweeps over
-the states.
+the states.  The compile itself must give the arrays, or the ModelError text,
+of the earlier compile that transposed the whole choice table with zip(*...).
 """
 
 import itertools
@@ -206,6 +207,117 @@ def loop_expected_reward(chain: Mdp, label: str) -> float:
                 row.append((uindex[j], p))
         rows.append(row)
     return float(loop_solve_linear(rows, rhs)[uindex[chain.initial]])
+
+
+def reference_compile(mdp: Mdp) -> pmc.CompiledMdp:
+    """The earlier compile: the choice table transposed with zip(*...) into
+    names, rows and rewards, then the rows' entries into targets and
+    probabilities.  It checks no target."""
+    from scipy.sparse import csr_matrix
+
+    if len(mdp.choices) != mdp.n_states:
+        raise ModelError("choice table size mismatch")
+    counts = np.fromiter(map(len, mdp.choices), np.int64, mdp.n_states)
+    acts = list(itertools.chain.from_iterable(mdp.choices))
+    names, rows, rews = zip(*acts) if acts else ((), (), ())
+    lengths = np.fromiter(map(len, rows), np.int64, len(acts))
+    cols, probs = zip(*itertools.chain.from_iterable(rows)) if lengths.any() else ((), ())
+    cols, probs = np.array(cols, np.int64), np.array(probs, np.float64)
+    rew_lengths = np.fromiter(map(len, rews), np.int64, len(acts))
+    owner = np.repeat(np.arange(len(acts)), lengths)
+    totals = np.bincount(owner, weights=probs, minlength=len(acts))
+    state = np.repeat(np.arange(mdp.n_states), counts)
+    empty = np.flatnonzero(counts == 0)
+    faults = np.flatnonzero((np.abs(totals - 1.0) > pmc.PROB_SUM_TOL) | (rew_lengths != lengths))
+    if len(empty) and (not len(faults) or empty[0] < state[faults[0]]):
+        raise ModelError(f"state {empty[0]} has no enabled action")
+    if len(faults):
+        c = faults[0]
+        if abs(totals[c] - 1.0) > pmc.PROB_SUM_TOL:
+            raise ModelError(f"state {state[c]} action '{names[c]}' sums to {float(totals[c])}")
+        raise ModelError(f"state {state[c]} action '{names[c]}' reward misaligned")
+    rewards = np.fromiter(itertools.chain.from_iterable(rews), np.float64, len(probs))
+    indptr = np.zeros(len(acts) + 1, np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    starts = np.zeros(mdp.n_states, np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return pmc.CompiledMdp(
+        trans=csr_matrix((probs, cols, indptr), shape=(len(acts), mdp.n_states)),
+        reward=np.bincount(owner, weights=probs * rewards, minlength=len(acts)),
+        state=state,
+        starts=starts,
+    )
+
+
+def compiled_arrays(compile_, mdp):
+    """The compiled arrays, or the ModelError text."""
+    try:
+        cm = compile_(mdp)
+    except ModelError as e:
+        return str(e)
+    return (cm.trans.indptr, cm.trans.indices, cm.trans.data, cm.reward, cm.state, cm.starts)
+
+
+def assert_same_compile(mdp):
+    ours, ref = compiled_arrays(pmc._compile_mdp, mdp), compiled_arrays(reference_compile, mdp)
+    if isinstance(ref, str):
+        assert ours == ref
+    else:
+        assert not isinstance(ours, str), ours
+        for a, b in zip(ours, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def choice_tables(draw):
+    """Random choice tables with list and tuple rows, zero-probability
+    entries, repeated targets and up to three choices per state; then up to
+    two faults the compile must name: an empty state, an empty row, a row
+    that does not sum to one, a reward too few or too many, or a table of
+    the wrong size."""
+    n = draw(st.integers(1, 6))
+    choices = []
+    for _ in range(n):
+        acts = []
+        for a in range(draw(st.integers(1, 3))):
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+            weights = [draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0])) for _ in targets]
+            if not any(weights):
+                weights[0] = 1.0
+            row = [(j, w / sum(weights)) for j, w in zip(targets, weights)]
+            rew = [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7])) for _ in row]
+            seq = draw(st.sampled_from([list, tuple]))
+            acts.append((f"a{a}", seq(row), seq(rew)))
+        choices.append(acts)
+    size = n
+    for fault in draw(st.lists(st.sampled_from(["empty", "row", "sum", "reward", "size"]), max_size=2)):
+        s = draw(st.integers(0, n - 1))
+        if fault == "size":
+            size = n + 1
+        elif fault == "empty":
+            choices[s] = []
+        elif choices[s]:
+            c = draw(st.integers(0, len(choices[s]) - 1))
+            label, row, rew = choices[s][c]
+            if fault == "row":
+                row, rew = [], []
+            elif fault == "sum":
+                row = [(j, 0.9 * p) for j, p in row]
+            else:
+                rew = list(rew) + [1.0] if draw(st.booleans()) else list(rew)[:-1]
+            choices[s][c] = (label, row, rew)
+    return Mdp(size, 0, choices, {"success": frozenset({0})})
+
+
+class TestCompileMatchesReference:
+    @settings(PROPERTY, max_examples=150)
+    @given(choice_tables())
+    def test_random_choice_tables(self, mdp):
+        assert_same_compile(mdp)
+
+    @pytest.mark.parametrize("case_id, make", golden_mdp_cases(), ids=[c for c, _ in golden_mdp_cases()])
+    def test_golden_mdps(self, case_id, make):
+        assert_same_compile(build_full_mdp(make()))
 
 
 def outcome(query, *args):

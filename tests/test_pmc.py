@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hybridplan
 from hybridplan.chains import all_min_assignment, instantiate
 from hybridplan.errors import ConvergenceError, InfiniteRewardError, ModelError, StateBudgetExceeded
 from hybridplan.pmc import (
@@ -253,6 +260,11 @@ class TestMalformedMdp:
             ([[("a", [(1, 0.5), (1, 0.5 - 2e-12)], [0.0, 0.0])], [("s", [(1, 1.0)], [0.0])]], "sums to"),
             ([[("a", [(1, 1.0)], [0.0, 1.0])], [("s", [(1, 1.0)], [0.0])]], "reward misaligned"),
             ([[("a", [(1, 1.0)], [0.0])]], "size mismatch"),
+            ([[("a", [(5, 1.0)], [0.0])], [("s", [(1, 1.0)], [0.0])]], "state 0 action 'a' target 5 outside [0, 2)"),
+            ([[("a", [(1,)], [0.0])], [("s", [(1, 1.0)], [0.0])]], "entry (1,) is not a (target, probability) pair"),
+            ([[("a", [(1, 0.5, 0)], [0.0])], [("s", [(1, 1.0)], [0.0])]], "entry (1, 0.5, 0) is not a"),
+            ([[("a", [1], [0.0])], [("s", [(1, 1.0)], [0.0])]], "entry 1 is not a"),
+            ([[("a", [(1, float("nan"))], [0.0])], [("s", [(1, 1.0)], [0.0])]], "sums to nan"),
         ],
     )
     def test_rejected_by_check_and_queries(self, choices, message):
@@ -260,7 +272,7 @@ class TestMalformedMdp:
             return Mdp(2, 0, choices, {"success": frozenset({1})})
 
         for query in (Mdp.check, lambda m: mdp_max_reach_prob(m, "success"), mdp_min_bounded_reward):
-            with pytest.raises(ModelError, match=message):
+            with pytest.raises(ModelError, match=re.escape(message)):
                 query(mdp())
 
     def test_first_fault_in_state_order(self):
@@ -271,6 +283,41 @@ class TestMalformedMdp:
         ]
         with pytest.raises(ModelError, match="state 0 action 'bad' reward misaligned"):
             Mdp(2, 0, choices, {"success": frozenset({0})}).check()
+
+    @pytest.mark.parametrize(
+        "choices, message",
+        [
+            # a bad target comes before its choice's sum and reward count
+            ([[("a", [(0, 0.5), (2, 0.2)], [])], []], "state 0 action 'a' target 2 outside [0, 2)"),
+            # ... but after an earlier state's fault
+            ([[], [("a", [(1,)], [0.0])]], "state 0 has no enabled action"),
+            ([[("ok", [(0, 1.0)], [0.0]), ("bad", [(0, 0.9)], [0.0])], [("a", [(7, 1.0)], [0.0])]],
+             "state 0 action 'bad' sums to 0.9"),
+        ],
+    )
+    def test_entry_faults_in_state_order(self, choices, message):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            Mdp(2, 0, choices, {"success": frozenset({0})}).check()
+
+    def test_negative_target_is_rejected_in_a_fresh_interpreter(self):
+        # an unchecked -1 reaches scipy's sparse kernels, which write outside
+        # their arrays; a separate interpreter keeps a corrupted heap from
+        # taking the test run down with it
+        code = (
+            "from hybridplan.errors import ModelError\n"
+            "from hybridplan.pmc import Mdp, reach_probability\n"
+            "m = Mdp(2, 0, [[('a', [(-1, 1.0)], [0.0])], [('s', [(1, 1.0)], [0.0])]],"
+            " {'success': frozenset({1})})\n"
+            "try:\n"
+            "    reach_probability(m, 'success')\n"
+            "except ModelError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(hybridplan.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "state 0 action 'a' target -1 outside [0, 2)"
 
     def test_row_sum_within_tolerance_accepted(self):
         choices = [[("a", [(1, 0.5), (1, 0.5 - 5e-13)], [0.0, 0.0])], [("s", [(1, 1.0)], [0.0])]]
