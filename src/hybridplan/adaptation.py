@@ -110,7 +110,8 @@ class Change:
         kind, time = doc.get("type"), doc.get("time")
         if type(time) is not int:
             raise ScenarioError(f"{kind} change: time must be an integer, got {time!r}")
-        key = VALUE_KEYS.get(kind)
+        # a type that is not a string has no value key; Change rejects it
+        key = VALUE_KEYS.get(kind) if isinstance(kind, str) else None
         value = doc.get(key)
         if key and type(value) not in (int, float):
             raise ScenarioError(f"{kind} change at {time}: {key} must be a number, got {value!r}")
@@ -644,9 +645,10 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
 
     seed_entries are extra budget vectors verified and folded into the
     archive before deployment, so a scenario can pin the deployed vector.
-    Unknown keys, values of the wrong JSON type and changes naming agents
-    or tasks the mission does not have are a ScenarioError before planning;
-    budgets, which need the model's slots, are checked once it is built.
+    Unknown keys, values of the wrong JSON type, changes out of time order
+    and changes naming agents or tasks the mission does not have are a
+    ScenarioError before planning; budgets, which need the model's slots,
+    are checked once it is built.
     """
     _object(scenario, "a scenario", SCENARIO_KEYS)
     seed = _count(scenario, "seed", 0)
@@ -655,6 +657,7 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     if not isinstance(records, list) or not isinstance(seed_entries, list):
         raise ScenarioError("a scenario's changes and seed_entries must be JSON arrays")
     changes = [Change.from_json(c) for c in records]
+    validate_scenario(changes)
     # tuples, not sets: a name read from JSON may be unhashable
     tasks, agents = tuple(t.id for t in spec.tasks), tuple(a.id for a in spec.agents)
     for c in changes:

@@ -40,9 +40,12 @@ from . import pmc
 
 @dataclass(frozen=True)
 class ChainStep:
-    """One action of a chain, with its uncertainty data resolved."""
+    """One action of a chain, with its uncertainty data resolved.
 
-    kind: str                 # "move" | "do"
+    A move is the step without a task: ``ChainStep(distance)``, certain.  A
+    task step succeeds on each attempt with probability 0 < p_success <= 1
+    (``build_chains`` rejects an incapable agent)."""
+
     cost: float
     task: Optional[str] = None
     p_success: float = 1.0
@@ -51,7 +54,6 @@ class ChainStep:
 
 @dataclass(frozen=True)
 class RetrySlot:
-    agent: str
     task: str
     lo: int
     hi: int
@@ -68,11 +70,7 @@ class AgentChain:
 
     @property
     def retry_slots(self) -> tuple[RetrySlot, ...]:
-        return tuple(
-            RetrySlot(self.agent, s.task, 1, s.retry_cap)
-            for s in self.steps
-            if s.kind == "do" and s.retry_cap > 0
-        )
+        return tuple(RetrySlot(s.task, 1, s.retry_cap) for s in self.steps if s.retry_cap > 0)
 
 
 @dataclass(frozen=True)
@@ -119,15 +117,13 @@ def build_chains(
         steps = []
         for act in per_agent[agent_id]:
             if isinstance(act, Move):
-                steps.append(ChainStep("move", spec.distance(act.origin, act.dest)))
+                steps.append(ChainStep(spec.distance(act.origin, act.dest)))
             elif isinstance(act, Do):
                 p = spec.p_success(agent_id, act.task)
                 if p <= 0.0:
                     raise ValueError(f"plan assigns {act.task} to incapable agent {agent_id}")
                 cap = max(0, spec.max_retries(agent_id, act.task) - failures.get(act.task, 0))
-                steps.append(
-                    ChainStep("do", spec.task_cost(agent_id, act.task), task=act.task, p_success=p, retry_cap=cap)
-                )
+                steps.append(ChainStep(spec.task_cost(agent_id, act.task), act.task, p, cap))
         if steps:
             chains.append(AgentChain(agent_id, tuple(steps)))
     return chains
@@ -194,9 +190,8 @@ def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> pmc.Mdp
     for i in range(n):
         index[(i, 0)] = len(index)
         step = chain.steps[i]
-        if step.kind == "do" and step.retry_cap > 0:
-            budget = assignment[step.task]
-            for x in range(1, budget + 1):
+        if step.retry_cap > 0:
+            for x in range(1, assignment[step.task] + 1):
                 index[(i, x)] = len(index)
     success = len(index)
     fail = success + 1
@@ -207,22 +202,16 @@ def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> pmc.Mdp
 
     for (i, x), sid in index.items():
         step = chain.steps[i]
-        if step.kind == "move":
-            row, cost = [(nxt(i), 1.0)], step.cost
-        elif step.retry_cap > 0 and x == assignment[step.task]:
+        p = step.p_success
+        if step.retry_cap > 0 and x == assignment[step.task]:
             row, cost = [(fail, 1.0)], 0.0
+        elif p >= 1.0:
+            row, cost = [(nxt(i), 1.0)], step.cost
         else:
             # a failed single try ends in the sink, a failed counted retry
             # moves to the next counter
             miss = index[(i, x + 1)] if step.retry_cap > 0 else fail
-            p = step.p_success
-            if p >= 1.0:
-                row = [(nxt(i), 1.0)]
-            elif p <= 0.0:
-                row = [(miss, 1.0)]
-            else:
-                row = [(nxt(i), p), (miss, 1.0 - p)]
-            cost = step.cost
+            row, cost = [(nxt(i), p), (miss, 1.0 - p)], step.cost
         choices[sid] = [("step", row, [cost] * len(row))]
 
     for sink in (success, fail):
@@ -247,34 +236,25 @@ def instantiate(model: ParametricPlanModel, assignment: RetryAssignment) -> list
 # closed forms (independent of the explicit-state engine)
 
 
-def _task_success(p: float, budget: int) -> float:
-    return 1.0 - (1.0 - p) ** budget
-
-
-def _expected_attempts(p: float, budget: int) -> float:
-    q = 1.0 - p
-    if q == 0.0:
-        return 1.0
-    if q == 1.0:
-        return float(budget)
-    return (1.0 - q ** budget) / (1.0 - q)
-
-
 def closed_form_chain_metrics(chain: AgentChain, assignment: RetryAssignment) -> tuple[float, float]:
-    """(success probability, expected cost) of one chain via geometric sums."""
+    """(success probability, expected cost) of one chain via geometric sums.
+
+    A task with budget b and miss chance q succeeds with 1 - q**b and makes
+    (1 - q**b) / (1 - q) attempts on average: one power per task step.  A
+    p_success below the float resolution of 1 - p leaves q == 1, and then
+    all b attempts are made."""
     reach = 1.0
     cost = 0.0
-    succ = 1.0
     for step in chain.steps:
-        if step.kind == "move":
+        if step.task is None:
             cost += reach * step.cost
             continue
         budget = assignment[step.task] if step.retry_cap > 0 else 1
-        p_task = _task_success(step.p_success, budget)
-        cost += reach * step.cost * _expected_attempts(step.p_success, budget)
-        succ *= p_task
+        q = 1.0 - step.p_success
+        p_task = 1.0 - q ** budget
+        cost += reach * step.cost * (p_task / (1.0 - q) if p_task else budget)
         reach *= p_task
-    return succ, cost
+    return reach, cost
 
 
 def closed_form_mission_metrics(model: ParametricPlanModel, assignment: RetryAssignment) -> tuple[float, float]:
@@ -320,7 +300,7 @@ def simulate_mission_mc(
         for chain in model.chains:
             alive = np.ones(size, dtype=bool)
             for step in chain.steps:
-                if step.kind == "move":
+                if step.task is None:
                     total_cost += np.where(alive, step.cost, 0.0)
                     continue
                 budget = assignment[step.task] if step.retry_cap > 0 else 1
@@ -328,9 +308,6 @@ def simulate_mission_mc(
                 if p >= 1.0:
                     attempts = np.ones(size, dtype=np.int64)
                     ok = np.ones(size, dtype=bool)
-                elif p <= 0.0:
-                    attempts = np.full(size, budget, dtype=np.int64)
-                    ok = np.zeros(size, dtype=bool)
                 else:
                     needed = rng.geometric(p, size=size)
                     ok = needed <= budget

@@ -334,8 +334,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # every typed error is a RuntimeError or a ValueError (SpecError,
-    # ScenarioError and JSONDecodeError among the latter)
-    except (FileNotFoundError, RuntimeError, ValueError) as exc:
+    # ScenarioError and JSONDecodeError among the latter); an unreadable
+    # input file is an OSError
+    except (OSError, RuntimeError, ValueError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, SpecError) and exc.violations:
             error["error"]["violations"] = [vars(v) for v in exc.violations]

@@ -93,7 +93,7 @@ class PlannerConfig:
             raise ValueError(f"unknown strategy '{self.strategy}'")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic '{self.heuristic}'")
-        if type(self.timeout) not in (int, float) or self.timeout <= 0:
+        if type(self.timeout) not in (int, float) or not self.timeout > 0:
             raise ValueError(f"timeout must be a number > 0, got {self.timeout!r}")
 
 

@@ -50,7 +50,7 @@ def export_model_source(model: ParametricPlanModel, assignment: Optional[RetryAs
     for chain in model.chains:
         out.append(f"// success probabilities for {chain.agent}")
         for step in chain.steps:
-            if step.kind == "do":
+            if step.task is not None:
                 out.append(f"const double p_{chain.agent}_{step.task} = {_fmt(step.p_success)};")
     out.append("")
 
@@ -76,9 +76,8 @@ def export_model_source(model: ParametricPlanModel, assignment: Optional[RetryAs
     for chain in model.chains:
         c = f"c_{chain.agent}"
         for i, step in enumerate(chain.steps):
-            if step.kind == "move":
-                out.append(f"  [] {c} = {i} : {_fmt(step.cost)};")
-            elif step.retry_cap > 0:
+            # a move costs its distance like a single try costs its attempt
+            if step.retry_cap > 0:
                 x = _var(chain.agent, step.task)
                 xb = _bound(chain.agent, step.task)
                 out.append(f"  [] {c} = {i} & {x} < {xb} : {_fmt(step.cost)};")
@@ -99,7 +98,7 @@ def _render_module(chain: AgentChain) -> list[str]:
         lines.append(f"  {_var(agent, slot.task)} : [0..{slot.hi}] init 0;")
     for i, step in enumerate(chain.steps):
         nxt = i + 1
-        if step.kind == "move":
+        if step.task is None:
             lines.append(f"  [] {c} = {i} -> 1.0 : ({c}' = {nxt});")
             continue
         p = f"p_{agent}_{step.task}"

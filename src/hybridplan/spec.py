@@ -10,6 +10,7 @@ this module's accessors.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -248,8 +249,9 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str, err
 
 
 def _number(value) -> bool:
-    """A JSON number: an int or a float, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number that fits a float: an int or a float, not a
+    boolean, not Infinity or NaN (which ``json.loads`` accepts)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 _NAME_KEYS = ("id", "type", "start", "end", "location", "agent", "task")

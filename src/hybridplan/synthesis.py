@@ -391,5 +391,5 @@ def extend_archive(
 
 def save_archive(archive: ParetoArchive, path):
     with open(path, "w") as fh:
-        json.dump(archive.to_json(), fh, indent=2, sort_keys=True)
+        json.dump(archive.to_json(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -757,6 +757,7 @@ class TestScenarioDeploy:
             ({"rule": "max_success"}, r"deploy names unknown keys \['rule'\]"),
             ({"retries": {"t1l4": 5}}, "not in the archive"),
             ({"retries": {"t1l4": 2}, "require_budget": {"t1l4": 3}}, "retries or require_budget, not both"),
+            ({"require_budget": {"t1l4": 5}}, "no archive entry matches required budgets"),
         ],
     )
     def test_bad_deploy_is_a_scenario_error(self, vineyard, deploy, message):
@@ -778,6 +779,9 @@ class TestScenarioDeploy:
             (3, "p", "0.89", "p must be a number"),
             (0, "task", None, "C1 requires a task"),
             (0, "type", "C9", "unknown change kind 'C9'"),
+            (0, "type", ["C1"], r"unknown change kind '\['C1'\]'"),
+            (1, "time", 0, "scenario changes must be time-ordered"),
+            (1, "time", 1, "at most one change per time unit"),
             (0, "task", "ghost", "C1 change at 1 names unknown task 'ghost'"),
             (3, "task", "ghost", "C4 change at 11 names unknown task 'ghost'"),
             (3, "agent", "zz", "C4 change at 11 names unknown agent 'zz'"),
@@ -786,6 +790,9 @@ class TestScenarioDeploy:
             (None, "ga", {"population": "30"}, "population must be an integer >= 2, got '30'"),
             (None, "ga", {"evaluations": 40.5}, "evaluations must be an integer >= population, got 40.5"),
             (None, "planner", {"timeout": "5"}, "timeout must be a number > 0, got '5'"),
+            (None, "planner", {"timeout": float("nan")}, "timeout must be a number > 0, got nan"),
+            (None, "planner", {"strategy": "dfs"}, "unknown strategy 'dfs'"),
+            (None, "ga", 5, "ga must be a JSON object, got 5"),
             (None, "sead", 3, r"a scenario names unknown keys \['sead'\]"),
             (None, "changes", 5, "changes and seed_entries must be JSON arrays"),
             (None, "seed_entries", 5, "changes and seed_entries must be JSON arrays"),

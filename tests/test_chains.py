@@ -1,8 +1,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridplan.chains import (
+    AgentChain,
+    ChainStep,
     all_max_assignment,
     all_min_assignment,
     build_parametric_model,
@@ -53,6 +57,53 @@ def single_task_doc(p=0.97, cost=1.0, retries=10):
             "min_assignment_probability": 0.5,
         },
     }
+
+
+def two_helper_chain_metrics(chain, assignment):
+    """The closed form as it was written with two helpers, each taking the
+    power (1 - p)**b: the reference the one-power form must equal exactly."""
+
+    def task_success(p, budget):
+        return 1.0 - (1.0 - p) ** budget
+
+    def expected_attempts(p, budget):
+        q = 1.0 - p
+        if q == 0.0:
+            return 1.0
+        if q == 1.0:
+            return float(budget)
+        return (1.0 - q ** budget) / (1.0 - q)
+
+    reach, cost, succ = 1.0, 0.0, 1.0
+    for step in chain.steps:
+        if step.task is None:
+            cost += reach * step.cost
+            continue
+        budget = assignment[step.task] if step.retry_cap > 0 else 1
+        p_task = task_success(step.p_success, budget)
+        cost += reach * step.cost * expected_attempts(step.p_success, budget)
+        succ *= p_task
+        reach *= p_task
+    return succ, cost
+
+
+@st.composite
+def chains_with_budgets(draw):
+    """A chain of moves, single tries and budgeted tasks with p in (0, 1],
+    1.0 included, and a budget in [1, cap] for every budgeted task."""
+    costs = st.floats(0.0, 50.0)
+    probabilities = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+    steps, assignment = [], {}
+    for i in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["move", "single", "budgeted"]))
+        if shape == "move":
+            steps.append(ChainStep(draw(costs)))
+            continue
+        cap = 0 if shape == "single" else draw(st.integers(1, 12))
+        steps.append(ChainStep(draw(costs), f"t{i}", draw(probabilities), cap))
+        if cap:
+            assignment[f"t{i}"] = draw(st.integers(1, cap))
+    return AgentChain("a", tuple(steps)), assignment
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +194,22 @@ class TestBudgetSemantics:
 
 
 class TestEngineAgreement:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(chains_with_budgets())
+    def test_one_power_form_equals_two_helper_form(self, drawn):
+        chain, assignment = drawn
+        assert closed_form_chain_metrics(chain, assignment) == two_helper_chain_metrics(chain, assignment)
+
+    def test_probability_below_float_resolution(self):
+        # 1 - 1e-17 rounds to 1.0: every budgeted attempt is made
+        doc = single_task_doc(p=1e-17, retries=3)
+        doc["constraints"].update(min_assignment_probability=1e-17, mission_probability_of_success=1e-18)
+        spec = build_problem_spec(doc)
+        model = build_parametric_model(spec, plan_mission(spec))
+        for budget in (1, 2, 3):
+            _, cost = closed_form_mission_metrics(model, {"tg1": budget})
+            assert cost == factored_mission_metrics(instantiate(model, {"tg1": budget})).expected_cost == 1 + budget
+
     def test_closed_form_matches_solver(self, vineyard_model):
         for assignment in (
             all_min_assignment(vineyard_model),
@@ -177,7 +244,7 @@ class TestEngineAgreement:
             engine = reach_probability(dtmc, "success")
             closed = 1.0
             for step in chain.steps:
-                if step.kind == "do":
+                if step.task is not None:
                     budget = assignment[step.task] if step.retry_cap else 1
                     closed *= path_enumeration_success(step.p_success, budget)
             assert engine == pytest.approx(closed, abs=1e-9)

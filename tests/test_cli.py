@@ -207,6 +207,16 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"]["type"] == "FileNotFoundError"
 
+    def test_directory_as_input_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "validate", "--spec", str(tmp_path))
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+        code, _, err = run(
+            capsys, "simulate", "--spec", "vineyard", "--out", str(tmp_path / "out"), "--scenario", str(tmp_path)
+        )
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "IsADirectoryError"
+
     def test_invalid_spec_reports_violations(self, capsys, tmp_path):
         doc = json.loads(fixture_text("vineyard"))
         doc["agents"][0]["tasks"][0]["p_success"] = 2.0
@@ -236,7 +246,16 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "SpecError"
 
-    @pytest.mark.parametrize("scenario", ["[]", '{"seed": "3"}', '{"sead": 3}', '{"ga": {"population": "30"}}'])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            "[]",
+            '{"seed": "3"}',
+            '{"sead": 3}',
+            '{"ga": {"population": "30"}}',
+            '{"changes": [{"time": 1, "type": ["C1"]}]}',
+        ],
+    )
     def test_simulate_bad_scenario(self, capsys, tmp_path, scenario):
         path = tmp_path / "scenario.json"
         path.write_text(scenario)

@@ -186,6 +186,12 @@ class TestHeuristic:
         with pytest.raises(ValueError, match="unknown heuristic"):
             PlannerConfig(heuristic=kind)
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), "5", True])
+    def test_timeout_is_a_positive_number(self, timeout):
+        # NaN > 0 is false: a NaN timeout would never fire
+        with pytest.raises(ValueError, match="timeout must be a number > 0"):
+            PlannerConfig(timeout=timeout)
+
     # the heuristic reads compact states; world states go through the encoder
     def test_admissible_at_root(self, vineyard, vineyard_plan):
         problem = _Compact(vineyard)

@@ -146,6 +146,10 @@ class TestFactoredAndProduct:
         with pytest.raises(StateBudgetExceeded):
             compose_product(comps, state_budget=10)
 
+    def test_empty_component_list_is_rejected(self):
+        with pytest.raises(ModelError, match="empty component list"):
+            compose_product([])
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_state_budget_below_one_is_rejected(self, budget):
         with pytest.raises(ValueError, match="at least 1"):
@@ -220,6 +224,10 @@ class TestMdp:
 
     def test_bounded_reward_zero_horizon(self):
         assert mdp_min_bounded_reward(two_choice_mdp(), 0) == 0.0
+
+    def test_bounded_reward_negative_horizon_is_rejected(self):
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            mdp_min_bounded_reward(two_choice_mdp(), -1)
 
     def test_bounded_reward_all_zero(self):
         mdp = two_choice_mdp()

@@ -11,6 +11,9 @@ archive filter asks it rather than testing pairs with ``dominates``.
 
 The adaptation harness records what has run once, as the dispatcher's trace
 cursor, and the stages each level reruns once, in ``STAGES``.
+
+A chain step has one shape: a move is the step without a task, so no kind
+tag is stored beside the data it would restate.
 """
 
 import ast
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import hybridplan.adaptation as adaptation
 from hybridplan.adaptation import Progress
-from hybridplan.chains import ParametricPlanModel
+from hybridplan.chains import ChainStep, ParametricPlanModel, RetrySlot
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hybridplan"
 READERS = {"spec.py", "pddl.py"}
@@ -65,6 +68,11 @@ def test_archive_filter_runs_the_sweep():
 
 def test_parametric_model_carries_no_threshold():
     assert "gamma" not in {f.name for f in dataclasses.fields(ParametricPlanModel)}
+
+
+def test_chain_step_is_one_shape():
+    assert [f.name for f in dataclasses.fields(ChainStep)] == ["cost", "task", "p_success", "retry_cap"]
+    assert [f.name for f in dataclasses.fields(RetrySlot)] == ["task", "lo", "hi"]
 
 
 def test_progress_keeps_one_record_of_what_ran():

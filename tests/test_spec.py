@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -65,6 +66,18 @@ class TestParse:
         with pytest.raises(SpecError, match="malformed"):
             parse_problem_spec("{nope")
 
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(SpecError, match="top level must be a JSON object"):
+            parse_problem_spec("[]")
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_json_numbers_rejected(self, literal):
+        # json.loads reads these literals; a mission file must not carry them
+        text = json.dumps(minimal_doc()).replace('"cost": 1', f'"cost": {literal}')
+        with pytest.raises(SpecError) as err:
+            parse_problem_spec(text)
+        assert [v.path for v in err.value.violations] == ["agents[0].tasks[0].cost"]
+
     def test_unknown_location_reference(self):
         doc = minimal_doc(paths=[{"start": "l1", "end": "l99", "distance": 1}])
         with pytest.raises(SpecError) as err:
@@ -110,10 +123,19 @@ class TestParse:
             (lambda d: d.update(initial={"locations": {"w1": ["l1"], "r1": "l1"}}), "initial.locations.w1",
              "unknown location ['l1']"),
             (lambda d: d.update(initial={"pending": [["t3l2"]]}), "initial.pending", "unknown task ['t3l2']"),
+            (lambda d: d["agents"][0]["tasks"][0].update(cost=math.inf), "agents[0].tasks[0].cost", "must be >= 0"),
+            (lambda d: d["agents"][0]["tasks"][0].update(cost=10**400), "agents[0].tasks[0].cost", "must be >= 0"),
+            (lambda d: d["paths"][0].update(distance=math.inf), "paths[0].distance", "must be > 0"),
+            (lambda d: d.pop("agents"), "$", "missing key 'agents'"),
+            (lambda d: d["constraints"].pop("min_assignment_probability"), "constraints",
+             "missing key 'min_assignment_probability'"),
+            (lambda d: d.update(constraints=[0.9]), "constraints", "must be a JSON object"),
+            (lambda d: d.update(initial="l1"), "initial", "must be a JSON object"),
+            (lambda d: d.update(initial={"pending": "t3l2"}), "initial.pending", "must be a JSON array"),
         ],
     )
     def test_malformed_fields_are_spec_errors(self, edit, path, message):
-        # every case once crashed with a traceback or was accepted
+        # every case once crashed with a traceback, was accepted, or had no test
         doc = json.loads(fixture_text("m1_mini"))
         edit(doc)
         with pytest.raises(SpecError) as err:

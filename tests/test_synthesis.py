@@ -38,13 +38,11 @@ def truncate_model(model, keep, cap):
     for chain in model.chains:
         steps = []
         for step in chain.steps:
-            if step.kind == "do" and step.retry_cap > 0:
+            if step.retry_cap > 0:
                 if step.task in kept:
-                    steps.append(
-                        ChainStep(step.kind, step.cost, step.task, step.p_success, min(step.retry_cap, cap))
-                    )
+                    steps.append(ChainStep(step.cost, step.task, step.p_success, min(step.retry_cap, cap)))
                 else:
-                    steps.append(ChainStep(step.kind, step.cost, step.task, step.p_success, 0))
+                    steps.append(ChainStep(step.cost, step.task, step.p_success, 0))
             else:
                 steps.append(step)
         chains.append(AgentChain(chain.agent, tuple(steps)))
@@ -56,9 +54,9 @@ def two_slot_model(p1=0.9, p2=0.92, cost1=2.0, cost2=2.0, cap=3, floor=0.95):
         AgentChain(
             "r1",
             (
-                ChainStep("move", 1.0),
-                ChainStep("do", cost1, "a", p1, cap),
-                ChainStep("do", cost2, "b", p2, cap),
+                ChainStep(1.0),
+                ChainStep(cost1, "a", p1, cap),
+                ChainStep(cost2, "b", p2, cap),
             ),
         )
     ]
