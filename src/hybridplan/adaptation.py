@@ -74,6 +74,8 @@ STAGES = {
 }
 # the JSON key of each change kind's value
 VALUE_KEYS = {"C2": "p_succ", "C3": "gamma", "C4": "p"}
+# the keys a change record may hold besides time and type
+CHANGE_KEYS = {"C1": ("task",), "C2": ("p_succ",), "C3": ("gamma",), "C4": ("agent", "task", "p")}
 
 
 @dataclass(frozen=True)
@@ -102,16 +104,19 @@ class Change:
 
     @staticmethod
     def from_json(doc: dict) -> "Change":
-        """A scenario change record, checked without coercion: ``time`` is a
-        JSON integer and a probability a JSON number; __post_init__ checks
-        their ranges."""
+        """A scenario change record, checked without coercion: it holds only
+        ``time``, ``type`` and its kind's own keys, ``time`` is a JSON integer
+        and a probability a JSON number; __post_init__ checks their ranges."""
         if not isinstance(doc, dict):
             raise ScenarioError(f"a change record must be a JSON object, got {doc!r}")
         kind, time = doc.get("type"), doc.get("time")
         if type(time) is not int:
             raise ScenarioError(f"{kind} change: time must be an integer, got {time!r}")
-        # a type that is not a string has no value key; Change rejects it
-        key = VALUE_KEYS.get(kind) if isinstance(kind, str) else None
+        # a type that is not a string has no keys; Change rejects it
+        known = isinstance(kind, str) and kind in CHANGE_KEYS
+        if known:
+            _object(doc, f"{kind} change at {time}", ("time", "type", *CHANGE_KEYS[kind]))
+        key = VALUE_KEYS.get(kind) if known else None
         value = doc.get(key)
         if key and type(value) not in (int, float):
             raise ScenarioError(f"{kind} change at {time}: {key} must be a number, got {value!r}")
@@ -119,8 +124,8 @@ class Change:
             return Change(
                 kind,
                 time,
-                task=doc.get("task") if kind in ("C1", "C4") else None,
-                agent=doc.get("agent") if kind == "C4" else None,
+                task=doc.get("task"),
+                agent=doc.get("agent"),
                 value=None if key is None else float(value),
             )
         except ValueError as exc:
@@ -640,15 +645,16 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
 
     Schema: {"seed": int, "changes": [{time, type, ...}], "ga": {...}?,
     "planner": {...}?, "seed_entries": [{task: budget, ...}]?,
-    "deploy": {"retries": {...}} | {"require_budget": {task: budget}},
+    "deploy": {"retries": {...}} | {"require_budget": {task: budget}}?,
     "max_steps": int?}.
 
     seed_entries are extra budget vectors verified and folded into the
     archive before deployment, so a scenario can pin the deployed vector.
-    Unknown keys, values of the wrong JSON type, changes out of time order
-    and changes naming agents or tasks the mission does not have are a
-    ScenarioError before planning; budgets, which need the model's slots,
-    are checked once it is built.
+    Unknown keys, values of the wrong JSON type (a present ``deploy`` that
+    is not an object among them), changes out of time order, changes naming
+    agents or tasks the mission does not have and a ``deploy`` naming both
+    budget rules are a ScenarioError before planning; budgets, which need
+    the model's slots, are checked once it is built.
     """
     _object(scenario, "a scenario", SCENARIO_KEYS)
     seed = _count(scenario, "seed", 0)
@@ -667,6 +673,9 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
             raise ScenarioError(f"{c.kind} change at {c.time} names unknown agent {c.agent!r}")
     ga_raw = _object(scenario.get("ga", {}), "ga", ("population", "evaluations"))
     planner_raw = _object(scenario.get("planner", {}), "planner", ("strategy", "timeout"))
+    deploy_raw = _object(scenario.get("deploy", {}), "deploy", ("retries", "require_budget"))
+    if "retries" in deploy_raw and "require_budget" in deploy_raw:
+        raise ScenarioError("deploy takes retries or require_budget, not both")
     try:
         ga = GaConfig(population=ga_raw.get("population", 30), evaluations=ga_raw.get("evaluations", 150), seed=seed)
         planner_cfg = PlannerConfig(
@@ -683,7 +692,7 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
             for raw in seed_entries
         ]
         archive = extend_archive(model, archive, assignments)
-    deploy = _pick_deploy(model, archive, scenario.get("deploy"))
+    deploy = _pick_deploy(model, archive, deploy_raw)
     return simulate(
         spec,
         plan,
@@ -698,17 +707,12 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     )
 
 
-def _pick_deploy(model: ParametricPlanModel, archive: ParetoArchive, raw) -> ArchiveEntry:
+def _pick_deploy(model: ParametricPlanModel, archive: ParetoArchive, raw: dict) -> ArchiveEntry:
     """The archive entry with exactly the ``retries`` vector, else the
-    cheapest entry with the ``require_budget`` budgets (any entry without a
-    ``deploy`` object)."""
+    cheapest entry with the ``require_budget`` budgets (the cheapest entry
+    when ``raw``, the checked ``deploy`` object, names neither)."""
     if archive.is_empty():
         raise UnrecoverableMission("no feasible budget vector to deploy")
-    if not raw:
-        return select_new_plan(archive.entries)
-    _object(raw, "deploy", ("retries", "require_budget"))
-    if "retries" in raw and "require_budget" in raw:
-        raise ScenarioError("deploy takes retries or require_budget, not both")
     if "retries" in raw:
         wanted = checked_budgets(model, raw["retries"], ScenarioError, "deploy.retries")
         for e in archive.entries:

@@ -11,11 +11,12 @@ different problem).
 
 The world part of a state is the planner's compact key and its actions come
 from the planner's successor generator without the forced-task pruning, so
-the planner and the baseline share one successor function.  The scheduler
-may pick any enabled action, so every one of them is a choice.  Successors
-and choice names depend on the world part alone, so each world part is
-numbered on first sight and its rows are built once, on its first
-expansion; joint states are keyed by world number.  Rows are immutable
+the planner and the baseline share one successor function, and a task
+action's probability, cost and retry cap come from the planner's capability
+table.  The scheduler may pick any enabled action, so every one of them is a
+choice.  Successors and choice names depend on the world part alone, so
+each world part is numbered on first sight and its rows are built once, on
+its first expansion; joint states are keyed by world number.  Rows are immutable
 tuples, and a world's reward tuples are shared by every joint state over it.
 
 The builder reports blow-ups through StateBudgetExceeded carrying the state
@@ -58,14 +59,6 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         raise ValueError(f"state budget must be at least 1, got {state_budget!r}")
     problem = _Compact(spec)
     n_tasks, n_locs, pending = len(problem.task_ids), len(problem.loc_ids), problem.pending
-    # Do code -> (success probability, cost, retry cap)
-    attempts = {}
-    for t, tid in enumerate(problem.task_ids):
-        for a in problem.capable[t]:
-            aid = problem.agent_ids[a]
-            attempts[~(a * n_tasks + t)] = (
-                spec.p_success(aid, tid), spec.task_cost(aid, tid), spec.max_retries(aid, tid)
-            )
     names: dict = {}   # (code, origin) -> choice name
 
     def name(code: int, positions: tuple) -> str:
@@ -96,7 +89,10 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         rows = []
         for code, child, step in problem.successors(world, False):
             # a move keeps p 1: the reward is its step, its child still runs
-            p, cost, cap = attempts[code] if code < 0 else (1.0, step, 0)
+            p, cost, cap = 1.0, step, 0
+            if code < 0:   # Do code ~(agent * n_tasks + task)
+                c = problem.capability[~code // n_tasks][~code % n_tasks]
+                p, cost, cap = c.p_success, c.cost, c.max_retries
             rewards = (cost,) if p >= 1.0 else (cost, cost)
             rows.append((name(code, world[0]), code, number(child), finished(child), p, 1.0 - p, cap, rewards))
         return rows

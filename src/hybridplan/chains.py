@@ -119,11 +119,11 @@ def build_chains(
             if isinstance(act, Move):
                 steps.append(ChainStep(spec.distance(act.origin, act.dest)))
             elif isinstance(act, Do):
-                p = spec.p_success(agent_id, act.task)
-                if p <= 0.0:
+                cap = spec.capability(agent_id, act.task)
+                if cap.p_success <= 0.0:
                     raise ValueError(f"plan assigns {act.task} to incapable agent {agent_id}")
-                cap = max(0, spec.max_retries(agent_id, act.task) - failures.get(act.task, 0))
-                steps.append(ChainStep(spec.task_cost(agent_id, act.task), act.task, p, cap))
+                retry_cap = max(0, cap.max_retries - failures.get(act.task, 0))
+                steps.append(ChainStep(cap.cost, act.task, cap.p_success, retry_cap))
         if steps:
             chains.append(AgentChain(agent_id, tuple(steps)))
     return chains

@@ -244,7 +244,7 @@ def _manifest(out: Path, args, artifacts: dict, timings: dict, counters: dict | 
     }
     if counters:
         doc["counters"] = counters
-    (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str))
+    (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str, allow_nan=False))
 
 
 def build_parser() -> argparse.ArgumentParser:

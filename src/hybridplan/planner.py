@@ -93,8 +93,9 @@ class PlannerConfig:
             raise ValueError(f"unknown strategy '{self.strategy}'")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic '{self.heuristic}'")
-        if type(self.timeout) not in (int, float) or not self.timeout > 0:
-            raise ValueError(f"timeout must be a number > 0, got {self.timeout!r}")
+        # NaN fails both comparisons; inf would let the search run unbounded
+        if type(self.timeout) not in (int, float) or not 0 < self.timeout < INF:
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
 
 
 @dataclass
@@ -187,14 +188,13 @@ class _Compact:
             if self.pending >> t & 1:
                 for a in agents:
                     self.doable[a][self.task_loc[t]] |= 1 << t
-        # interchangeable agents: the same effective row (success probability
-        # after C4 overrides, cost, retry cap) on every task; only classes of
-        # two or more matter to the orbit reduction
+        # capability[agent][task]: the spec's record, C4 overrides applied
+        self.capability = [[spec.capability(a.id, t.id) for t in spec.tasks] for a in spec.agents]
+        # interchangeable agents: the same capability row on every task; only
+        # classes of two or more matter to the orbit reduction
         rows: dict[tuple, list] = {}
-        for i, a in enumerate(spec.agents):
-            row = tuple((spec.p_success(a.id, t.id), spec.task_cost(a.id, t.id), spec.max_retries(a.id, t.id))
-                        for t in spec.tasks)
-            rows.setdefault(row, []).append(i)
+        for i, row in enumerate(self.capability):
+            rows.setdefault(tuple(row), []).append(i)
         self.classes = [tuple(members) for members in rows.values() if len(members) > 1]
         # class_views[agent]: None outside every class, else two getters for
         # the agent's class: one takes the class's slots out of a positions

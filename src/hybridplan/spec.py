@@ -65,12 +65,6 @@ class Agent:
     start: str
     capabilities: tuple[Capability, ...]
 
-    def capability_for(self, group: str) -> Optional[Capability]:
-        for cap in self.capabilities:
-            if cap.group == group:
-                return cap
-        return None
-
 
 @dataclass(frozen=True)
 class MissionConstraints:
@@ -118,7 +112,7 @@ class ProblemSpec:
 
         self._location_ids = frozenset(l.id for l in self.locations)
         self._task_by_id = {t.id: t for t in self.tasks}
-        self._agent_by_id = {a.id: a for a in self.agents}
+        self._capabilities = {a.id: {c.group: c for c in a.capabilities} for a in self.agents}
 
         # symmetric closure over declared paths
         self._dist: dict[tuple[str, str], float] = {}
@@ -159,22 +153,22 @@ class ProblemSpec:
     def task_location(self, tid: str) -> str:
         return self._task_by_id[tid].location
 
-    # -- capability accessors (honouring runtime overrides) -------------
+    # -- capabilities (honouring runtime overrides) ---------------------
+
+    def capability(self, agent_id: str, task_id: str) -> Capability:
+        """The agent's capability on the task's group, its success
+        probability replaced by a runtime override if there is one.  An
+        agent without a capability for the group gets cost 0, probability 0
+        and retry cap 0; an override still sets the probability, so an
+        override on such a pair gives cost 0 and retry cap 0."""
+        group = self._task_by_id[task_id].group
+        cap = self._capabilities[agent_id].get(group) or Capability(group, 0.0, 0.0, 0)
+        p = self.p_overrides.get((agent_id, task_id))
+        return cap if p is None else Capability(group, cap.cost, p, cap.max_retries)
 
     def p_success(self, agent_id: str, task_id: str) -> float:
         """Success probability of an agent on a task instance (0 if incapable)."""
-        if (agent_id, task_id) in self.p_overrides:
-            return self.p_overrides[(agent_id, task_id)]
-        cap = self._agent_by_id[agent_id].capability_for(self._task_by_id[task_id].group)
-        return cap.p_success if cap is not None else 0.0
-
-    def task_cost(self, agent_id: str, task_id: str) -> float:
-        cap = self._agent_by_id[agent_id].capability_for(self._task_by_id[task_id].group)
-        return cap.cost if cap is not None else 0.0
-
-    def max_retries(self, agent_id: str, task_id: str) -> int:
-        cap = self._agent_by_id[agent_id].capability_for(self._task_by_id[task_id].group)
-        return cap.max_retries if cap is not None else 0
+        return self.capability(agent_id, task_id).p_success
 
     def eligible(self, agent_id: str, task_id: str) -> bool:
         """The allocation threshold (C4): the agent may be given the task iff

@@ -789,13 +789,26 @@ class TestScenarioDeploy:
             (None, "max_steps", "5", "max_steps must be an integer >= 0, got '5'"),
             (None, "ga", {"population": "30"}, "population must be an integer >= 2, got '30'"),
             (None, "ga", {"evaluations": 40.5}, "evaluations must be an integer >= population, got 40.5"),
-            (None, "planner", {"timeout": "5"}, "timeout must be a number > 0, got '5'"),
-            (None, "planner", {"timeout": float("nan")}, "timeout must be a number > 0, got nan"),
+            (None, "planner", {"timeout": "5"}, "timeout must be a finite number > 0, got '5'"),
+            (None, "planner", {"timeout": float("nan")}, "timeout must be a finite number > 0, got nan"),
+            (None, "planner", {"timeout": float("inf")}, "timeout must be a finite number > 0, got inf"),
             (None, "planner", {"strategy": "dfs"}, "unknown strategy 'dfs'"),
             (None, "ga", 5, "ga must be a JSON object, got 5"),
             (None, "sead", 3, r"a scenario names unknown keys \['sead'\]"),
             (None, "changes", 5, "changes and seed_entries must be JSON arrays"),
             (None, "seed_entries", 5, "changes and seed_entries must be JSON arrays"),
+            (2, "typo", 1, r"C2 change at 4 names unknown keys \['typo'\]"),
+            (2, "task", "t1l4", r"C2 change at 4 names unknown keys \['task'\]"),
+            (0, "agent", "w1", r"C1 change at 1 names unknown keys \['agent'\]"),
+            (3, "p_succ", 0.8, r"C4 change at 11 names unknown keys \['p_succ'\]"),
+            (4, "task", "t1l4", r"C3 change at 13 names unknown keys \['task'\]"),
+            (None, "deploy", [], r"deploy must be a JSON object, got \[\]"),
+            (None, "deploy", 0, "deploy must be a JSON object, got 0"),
+            (None, "deploy", False, "deploy must be a JSON object, got False"),
+            (None, "deploy", "", "deploy must be a JSON object, got ''"),
+            (None, "deploy", 5, "deploy must be a JSON object, got 5"),
+            (None, "deploy", {"rule": "max_success"}, r"deploy names unknown keys \['rule'\]"),
+            (None, "deploy", {"retries": {}, "require_budget": {}}, "retries or require_budget, not both"),
         ],
     )
     def test_change_records_are_not_coerced(self, vineyard, monkeypatch, index, key, value, message):
@@ -815,6 +828,14 @@ class TestScenarioDeploy:
             record[key] = value
         with pytest.raises(ScenarioError, match=message):
             run_scenario(vineyard, scenario)
+
+    def test_a_null_deploy_is_rejected_before_planning(self, vineyard, monkeypatch):
+        # only an absent deploy picks the cheapest entry
+        import hybridplan.adaptation as adaptation
+
+        monkeypatch.setattr(adaptation, "plan_mission", lambda *a: pytest.fail("planned a bad scenario"))
+        with pytest.raises(ScenarioError, match="deploy must be a JSON object, got None"):
+            run_scenario(vineyard, {"deploy": None})
 
     def test_zero_threshold_is_rejected_before_planning(self, vineyard, monkeypatch):
         # a zero threshold would make the p = 0 agent of the C4 eligible

@@ -108,10 +108,8 @@ def reference_full_mdp(spec, state_budget=500_000):
     attempts = {}
     for t, tid in enumerate(problem.task_ids):
         for a in problem.capable[t]:
-            aid = problem.agent_ids[a]
-            attempts[~(a * n_tasks + t)] = (
-                spec.p_success(aid, tid), spec.task_cost(aid, tid), spec.max_retries(aid, tid)
-            )
+            cap = spec.capability(problem.agent_ids[a], tid)
+            attempts[~(a * n_tasks + t)] = (cap.p_success, cap.cost, cap.max_retries)
 
     def name(code, positions):
         return str(problem.action((positions,), code))

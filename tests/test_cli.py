@@ -265,6 +265,16 @@ class TestErrors:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ScenarioError"
 
+    @pytest.mark.parametrize("timeout", ["inf", "-inf", "nan"])
+    def test_non_finite_timeout_is_an_input_error(self, capsys, tmp_path, timeout):
+        # argparse's float() takes these; a manifest holding one is not JSON
+        code, out, err = run(capsys, "plan", "--spec", "vineyard", "--out", str(tmp_path), f"--timeout={timeout}")
+        assert code == 1 and out == ""
+        error = strict_json(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "timeout must be a finite number > 0" in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_baseline_state_budget(self, capsys):
         code, out, err = run(capsys, "baseline", "--spec", "vineyard", "--state-budget", "1000")
         assert code == 1 and out == ""

@@ -72,6 +72,16 @@ class TestProblem:
     def test_metric(self, vineyard):
         assert "(:metric minimize (travel_dist))" in export_pddl_problem(vineyard)
 
+    def test_done_tasks_of_a_re_rooted_spec_are_facts(self, vineyard):
+        text = export_pddl_problem(vineyard.with_runtime_state(pending=["t2l5"]))
+        init, goal = text.split("(:goal")
+        assert "(task_done t1l4)" in init and "(task_done t2l5)" not in init
+        assert re.findall(r"\(task_done (\w+)\)", goal) == ["t2l5"]
+
+    def test_nothing_pending_is_the_vacuous_goal(self, vineyard):
+        goal = export_pddl_problem(vineyard.with_runtime_state(pending=[])).split("(:goal")[1]
+        assert "(= (travel_dist) 0)" in goal and "task_done" not in goal
+
     def test_occupied_starts_not_empty(self, vineyard):
         text = export_pddl_problem(vineyard)
         assert "(empty l1)" not in text

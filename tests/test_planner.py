@@ -99,6 +99,14 @@ class TestOptimality:
             plan_mission(vineyard, PlannerConfig(max_expansions=2))
         assert issubclass(ExpansionLimit, PlanTimeout)
 
+    def test_wall_clock_timeout(self, vineyard):
+        # the blind search needs over 13,000 expansions here; the clock is
+        # read every 1,024, so the first read already finds it past due
+        with pytest.raises(PlanTimeout) as err:
+            plan_mission(vineyard, PlannerConfig(heuristic="blind", timeout=1e-9))
+        assert not isinstance(err.value, ExpansionLimit)
+        assert "after 1024 expansions" in str(err.value)
+
     def test_unreachable_island(self):
         doc = grid_doc(
             1,
@@ -186,10 +194,10 @@ class TestHeuristic:
         with pytest.raises(ValueError, match="unknown heuristic"):
             PlannerConfig(heuristic=kind)
 
-    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), "5", True])
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), float("-inf"), "5", True])
     def test_timeout_is_a_positive_number(self, timeout):
-        # NaN > 0 is false: a NaN timeout would never fire
-        with pytest.raises(ValueError, match="timeout must be a number > 0"):
+        # NaN > 0 is false: a NaN timeout would never fire, nor would inf
+        with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
             PlannerConfig(timeout=timeout)
 
     # the heuristic reads compact states; world states go through the encoder
@@ -213,6 +221,20 @@ class TestHeuristic:
         dist = shortest_path_distances(vineyard)
         assert dist["l1"]["l9"] == 4
         assert dist["l1"]["l1"] == 0
+
+    def test_distances_prefer_a_shorter_detour(self):
+        # from a, the direct edge to b is queued first and popped stale
+        # after the two-edge detour through c has settled b
+        doc = grid_doc(1, 1, [], [])
+        doc["locations"] = [{"id": "a"}, {"id": "b"}, {"id": "c"}]
+        doc["paths"] = [
+            {"start": "a", "end": "b", "distance": 5},
+            {"start": "a", "end": "c", "distance": 1},
+            {"start": "c", "end": "b", "distance": 1},
+        ]
+        dist = shortest_path_distances(build_problem_spec(doc))
+        assert dist["a"] == {"a": 0.0, "b": 2.0, "c": 1.0}
+        assert dist["b"]["a"] == 2.0
 
 
 class TestViolations:

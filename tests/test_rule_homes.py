@@ -14,6 +14,11 @@ cursor, and the stages each level reruns once, in ``STAGES``.
 
 A chain step has one shape: a move is the step without a task, so no kind
 tag is stored beside the data it would restate.
+
+An agent's capability on a task is resolved in one place,
+``ProblemSpec.capability``, overrides included: no other module reads an
+agent's declared ``capabilities``, and the baseline reads the planner's
+table rather than asking the spec again.
 """
 
 import ast
@@ -23,18 +28,19 @@ from pathlib import Path
 import hybridplan.adaptation as adaptation
 from hybridplan.adaptation import Progress
 from hybridplan.chains import ChainStep, ParametricPlanModel, RetrySlot
+from hybridplan.spec import Agent, ProblemSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hybridplan"
 READERS = {"spec.py", "pddl.py"}
 
 
-def gamma_reads(path: Path) -> list[int]:
-    """Line numbers of every ``<expr>.gamma`` load in one source file."""
+def attribute_reads(path: Path, attr: str) -> list[int]:
+    """Line numbers of every ``<expr>.<attr>`` load in one source file."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "gamma" and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)
     ]
 
 
@@ -43,10 +49,31 @@ def test_gamma_read_only_in_spec_and_pddl():
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
         if path.name not in READERS
-        for line in gamma_reads(path)
+        for line in attribute_reads(path, "gamma")
     ]
     assert outside == []
-    assert gamma_reads(SRC / "spec.py")   # the scan sees the reads it allows
+    assert attribute_reads(SRC / "spec.py", "gamma")   # the scan sees the reads it allows
+
+
+def test_capabilities_read_only_in_spec():
+    readers = [path.name for path in sorted(SRC.glob("*.py")) if attribute_reads(path, "capabilities")]
+    assert readers == ["spec.py"]
+
+
+def test_baseline_asks_the_spec_for_no_capability():
+    tree = ast.parse((SRC / "baseline.py").read_text())
+    calls = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert calls.isdisjoint({"capability", "p_success", "eligible", "task_cost", "max_retries"})
+    assert attribute_reads(SRC / "baseline.py", "capability")   # the planner's table
+
+
+def test_one_capability_accessor():
+    assert not any(hasattr(ProblemSpec, name) for name in ("task_cost", "max_retries"))
+    assert not hasattr(Agent, "capability_for")
 
 
 def function_defs(path: Path, name: str) -> list[ast.FunctionDef]:

@@ -132,6 +132,13 @@ class TestParse:
             (lambda d: d.update(constraints=[0.9]), "constraints", "must be a JSON object"),
             (lambda d: d.update(initial="l1"), "initial", "must be a JSON object"),
             (lambda d: d.update(initial={"pending": "t3l2"}), "initial.pending", "must be a JSON array"),
+            # an entry without its id or endpoints is reported and left out
+            (lambda d: d["locations"][1].pop("id"), "locations[1]", "missing key 'id'"),
+            (lambda d: d["paths"][0].pop("start"), "paths[0]", "missing key 'start'"),
+            (lambda d: d["paths"][0].pop("end"), "paths[0]", "missing key 'end'"),
+            (lambda d: d["tasks"][1].pop("id"), "tasks[1]", "missing key 'id'"),
+            (lambda d: d["tasks"][0]["instances"][0].pop("id"), "tasks[0].instances[0]", "missing key 'id'"),
+            (lambda d: d["agents"][1].pop("id"), "agents[1]", "missing key 'id'"),
         ],
     )
     def test_malformed_fields_are_spec_errors(self, edit, path, message):
@@ -152,8 +159,8 @@ class TestAccessors:
         # group-level declaration applies to every instance
         for tid in ("t1l4", "t1l6a", "t1l6b", "t1l7"):
             assert vineyard.p_success("w1", tid) == 1.0
-            assert vineyard.task_cost("w1", tid) == 3
-            assert vineyard.max_retries("w1", tid) == 5
+            assert vineyard.capability("w1", tid).cost == 3
+            assert vineyard.capability("w1", tid).max_retries == 5
 
     def test_incapable_pair_is_zero(self, vineyard):
         assert vineyard.p_success("r1", "t1l4") == 0.0
