@@ -13,7 +13,11 @@ most one pipeline rerun, so each call terminates.
 
 Every reduction is one pass of the same survivor filter (``_survivors``):
 archive entries consistent with the executed prefix that pass the change's
-own test.  A2 and A3 share one synthesis tail (``_synthesize``).
+own test.  A2 and A3 share one synthesis tail (``_synthesize``).  A floor
+change (C2) verifies the archive against the remaining suffix through one
+success table per reduction (``_suffix_success``): built from the one suffix
+model, it holds each task step's success factor per entry budget, so every
+entry's success is a product of table reads, equal to the closed form's.
 
 Budget bookkeeping: observed failures are per-task facts.  They persist
 across NA/A1/A2 (the same underlying actions, counted against any entry's
@@ -39,18 +43,18 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .chains import (
     ParametricPlanModel,
-    RetryAssignment,
+    RetrySlot,
     all_min_assignment,
     build_chains,
     build_parametric_model,
     checked_budgets,
-    closed_form_mission_metrics,
+    task_factors,
 )
 from .errors import NoPlanExists, ScenarioError, UnrecoverableMission
 from .planner import Plan, PlannerConfig, dispatch_slot, plan_mission
@@ -204,13 +208,6 @@ def _entry_budget(entry: ArchiveEntry, task: str) -> int:
     return entry.retries.get(task, 1)
 
 
-def _prefix_consistent(ctx: ExecutionContext, entry: ArchiveEntry, completed: frozenset) -> bool:
-    """The entry's unrolled timeline matches the executed prefix: every
-    completed task used no more attempts since the archive epoch than the
-    entry budgets allow."""
-    return all(_entry_budget(entry, task) > ctx.failures_since_epoch(task) for task in completed)
-
-
 def build_suffix_model(ctx: ExecutionContext) -> ParametricPlanModel:
     """Parametric model of the remaining mission, conditioned on progress:
     each agent's actions of the trace past the dispatch cursor, in trace
@@ -226,18 +223,55 @@ def build_suffix_model(ctx: ExecutionContext) -> ParametricPlanModel:
     )
 
 
-def _remaining_assignment(
-    ctx: ExecutionContext, model: ParametricPlanModel, entry: ArchiveEntry
-) -> Optional[RetryAssignment]:
-    """Entry budgets restricted to the suffix, net of failures consumed since
-    the entry's epoch; None if some remaining task has no attempts left."""
-    out: RetryAssignment = {}
-    for slot in model.retry_slots():
-        budget = _entry_budget(entry, slot.task) - ctx.failures_since_epoch(slot.task)
-        if budget < slot.lo:
-            return None
-        out[slot.task] = min(budget, slot.hi)
-    return out
+class _StepFactors(dict):
+    """Success factor of one suffix task step by an entry's raw budget,
+    computed on first use.  The raw budget nets out the failures ``used``
+    since the entry's epoch; a remainder below the slot's floor leaves no
+    attempt, factor 0.0 (every other factor is positive).  A step without a
+    slot is one attempt, whatever the entry budgets."""
+
+    def __init__(self, p: float, used: int, slot: Optional[RetrySlot]):
+        self.p, self.used, self.slot = p, used, slot
+
+    def __missing__(self, raw: int) -> float:
+        if self.slot is None:
+            factor = task_factors(self.p, 1)[0]
+        elif raw - self.used < self.slot.lo:
+            factor = 0.0
+        else:
+            factor = task_factors(self.p, min(raw - self.used, self.slot.hi))[0]
+        self[raw] = factor
+        return factor
+
+
+def _suffix_success(ctx: ExecutionContext, model: ParametricPlanModel) -> Callable[[ArchiveEntry], float]:
+    """Success of an archive entry on the suffix ``model``, read from one
+    table built here: per chain, its task steps' factors.  An entry's
+    success multiplies its factors in step order and the chains in chain
+    order, as ``closed_form_mission_metrics`` does, so it equals that form
+    on the entry's budgets net of failures since its epoch (0.0 when some
+    step has no attempt left)."""
+    slots = {slot.task: slot for slot in model.retry_slots()}
+    table = [
+        [
+            (step.task, _StepFactors(step.p_success, ctx.failures_since_epoch(step.task), slots.get(step.task)))
+            for step in chain.steps
+            if step.task is not None
+        ]
+        for chain in model.chains
+    ]
+
+    def success(entry: ArchiveEntry) -> float:
+        budget = entry.retries.get
+        succ = 1.0
+        for steps in table:
+            reach = 1.0
+            for task, factors in steps:
+                reach *= factors[budget(task, 1)]
+            succ *= reach
+        return succ
+
+    return success
 
 
 def remaining_success(
@@ -246,12 +280,7 @@ def remaining_success(
     """Suffix success probability under the entry's budgets, conditioned on
     the executed prefix (attempts already consumed are gone).  ``model`` is
     the suffix model, when the caller has already built it."""
-    if model is None:
-        model = build_suffix_model(ctx)
-    assignment = _remaining_assignment(ctx, model, entry)
-    if assignment is None:
-        return 0.0
-    return closed_form_mission_metrics(model, assignment)[0]
+    return _suffix_success(ctx, build_suffix_model(ctx) if model is None else model)(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +289,18 @@ def remaining_success(
 
 def _survivors(ctx: ExecutionContext, keep=None) -> list[ArchiveEntry]:
     """Archive entries consistent with the executed prefix that pass the
-    change's own test ``keep`` (every such entry when it is None)."""
-    completed = ctx.completed()
-    return [e for e in ctx.archive.entries if _prefix_consistent(ctx, e, completed) and (keep is None or keep(e))]
+    change's own test ``keep`` (every such entry when it is None).
+
+    Consistent: every completed task used no more attempts since the
+    archive epoch than the entry budgets.  Every budget allows one attempt,
+    so only the completed tasks that failed since the epoch can rule an
+    entry out; those (task, failures) pairs are found once."""
+    used = [(task, n) for task in ctx.completed() if (n := ctx.failures_since_epoch(task)) > 0]
+    return [
+        e
+        for e in ctx.archive.entries
+        if (not used or all(_entry_budget(e, task) > n for task, n in used)) and (keep is None or keep(e))
+    ]
 
 
 def reduce_ps_tf(ctx: ExecutionContext, task: str) -> list[ArchiveEntry]:
@@ -277,8 +315,8 @@ def reduce_ps_psucc(ctx: ExecutionContext, new_floor: float) -> list[ArchiveEntr
     """Success-floor change: keep entries whose success probability on the
     remaining suffix, conditioned on the executed prefix, still clears the
     new floor."""
-    model = build_suffix_model(ctx)
-    return _survivors(ctx, lambda e: remaining_success(ctx, e, model) >= new_floor)
+    success = _suffix_success(ctx, build_suffix_model(ctx))
+    return _survivors(ctx, lambda e: success(e) >= new_floor)
 
 
 def reduce_ps_passign(ctx: ExecutionContext, new_gamma: float) -> list[ArchiveEntry]:
@@ -652,8 +690,9 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     archive before deployment, so a scenario can pin the deployed vector.
     Unknown keys, values of the wrong JSON type (a present ``deploy`` that
     is not an object among them), changes out of time order, changes naming
-    agents or tasks the mission does not have and a ``deploy`` naming both
-    budget rules are a ScenarioError before planning; budgets, which need
+    agents or tasks the mission does not have, a C4 on a pair whose agent
+    has no capability for the task and a ``deploy`` naming both budget rules
+    are a ScenarioError before planning; budgets, which need
     the model's slots, are checked once it is built.
     """
     _object(scenario, "a scenario", SCENARIO_KEYS)
@@ -671,6 +710,8 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
             raise ScenarioError(f"{c.kind} change at {c.time} names unknown task {c.task!r}")
         if c.agent is not None and c.agent not in agents:
             raise ScenarioError(f"{c.kind} change at {c.time} names unknown agent {c.agent!r}")
+        if c.kind == "C4" and not spec.has_capability(c.agent, c.task):
+            raise ScenarioError(f"C4 change at {c.time}: agent {c.agent!r} has no capability for task {c.task!r}")
     ga_raw = _object(scenario.get("ga", {}), "ga", ("population", "evaluations"))
     planner_raw = _object(scenario.get("planner", {}), "planner", ("strategy", "timeout"))
     deploy_raw = _object(scenario.get("deploy", {}), "deploy", ("retries", "require_budget"))

@@ -236,23 +236,38 @@ def instantiate(model: ParametricPlanModel, assignment: RetryAssignment) -> list
 # closed forms (independent of the explicit-state engine)
 
 
-def closed_form_chain_metrics(chain: AgentChain, assignment: RetryAssignment) -> tuple[float, float]:
-    """(success probability, expected cost) of one chain via geometric sums.
+# below this per-attempt success, 1 - (1 - p)**b loses digits to rounding
+SMALL_P = 1e-3
 
-    A task with budget b and miss chance q succeeds with 1 - q**b and makes
-    (1 - q**b) / (1 - q) attempts on average: one power per task step.  A
-    p_success below the float resolution of 1 - p leaves q == 1, and then
-    all b attempts are made."""
+
+def task_factors(p: float, budget: int) -> tuple[float, float]:
+    """(success probability, expected attempts) of a task step with
+    per-attempt success 0 < p <= 1 and ``budget`` attempts.
+
+    With miss chance q = 1 - p the task succeeds with 1 - q**b and makes
+    (1 - q**b) / p attempts on average: one power per task step.  Below
+    ``SMALL_P``, q rounds away digits of p (to q == 1 below about 1e-16), so
+    the success is -expm1(b * log1p(-p)) and the attempts divide by p
+    itself."""
+    if p < SMALL_P:
+        success = -math.expm1(budget * math.log1p(-p))
+        return success, success / p
+    q = 1.0 - p
+    success = 1.0 - q ** budget
+    return success, success / (1.0 - q)
+
+
+def closed_form_chain_metrics(chain: AgentChain, assignment: RetryAssignment) -> tuple[float, float]:
+    """(success probability, expected cost) of one chain in one forward
+    pass: each task step's factors come from ``task_factors``."""
     reach = 1.0
     cost = 0.0
     for step in chain.steps:
         if step.task is None:
             cost += reach * step.cost
             continue
-        budget = assignment[step.task] if step.retry_cap > 0 else 1
-        q = 1.0 - step.p_success
-        p_task = 1.0 - q ** budget
-        cost += reach * step.cost * (p_task / (1.0 - q) if p_task else budget)
+        p_task, attempts = task_factors(step.p_success, assignment[step.task] if step.retry_cap > 0 else 1)
+        cost += reach * step.cost * attempts
         reach *= p_task
     return reach, cost
 

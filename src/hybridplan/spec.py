@@ -155,12 +155,17 @@ class ProblemSpec:
 
     # -- capabilities (honouring runtime overrides) ---------------------
 
+    def has_capability(self, agent_id: str, task_id: str) -> bool:
+        """The agent declares a capability for the task's group.  A mission
+        file or a scenario that overrides the probability of a pair without
+        one is rejected."""
+        return self._task_by_id[task_id].group in self._capabilities[agent_id]
+
     def capability(self, agent_id: str, task_id: str) -> Capability:
         """The agent's capability on the task's group, its success
         probability replaced by a runtime override if there is one.  An
         agent without a capability for the group gets cost 0, probability 0
-        and retry cap 0; an override still sets the probability, so an
-        override on such a pair gives cost 0 and retry cap 0."""
+        and retry cap 0."""
         group = self._task_by_id[task_id].group
         cap = self._capabilities[agent_id].get(group) or Capability(group, 0.0, 0.0, 0)
         p = self.p_overrides.get((agent_id, task_id))
@@ -436,12 +441,22 @@ def build_problem_spec(doc) -> ProblemSpec:
                 _require(isinstance(tid, str) and tid in seen_task, "initial.pending", f"unknown task {tid!r}", errs)
 
     p_overrides = {}
+    group_of = {t.id: t.group for t in tasks}
+    groups_of = {a.id: {c.group for c in a.capabilities} for a in agents}
     for opath, raw in _entries(doc, "overrides", "overrides", errs):
         _check_keys(raw, {"agent", "task", "p_success"}, {"agent", "task", "p_success"}, opath, errs)
         aid, tid, p = raw.get("agent"), raw.get("task"), raw.get("p_success", 0)
         _require(aid in seen_agent, opath + ".agent", f"unknown agent '{aid}'", errs)
         _require(tid in seen_task, opath + ".task", f"unknown task '{tid}'", errs)
         _require(_number(p) and 0.0 <= p <= 1.0, opath + ".p_success", f"p_success must lie in [0,1], got {p!r}", errs)
+        if aid in seen_agent and tid in seen_task:
+            group = group_of[tid]
+            _require(
+                group in groups_of[aid],
+                opath,
+                f"agent '{aid}' has no capability for task '{tid}' (group '{group}')",
+                errs,
+            )
         if _number(p):
             p_overrides[(aid, tid)] = float(p)
 

@@ -266,6 +266,66 @@ def _crowding(objs: list[Objectives], front: list[int]) -> dict[int, float]:
     return dist
 
 
+def _tournament(rng: random.Random, pop: list, rank_of: dict, crowd_of: dict) -> tuple[int, ...]:
+    """Binary tournament: lower rank, then larger crowding distance, then
+    the smaller genotype."""
+    a, b = rng.randrange(len(pop)), rng.randrange(len(pop))
+    ga, gb = pop[a], pop[b]
+    if rank_of[ga] != rank_of[gb]:
+        return ga if rank_of[ga] < rank_of[gb] else gb
+    if crowd_of[ga] != crowd_of[gb]:
+        return ga if crowd_of[ga] > crowd_of[gb] else gb
+    return min(ga, gb)
+
+
+def _next_generation(
+    pop: list[tuple[int, ...]], ev: _Evaluator, rng: random.Random, bounds, cfg: GaConfig
+) -> list[tuple[int, ...]]:
+    """One NSGA-II generation: rank and crowd ``pop``, breed offspring by
+    tournament, uniform crossover and per-gene mutation, evaluate those the
+    budget still allows, and keep the best ``cfg.population`` of the union."""
+    objs = [ev(g) for g in pop]
+    rank_of: dict[tuple[int, ...], int] = {}
+    crowd_of: dict[tuple[int, ...], float] = {}
+    for r, front in enumerate(_fast_nondominated_sort(objs)):
+        cd = _crowding(objs, front)
+        for i in front:
+            rank_of[pop[i]] = r
+            crowd_of[pop[i]] = cd[i]
+
+    mut_rate = 1.0 / len(bounds)
+    offspring: list[tuple[int, ...]] = []
+    while len(offspring) < cfg.population:
+        c1 = list(_tournament(rng, pop, rank_of, crowd_of))
+        c2 = list(_tournament(rng, pop, rank_of, crowd_of))
+        if rng.random() < CROSSOVER_RATE:
+            for k in range(len(bounds)):
+                if rng.random() < 0.5:
+                    c1[k], c2[k] = c2[k], c1[k]
+        for child in (c1, c2):
+            for k, (lo, hi) in enumerate(bounds):
+                if rng.random() < mut_rate:
+                    child[k] = rng.randint(lo, hi)
+        offspring.append(tuple(c1))
+        if len(offspring) < cfg.population:
+            offspring.append(tuple(c2))
+    offspring = offspring[: cfg.evaluations - ev.count]
+    ev.evaluate_batch(offspring)
+
+    union = list(dict.fromkeys(pop + offspring))
+    uobjs = [ev(g) for g in union]
+    new_pop: list[tuple[int, ...]] = []
+    for front in _fast_nondominated_sort(uobjs):
+        if len(new_pop) + len(front) <= cfg.population:
+            new_pop.extend(union[i] for i in sorted(front, key=lambda i: union[i]))
+        else:
+            cd = _crowding(uobjs, front)
+            rest = sorted(front, key=lambda i: (-cd[i], union[i]))
+            new_pop.extend(union[i] for i in rest[: cfg.population - len(new_pop)])
+            break
+    return new_pop
+
+
 def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> ParetoArchive:
     """Search the budget space; returns the archive of feasible nondominated
     evaluations.  Small spaces are enumerated exhaustively (see module doc);
@@ -280,68 +340,13 @@ def synthesize(model: ParametricPlanModel, cfg: Optional[GaConfig] = None) -> Pa
 
     rng = random.Random(cfg.seed)
     ev = _Evaluator(model)
-    mut_rate = 1.0 / len(bounds)
-
-    def random_genotype():
-        return tuple(rng.randint(lo, hi) for lo, hi in bounds)
-
-    pop = [random_genotype() for _ in range(cfg.population)]
+    pop = [tuple(rng.randint(lo, hi) for lo, hi in bounds) for _ in range(cfg.population)]
     ev.evaluate_batch(pop)
-
-    def tournament(ranked_pop, rank_of, crowd_of):
-        a, b = rng.randrange(len(ranked_pop)), rng.randrange(len(ranked_pop))
-        ga, gb = ranked_pop[a], ranked_pop[b]
-        if rank_of[ga] != rank_of[gb]:
-            return ga if rank_of[ga] < rank_of[gb] else gb
-        if crowd_of[ga] != crowd_of[gb]:
-            return ga if crowd_of[ga] > crowd_of[gb] else gb
-        return min(ga, gb)
 
     stalled = 0
     while ev.count < cfg.evaluations:
         before = ev.count
-        objs = [ev(g) for g in pop]
-        fronts = _fast_nondominated_sort(objs)
-        rank_of: dict[tuple[int, ...], int] = {}
-        crowd_of: dict[tuple[int, ...], float] = {}
-        for r, front in enumerate(fronts):
-            cd = _crowding(objs, front)
-            for i in front:
-                rank_of[pop[i]] = r
-                crowd_of[pop[i]] = cd[i]
-
-        offspring: list[tuple[int, ...]] = []
-        while len(offspring) < cfg.population:
-            p1 = tournament(pop, rank_of, crowd_of)
-            p2 = tournament(pop, rank_of, crowd_of)
-            c1, c2 = list(p1), list(p2)
-            if rng.random() < CROSSOVER_RATE:
-                for k in range(len(bounds)):
-                    if rng.random() < 0.5:
-                        c1[k], c2[k] = c2[k], c1[k]
-            for child in (c1, c2):
-                for k, (lo, hi) in enumerate(bounds):
-                    if rng.random() < mut_rate:
-                        child[k] = rng.randint(lo, hi)
-            offspring.append(tuple(c1))
-            if len(offspring) < cfg.population:
-                offspring.append(tuple(c2))
-        offspring = offspring[: cfg.evaluations - ev.count]
-        ev.evaluate_batch(offspring)
-
-        union = list(dict.fromkeys(pop + offspring))
-        uobjs = [ev(g) for g in union]
-        ufronts = _fast_nondominated_sort(uobjs)
-        new_pop: list[tuple[int, ...]] = []
-        for front in ufronts:
-            if len(new_pop) + len(front) <= cfg.population:
-                new_pop.extend(union[i] for i in sorted(front, key=lambda i: union[i]))
-            else:
-                cd = _crowding(uobjs, front)
-                rest = sorted(front, key=lambda i: (-cd[i], union[i]))
-                new_pop.extend(union[i] for i in rest[: cfg.population - len(new_pop)])
-                break
-        pop = new_pop
+        pop = _next_generation(pop, ev, rng, bounds, cfg)
         # a converged population can keep emitting cached genotypes; give up
         # on the remaining budget after enough fruitless generations
         stalled = stalled + 1 if ev.count == before else 0

@@ -9,9 +9,15 @@ Each benchmark also asserts the deterministic size of its result, so a
 faster time cannot come from doing less work.
 """
 
+import random
+
 from hybridplan import pmc
+from hybridplan.adaptation import ExecutionContext, Progress, reduce_ps_psucc
 from hybridplan.baseline import build_full_mdp
-from hybridplan.planner import _Compact
+from hybridplan.chains import all_max_assignment
+from hybridplan.planner import _Compact, _Heuristic
+from hybridplan.synthesis import GaConfig, _Evaluator, _next_generation, evaluate, synthesize
+from hybridplan.world import Do, replay
 
 
 def test_successors_on_vineyard_start(benchmark, vineyard):
@@ -41,3 +47,61 @@ def test_solve_linear_on_m1_routed_policy(benchmark, m1, monkeypatch):
     ((unknowns, coeff, rhs),) = systems
     x = benchmark(pmc._solve_linear, unknowns, coeff, rhs)
     assert len(unknowns) == len(x) == 620
+
+
+def test_heuristic_on_vineyard_start(benchmark, vineyard):
+    # a fresh heuristic each round, so the call fills both of its caches
+    problem = _Compact(vineyard)
+    h = benchmark.pedantic(
+        lambda heuristic: heuristic(problem.start),
+        setup=lambda: ((_Heuristic(problem, "combined"),), {}),
+        rounds=200,
+    )
+    assert h == 6.0
+
+
+def test_evaluate_vineyard_max_budgets(benchmark, vineyard_model):
+    assignment = all_max_assignment(vineyard_model)
+    objectives = benchmark(evaluate, vineyard_model, assignment)
+    assert (len(assignment), objectives.feasible) == (10, True)
+
+
+def test_nsga2_generation_on_vineyard(benchmark, vineyard_model):
+    # each round breeds from the same seeded population with only that
+    # population evaluated, so every round evaluates the same offspring
+    cfg = GaConfig(population=30, evaluations=10_000, seed=7)
+    bounds = vineyard_model.bounds()
+    rng = random.Random(cfg.seed)
+    pop = [tuple(rng.randint(lo, hi) for lo, hi in bounds) for _ in range(cfg.population)]
+    log = _Evaluator(vineyard_model)
+    log.evaluate_batch(pop)
+    state = rng.getstate()
+
+    def setup():
+        rng = random.Random()
+        rng.setstate(state)
+        return (list(pop), _Evaluator(vineyard_model, log.cache.items()), rng), {}
+
+    def generation(pop, ev, rng):
+        return len(_next_generation(pop, ev, rng, bounds, cfg)), ev.count
+
+    assert benchmark.pedantic(generation, setup=setup, rounds=50) == (30, 60)
+
+
+def test_c2_reduction_mid_vineyard(benchmark, vineyard, vineyard_plan, vineyard_model):
+    # the vineyard archive five actions into the plan, after one failure of
+    # its first task, against a floor that 36 of its 54 entries clear
+    archive = synthesize(vineyard_model, GaConfig(seed=3))
+    done = 5
+    first = next(act.task for act in vineyard_plan.total_order if isinstance(act, Do))
+    ctx = ExecutionContext(
+        vineyard,
+        vineyard_plan,
+        vineyard_model,
+        archive,
+        archive.entries[0],
+        Progress(done, {first: 1}, done),
+        replay(vineyard, vineyard_plan.total_order[:done]),
+    )
+    survivors = benchmark(reduce_ps_psucc, ctx, 0.9)
+    assert (len(archive.entries), len(survivors)) == (54, 36)

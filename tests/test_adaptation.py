@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridplan.adaptation import (
     A1,
@@ -22,7 +25,7 @@ from hybridplan.adaptation import (
     validate_scenario,
 )
 from hybridplan.bench import random_instance
-from hybridplan.chains import all_min_assignment, build_chains, build_parametric_model
+from hybridplan.chains import all_min_assignment, build_chains, build_parametric_model, closed_form_mission_metrics
 from hybridplan.errors import ScenarioError, UnrecoverableMission
 from hybridplan.planner import PlannerConfig, dispatch_slot, plan_mission
 from hybridplan.spec import build_problem_spec
@@ -449,6 +452,70 @@ class TestSuffixModel:
         assert remaining_success(ctx6, field["deployed"]) > remaining_success(ctx0, field["deployed"])
 
 
+@functools.lru_cache(maxsize=None)
+def random_pipeline(seed):
+    spec = random_instance(3 + seed % 3, 2 + seed % 2, seed)
+    plan = plan_mission(spec)
+    return spec, plan, build_parametric_model(spec, plan)
+
+
+@st.composite
+def mid_mission_contexts(draw):
+    """A random mission part-way through its plan: an executed prefix,
+    failure counts up to one past each retry cap, an epoch snapshot below
+    them, and an archive of entries whose budgets fall at, below and above
+    the attempts consumed."""
+    spec, plan, model = random_pipeline(draw(st.integers(0, 5)))
+    done = draw(st.integers(0, len(plan.total_order)))
+    failures, epoch = {}, {}
+    for task, agent in plan.allocation.items():
+        failures[task] = draw(st.integers(0, spec.capability(agent, task).max_retries + 1))
+        epoch[task] = draw(st.integers(0, failures[task]))
+    entries = []
+    for _ in range(draw(st.integers(1, 8))):
+        genotype = tuple(draw(st.integers(s.lo, s.hi)) for s in model.retry_slots())
+        retries = {s.task: b for s, b in zip(model.retry_slots(), genotype)}
+        entries.append(ArchiveEntry(genotype, retries, evaluate(model, retries)))
+    archive = ParetoArchive(model.plan_hash, entries, 0, {}, [])
+    progress = Progress(done, failures, done)
+    world = replay(spec, plan.total_order[:done])
+    return ExecutionContext(spec, plan, model, archive, entries[0], progress, world, epoch_failures=epoch)
+
+
+def closed_form_remaining(ctx, entry):
+    """The entry's remaining-suffix success by the closed form on its
+    budgets net of the failures since its epoch (0.0 when a slot has no
+    attempt left)."""
+    model = build_suffix_model(ctx)
+    assignment = {}
+    for slot in model.retry_slots():
+        budget = entry.retries.get(slot.task, 1) - ctx.failures_since_epoch(slot.task)
+        if budget < slot.lo:
+            return 0.0
+        assignment[slot.task] = min(budget, slot.hi)
+    return closed_form_mission_metrics(model, assignment)[0]
+
+
+class TestSuccessTable:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mid_mission_contexts(), st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 7)))
+    def test_table_equals_the_closed_form_per_entry(self, ctx, floor):
+        import hybridplan.adaptation as adaptation
+
+        entries = ctx.archive.entries
+        reference = [closed_form_remaining(ctx, e) for e in entries]
+        table = adaptation._suffix_success(ctx, build_suffix_model(ctx))
+        assert [table(e) for e in entries] == [remaining_success(ctx, e) for e in entries] == reference
+        if isinstance(floor, int):
+            # an entry's own success, the inclusive boundary, when it is positive
+            floor = reference[floor % len(reference)] or 5e-324
+        consistent = [
+            all(e.retries.get(t, 1) > ctx.failures_since_epoch(t) for t in ctx.completed()) for e in entries
+        ]
+        expected = [e for e, ok, s in zip(entries, consistent, reference) if ok and s >= floor]
+        assert reduce_ps_psucc(ctx, floor) == expected
+
+
 def tiny_mission(p=0.9, retries=2):
     return build_problem_spec(
         {
@@ -785,6 +852,7 @@ class TestScenarioDeploy:
             (0, "task", "ghost", "C1 change at 1 names unknown task 'ghost'"),
             (3, "task", "ghost", "C4 change at 11 names unknown task 'ghost'"),
             (3, "agent", "zz", "C4 change at 11 names unknown agent 'zz'"),
+            (3, "agent", "r1", "C4 change at 11: agent 'r1' has no capability for task 't1l6a'"),
             (None, "seed", "3", "seed must be an integer >= 0, got '3'"),
             (None, "max_steps", "5", "max_steps must be an integer >= 0, got '5'"),
             (None, "ga", {"population": "30"}, "population must be an integer >= 2, got '30'"),

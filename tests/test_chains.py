@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridplan.chains import (
+    SMALL_P,
     AgentChain,
     ChainStep,
     all_max_assignment,
@@ -87,12 +88,20 @@ def two_helper_chain_metrics(chain, assignment):
     return succ, cost
 
 
+# the success probabilities a chain step accepts, down to the smallest
+# positive float, with the tiny ones drawn often
+ANY_P = st.one_of(
+    st.just(1.0),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([5e-324, 1e-310, 1e-200, 1e-17, 1e-10, 9.99e-4]),
+)
+
+
 @st.composite
-def chains_with_budgets(draw):
-    """A chain of moves, single tries and budgeted tasks with p in (0, 1],
-    1.0 included, and a budget in [1, cap] for every budgeted task."""
+def chains_with_budgets(draw, probabilities=ANY_P):
+    """A chain of moves, single tries and budgeted tasks with p drawn from
+    ``probabilities``, and a budget in [1, cap] for every budgeted task."""
     costs = st.floats(0.0, 50.0)
-    probabilities = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
     steps, assignment = [], {}
     for i in range(draw(st.integers(0, 8))):
         shape = draw(st.sampled_from(["move", "single", "budgeted"]))
@@ -195,10 +204,23 @@ class TestBudgetSemantics:
 
 class TestEngineAgreement:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(chains_with_budgets())
+    @given(chains_with_budgets(st.one_of(st.just(1.0), st.floats(SMALL_P, 1.0))))
     def test_one_power_form_equals_two_helper_form(self, drawn):
+        # the two-helper form is the reference only where the closed form
+        # still takes the power: below SMALL_P it is the imprecise one
         chain, assignment = drawn
         assert closed_form_chain_metrics(chain, assignment) == two_helper_chain_metrics(chain, assignment)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(chains_with_budgets())
+    def test_closed_form_matches_factored_solve_in_relative_error(self, drawn):
+        # a few subnormal steps of absolute slack: below 2**-1022 a product
+        # keeps fewer digits than the relative bound asks for
+        chain, assignment = drawn
+        solved = factored_mission_metrics([("a", instantiate_chain(chain, assignment))])
+        closed = closed_form_chain_metrics(chain, assignment)
+        for got, want in zip(closed, (solved.success_prob, solved.expected_cost)):
+            assert abs(got - want) <= 1e-12 * abs(want) + 8 * 5e-324
 
     def test_probability_below_float_resolution(self):
         # 1 - 1e-17 rounds to 1.0: every budgeted attempt is made

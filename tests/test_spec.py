@@ -111,6 +111,10 @@ class TestParse:
             (lambda d: d.update(initial={"locations": ["w1", "l1"]}), "initial.locations", "must be a JSON object"),
             (lambda d: d.update(overrides=[{"agent": "r1", "task": "t3l2", "p_success": "0.5"}]),
              "overrides[0].p_success", "got '0.5'"),
+            # r1 declares no capability for group t1: an override would make it
+            # eligible at cost 0 with retry cap 0
+            (lambda d: d.update(overrides=[{"agent": "r1", "task": "t1l2a", "p_success": 0.5}]),
+             "overrides[0]", "agent 'r1' has no capability for task 't1l2a' (group 't1')"),
             (lambda d: d.update(paths={"start": "l1", "end": "l2", "distance": 1}), "paths", "must be a JSON array"),
             (lambda d: d["locations"].append("l3"), "locations[2]", "must be a JSON object"),
             (lambda d: d["agents"][0]["tasks"][0].update(retries=True), "agents[0].tasks[0].retries",
