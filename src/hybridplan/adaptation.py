@@ -274,13 +274,10 @@ def _suffix_success(ctx: ExecutionContext, model: ParametricPlanModel) -> Callab
     return success
 
 
-def remaining_success(
-    ctx: ExecutionContext, entry: ArchiveEntry, model: Optional[ParametricPlanModel] = None
-) -> float:
+def remaining_success(ctx: ExecutionContext, entry: ArchiveEntry) -> float:
     """Suffix success probability under the entry's budgets, conditioned on
-    the executed prefix (attempts already consumed are gone).  ``model`` is
-    the suffix model, when the caller has already built it."""
-    return _suffix_success(ctx, build_suffix_model(ctx) if model is None else model)(entry)
+    the executed prefix (attempts already consumed are gone)."""
+    return _suffix_success(ctx, build_suffix_model(ctx))(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +352,11 @@ def select_new_plan(entries: list[ArchiveEntry]) -> ArchiveEntry:
 
 def adapt(ctx: ExecutionContext, change: Change) -> AdaptationOutcome:
     """Dispatch one monitored change; returns the outcome without mutating
-    the context (the execution loop owns applying it)."""
+    the context (the execution loop owns applying it).  A change naming
+    what the mission lacks is a ScenarioError (``validate_scenario``)."""
     if change.time < ctx.progress.clock:
         raise ValueError("change lies in the past")
+    validate_scenario(ctx.spec, [change])
 
     spec_after = ctx.spec
     if change.kind == "C1":
@@ -522,12 +521,25 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def validate_scenario(changes: list[Change]):
+def validate_scenario(spec: ProblemSpec, changes: list[Change]):
+    """The one check of changes against the mission: time-ordered, at most
+    one per time unit, naming only the mission's agents and tasks, and a C4
+    only on a pair whose agent has a capability for the task.  Raises
+    ScenarioError."""
     times = [c.time for c in changes]
     if times != sorted(times):
         raise ScenarioError("scenario changes must be time-ordered")
     if len(set(times)) != len(times):
         raise ScenarioError("at most one change per time unit")
+    # tuples, not sets: a name read from JSON may be unhashable
+    tasks, agents = tuple(t.id for t in spec.tasks), tuple(a.id for a in spec.agents)
+    for c in changes:
+        if c.task is not None and c.task not in tasks:
+            raise ScenarioError(f"{c.kind} change at {c.time} names unknown task {c.task!r}")
+        if c.agent is not None and c.agent not in agents:
+            raise ScenarioError(f"{c.kind} change at {c.time} names unknown agent {c.agent!r}")
+        if c.kind == "C4" and not spec.has_capability(c.agent, c.task):
+            raise ScenarioError(f"C4 change at {c.time}: agent {c.agent!r} has no capability for task {c.task!r}")
 
 
 def simulate(
@@ -547,9 +559,10 @@ def simulate(
     Task outcomes sample Bernoulli(p) from a seeded generator; a scripted C1
     forces the matching attempt to fail.  Every observed failure and every
     scripted requirement change runs the adaptation algorithm.  Deterministic
-    for fixed inputs and seed.
+    for fixed inputs and seed.  The changes are checked against the mission
+    (``validate_scenario``) before the first dispatch.
     """
-    validate_scenario(changes)
+    validate_scenario(spec, changes)
     rng = np.random.default_rng(seed)
     ctx = ExecutionContext(
         spec=spec,
@@ -702,16 +715,7 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     if not isinstance(records, list) or not isinstance(seed_entries, list):
         raise ScenarioError("a scenario's changes and seed_entries must be JSON arrays")
     changes = [Change.from_json(c) for c in records]
-    validate_scenario(changes)
-    # tuples, not sets: a name read from JSON may be unhashable
-    tasks, agents = tuple(t.id for t in spec.tasks), tuple(a.id for a in spec.agents)
-    for c in changes:
-        if c.task is not None and c.task not in tasks:
-            raise ScenarioError(f"{c.kind} change at {c.time} names unknown task {c.task!r}")
-        if c.agent is not None and c.agent not in agents:
-            raise ScenarioError(f"{c.kind} change at {c.time} names unknown agent {c.agent!r}")
-        if c.kind == "C4" and not spec.has_capability(c.agent, c.task):
-            raise ScenarioError(f"C4 change at {c.time}: agent {c.agent!r} has no capability for task {c.task!r}")
+    validate_scenario(spec, changes)
     ga_raw = _object(scenario.get("ga", {}), "ga", ("population", "evaluations"))
     planner_raw = _object(scenario.get("planner", {}), "planner", ("strategy", "timeout"))
     deploy_raw = _object(scenario.get("deploy", {}), "deploy", ("retries", "require_budget"))

@@ -286,13 +286,14 @@ def closed_form_mission_metrics(model: ParametricPlanModel, assignment: RetryAss
 # ---------------------------------------------------------------------------
 # Monte-Carlo cross-validation
 
+MC_CHUNK = 100_000   # runs sampled per vectorised batch
+
 
 def simulate_mission_mc(
     model: ParametricPlanModel,
     assignment: RetryAssignment,
     runs: int = 1_000_000,
     seed: int = 0,
-    chunk: int = 100_000,
 ) -> dict:
     """Sample missions at attempt granularity with a seeded generator.
 
@@ -308,7 +309,7 @@ def simulate_mission_mc(
     cost_sq_sum = 0.0
     remaining = runs
     while remaining > 0:
-        size = min(chunk, remaining)
+        size = min(MC_CHUNK, remaining)
         remaining -= size
         mission_ok = np.ones(size, dtype=bool)
         total_cost = np.zeros(size)

@@ -22,10 +22,10 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-def export_pddl_domain(spec: ProblemSpec, name: str = "mission") -> str:
+def export_pddl_domain(spec: ProblemSpec) -> str:
     gamma = spec.constraints.gamma
     return f""";; generated mission domain
-(define (domain {name})
+(define (domain mission)
   (:requirements :strips :typing :negative-preconditions :numeric-fluents)
   (:types location task agent)
   (:predicates
@@ -63,7 +63,7 @@ def export_pddl_domain(spec: ProblemSpec, name: str = "mission") -> str:
 """
 
 
-def export_pddl_problem(spec: ProblemSpec, name: str = "mission-1", domain: str = "mission") -> str:
+def export_pddl_problem(spec: ProblemSpec) -> str:
     object_lines = []
     if spec.locations:
         object_lines.append(" ".join(l.id for l in spec.locations) + " - location")
@@ -102,8 +102,8 @@ def export_pddl_problem(spec: ProblemSpec, name: str = "mission-1", domain: str 
 
     init_text = "\n    ".join(init)
     return f""";; generated mission problem
-(define (problem {name})
-  (:domain {domain})
+(define (problem mission-1)
+  (:domain mission)
   (:objects
     {objects})
   (:init

@@ -56,6 +56,7 @@ import json
 import time
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -126,6 +127,11 @@ class Plan:
         }
 
     def hash_key(self) -> str:
+        return self._trace_hash
+
+    @cached_property
+    def _trace_hash(self) -> str:
+        # hashed once: nothing changes a plan's trace after it is built
         import hashlib
 
         body = json.dumps([action_to_json(a) for a in self.total_order], sort_keys=True)

@@ -9,6 +9,7 @@ this module's accessors.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from dataclasses import dataclass
@@ -85,11 +86,14 @@ class Violation:
 class ProblemSpec:
     """Fully resolved mission specification.
 
-    Immutable after construction; collections are ordered lexicographically
-    by id so every downstream stage is deterministic.  The initial
-    configuration (agent placement + pending task set) defaults to the
-    declared starts and the full task set, but adaptation builds replan
-    specs with mid-mission configurations.
+    The constructor takes the mission: collections ordered lexicographically
+    by id so every downstream stage is deterministic, and the symbol tables
+    built from them, which nothing writes to afterwards.  It roots the spec
+    at the default runtime state: the declared starts, every task pending,
+    no probability overrides.  ``with_runtime_state`` is the one place that
+    sets runtime state (agent placement, pending tasks, overrides and the
+    mission constraints): it re-roots a copy that shares every mission table
+    with the spec it was built from.
     """
 
     def __init__(
@@ -100,9 +104,6 @@ class ProblemSpec:
         tasks: Iterable[TaskInstance],
         agents: Iterable[Agent],
         constraints: MissionConstraints,
-        initial_locations: Optional[Mapping[str, str]] = None,
-        pending: Optional[Iterable[str]] = None,
-        p_overrides: Optional[Mapping[tuple[str, str], float]] = None,
     ):
         self.locations = tuple(sorted(locations, key=lambda l: l.id))
         self.task_groups = tuple(sorted(task_groups, key=lambda g: g.id))
@@ -128,13 +129,9 @@ class ProblemSpec:
         for lid in self._neighbors:
             self._neighbors[lid].sort()
 
-        if initial_locations is None:
-            initial_locations = {a.id: a.start for a in self.agents}
-        self.initial_locations = dict(sorted(initial_locations.items()))
-        if pending is None:
-            pending = [t.id for t in self.tasks]
-        self.pending = frozenset(pending)
-        self.p_overrides = dict(p_overrides or {})
+        self.initial_locations = {a.id: a.start for a in self.agents}
+        self.pending = frozenset(t.id for t in self.tasks)
+        self.p_overrides: dict[tuple[str, str], float] = {}
 
     # -- symbol tables -------------------------------------------------
 
@@ -195,25 +192,22 @@ class ProblemSpec:
         gamma: Optional[float] = None,
         p_succ: Optional[float] = None,
     ) -> "ProblemSpec":
-        """Copy of this spec re-rooted at a mid-mission configuration; what
-        is not given is kept from this spec."""
-        constraints = MissionConstraints(
-            p_succ=self.constraints.p_succ if p_succ is None else p_succ,
-            gamma=self.constraints.gamma if gamma is None else gamma,
-        )
-        merged = dict(self.p_overrides)
-        merged.update(p_overrides or {})
-        return ProblemSpec(
-            self.locations,
-            self.paths,
-            self.task_groups,
-            self.tasks,
-            self.agents,
-            constraints,
-            initial_locations=self.initial_locations if initial_locations is None else initial_locations,
-            pending=self.pending if pending is None else pending,
-            p_overrides=merged,
-        )
+        """Copy of this spec re-rooted at a mid-mission configuration.  It
+        shares every mission table with this spec and replaces only the
+        runtime state it is given; ``p_overrides`` merge into a new dict, so
+        this spec never changes."""
+        out = copy.copy(self)
+        if gamma is not None or p_succ is not None:
+            out.constraints = MissionConstraints(
+                p_succ=self.constraints.p_succ if p_succ is None else p_succ,
+                gamma=self.constraints.gamma if gamma is None else gamma,
+            )
+        if initial_locations is not None:
+            out.initial_locations = dict(sorted(initial_locations.items()))
+        if pending is not None:
+            out.pending = frozenset(pending)
+        out.p_overrides = {**self.p_overrides, **(p_overrides or {})}
+        return out
 
     # -- equality / serialization ----------------------------------------
 
@@ -463,17 +457,8 @@ def build_problem_spec(doc) -> ProblemSpec:
     if errs:
         raise SpecError(f"invalid specification ({len(errs)} violations)", errs)
 
-    return ProblemSpec(
-        locations,
-        paths,
-        groups,
-        tasks,
-        agents,
-        MissionConstraints(float(p_succ), float(gamma)),
-        initial_locations=initial_locations,
-        pending=pending,
-        p_overrides=p_overrides,
-    )
+    spec = ProblemSpec(locations, paths, groups, tasks, agents, MissionConstraints(float(p_succ), float(gamma)))
+    return spec.with_runtime_state(initial_locations, pending, p_overrides)
 
 
 def validate(spec: ProblemSpec) -> list[Violation]:

@@ -12,7 +12,7 @@ faster time cannot come from doing less work.
 import random
 
 from hybridplan import pmc
-from hybridplan.adaptation import ExecutionContext, Progress, reduce_ps_psucc
+from hybridplan.adaptation import A1, Change, ExecutionContext, Progress, adapt, reduce_ps_psucc
 from hybridplan.baseline import build_full_mdp
 from hybridplan.chains import all_max_assignment
 from hybridplan.planner import _Compact, _Heuristic
@@ -88,13 +88,13 @@ def test_nsga2_generation_on_vineyard(benchmark, vineyard_model):
     assert benchmark.pedantic(generation, setup=setup, rounds=50) == (30, 60)
 
 
-def test_c2_reduction_mid_vineyard(benchmark, vineyard, vineyard_plan, vineyard_model):
-    # the vineyard archive five actions into the plan, after one failure of
-    # its first task, against a floor that 36 of its 54 entries clear
+def mid_vineyard(vineyard, vineyard_plan, vineyard_model) -> ExecutionContext:
+    """The vineyard archive five actions into the plan, after one failure of
+    its first task, with its first entry deployed."""
     archive = synthesize(vineyard_model, GaConfig(seed=3))
     done = 5
     first = next(act.task for act in vineyard_plan.total_order if isinstance(act, Do))
-    ctx = ExecutionContext(
+    return ExecutionContext(
         vineyard,
         vineyard_plan,
         vineyard_model,
@@ -103,5 +103,30 @@ def test_c2_reduction_mid_vineyard(benchmark, vineyard, vineyard_plan, vineyard_
         Progress(done, {first: 1}, done),
         replay(vineyard, vineyard_plan.total_order[:done]),
     )
+
+
+def test_c2_reduction_mid_vineyard(benchmark, vineyard, vineyard_plan, vineyard_model):
+    # against a floor that 36 of the archive's 54 entries clear
+    ctx = mid_vineyard(vineyard, vineyard_plan, vineyard_model)
     survivors = benchmark(reduce_ps_psucc, ctx, 0.9)
-    assert (len(archive.entries), len(survivors)) == (54, 36)
+    assert (len(ctx.archive.entries), len(survivors)) == (54, 36)
+
+
+def test_c2_decision_mid_vineyard(benchmark, vineyard, vineyard_plan, vineyard_model):
+    # the whole decision: check the change, re-root the spec at the new
+    # floor, reduce the archive and swap to one of the 36 survivors (the
+    # deployed entry is not among them)
+    ctx = mid_vineyard(vineyard, vineyard_plan, vineyard_model)
+    out = benchmark(adapt, ctx, Change("C2", ctx.progress.clock, value=0.9))
+    assert (out.level, out.reduced_size, out.new_spec.constraints.p_succ) == (A1, 36, 0.9)
+
+
+def test_re_root_vineyard(benchmark, vineyard):
+    # the golden plans' mid-mission root: seven tasks pending, two overrides
+    spec = benchmark(
+        vineyard.with_runtime_state,
+        {"r1": "l5", "r2": "l5", "w1": "l4", "w2": "l4"},
+        ["t1l6a", "t1l6b", "t1l7", "t2l5", "t2l8a", "t2l8b", "t3l9"],
+        {("w1", "t1l7"): 0.2, ("r2", "t1l6b"): 0.9},
+    )
+    assert (len(spec.pending), len(spec.p_overrides), spec.tasks is vineyard.tasks) == (7, 2, True)

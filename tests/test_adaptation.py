@@ -669,11 +669,40 @@ class TestSimulate:
         with pytest.raises(ScenarioError):
             simulate(spec, plan, model, archive, archive.entries[0], changes, seed=0)
 
-    def test_scenario_ordering_validated(self):
+    def test_scenario_ordering_validated(self, vineyard):
         with pytest.raises(ScenarioError):
-            validate_scenario([Change("C2", 2, value=0.5), Change("C2", 1, value=0.4)])
+            validate_scenario(vineyard, [Change("C2", 2, value=0.5), Change("C2", 1, value=0.4)])
         with pytest.raises(ScenarioError):
-            validate_scenario([Change("C2", 1, value=0.5), Change("C3", 1, value=0.4)])
+            validate_scenario(vineyard, [Change("C2", 1, value=0.5), Change("C3", 1, value=0.4)])
+
+    def test_incapable_c4_is_rejected_before_any_step(self, field, monkeypatch):
+        # r1 has no capability for t1l4's group, so the change names no
+        # probability the mission has; no slot may be dispatched
+        def dispatch(*args):
+            raise AssertionError("dispatched a slot")
+
+        monkeypatch.setattr("hybridplan.adaptation.dispatch_slot", dispatch)
+        deployed = field["deployed"]
+        archive = ParetoArchive(field["model"].plan_hash, [deployed], 0, {}, [(deployed.genotype, deployed.objectives)])
+        changes = [Change("C4", 0, agent="r1", task="t1l4", value=1.0)]
+        with pytest.raises(ScenarioError, match="agent 'r1' has no capability for task 't1l4'"):
+            simulate(field["spec"], field["plan"], field["model"], archive, deployed, changes, seed=0)
+
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [
+            (Change("C4", 3, agent="r1", task="t1l4", value=1.0), "agent 'r1' has no capability for task 't1l4'"),
+            (Change("C4", 3, agent="x9", task="t1l4", value=1.0), "names unknown agent 'x9'"),
+            (Change("C1", 3, task="t9"), "names unknown task 't9'"),
+        ],
+    )
+    def test_adapt_checks_its_change_against_the_mission(self, field, change, message):
+        ctx = ctx_at(
+            field["spec"], field["plan"], field["model"],
+            [field["deployed"]], field["deployed"], prefix_len=3,
+        )
+        with pytest.raises(ScenarioError, match=message):
+            adapt(ctx, change)
 
     def test_seed_determinism(self, vineyard):
         import json

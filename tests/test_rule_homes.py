@@ -19,10 +19,15 @@ An agent's capability on a task is resolved in one place,
 ``ProblemSpec.capability``, overrides included: no other module reads an
 agent's declared ``capabilities``, and the baseline reads the planner's
 table rather than asking the spec again.
+
+A spec's runtime state has one home: the constructor takes the mission only
+and roots it at the default state, and ``ProblemSpec.with_runtime_state`` is
+the one place that sets placement, pending tasks, overrides or constraints.
 """
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import hybridplan.adaptation as adaptation
@@ -109,3 +114,48 @@ def test_progress_keeps_one_record_of_what_ran():
 def test_stages_come_from_the_level_table():
     assert [name for name in vars(adaptation) if name.startswith("STAGES_")] == []
     assert set(adaptation.STAGES) == {adaptation.NA, adaptation.A1, adaptation.A2, adaptation.A3}
+
+
+RUNTIME_STATE = {"initial_locations", "pending", "p_overrides", "constraints"}
+
+
+def runtime_state_writes(path: Path) -> list[tuple[str, str, str]]:
+    """(class, function, attribute) of every assignment to a runtime-state
+    attribute in one source file, except a class's ``__init__`` setting its
+    own (``self.<attr>``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, fn)
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, cls, child.name)
+            else:
+                targets = []
+                if isinstance(child, ast.Assign):
+                    targets = child.targets
+                elif isinstance(child, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [child.target]
+                for t in targets:
+                    for n in ast.walk(t):
+                        if isinstance(n, ast.Attribute) and n.attr in RUNTIME_STATE:
+                            own = fn == "__init__" and isinstance(n.value, ast.Name) and n.value.id == "self"
+                            if not own:
+                                out.append((cls, fn, n.attr))
+                visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return out
+
+
+def test_spec_constructor_takes_the_mission_only():
+    params = list(inspect.signature(ProblemSpec.__init__).parameters)
+    assert params == ["self", "locations", "paths", "task_groups", "tasks", "agents", "constraints"]
+
+
+def test_runtime_state_is_set_only_by_the_re_root():
+    writes = [(path.name, *w) for path in sorted(SRC.glob("*.py")) for w in runtime_state_writes(path)]
+    assert {w[:3] for w in writes} == {("spec.py", "ProblemSpec", "with_runtime_state")}
+    assert {w[3] for w in writes} == RUNTIME_STATE   # the scan sees every write it allows

@@ -2,7 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybridplan.bench import GRID, random_instance
 from hybridplan.errors import SpecError
 from hybridplan.fixtures import fixture_text, load_fixture
 from hybridplan.spec import build_problem_spec, parse_problem_spec, serialize, validate
@@ -201,6 +204,46 @@ class TestRoundTrip:
         assert again == derived
         assert again.p_success("w1", "t1l6a") == 0.89
         assert again.constraints.gamma == 0.9
+
+
+    def test_re_root_shares_the_mission_tables(self, vineyard):
+        before = serialize(vineyard)
+        derived = vineyard.with_runtime_state(
+            {"w1": "l9", "w2": "l1", "r1": "l8", "r2": "l1"},
+            ["t1l6a"],
+            p_overrides={("w1", "t1l6a"): 0.89},
+            gamma=0.9,
+            p_succ=0.7,
+        )
+        for table in ("locations", "paths", "tasks", "agents", "_dist", "_neighbors", "_capabilities", "_task_by_id"):
+            assert getattr(derived, table) is getattr(vineyard, table)
+        assert derived.p_overrides is not vineyard.p_overrides
+        assert serialize(vineyard) == before
+        assert derived.with_runtime_state(p_overrides={("w2", "t1l6a"): 0.5}).p_overrides == {
+            ("w1", "t1l6a"): 0.89,
+            ("w2", "t1l6a"): 0.5,
+        }
+        assert derived.p_overrides == {("w1", "t1l6a"): 0.89}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_re_rooted_spec_survives_the_file_round_trip(self, data):
+        spec = random_instance(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4)), data.draw(st.integers(0, 10_000)))
+        agents, tasks = [a.id for a in spec.agents], [t.id for t in spec.tasks]
+        capable = [(a, t) for a in agents for t in tasks if spec.has_capability(a, t)]
+        unit = st.floats(0.0, 1.0)
+        positive = st.floats(0.0, 1.0, exclude_min=True)
+        derived = spec.with_runtime_state(
+            initial_locations=data.draw(st.none() | st.fixed_dictionaries({a: st.sampled_from(GRID) for a in agents})),
+            pending=data.draw(st.none() | st.lists(st.sampled_from(tasks), unique=True)),
+            p_overrides=data.draw(st.dictionaries(st.sampled_from(capable), unit, max_size=4) if capable else st.just({})),
+            gamma=data.draw(st.none() | positive),
+            p_succ=data.draw(st.none() | positive),
+        )
+        again = parse_problem_spec(serialize(derived))
+        assert again == derived
+        for field in ("initial_locations", "pending", "p_overrides", "constraints"):
+            assert getattr(again, field) == getattr(derived, field)
 
 
 class TestValidate:
