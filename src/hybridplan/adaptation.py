@@ -166,7 +166,6 @@ class ExecutionContext:
 
     spec: ProblemSpec
     plan: Plan
-    model: ParametricPlanModel
     archive: ParetoArchive
     deployed: ArchiveEntry
     progress: Progress
@@ -560,14 +559,15 @@ def simulate(
     forces the matching attempt to fail.  Every observed failure and every
     scripted requirement change runs the adaptation algorithm.  Deterministic
     for fixed inputs and seed.  The changes are checked against the mission
-    (``validate_scenario``) before the first dispatch.
+    (``validate_scenario``) before the first dispatch.  ``model`` is the
+    deployed plan's model; the loop does not read it (each decision builds
+    the suffix model it needs), but it stays a positional parameter.
     """
     validate_scenario(spec, changes)
     rng = np.random.default_rng(seed)
     ctx = ExecutionContext(
         spec=spec,
         plan=plan,
-        model=model,
         archive=archive,
         deployed=deploy,
         progress=Progress(0, {}, 0),
@@ -590,7 +590,6 @@ def simulate(
             return
         # A2/A3: a fresh archive whose budgets count attempts from now on
         ctx.archive = out.new_archive
-        ctx.model = out.new_model
         if out.level == A2:
             ctx.epoch_failures = dict(ctx.progress.failures)
             return

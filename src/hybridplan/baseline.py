@@ -9,8 +9,11 @@ still do it, mirroring the chain semantics so comparisons stay like-for-like
 (stricter than a reallocate-on-failure reading, which would solve a
 different problem).
 
-The world part of a state is the planner's compact key and its actions come
-from the planner's successor generator without the forced-task pruning, so
+The world part of a state is the planner's packed key (one int: done-task
+mask, empty-location mask, one location field per agent; emptiness is kept
+as a mask because agents sharing a start location leave it marked empty once
+the first departs) and its actions come from the planner's successor
+generator without the forced-task pruning, so
 the planner and the baseline share one successor function, and a task
 action's probability, cost and retry cap come from the planner's capability
 table.  The scheduler may pick any enabled action, so every one of them is a
@@ -51,7 +54,7 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
     and ValueError for a budget below one state.
 
     A joint state is ``(world, counters, terminal)``: the number of the
-    compact world key, the non-zero failure counters as sorted ``(Do code,
+    packed world key, the non-zero failure counters as sorted ``(Do code,
     count)`` pairs, and the terminal flag.  States are numbered in discovery
     order from a depth-first stack, the initial state first.
     """
@@ -59,16 +62,17 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         raise ValueError(f"state budget must be at least 1, got {state_budget!r}")
     problem = _Compact(spec)
     n_tasks, n_locs, pending = len(problem.task_ids), len(problem.loc_ids), problem.pending
+    shift, field = problem.shift, problem.field
     names: dict = {}   # (code, origin) -> choice name
 
-    def name(code: int, positions: tuple) -> str:
-        k = (code, positions[code // n_locs] if code >= 0 else -1)
+    def name(code: int, world: int) -> str:
+        k = (code, world >> shift[code // n_locs] & field if code >= 0 else -1)
         if k not in names:
-            names[k] = str(problem.action((positions,), code))
+            names[k] = str(problem.action(world, code))
         return names[k]
 
-    def finished(world: tuple) -> int:
-        return SUCCESS if world[2] & pending == pending else RUNNING
+    def finished(world: int) -> int:
+        return SUCCESS if world & pending == pending else RUNNING
 
     # world part -> number in first-sight order; a world's row templates
     # (name, Do code, child number, child flag, p, 1 - p, cap, rewards) are
@@ -78,7 +82,7 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
     worlds: list = []
     templates: dict = {}
 
-    def number(world: tuple) -> int:
+    def number(world: int) -> int:
         if world not in numbers:
             numbers[world] = len(worlds)
             worlds.append(world)
@@ -94,7 +98,7 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
                 c = problem.capability[~code // n_tasks][~code % n_tasks]
                 p, cost, cap = c.p_success, c.cost, c.max_retries
             rewards = (cost,) if p >= 1.0 else (cost, cost)
-            rows.append((name(code, world[0]), code, number(child), finished(child), p, 1.0 - p, cap, rewards))
+            rows.append((name(code, world), code, number(child), finished(child), p, 1.0 - p, cap, rewards))
         return rows
 
     start = (number(problem.start), (), finished(problem.start))

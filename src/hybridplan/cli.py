@@ -3,8 +3,8 @@
 Subcommands cover the pipeline end to end: validate, plan, synthesize,
 verify, simulate, baseline, export-pddl, export-prism and bench.  Every
 artifact is written deterministically for fixed inputs and seed; stage
-wall-clock times go only into the run manifest, which is excluded from any
-byte-stability expectations.
+wall-clock and CPU times go only into the run manifest, which is excluded
+from any byte-stability expectations.
 """
 
 from __future__ import annotations
@@ -67,10 +67,11 @@ def _emit(doc) -> int:
 
 
 def _stage(timings: dict, name: str, fn, *args):
-    """``fn(*args)``, with its wall-clock seconds recorded as ``timings[name]``."""
-    t0 = time.monotonic()
+    """``fn(*args)``, with its wall-clock and CPU seconds recorded as
+    ``timings[name]``."""
+    t0, c0 = time.monotonic(), time.process_time()
     result = fn(*args)
-    timings[name] = time.monotonic() - t0
+    timings[name] = (time.monotonic() - t0, time.process_time() - c0)
     return result
 
 
@@ -240,7 +241,8 @@ def _manifest(out: Path, args, artifacts: dict, timings: dict, counters: dict | 
         "seed": getattr(args, "seed", None),
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "artifacts": artifacts,
-        "stage_seconds": timings,
+        "stage_seconds": {name: wall for name, (wall, _) in timings.items()},
+        "stage_cpu_seconds": {name: cpu for name, (_, cpu) in timings.items()},
     }
     if counters:
         doc["counters"] = counters

@@ -8,12 +8,16 @@ This is safe for travel optimality: executing an available task never
 changes positions or emptiness and the goal requires it eventually anyway.
 
 The search runs on a compact encoding compiled once per call: locations,
-agents and tasks become indices, a state is (agent positions, empty-location
-bitmask, done-task bitmask), and distances, neighbour lists and doable-task
-masks are tables.  Emptiness is stored rather than derived from positions
-because of the depot quirk in ``world``: the first agent to leave a shared
-start location marks it empty while others remain there.  The encoding is a
-one-to-one image of ``world``, so plans are the same.  Its successor
+agents and tasks become indices, and distances, moves and doable-task masks
+are tables.  A state is one int: the done-task mask in the low bits, the
+empty-location mask above it, then one fixed-width field per agent holding
+its location index (a class of interchangeable agents takes neighbouring
+fields).  A dict probe hashes one int, and a child is a bit operation (a
+task) or an add and two bit operations (a move).  Emptiness is stored
+rather than derived from positions because of the depot quirk in
+``world``: the first agent to leave a shared start location marks it empty
+while others remain there.  The encoding is a one-to-one image of
+``world``, so plans are the same.  Its successor
 generator is the one successor function of the package: the search asks for
 the forced-task pruning, the MDP baseline for every enabled action.
 ``world`` stays the one-step semantics for replay, validation and
@@ -28,8 +32,9 @@ The search keeps the best g per canonical key (positions sorted within each
 class, masks unchanged), so a permutation of a state already reached at no
 greater cost is a duplicate.  ``canonical`` defines the key and builds the
 start's; every child's key is derived from its parent's, because a task keeps
-all positions and a move changes one agent's, so only that agent's slot, or
-its class's sorted slots, change.  The heap holds concrete states and each
+all positions and a move changes one agent's: ``canon ^ state ^ child``
+carries the change over, and a class member's move also puts in its class's
+fields sorted.  The heap holds concrete states and each
 pushed child keeps its own predecessor link, so the extracted trace names the
 agents that actually moved.  ``Plan.stats`` therefore counts canonical
 states: one expansion per orbit, not per permutation.  The MDP baseline does
@@ -54,10 +59,8 @@ import heapq
 import itertools
 import json
 import time
-from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import ExpansionLimit, NoPlanExists, PlanTimeout
@@ -148,16 +151,17 @@ INF = float("inf")
 def shortest_path_distances(spec: ProblemSpec) -> dict[str, dict[str, float]]:
     """All-pairs shortest path distances (Dijkstra from every location)."""
     dist: dict[str, dict[str, float]] = {}
-    for src in spec.location_ids():
+    edges = {loc: [(nbr, spec.distance(loc, nbr)) for nbr in spec.neighbors(loc)] for loc in spec.location_ids()}
+    for src in edges:
         d = {src: 0.0}
         pq = [(0.0, src)]
         while pq:
             cur, node = heapq.heappop(pq)
-            if cur > d.get(node, float("inf")):
+            if cur > d.get(node, INF):
                 continue
-            for nbr in spec.neighbors(node):
-                nd = cur + spec.distance(node, nbr)
-                if nd < d.get(nbr, float("inf")):
+            for nbr, step in edges[node]:
+                nd = cur + step
+                if nd < d.get(nbr, INF):
                     d[nbr] = nd
                     heapq.heappush(pq, (nd, nbr))
         dist[src] = d
@@ -168,10 +172,14 @@ class _Compact:
     """A mission compiled to integer indices for the search.
 
     Locations, agents and tasks are numbered in sorted-id order.  A state is
-    ``(positions, empty, done)``: the agents' location indices, a bitmask of
-    empty locations and a bitmask of done tasks (non-pending tasks start
-    done).  It is a one-to-one image of a ``WorldState`` without its travel
-    cost: ``(agent_locs, empty, done)``.
+    one int.  Its low bits are the done-task mask (non-pending tasks start
+    done), the next ``len(loc_ids)`` bits the empty-location mask, and above
+    them one ``bits``-wide field per agent holds the agent's location index,
+    ``bits`` being the fewest that hold every index.  Each class of
+    interchangeable agents takes contiguous fields in ascending agent order,
+    so a class's positions are one block of bits.  A state is a one-to-one
+    image of a ``WorldState`` without its travel cost; ``decode`` gives it
+    back as ``(positions, empty, done)`` and ``pack`` takes that triple back.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -183,17 +191,14 @@ class _Compact:
         self.task_loc = [index[t.location] for t in spec.tasks]
         sp = shortest_path_distances(spec)
         self.dist = [[sp[src].get(dst, INF) for dst in self.loc_ids] for src in self.loc_ids]
-        self.neighbors = [
-            [(index[dst], spec.distance(lid, dst)) for dst in spec.neighbors(lid)] for lid in self.loc_ids
-        ]
         self.capable = [tuple(i for i, a in enumerate(spec.agents) if spec.eligible(a.id, t.id)) for t in spec.tasks]
         self.pending = sum(1 << i for i, t in enumerate(spec.tasks) if t.id in spec.pending)
         # doable[agent][location]: pending tasks there the agent may execute (C4)
-        self.doable = [[0] * len(self.loc_ids) for _ in self.agent_ids]
+        doable = [[0] * len(self.loc_ids) for _ in self.agent_ids]
         for t, agents in enumerate(self.capable):
             if self.pending >> t & 1:
                 for a in agents:
-                    self.doable[a][self.task_loc[t]] |= 1 << t
+                    doable[a][self.task_loc[t]] |= 1 << t
         # capability[agent][task]: the spec's record, C4 overrides applied
         self.capability = [[spec.capability(a.id, t.id) for t in spec.tasks] for a in spec.agents]
         # interchangeable agents: the same capability row on every task; only
@@ -202,92 +207,141 @@ class _Compact:
         for i, row in enumerate(self.capability):
             rows.setdefault(tuple(row), []).append(i)
         self.classes = [tuple(members) for members in rows.values() if len(members) > 1]
-        # class_views[agent]: None outside every class, else two getters for
-        # the agent's class: one takes the class's slots out of a positions
-        # tuple, the other puts them back from values appended to the tuple
-        n = len(self.agent_ids)
-        self.class_views: list[Optional[tuple]] = [None] * n
+
+        n_tasks, n_locs, n = len(self.task_ids), len(self.loc_ids), len(self.agent_ids)
+        self.bits = b = (n_locs - 1).bit_length()
+        self.field = (1 << b) - 1
+        self.done_mask = (1 << n_tasks) - 1
+        self.positions_shift = n_tasks + n_locs
+        # field order: agents ascending, a class placed whole at its first member
+        order: list[int] = []
+        for a in range(n):
+            if a not in order:
+                order.extend(next((m for m in self.classes if a in m), (a,)))
+        self.shift = [0] * n
+        for slot, a in enumerate(order):
+            self.shift[a] = self.positions_shift + slot * b
+        # blocks: per class (shift, mask, clear, size, sorted); ``clear``
+        # zeroes the class's fields in a key and ``sorted`` memoises each
+        # block of positions sorted within the class, shifted into place
+        self.blocks = []
+        block_of: dict[int, tuple] = {}
         for members in self.classes:
-            appended = {a: n + k for k, a in enumerate(members)}
-            view = itemgetter(*members), itemgetter(*[appended.get(a, a) for a in range(n)])
-            for a in members:
-                self.class_views[a] = view
+            shift, mask = self.shift[members[0]], (1 << b * len(members)) - 1
+            self.blocks.append((shift, mask, ~(mask << shift), len(members), {}))
+            block_of.update(dict.fromkeys(members, self.blocks[-1]))
+        self.move_blocks = [block_of.get(a) for a in range(n) for _ in range(n_locs)]   # by move code
+        # agent_rows[a]: (Do code base, shift, doable row, moves row); a moves
+        # row holds per location (code, destination's empty bit, origin's
+        # empty bit, field change, step) for each neighbour
+        steps = [[(index[dst], spec.distance(lid, dst)) for dst in spec.neighbors(lid)] for lid in self.loc_ids]
+        self.agent_rows = [
+            (a * n_tasks, self.shift[a], doable[a], [
+                [(a * n_locs + dest, 1 << n_tasks + dest, 1 << n_tasks + loc, dest - loc << self.shift[a], step)
+                 for dest, step in steps[loc]]
+                for loc in range(n_locs)
+            ])
+            for a in range(n)
+        ]
         self.start = self.encode(initial_state(spec))
 
-    def encode(self, state: WorldState) -> tuple:
-        locs = dict(state.agent_locs)
-        positions = tuple(self.loc_index[locs[aid]] for aid in self.agent_ids)
-        empty = sum(1 << self.loc_index[lid] for lid in state.empty)
-        done = sum(1 << i for i, tid in enumerate(self.task_ids) if tid in state.done)
-        return positions, empty, done
+    def pack(self, positions: tuple, empty: int, done: int) -> int:
+        """The key of ``(positions, empty, done)``; ``decode`` inverts it."""
+        key = done | empty << len(self.task_ids)
+        for shift, loc in zip(self.shift, positions):
+            key |= loc << shift
+        return key
 
-    def successors(self, key: tuple, forced: bool) -> list[tuple]:
+    def decode(self, key: int) -> tuple:
+        """``(positions, empty, done)``: the agents' location indices, the
+        empty-location mask and the done-task mask of ``key``."""
+        n_tasks = len(self.task_ids)
+        positions = tuple(key >> shift & self.field for shift in self.shift)
+        return positions, key >> n_tasks & (1 << len(self.loc_ids)) - 1, key & self.done_mask
+
+    def encode(self, state: WorldState) -> int:
+        locs = dict(state.agent_locs)
+        return self.pack(
+            tuple(self.loc_index[locs[aid]] for aid in self.agent_ids),
+            sum(1 << self.loc_index[lid] for lid in state.empty),
+            sum(1 << i for i, tid in enumerate(self.task_ids) if tid in state.done),
+        )
+
+    def successors(self, key: int, forced: bool) -> list[tuple]:
         """``(action code, child, step cost)`` triples in ``world`` order:
         every doable task in (agent, task) order, then every move in (agent,
         destination) order.  With ``forced`` the first doable task is the
         only successor if there is one (the planner's forced-task pruning).
-        A move empties its origin even when other agents still stand there
-        (the depot quirk), which is why emptiness is part of the state."""
-        positions, empty, done = key
+        A task sets its done bit; a move clears its destination's empty bit,
+        sets its origin's and adds the change to the agent's field.  A move
+        empties its origin even when other agents still stand there (the
+        depot quirk), which is why emptiness is part of the state."""
+        field, undone = self.field, ~key
         out = []
-        n_tasks = len(self.task_ids)
-        for a, loc in enumerate(positions):
-            todo = self.doable[a][loc] & ~done
+        moves = []
+        for base, shift, doable, row in self.agent_rows:
+            loc = key >> shift & field
+            todo = doable[loc] & undone
             if todo and forced:
-                t = (todo & -todo).bit_length() - 1
-                return [(~(a * n_tasks + t), (positions, empty, done | 1 << t), 0.0)]
+                bit = todo & -todo
+                return [(~(base + bit.bit_length() - 1), key | bit, 0.0)]
             while todo:
                 bit = todo & -todo
                 todo ^= bit
-                out.append((~(a * n_tasks + bit.bit_length() - 1), (positions, empty, done | bit), 0.0))
-        n_locs = len(self.loc_ids)
-        for a, loc in enumerate(positions):
-            for dest, step in self.neighbors[loc]:
-                if empty >> dest & 1:
-                    moved = positions[:a] + (dest,) + positions[a + 1:]
-                    out.append((a * n_locs + dest, (moved, empty ^ 1 << dest | 1 << loc, done), step))
+                out.append((~(base + bit.bit_length() - 1), key | bit, 0.0))
+            moves.append(row[loc])
+        for options in moves:
+            for code, dest, origin, change, step in options:
+                if key & dest:
+                    out.append((code, (key ^ dest | origin) + change, step))
         return out
 
-    def canonical(self, key: tuple) -> tuple:
+    def _sorted(self, block: tuple, raw: int) -> int:
+        """A class's block of positions ``raw`` sorted within the class, the
+        least location in the lowest field, shifted into place; memoised."""
+        shift, _, _, size, memo = block
+        out = memo.get(raw)
+        if out is None:
+            b = self.bits
+            locs = sorted(raw >> k * b & self.field for k in range(size))
+            out = memo[raw] = sum(loc << k * b for k, loc in enumerate(locs)) << shift
+        return out
+
+    def canonical(self, key: int) -> int:
         """The representative of ``key``'s orbit under permutations of
         interchangeable agents: positions sorted within each class.  The
         masks stay as they are; a permutation changes neither."""
-        if not self.classes:
-            return key
-        positions, empty, done = key
-        canon = list(positions)
-        for members in self.classes:
-            for a, loc in zip(members, sorted([positions[a] for a in members])):
-                canon[a] = loc
-        return tuple(canon), empty, done
+        for block in self.blocks:
+            shift, mask, clear = block[:3]
+            key = key & clear | self._sorted(block, key >> shift & mask)
+        return key
 
-    def child_canonical(self, canon: tuple, key: tuple, code: int, child: tuple) -> tuple:
+    def child_canonical(self, canon: int, key: int, code: int, child: int) -> int:
         """``canonical(child)`` derived from ``canon``, the canonical key of
         ``key``, where ``child`` is the successor of ``key`` under ``code``.
-        A task keeps every position; a move changes one agent's, so only that
-        agent's slot changes or, for a class member, its old location is
-        swapped for the new one in the class's sorted slots."""
-        positions, empty, done = child
+        ``key`` and ``child`` differ in the masks and, for a move, in the
+        mover's field, so ``canon ^ key ^ child`` carries the change over;
+        for a class member's move the class's block is then replaced by the
+        child's block sorted."""
         if code < 0:
-            return canon[0], empty, done
-        a = code // len(self.loc_ids)
-        slots = canon[0]
-        view = self.class_views[a]
-        if view is None:
-            return slots[:a] + (positions[a],) + slots[a + 1:], empty, done
-        take, put = view
-        locs = list(take(slots))
-        locs.remove(key[0][a])
-        insort(locs, positions[a])
-        return put(slots + tuple(locs)), empty, done
+            return canon ^ key ^ child
+        block = self.move_blocks[code]
+        if block is None:
+            return canon ^ key ^ child
+        shift, mask, clear, _, memo = block
+        raw = child >> shift & mask
+        ordered = memo.get(raw)
+        if ordered is None:
+            ordered = self._sorted(block, raw)
+        return (canon ^ key ^ child) & clear | ordered
 
-    def action(self, key: tuple, code: int) -> Action:
+    def action(self, key: int, code: int) -> Action:
         """The world action that ``code`` names in state ``key``."""
         if code < 0:
             a, t = divmod(~code, len(self.task_ids))
             return Do(self.agent_ids[a], self.task_ids[t], self.loc_ids[self.task_loc[t]])
         a, dest = divmod(code, len(self.loc_ids))
-        return Move(self.agent_ids[a], self.loc_ids[key[0][a]], self.loc_ids[dest])
+        return Move(self.agent_ids[a], self.loc_ids[key >> self.shift[a] & self.field], self.loc_ids[dest])
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +361,10 @@ class _Heuristic:
     What depends on the done set alone is cached per done mask: the undone
     task locations grouped by capable-agent set, and each undone location's
     minimal leg from the other undone locations.  What depends on positions
-    alone is cached per position tuple: for each agent set, the distance from
-    its nearest member to every location.  A call then only combines the two.
+    alone is cached per positions field (the state shifted past its masks):
+    for each agent set, the distance from its nearest member to every
+    location.  Positions are decoded only on a miss.  A call then only
+    combines the two.
     The predecessor sum runs in sorted-location order, so its rounding is the
     same however the state was reached.
     """
@@ -319,8 +375,9 @@ class _Heuristic:
         everyone = tuple(range(len(problem.agent_ids)))
         self.sets = list(dict.fromkeys([c for c in problem.capable if c] + [everyone]))
         self.everyone = self.sets.index(everyone)
+        self.done_mask, self.positions_shift = problem.done_mask, problem.positions_shift
         self._by_done: dict[int, tuple] = {}
-        self._by_positions: dict[tuple, list] = {}
+        self._by_positions: dict[int, list] = {}
 
     def _undone(self, done: int) -> tuple:
         """(agent-set index, target locations) groups and (location, minimal
@@ -336,18 +393,19 @@ class _Heuristic:
         legs = [(loc, min([p.dist[o][loc] for o in locs if o != loc], default=INF)) for loc in locs]
         return [(s, list(ls)) for s, ls in targets.items()], legs
 
-    def _nearest(self, positions: tuple) -> list:
+    def _nearest(self, state: int) -> list:
         dist = self.problem.dist
+        positions = self.problem.decode(state)[0]
         out = []
         for agents in self.sets:
             rows = [dist[positions[a]] for a in agents]
             out.append(rows[0] if len(rows) == 1 else list(map(min, *rows)))
         return out
 
-    def __call__(self, state: tuple) -> float:
+    def __call__(self, state: int) -> float:
         if self.kind == "blind":
             return 0.0
-        positions, _, done = state
+        done = state & self.done_mask
         cached = self._by_done.get(done)
         if cached is None:
             cached = self._by_done[done] = self._undone(done)
@@ -356,9 +414,10 @@ class _Heuristic:
             return INF
         if not groups:
             return 0.0
+        positions = state >> self.positions_shift
         nearest = self._by_positions.get(positions)
         if nearest is None:
-            nearest = self._by_positions[positions] = self._nearest(positions)
+            nearest = self._by_positions[positions] = self._nearest(state)
 
         h_max = 0.0
         for s, locs in groups:
@@ -414,8 +473,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     heap = [(h0, h0 if astar else 0.0, next(counter), 0.0, start, start_key)]
     push, pop = heapq.heappush, heapq.heappop
     successors, derive, pending = problem.successors, problem.child_canonical, problem.pending
-    # without classes a state is its own key; using the child itself also
-    # lets ``best`` and ``links`` share one tuple per state
+    # without classes a state is its own key, so the derivation is skipped
     reduced = bool(problem.classes)
     deadline = time.monotonic() + cfg.timeout
     expansions = generated = reopened = 0
@@ -424,7 +482,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
         _, _, _, g, state, canon = pop(heap)
         if g > best[canon]:
             continue  # stale entry
-        if state[2] & pending == pending:
+        if state & pending == pending:
             plan = build_plan(spec, _extract_actions(problem, state, links))
             plan.stats = {"expansions": expansions, "generated": generated, "reopened": reopened, "h0": h0}
             return plan
@@ -452,7 +510,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     raise NoPlanExists("goal unreachable from the initial configuration")
 
 
-def _extract_actions(problem: _Compact, goal: tuple, links: dict) -> list[Action]:
+def _extract_actions(problem: _Compact, goal: int, links: dict) -> list[Action]:
     """Follow predecessor links back from ``goal``.  Each link joins two
     concrete states, so the actions name the agents that moved."""
     actions: list[Action] = []

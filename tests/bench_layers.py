@@ -14,8 +14,9 @@ import random
 from hybridplan import pmc
 from hybridplan.adaptation import A1, Change, ExecutionContext, Progress, adapt, reduce_ps_psucc
 from hybridplan.baseline import build_full_mdp
+from hybridplan.bench import random_instance
 from hybridplan.chains import all_max_assignment
-from hybridplan.planner import _Compact, _Heuristic
+from hybridplan.planner import _Compact, _Heuristic, plan_mission
 from hybridplan.synthesis import GaConfig, _Evaluator, _next_generation, evaluate, synthesize
 from hybridplan.world import Do, replay
 
@@ -24,6 +25,13 @@ def test_successors_on_vineyard_start(benchmark, vineyard):
     problem = _Compact(vineyard)
     children = benchmark(problem.successors, problem.start, False)
     assert len(children) == 8
+
+
+def test_astar_on_the_slowest_plan_heavy_mission(benchmark):
+    # one whole search on the plan-heavy catalogue's slowest mission
+    spec = random_instance(10, 4, 18)
+    plan = benchmark(plan_mission, spec)
+    assert (plan.stats["expansions"], plan.travel_cost) == (5161, 11.0)
 
 
 def test_build_full_mdp_m1(benchmark, m1):
@@ -97,7 +105,6 @@ def mid_vineyard(vineyard, vineyard_plan, vineyard_model) -> ExecutionContext:
     return ExecutionContext(
         vineyard,
         vineyard_plan,
-        vineyard_model,
         archive,
         archive.entries[0],
         Progress(done, {first: 1}, done),

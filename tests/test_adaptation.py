@@ -56,7 +56,6 @@ def ctx_at(spec, plan, model, entries, deployed, prefix_len, failures=None, cloc
     return ExecutionContext(
         spec=spec,
         plan=plan,
-        model=model,
         archive=archive,
         deployed=deployed,
         progress=Progress(
@@ -390,7 +389,6 @@ class TestEpochAccounting:
         assert out.level == A2
         # adopt the fresh archive the way the execution loop would
         ctx.archive = out.new_archive
-        ctx.model = out.new_model
         ctx.deployed = out.new_entry
         ctx.spec = out.new_spec
         ctx.epoch_failures = dict(ctx.progress.failures)
@@ -438,7 +436,7 @@ class TestSuffixModel:
         for _ in range(rng.randrange(plan.makespan() + 3)):
             world, _, done = dispatch_slot(spec, world, plan.total_order, done, lambda act: rng.random() < 0.7)
         archive = ParetoArchive(model.plan_hash, [], 0, {}, [])
-        ctx = ExecutionContext(spec, plan, model, archive, None, Progress(0, {}, done), world)
+        ctx = ExecutionContext(spec, plan, archive, None, Progress(0, {}, done), world)
         finished = plan.total_order[:done]
         assert replay(spec, finished) == world
         k = {a: sum(act.agent == a for act in finished) for a in plan.per_agent}
@@ -479,7 +477,7 @@ def mid_mission_contexts(draw):
     archive = ParetoArchive(model.plan_hash, entries, 0, {}, [])
     progress = Progress(done, failures, done)
     world = replay(spec, plan.total_order[:done])
-    return ExecutionContext(spec, plan, model, archive, entries[0], progress, world, epoch_failures=epoch)
+    return ExecutionContext(spec, plan, archive, entries[0], progress, world, epoch_failures=epoch)
 
 
 def closed_form_remaining(ctx, entry):

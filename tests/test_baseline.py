@@ -102,7 +102,7 @@ class TestStateSpace:
 
 def reference_full_mdp(spec, state_budget=500_000):
     """The per-state builder: successors and choice names are recomputed
-    for every joint state, which is keyed by the world tuple itself."""
+    for every joint state, which is keyed by the packed world key itself."""
     problem = _Compact(spec)
     n_tasks, pending = len(problem.task_ids), problem.pending
     attempts = {}
@@ -111,11 +111,11 @@ def reference_full_mdp(spec, state_budget=500_000):
             cap = spec.capability(problem.agent_ids[a], tid)
             attempts[~(a * n_tasks + t)] = (cap.p_success, cap.cost, cap.max_retries)
 
-    def name(code, positions):
-        return str(problem.action((positions,), code))
+    def name(code, world):
+        return str(problem.action(world, code))
 
     def finished(world):
-        return SUCCESS if world[2] & pending == pending else RUNNING
+        return SUCCESS if problem.decode(world)[2] & pending == pending else RUNNING
 
     start = (problem.start, (), finished(problem.start))
     index = {start: 0}
@@ -141,7 +141,7 @@ def reference_full_mdp(spec, state_budget=500_000):
             continue
         rows = []
         for code, child, step in problem.successors(world, False):
-            label = name(code, world[0])
+            label = name(code, world)
             if code >= 0:
                 rows.append((label, [(intern((child, counters, RUNNING)), 1.0)], [step]))
                 continue

@@ -110,6 +110,21 @@ class TestSubcommands:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert set(manifest["stage_seconds"]) == {"s2_plan", "s3_model", "s4_synthesis"}
 
+    @pytest.mark.parametrize("argv, stages, counters", [
+        (lambda scenario: ["plan"], {"s2_plan"}, True),
+        (lambda scenario: ["synthesize", "--pop", "10", "--evals", "20"], {"s2_plan", "s3_model", "s4_synthesis"}, True),
+        (lambda scenario: ["simulate", "--scenario", str(scenario)], {"simulate"}, False),
+    ], ids=["plan", "synthesize", "simulate"])
+    def test_manifest_times_each_stage_in_wall_and_cpu_seconds(self, argv, stages, counters, capsys, tmp_path,
+                                                               scenario_path):
+        code, _, _ = run(capsys, *argv(scenario_path), "--spec", "vineyard", "--out", str(tmp_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        keys = {"tool_version", "subcommand", "spec", "seed", "args", "artifacts", "stage_seconds", "stage_cpu_seconds"}
+        assert set(manifest) == keys | ({"counters"} if counters else set())
+        assert set(manifest["stage_seconds"]) == set(manifest["stage_cpu_seconds"]) == stages
+        assert all(seconds >= 0.0 for seconds in manifest["stage_cpu_seconds"].values())
+
     def test_simulate_scripted_scenario(self, capsys, tmp_path, scenario_path):
         code, out, _ = run(
             capsys,

@@ -10,11 +10,14 @@ import heapq
 import itertools
 import random
 
+import pytest
+
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hybridplan.bench import GRID, random_instance
 from hybridplan.planner import HEURISTICS, PlannerConfig, _Compact, _Heuristic, plan_mission, validate_plan
+from hybridplan.spec import build_problem_spec
 from hybridplan.world import Do, Move, apply_action, enabled_actions, initial_state, is_enabled, is_goal
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -151,14 +154,14 @@ def test_travel_cost_matches_unreduced_search(spec):
 def permuted(problem, key, rng):
     """``key`` with the positions of each class of interchangeable agents
     shuffled among its members."""
-    positions, empty, done = key
+    positions, empty, done = problem.decode(key)
     out = list(positions)
     for members in problem.classes:
         locs = [positions[a] for a in members]
         rng.shuffle(locs)
         for a, loc in zip(members, locs):
             out[a] = loc
-    return tuple(out), empty, done
+    return problem.pack(tuple(out), empty, done)
 
 
 @PROPERTY
@@ -221,3 +224,80 @@ def test_c4_override_splits_agent_from_its_class(drawn):
     rest = tuple(a for a in members if a != agent)
     assert (rest in after) == (len(rest) > 1)
     assert [m for m in after if m != rest] == [m for m in before if m != members]
+
+
+def reference_triple(problem, state):
+    """The world state as ``(positions, empty, done)``: the agents' location
+    indices, the empty-location mask and the done-task mask."""
+    return (
+        tuple(problem.loc_index[state.location_of(a)] for a in problem.agent_ids),
+        sum(1 << problem.loc_index[lid] for lid in state.empty),
+        sum(1 << i for i, tid in enumerate(problem.task_ids) if tid in state.done),
+    )
+
+
+def reference_canonical(problem, triple):
+    """``triple`` with the positions sorted within each class."""
+    positions, empty, done = triple
+    out = list(positions)
+    for members in problem.classes:
+        for a, loc in zip(members, sorted(positions[a] for a in members)):
+            out[a] = loc
+    return tuple(out), empty, done
+
+
+def walk_packed_states(spec, walk_seed, steps=25):
+    """Walk random enabled actions; at every state the packed key decodes to
+    the world state's triple, packs back, and its canonical key decodes to
+    the tuple reference."""
+    problem = _Compact(spec)
+    rng = random.Random(walk_seed)
+    key, state = problem.start, initial_state(spec)
+    for _ in range(steps):
+        triple = reference_triple(problem, state)
+        assert problem.encode(state) == key
+        assert problem.decode(key) == triple
+        assert problem.pack(*triple) == key
+        assert problem.decode(problem.canonical(key)) == reference_canonical(problem, triple)
+        every = problem.successors(key, False)
+        if not every:
+            break
+        code, child, _ = rng.choice(every)
+        state = apply_action(spec, state, problem.action(key, code))
+        key = child
+    return problem
+
+
+@PROPERTY
+@given(st.one_of(missions(), class_splits().map(lambda drawn: drawn[3])), st.integers(0, 2**32 - 1))
+def test_packed_states_round_trip_and_canonicalise(spec, walk_seed):
+    walk_packed_states(spec, walk_seed)
+
+
+def line_mission(n_locs, n_workers, task_locs):
+    """Workers from ``n000`` on a line of ``n_locs`` unit-spaced locations,
+    one task at each of ``task_locs``."""
+    ids = [f"n{i:03d}" for i in range(n_locs)]
+    return build_problem_spec({
+        "locations": [{"id": lid} for lid in ids],
+        "paths": [{"start": a, "end": b, "distance": 1} for a, b in zip(ids, ids[1:])],
+        "tasks": [{"id": "t", "instances": [{"id": f"t{k}", "location": ids[loc]} for k, loc in enumerate(task_locs)]}],
+        "agents": [
+            {"id": f"w{i}", "type": "worker", "start": ids[0],
+             "tasks": [{"id": "t", "cost": 1, "p_success": 0.9, "retries": 3}]}
+            for i in range(n_workers)
+        ],
+        "constraints": {"mission_probability_of_success": 0.5, "min_assignment_probability": 0.5},
+    })
+
+
+@pytest.mark.parametrize("spec, bits, travel", [
+    (line_mission(1, 3, [0, 0]), 0, 0.0),        # zero-bit location fields
+    (line_mission(130, 3, [2, 3, 5]), 8, 5.0),   # a key past 64 bits
+], ids=["one-location", "wide-field"])
+def test_field_width_extremes(spec, bits, travel):
+    problem = walk_packed_states(spec, 7, steps=40)
+    assert (problem.bits, problem.classes) == (bits, [(0, 1, 2)])
+    plan = plan_mission(spec)
+    assert validate_plan(spec, plan) == []
+    assert plan.travel_cost == uniform_cost(spec) == travel
