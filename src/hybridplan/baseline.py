@@ -20,7 +20,8 @@ table.  The scheduler may pick any enabled action, so every one of them is a
 choice.  Successors and choice names depend on the world part alone, so
 each world part is numbered on first sight and its rows are built once, on
 its first expansion; joint states are keyed by world number.  Rows are immutable
-tuples, and a world's reward tuples are shared by every joint state over it.
+tuples, and each choice carries one reward: a move's step or a task
+attempt's cost, whatever the attempt's outcome.
 
 The builder reports blow-ups through StateBudgetExceeded carrying the state
 count reached; hitting the budget on realistic missions is an expected
@@ -46,7 +47,6 @@ from .synthesis import pareto_front
 from .world import enabled_actions  # noqa: F401
 
 RUNNING, SUCCESS, FAIL = 0, 1, 2
-FREE = (0.0,)   # the reward tuple of a terminal or dead state's self-loop
 
 
 def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
@@ -75,9 +75,8 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
         return SUCCESS if world & pending == pending else RUNNING
 
     # world part -> number in first-sight order; a world's row templates
-    # (name, Do code, child number, child flag, p, 1 - p, cap, rewards) are
-    # built on its first expansion, and every counter vector it meets shares
-    # their reward tuples
+    # (name, Do code, child number, child flag, p, 1 - p, cap, reward) are
+    # built on its first expansion
     numbers: dict = {}
     worlds: list = []
     templates: dict = {}
@@ -97,8 +96,7 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
             if code < 0:   # Do code ~(agent * n_tasks + task)
                 c = problem.capability[~code // n_tasks][~code % n_tasks]
                 p, cost, cap = c.p_success, c.cost, c.max_retries
-            rewards = (cost,) if p >= 1.0 else (cost, cost)
-            rows.append((name(code, world), code, number(child), finished(child), p, 1.0 - p, cap, rewards))
+            rows.append((name(code, world), code, number(child), finished(child), p, 1.0 - p, cap, cost))
         return rows
 
     start = (number(problem.start), (), finished(problem.start))
@@ -122,18 +120,18 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
     while frontier:
         sid, (wid, counters, term) = frontier.pop()
         if term != RUNNING:
-            choices[sid] = [("stay", ((sid, 1.0),), FREE)]
+            choices[sid] = [("stay", ((sid, 1.0),), 0.0)]
             continue
         if wid not in templates:
             templates[wid] = template(wid)
         rows = []
-        for label, code, child, child_term, p, q, cap, rewards in templates[wid]:
+        for label, code, child, child_term, p, q, cap, cost in templates[wid]:
             key = (child, counters, child_term)
             succ = index.get(key)
             if succ is None:
                 succ = add(key)
             if p >= 1.0:
-                rows.append((label, ((succ, 1.0),), rewards))
+                rows.append((label, ((succ, 1.0),), cost))
                 continue
             held = dict(counters)
             used = held.get(code, 0)
@@ -145,10 +143,10 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
             fail = index.get(key)
             if fail is None:
                 fail = add(key)
-            rows.append((label, ((succ, p), (fail, q)), rewards))
+            rows.append((label, ((succ, p), (fail, q)), cost))
         # no row: mutually blocked agents with pending tasks, a dead state;
         # keep the MDP well-formed with a free self-loop (never reaches success)
-        choices[sid] = rows or [("stall", ((sid, 1.0),), FREE)]
+        choices[sid] = rows or [("stall", ((sid, 1.0),), 0.0)]
 
     labels = {
         "success": frozenset(i for i, t in enumerate(terminal) if t == SUCCESS),

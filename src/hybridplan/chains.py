@@ -178,7 +178,7 @@ def all_max_assignment(model: ParametricPlanModel) -> RetryAssignment:
 
 def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> pmc.Mdp:
     """Concrete DTMC of one chain under fixed budgets: an `Mdp` with one
-    choice per state, whose rewards are the transition costs.
+    choice per state, whose reward is its step's cost (0 past the budget and at the sinks).
 
     States: position i (about to run step i), success sink (i = n), failure
     sink, plus per-budgeted-task attempt counters 1..budget.  Counters reset
@@ -212,10 +212,10 @@ def instantiate_chain(chain: AgentChain, assignment: RetryAssignment) -> pmc.Mdp
             # moves to the next counter
             miss = index[(i, x + 1)] if step.retry_cap > 0 else fail
             row, cost = [(nxt(i), p), (miss, 1.0 - p)], step.cost
-        choices[sid] = [("step", row, [cost] * len(row))]
+        choices[sid] = [("step", row, cost)]
 
     for sink in (success, fail):
-        choices[sink] = [("step", [(sink, 1.0)], [0.0])]
+        choices[sink] = [("step", [(sink, 1.0)], 0.0)]
 
     labels = {
         "success": frozenset({success}),

@@ -74,12 +74,8 @@ def export_pddl_problem(spec: ProblemSpec) -> str:
     objects = "\n    ".join(object_lines)
 
     init: list[str] = ["(= (travel_dist) 0)"]
-    seen = set()
     for p in spec.paths:
         for a, b in ((p.start, p.end), (p.end, p.start)):
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
             init.append(f"(path {a} {b})")
             init.append(f"(= (distance {a} {b}) {_fmt(p.distance)})")
     start = initial_state(spec)

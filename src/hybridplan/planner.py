@@ -148,26 +148,6 @@ class Plan:
 INF = float("inf")
 
 
-def shortest_path_distances(spec: ProblemSpec) -> dict[str, dict[str, float]]:
-    """All-pairs shortest path distances (Dijkstra from every location)."""
-    dist: dict[str, dict[str, float]] = {}
-    edges = {loc: [(nbr, spec.distance(loc, nbr)) for nbr in spec.neighbors(loc)] for loc in spec.location_ids()}
-    for src in edges:
-        d = {src: 0.0}
-        pq = [(0.0, src)]
-        while pq:
-            cur, node = heapq.heappop(pq)
-            if cur > d.get(node, INF):
-                continue
-            for nbr, step in edges[node]:
-                nd = cur + step
-                if nd < d.get(nbr, INF):
-                    d[nbr] = nd
-                    heapq.heappush(pq, (nd, nbr))
-        dist[src] = d
-    return dist
-
-
 class _Compact:
     """A mission compiled to integer indices for the search.
 
@@ -189,8 +169,7 @@ class _Compact:
         index = {lid: i for i, lid in enumerate(self.loc_ids)}
         self.loc_index = index
         self.task_loc = [index[t.location] for t in spec.tasks]
-        sp = shortest_path_distances(spec)
-        self.dist = [[sp[src].get(dst, INF) for dst in self.loc_ids] for src in self.loc_ids]
+        self.dist = spec.travel   # locations are in sorted-id order there too
         self.capable = [tuple(i for i, a in enumerate(spec.agents) if spec.eligible(a.id, t.id)) for t in spec.tasks]
         self.pending = sum(1 << i for i, t in enumerate(spec.tasks) if t.id in spec.pending)
         # doable[agent][location]: pending tasks there the agent may execute (C4)

@@ -213,7 +213,7 @@ def compose_product(components: Sequence[tuple[str, Mdp]], state_budget: int = 2
     while frontier:
         state = frontier.pop()
         turn, locs = state[0], state[1:]
-        _, moves, rewards = chains[turn].choices[locs[turn]][0]
+        _, moves, reward = chains[turn].choices[locs[turn]][0]
         row = []
         for j, p in moves:
             nstate = ((turn + 1) % k,) + locs[:turn] + (j,) + locs[turn + 1:]
@@ -226,7 +226,7 @@ def compose_product(components: Sequence[tuple[str, Mdp]], state_budget: int = 2
                 choices.append(None)
                 frontier.append(nstate)
             row.append((index[nstate], p))
-        choices[index[state]] = [("step", row, rewards)]
+        choices[index[state]] = [("step", row, reward)]
 
     def all_labelled(state, label):
         return all(state[1 + i] in chains[i].labels[label] for i in range(k))
@@ -258,12 +258,12 @@ class CompiledMdp:
 
 @dataclass
 class Mdp:
-    """Explicit MDP; choices[s] lists (action label, row, rewards).
+    """Explicit MDP; choices[s] lists (action label, row, reward).
 
-    A row is a sequence of (target, probability) pairs and its rewards a
-    sequence of one reward per entry; lists and tuples both do, and the
-    baseline builder's are tuples, reward tuples shared between states.  A
-    chain has one choice per state, `("step", row, rewards)`.  The queries
+    A row is a sequence of (target, probability) pairs (lists and tuples
+    both do; the baseline builder's are tuples) and the reward one number,
+    paid whichever entry the choice takes, as a PRISM action reward is.  A
+    chain has one choice per state, `("step", row, reward)`.  The queries
     run on `compiled()`, which is built once per instance (a failed compile
     stores nothing), so the choice table must not change after the first
     query.
@@ -271,7 +271,7 @@ class Mdp:
 
     n_states: int
     initial: int
-    choices: list[Sequence[tuple[str, Sequence[tuple[int, float]], Sequence[float]]]]
+    choices: list[Sequence[tuple[str, Sequence[tuple[int, float]], float]]]
     labels: dict[str, frozenset[int]]
     _compiled: Optional[CompiledMdp] = field(default=None, init=False, repr=False, compare=False)
 
@@ -301,7 +301,7 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     """Flatten the choice table into CSR arrays, raising the ModelError of the
     first malformed state or choice in (state, choice) order.  Within a
     choice a malformed entry or a target outside the states comes first,
-    then the probability sum, then the reward count."""
+    then the probability sum."""
     from scipy.sparse import csr_matrix
 
     n = mdp.n_states
@@ -311,7 +311,6 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     acts = list(itertools.chain.from_iterable(mdp.choices))
     rows = list(map(itemgetter(1), acts))
     lengths = np.fromiter(map(len, rows), np.int64, len(acts))
-    rew_lengths = np.fromiter(map(len, map(itemgetter(2), acts)), np.int64, len(acts))
     entries = list(itertools.chain.from_iterable(rows))
     try:
         ok = np.fromiter(map(len, entries), np.int64, len(entries)) == 2
@@ -331,7 +330,7 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     bad_entry[owner[~ok]] = True
     # a NaN sum is no sum to one either
     unsummed = ~(np.abs(totals - 1.0) <= PROB_SUM_TOL)
-    faults = np.flatnonzero(bad_entry | unsummed | (rew_lengths != lengths))
+    faults = np.flatnonzero(bad_entry | unsummed)
     empty = np.flatnonzero(counts == 0)
     if len(empty) and (not len(faults) or empty[0] < state[faults[0]]):
         raise ModelError(f"state {empty[0]} has no enabled action")
@@ -340,17 +339,15 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
         where = f"state {state[c]} action '{acts[c][0]}'"
         if bad_entry[c]:
             raise ModelError(f"{where} {_entry_fault(entries[np.flatnonzero(~ok)[0]], n)}")
-        if unsummed[c]:
-            raise ModelError(f"{where} sums to {float(totals[c])}")
-        raise ModelError(f"{where} reward misaligned")
-    rewards = np.fromiter(itertools.chain.from_iterable(map(itemgetter(2), acts)), np.float64, len(probs))
+        raise ModelError(f"{where} sums to {float(totals[c])}")
+    reward = np.fromiter(map(itemgetter(2), acts), np.float64, len(acts))
     indptr = np.zeros(len(acts) + 1, np.int64)
     np.cumsum(lengths, out=indptr[1:])
     starts = np.zeros(n, np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
     return CompiledMdp(
         trans=csr_matrix((probs, cols, indptr), shape=(len(acts), n)),
-        reward=np.bincount(owner, weights=probs * rewards, minlength=len(acts)),
+        reward=np.bincount(owner, weights=probs * np.repeat(reward, lengths), minlength=len(acts)),
         state=state,
         starts=starts,
     )

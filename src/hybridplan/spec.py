@@ -10,7 +10,9 @@ this module's accessors.
 from __future__ import annotations
 
 import copy
+import heapq
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
@@ -115,7 +117,8 @@ class ProblemSpec:
         self._task_by_id = {t.id: t for t in self.tasks}
         self._capabilities = {a.id: {c.group: c for c in a.capabilities} for a in self.agents}
 
-        # symmetric closure over declared paths
+        # symmetric closure over declared paths: one path per pair, and no
+        # loop, whose two directions are one pair
         self._dist: dict[tuple[str, str], float] = {}
         self._neighbors: dict[str, list[str]] = {l.id: [] for l in self.locations}
         self.paths = tuple(
@@ -123,11 +126,17 @@ class ProblemSpec:
         )
         for p in self.paths:
             for a, b in ((p.start, p.end), (p.end, p.start)):
-                if (a, b) not in self._dist:
-                    self._neighbors[a].append(b)
+                if (a, b) in self._dist:
+                    raise SpecError(f"duplicate path {p.start}-{p.end}")
+                self._neighbors[a].append(b)
                 self._dist[(a, b)] = p.distance
         for lid in self._neighbors:
             self._neighbors[lid].sort()
+        # shortest travel distances: travel[i][j] from the i-th location to
+        # the j-th, in `locations` order, inf where no path leads
+        index = {l.id: i for i, l in enumerate(self.locations)}
+        edges = [[(index[b], self._dist[(l.id, b)]) for b in self._neighbors[l.id]] for l in self.locations]
+        self.travel = tuple(_shortest_from(edges, src) for src in range(len(edges)))
 
         self.initial_locations = {a.id: a.start for a in self.agents}
         self.pending = frozenset(t.id for t in self.tasks)
@@ -221,6 +230,25 @@ class ProblemSpec:
             f"ProblemSpec(|L|={len(self.locations)}, |paths|={len(self.paths)}, "
             f"|T|={len(self.tasks)}, |A|={len(self.agents)})"
         )
+
+
+def _shortest_from(edges: list[list[tuple[int, float]]], src: int) -> tuple[float, ...]:
+    """Dijkstra from location index ``src`` over ``edges`` (per location, its
+    (neighbour index, distance) pairs in index order); ties pop the lower
+    index first."""
+    d = [math.inf] * len(edges)
+    d[src] = 0.0
+    pq = [(0.0, src)]
+    while pq:
+        cur, node = heapq.heappop(pq)
+        if cur > d[node]:
+            continue
+        for nbr, step in edges[node]:
+            nd = cur + step
+            if nd < d[nbr]:
+                d[nbr] = nd
+                heapq.heappush(pq, (nd, nbr))
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------

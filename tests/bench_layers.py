@@ -1,7 +1,8 @@
 """Layer micro-benchmarks: one hot function timed alone.
 
-Pytest collects only ``test_*.py`` files, so the tier-1 suite never runs
-these.  Run them with pytest-benchmark:
+Pytest collects only ``test_*.py`` files, so the tier-1 suite runs each of
+these once, untimed, through ``tests/test_layer_benchmarks.py``.  Time them
+with pytest-benchmark:
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 

@@ -137,18 +137,18 @@ def reference_full_mdp(spec, state_budget=500_000):
     while frontier:
         sid, (world, counters, term) = frontier.pop()
         if term != RUNNING:
-            choices[sid] = [("stay", [(sid, 1.0)], [0.0])]
+            choices[sid] = [("stay", [(sid, 1.0)], 0.0)]
             continue
         rows = []
         for code, child, step in problem.successors(world, False):
             label = name(code, world)
             if code >= 0:
-                rows.append((label, [(intern((child, counters, RUNNING)), 1.0)], [step]))
+                rows.append((label, [(intern((child, counters, RUNNING)), 1.0)], step))
                 continue
             p, cost, cap = attempts[code]
             succ = intern((child, counters, finished(child)))
             if p >= 1.0:
-                rows.append((label, [(succ, 1.0)], [cost]))
+                rows.append((label, [(succ, 1.0)], cost))
                 continue
             held = dict(counters)
             used = held.get(code, 0)
@@ -157,8 +157,8 @@ def reference_full_mdp(spec, state_budget=500_000):
             else:
                 held[code] = used + 1
                 fail = (world, tuple(sorted(held.items())), RUNNING)
-            rows.append((label, [(succ, p), (intern(fail), 1.0 - p)], [cost, cost]))
-        choices[sid] = rows or [("stall", [(sid, 1.0)], [0.0])]
+            rows.append((label, [(succ, p), (intern(fail), 1.0 - p)], cost))
+        choices[sid] = rows or [("stall", [(sid, 1.0)], 0.0)]
 
     labels = {
         "success": frozenset(i for i, t in enumerate(terminal) if t == SUCCESS),
@@ -273,7 +273,7 @@ class TestPolicies:
         mdp = Mdp(
             2,
             0,
-            [[("wait", [(0, 1.0)], [1.0]), ("go", [(1, 1.0)], [2.0])], [("stay", [(1, 1.0)], [0.0])]],
+            [[("wait", [(0, 1.0)], 1.0), ("go", [(1, 1.0)], 2.0)], [("stay", [(1, 1.0)], 0.0)]],
             {"success": frozenset({1}), "done": frozenset({1})},
         )
         result = enumerate_policies(mdp, limit=10)
@@ -281,7 +281,7 @@ class TestPolicies:
         assert result["pareto"] == [(2.0, 1.0)]
 
     def test_missing_done_label_is_not_swallowed(self):
-        mdp = Mdp(1, 0, [[("stay", [(0, 1.0)], [0.0])]], {"success": frozenset({0})})
+        mdp = Mdp(1, 0, [[("stay", [(0, 1.0)], 0.0)]], {"success": frozenset({0})})
         with pytest.raises(ModelError):
             enumerate_policies(mdp, limit=10)
 
@@ -298,8 +298,8 @@ class TestPolicies:
     def test_long_chain_needs_no_recursion(self):
         # each policy-reached state is one level of the search: 1,500 of them
         n = 1500
-        choices = [[("go", [(s + 1, 1.0)], [1.0])] for s in range(n - 1)]
-        choices.append([("stay", [(n - 1, 1.0)], [0.0])])
+        choices = [[("go", [(s + 1, 1.0)], 1.0)] for s in range(n - 1)]
+        choices.append([("stay", [(n - 1, 1.0)], 0.0)])
         last = frozenset({n - 1})
         result = enumerate_policies(Mdp(n, 0, choices, {"success": last, "done": last}))
         assert result["policies"] == 1

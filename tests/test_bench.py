@@ -59,6 +59,9 @@ class TestSweep:
         text = sweep_to_csv([summary])
         assert text.splitlines()[0].startswith("tasks,agents,runs")
 
+    def test_csv_of_no_rows_is_empty(self):
+        assert sweep_to_csv([]) == ""
+
     def test_each_seed_keeps_its_fastest_pass(self, monkeypatch):
         times = itertools.cycle([0.3, 0.1, 0.2])
         monkeypatch.setattr(bench, "_run_pipeline", lambda t, a, s, cfg, ga: ({"s2_plan": next(times)}, 5.0, 7, 3))

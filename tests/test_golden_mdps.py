@@ -4,7 +4,9 @@
 ``build_full_mdp`` and a sha256 of ``(n_states, choices, sorted labels)``:
 choice names, transition rows and rewards in state and choice order.  Any
 change to the builder's successor order, state numbering or rewards shows up
-here as a changed hash.
+here as a changed hash.  Each choice is hashed as ``(label, row, [reward] *
+len(row))``, one reward per transition entry, the form the file recorded
+before a choice carried one reward.
 
 Regenerate the file only for an intended MDP change, and state the reason
 next to the change:  ``PYTHONPATH=src python tests/test_golden_mdps.py --write``.
@@ -48,7 +50,8 @@ def cases():
 
 def digest(mdp) -> str:
     labels = sorted((name, sorted(states)) for name, states in mdp.labels.items())
-    body = json.dumps([mdp.n_states, mdp.choices, labels])
+    choices = [[(label, row, [reward] * len(row)) for label, row, reward in acts] for acts in mdp.choices]
+    body = json.dumps([mdp.n_states, choices, labels])
     return hashlib.sha256(body.encode()).hexdigest()
 
 

@@ -119,9 +119,7 @@ def loop_min_bounded_reward(mdp: Mdp, bound: int) -> float:
     for _ in range(bound):
         nxt = np.zeros(mdp.n_states)
         for s in range(mdp.n_states):
-            nxt[s] = min(
-                sum(p * (r + x[j]) for (j, p), r in zip(row, rew)) for _, row, rew in mdp.choices[s]
-            )
+            nxt[s] = min(sum(p * (r + x[j]) for j, p in row) for _, row, r in mdp.choices[s])
         x = nxt
     return float(x[mdp.initial])
 
@@ -200,8 +198,8 @@ def loop_expected_reward(chain: Mdp, label: str) -> float:
     rows = []
     for i, s in enumerate(unknowns):
         row = []
-        _, moves, rew = chain.choices[s][0]
-        for (j, p), r in zip(moves, rew):
+        _, moves, r = chain.choices[s][0]
+        for j, p in moves:
             rhs[i] += p * r
             if j in uindex:
                 row.append((uindex[j], p))
@@ -212,7 +210,8 @@ def loop_expected_reward(chain: Mdp, label: str) -> float:
 def reference_compile(mdp: Mdp) -> pmc.CompiledMdp:
     """The earlier compile: the choice table transposed with zip(*...) into
     names, rows and rewards, then the rows' entries into targets and
-    probabilities.  It checks no target."""
+    probabilities, each entry paired with its choice's reward.  It checks no
+    target."""
     from scipy.sparse import csr_matrix
 
     if len(mdp.choices) != mdp.n_states:
@@ -223,20 +222,17 @@ def reference_compile(mdp: Mdp) -> pmc.CompiledMdp:
     lengths = np.fromiter(map(len, rows), np.int64, len(acts))
     cols, probs = zip(*itertools.chain.from_iterable(rows)) if lengths.any() else ((), ())
     cols, probs = np.array(cols, np.int64), np.array(probs, np.float64)
-    rew_lengths = np.fromiter(map(len, rews), np.int64, len(acts))
     owner = np.repeat(np.arange(len(acts)), lengths)
     totals = np.bincount(owner, weights=probs, minlength=len(acts))
     state = np.repeat(np.arange(mdp.n_states), counts)
     empty = np.flatnonzero(counts == 0)
-    faults = np.flatnonzero((np.abs(totals - 1.0) > pmc.PROB_SUM_TOL) | (rew_lengths != lengths))
+    faults = np.flatnonzero(np.abs(totals - 1.0) > pmc.PROB_SUM_TOL)
     if len(empty) and (not len(faults) or empty[0] < state[faults[0]]):
         raise ModelError(f"state {empty[0]} has no enabled action")
     if len(faults):
         c = faults[0]
-        if abs(totals[c] - 1.0) > pmc.PROB_SUM_TOL:
-            raise ModelError(f"state {state[c]} action '{names[c]}' sums to {float(totals[c])}")
-        raise ModelError(f"state {state[c]} action '{names[c]}' reward misaligned")
-    rewards = np.fromiter(itertools.chain.from_iterable(rews), np.float64, len(probs))
+        raise ModelError(f"state {state[c]} action '{names[c]}' sums to {float(totals[c])}")
+    rewards = np.array([r for r, row in zip(rews, rows) for _ in row], np.float64)
     indptr = np.zeros(len(acts) + 1, np.int64)
     np.cumsum(lengths, out=indptr[1:])
     starts = np.zeros(mdp.n_states, np.int64)
@@ -273,8 +269,7 @@ def choice_tables(draw):
     """Random choice tables with list and tuple rows, zero-probability
     entries, repeated targets and up to three choices per state; then up to
     two faults the compile must name: an empty state, an empty row, a row
-    that does not sum to one, a reward too few or too many, or a table of
-    the wrong size."""
+    that does not sum to one, or a table of the wrong size."""
     n = draw(st.integers(1, 6))
     choices = []
     for _ in range(n):
@@ -285,12 +280,12 @@ def choice_tables(draw):
             if not any(weights):
                 weights[0] = 1.0
             row = [(j, w / sum(weights)) for j, w in zip(targets, weights)]
-            rew = [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7])) for _ in row]
+            rew = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]))
             seq = draw(st.sampled_from([list, tuple]))
-            acts.append((f"a{a}", seq(row), seq(rew)))
+            acts.append((f"a{a}", seq(row), rew))
         choices.append(acts)
     size = n
-    for fault in draw(st.lists(st.sampled_from(["empty", "row", "sum", "reward", "size"]), max_size=2)):
+    for fault in draw(st.lists(st.sampled_from(["empty", "row", "sum", "size"]), max_size=2)):
         s = draw(st.integers(0, n - 1))
         if fault == "size":
             size = n + 1
@@ -299,12 +294,7 @@ def choice_tables(draw):
         elif choices[s]:
             c = draw(st.integers(0, len(choices[s]) - 1))
             label, row, rew = choices[s][c]
-            if fault == "row":
-                row, rew = [], []
-            elif fault == "sum":
-                row = [(j, 0.9 * p) for j, p in row]
-            else:
-                rew = list(rew) + [1.0] if draw(st.booleans()) else list(rew)[:-1]
+            row = [] if fault == "row" else [(j, 0.9 * p) for j, p in row]
             choices[s][c] = (label, row, rew)
     return Mdp(size, 0, choices, {"success": frozenset({0})})
 
@@ -349,7 +339,7 @@ def small_dtmcs(draw):
         if not any(weights):
             weights[0] = 1.0
         row = [(j, w / sum(weights)) for j, w in zip(targets, weights)]
-        choices.append([("step", row, [draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7])) for _ in targets])])
+        choices.append([("step", row, draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7])))])
     anywhere = st.sets(st.integers(0, n - 1), max_size=1)
     labels = {"success": frozenset({k + 1} | draw(anywhere)), "done": frozenset({k, k + 1} | draw(anywhere))}
     initial = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
@@ -371,25 +361,24 @@ class TestDtmcQueriesMatchLoops:
 
     def test_reference_loops_on_a_retry_loop(self):
         # retry with p = 0.5, cost 1 per try: success 1, two tries expected
-        d = Mdp(2, 0, [[("step", [(0, 0.5), (1, 0.5)], [1.0, 1.0])], [("step", [(1, 1.0)], [0.0])]],
+        d = Mdp(2, 0, [[("step", [(0, 0.5), (1, 0.5)], 1.0)], [("step", [(1, 1.0)], 0.0)]],
                 {"done": frozenset({1})})
         assert loop_reach_probability(d, "done") == 1.0
         assert math.isclose(loop_expected_reward(d, "done"), 2.0, abs_tol=1e-12)
 
 
 GOOD = [[(1, 0.5), (0, 0.5)], [(1, 1.0)]]
-GOOD_COST = [[1.0, 1.0], [0.0]]
+GOOD_COST = [1.0, 0.0]
 
 
 @pytest.mark.parametrize(
     "n, transitions, rewards",
     [
         (3, GOOD, GOOD_COST),                                    # size mismatch
-        (2, [[(1, 1.0)], []], [[1.0], []]),                      # empty row
-        (2, [[(1, 0.5)], [(1, 1.0)]], [[1.0], [0.0]]),           # row sums to 0.5
+        (2, [[(1, 1.0)], []], GOOD_COST),                        # empty row
+        (2, [[(1, 0.5)], [(1, 1.0)]], GOOD_COST),                # row sums to 0.5
         (2, [[(1, 0.5), (1, 0.5 + 1e-9)], [(1, 1.0)]], GOOD_COST),   # just above 1
-        (2, GOOD, [[1.0], [0.0]]),                               # misaligned reward
-        (2, GOOD, GOOD_COST + [[0.0]]),                          # a reward row too many
+        (2, GOOD, GOOD_COST + [0.0]),                            # a reward row too many
     ],
 )
 def test_malformed_chains_raise_model_error(n, transitions, rewards):
@@ -414,8 +403,7 @@ def small_mdps(draw):
             targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
             weights = [draw(st.floats(0.05, 1.0)) for _ in targets]
             row = [(j, w / sum(weights)) for j, w in zip(targets, weights)]
-            rew = [draw(st.floats(0.0, 10.0)) for _ in row]
-            acts.append((f"a{a}", row, rew))
+            acts.append((f"a{a}", row, draw(st.floats(0.0, 10.0))))
         choices.append(acts)
     target = draw(st.sets(st.integers(0, n - 1), min_size=1))
     return Mdp(n, draw(st.integers(0, n - 1)), choices, {"success": frozenset(target)})
@@ -453,9 +441,9 @@ def test_reference_loops_on_two_choice_toy():
         3,
         0,
         [
-            [("careful", [(1, 0.99), (2, 0.01)], [5.0, 5.0]), ("cheap", [(1, 0.97), (2, 0.03)], [1.0, 1.0])],
-            [("stay", [(1, 1.0)], [0.0])],
-            [("stay", [(2, 1.0)], [0.0])],
+            [("careful", [(1, 0.99), (2, 0.01)], 5.0), ("cheap", [(1, 0.97), (2, 0.03)], 1.0)],
+            [("stay", [(1, 1.0)], 0.0)],
+            [("stay", [(2, 1.0)], 0.0)],
         ],
         {"success": frozenset({1})},
     )

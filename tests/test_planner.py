@@ -10,7 +10,6 @@ from hybridplan.planner import (
     build_plan,
     plan_metrics,
     plan_mission,
-    shortest_path_distances,
     validate_plan,
 )
 from hybridplan.spec import build_problem_spec
@@ -59,6 +58,12 @@ def grid_doc(rows, cols, tasks, agents, p_succ=0.9, gamma=0.5):
             "min_assignment_probability": gamma,
         },
     }
+
+
+def travel_by_id(spec):
+    """spec.travel keyed by location id: {from: {to: distance}}."""
+    ids = [l.id for l in spec.locations]
+    return {a: dict(zip(ids, row)) for a, row in zip(ids, spec.travel)}
 
 
 class TestOptimality:
@@ -218,7 +223,7 @@ class TestHeuristic:
             state = replay(vineyard, [act], start=state)
 
     def test_distances(self, vineyard):
-        dist = shortest_path_distances(vineyard)
+        dist = travel_by_id(vineyard)
         assert dist["l1"]["l9"] == 4
         assert dist["l1"]["l1"] == 0
 
@@ -232,7 +237,7 @@ class TestHeuristic:
             {"start": "a", "end": "c", "distance": 1},
             {"start": "c", "end": "b", "distance": 1},
         ]
-        dist = shortest_path_distances(build_problem_spec(doc))
+        dist = travel_by_id(build_problem_spec(doc))
         assert dist["a"] == {"a": 0.0, "b": 2.0, "c": 1.0}
         assert dist["b"]["a"] == 2.0
 

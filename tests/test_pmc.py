@@ -26,7 +26,7 @@ from hybridplan.pmc import (
 def chain(rows, labels, costs=None):
     """A DTMC from state 0: an Mdp whose state s has the one choice
     ("step", rows[s], costs[s]); the costs default to zero."""
-    costs = costs or [[0.0] * len(row) for row in rows]
+    costs = costs or [0.0] * len(rows)
     return Mdp(len(rows), 0, [[("step", row, cost)] for row, cost in zip(rows, costs)], labels)
 
 
@@ -35,7 +35,7 @@ def chain_dtmc(p, cost=1.0):
     return chain(
         [[(1, p), (2, 1 - p)], [(1, 1.0)], [(2, 1.0)]],
         {"success": frozenset({1}), "done": frozenset({1, 2})},
-        [[cost, cost], [0.0], [0.0]],
+        [cost, 0.0, 0.0],
     )
 
 
@@ -88,7 +88,7 @@ class TestExpectedReward:
 
     def test_target_left_again_stops_the_reward(self):
         # 0 -> 1 (target) -> 2 (sink), cost 1 per step: only the first step is paid
-        d = chain([[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"done": frozenset({1})}, [[1.0], [1.0], [1.0]])
+        d = chain([[(1, 1.0)], [(2, 1.0)], [(2, 1.0)]], {"done": frozenset({1})}, [1.0, 1.0, 1.0])
         assert expected_reward(d, "done") == 1.0
 
     def test_immediate_failure_costs_nothing(self):
@@ -96,13 +96,13 @@ class TestExpectedReward:
         assert expected_reward(d, "done") == 0.0
 
     def test_unreachable_target_is_infinite(self):
-        d = chain([[(0, 1.0)], [(1, 1.0)]], {"done": frozenset({1})}, [[1.0], [0.0]])
+        d = chain([[(0, 1.0)], [(1, 1.0)]], {"done": frozenset({1})}, [1.0, 0.0])
         with pytest.raises(InfiniteRewardError):
             expected_reward(d, "done")
 
     def test_geometric_accumulation(self):
         # retry loop: cost 1 per trial, success 0.5: expected trials = 2
-        d = chain([[(0, 0.5), (1, 0.5)], [(1, 1.0)]], {"done": frozenset({1})}, [[1.0, 1.0], [0.0]])
+        d = chain([[(0, 0.5), (1, 0.5)], [(1, 1.0)]], {"done": frozenset({1})}, [1.0, 0.0])
         assert expected_reward(d, "done") == pytest.approx(2.0, abs=1e-10)
 
 
@@ -193,11 +193,11 @@ def two_choice_mdp():
         initial=0,
         choices=[
             [
-                ("careful", [(1, 0.99), (2, 0.01)], [5.0, 5.0]),
-                ("cheap", [(1, 0.97), (2, 0.03)], [1.0, 1.0]),
+                ("careful", [(1, 0.99), (2, 0.01)], 5.0),
+                ("cheap", [(1, 0.97), (2, 0.03)], 1.0),
             ],
-            [("stay", [(1, 1.0)], [0.0])],
-            [("stay", [(2, 1.0)], [0.0])],
+            [("stay", [(1, 1.0)], 0.0)],
+            [("stay", [(2, 1.0)], 0.0)],
         ],
         labels={"success": frozenset({1}), "done": frozenset({1, 2})},
     )
@@ -214,9 +214,9 @@ class TestMdp:
             3,
             0,
             [
-                [("coin", [(1, 0.5), (2, 0.5)], [0.0, 0.0]), ("sure", [(1, 1.0)], [0.0])],
-                [("leave", [(2, 1.0)], [0.0])],
-                [("stay", [(2, 1.0)], [0.0])],
+                [("coin", [(1, 0.5), (2, 0.5)], 0.0), ("sure", [(1, 1.0)], 0.0)],
+                [("leave", [(2, 1.0)], 0.0)],
+                [("stay", [(2, 1.0)], 0.0)],
             ],
             {"success": frozenset({1})},
         )
@@ -234,7 +234,7 @@ class TestMdp:
         zeroed = Mdp(
             mdp.n_states,
             mdp.initial,
-            [[(n, row, [0.0] * len(rew)) for n, row, rew in acts] for acts in mdp.choices],
+            [[(n, row, 0.0) for n, row, _ in acts] for acts in mdp.choices],
             mdp.labels,
         )
         assert mdp_min_bounded_reward(zeroed, 20) == 0.0
@@ -255,7 +255,7 @@ class TestMdp:
                 query(two_choice_mdp())
 
     def test_malformed_mdp_rejected(self):
-        bad = Mdp(2, 0, [[("a", [(1, 0.9)], [0.0])], [("s", [(1, 1.0)], [0.0])]], {"success": frozenset({1})})
+        bad = Mdp(2, 0, [[("a", [(1, 0.9)], 0.0)], [("s", [(1, 1.0)], 0.0)]], {"success": frozenset({1})})
         with pytest.raises(ModelError):
             bad.check()
 
@@ -264,15 +264,14 @@ class TestMalformedMdp:
     @pytest.mark.parametrize(
         "choices, message",
         [
-            ([[("a", [(1, 1.0)], [0.0])], []], "state 1 has no enabled action"),
-            ([[("a", [(1, 0.5), (1, 0.5 - 2e-12)], [0.0, 0.0])], [("s", [(1, 1.0)], [0.0])]], "sums to"),
-            ([[("a", [(1, 1.0)], [0.0, 1.0])], [("s", [(1, 1.0)], [0.0])]], "reward misaligned"),
-            ([[("a", [(1, 1.0)], [0.0])]], "size mismatch"),
-            ([[("a", [(5, 1.0)], [0.0])], [("s", [(1, 1.0)], [0.0])]], "state 0 action 'a' target 5 outside [0, 2)"),
-            ([[("a", [(1,)], [0.0])], [("s", [(1, 1.0)], [0.0])]], "entry (1,) is not a (target, probability) pair"),
-            ([[("a", [(1, 0.5, 0)], [0.0])], [("s", [(1, 1.0)], [0.0])]], "entry (1, 0.5, 0) is not a"),
-            ([[("a", [1], [0.0])], [("s", [(1, 1.0)], [0.0])]], "entry 1 is not a"),
-            ([[("a", [(1, float("nan"))], [0.0])], [("s", [(1, 1.0)], [0.0])]], "sums to nan"),
+            ([[("a", [(1, 1.0)], 0.0)], []], "state 1 has no enabled action"),
+            ([[("a", [(1, 0.5), (1, 0.5 - 2e-12)], 0.0)], [("s", [(1, 1.0)], 0.0)]], "sums to"),
+            ([[("a", [(1, 1.0)], 0.0)]], "size mismatch"),
+            ([[("a", [(5, 1.0)], 0.0)], [("s", [(1, 1.0)], 0.0)]], "state 0 action 'a' target 5 outside [0, 2)"),
+            ([[("a", [(1,)], 0.0)], [("s", [(1, 1.0)], 0.0)]], "entry (1,) is not a (target, probability) pair"),
+            ([[("a", [(1, 0.5, 0)], 0.0)], [("s", [(1, 1.0)], 0.0)]], "entry (1, 0.5, 0) is not a"),
+            ([[("a", [1], 0.0)], [("s", [(1, 1.0)], 0.0)]], "entry 1 is not a"),
+            ([[("a", [(1, float("nan"))], 0.0)], [("s", [(1, 1.0)], 0.0)]], "sums to nan"),
         ],
     )
     def test_rejected_by_check_and_queries(self, choices, message):
@@ -284,22 +283,22 @@ class TestMalformedMdp:
                 query(mdp())
 
     def test_first_fault_in_state_order(self):
-        # state 0's second action is misaligned; state 1 has no action
+        # state 0's second action sums to 0.9; state 1 has no action
         choices = [
-            [("ok", [(0, 1.0)], [0.0]), ("bad", [(0, 1.0)], [])],
+            [("ok", [(0, 1.0)], 0.0), ("bad", [(0, 0.9)], 0.0)],
             [],
         ]
-        with pytest.raises(ModelError, match="state 0 action 'bad' reward misaligned"):
+        with pytest.raises(ModelError, match="state 0 action 'bad' sums to 0.9"):
             Mdp(2, 0, choices, {"success": frozenset({0})}).check()
 
     @pytest.mark.parametrize(
         "choices, message",
         [
-            # a bad target comes before its choice's sum and reward count
-            ([[("a", [(0, 0.5), (2, 0.2)], [])], []], "state 0 action 'a' target 2 outside [0, 2)"),
+            # a bad target comes before its choice's sum
+            ([[("a", [(0, 0.5), (2, 0.2)], 0.0)], []], "state 0 action 'a' target 2 outside [0, 2)"),
             # ... but after an earlier state's fault
-            ([[], [("a", [(1,)], [0.0])]], "state 0 has no enabled action"),
-            ([[("ok", [(0, 1.0)], [0.0]), ("bad", [(0, 0.9)], [0.0])], [("a", [(7, 1.0)], [0.0])]],
+            ([[], [("a", [(1,)], 0.0)]], "state 0 has no enabled action"),
+            ([[("ok", [(0, 1.0)], 0.0), ("bad", [(0, 0.9)], 0.0)], [("a", [(7, 1.0)], 0.0)]],
              "state 0 action 'bad' sums to 0.9"),
         ],
     )
@@ -314,7 +313,7 @@ class TestMalformedMdp:
         code = (
             "from hybridplan.errors import ModelError\n"
             "from hybridplan.pmc import Mdp, reach_probability\n"
-            "m = Mdp(2, 0, [[('a', [(-1, 1.0)], [0.0])], [('s', [(1, 1.0)], [0.0])]],"
+            "m = Mdp(2, 0, [[('a', [(-1, 1.0)], 0.0)], [('s', [(1, 1.0)], 0.0)]],"
             " {'success': frozenset({1})})\n"
             "try:\n"
             "    reach_probability(m, 'success')\n"
@@ -328,7 +327,7 @@ class TestMalformedMdp:
         assert run.stdout.strip() == "state 0 action 'a' target -1 outside [0, 2)"
 
     def test_row_sum_within_tolerance_accepted(self):
-        choices = [[("a", [(1, 0.5), (1, 0.5 - 5e-13)], [0.0, 0.0])], [("s", [(1, 1.0)], [0.0])]]
+        choices = [[("a", [(1, 0.5), (1, 0.5 - 5e-13)], 0.0)], [("s", [(1, 1.0)], 0.0)]]
         Mdp(2, 0, choices, {"success": frozenset({1})}).check()
 
 
@@ -338,7 +337,7 @@ class TestConvergenceCap:
 
         # a 0.9 self-loop needs many sweeps to get within 1e-10
         mdp = Mdp(
-            2, 0, [[("try", [(0, 0.9), (1, 0.1)], [1.0, 1.0])], [("s", [(1, 1.0)], [0.0])]], {"success": frozenset({1})}
+            2, 0, [[("try", [(0, 0.9), (1, 0.1)], 1.0)], [("s", [(1, 1.0)], 0.0)]], {"success": frozenset({1})}
         )
         assert mdp_max_reach_prob(mdp, "success") == pytest.approx(1.0, abs=1e-12)
         monkeypatch.setattr(pmc, "MAX_SWEEPS", 5)

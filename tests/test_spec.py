@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 
@@ -8,7 +9,16 @@ from hypothesis import strategies as st
 from hybridplan.bench import GRID, random_instance
 from hybridplan.errors import SpecError
 from hybridplan.fixtures import fixture_text, load_fixture
-from hybridplan.spec import build_problem_spec, parse_problem_spec, serialize, validate
+from hybridplan.spec import (
+    Location,
+    MissionConstraints,
+    Path,
+    ProblemSpec,
+    build_problem_spec,
+    parse_problem_spec,
+    serialize,
+    validate,
+)
 
 
 def minimal_doc(**overrides):
@@ -184,6 +194,78 @@ class TestAccessors:
         assert [a.id for a in vineyard.agents] == ["r1", "r2", "w1", "w2"]
         assert [t.id for t in vineyard.tasks] == sorted(t.id for t in vineyard.tasks)
 
+    def test_spec_never_equals_another_type(self, vineyard):
+        assert vineyard.__eq__(5) is NotImplemented
+        assert vineyard != 5
+
+
+def map_spec(locations, paths):
+    """A spec of a map alone: no tasks, no agents."""
+    return ProblemSpec(
+        [Location(l) for l in locations], [Path(a, b, d) for a, b, d in paths], [], [], [],
+        MissionConstraints(0.9, 0.5),
+    )
+
+
+def reference_travel(spec):
+    """One Dijkstra per location over the declared paths, keyed by id: each
+    location's neighbours relaxed in id order, heap ties popped in id order."""
+    edges = {l.id: [] for l in spec.locations}
+    for p in spec.paths:
+        edges[p.start].append((p.end, p.distance))
+        edges[p.end].append((p.start, p.distance))
+    rows = []
+    for src in edges:
+        d = {src: 0.0}
+        pq = [(0.0, src)]
+        while pq:
+            cur, node = heapq.heappop(pq)
+            if cur > d.get(node, math.inf):
+                continue
+            for nbr, step in sorted(edges[node]):
+                nd = cur + step
+                if nd < d.get(nbr, math.inf):
+                    d[nbr] = nd
+                    heapq.heappush(pq, (nd, nbr))
+        rows.append(tuple(d.get(l.id, math.inf) for l in spec.locations))
+    return tuple(rows)
+
+
+@st.composite
+def maps(draw):
+    """1-8 locations whose id order is not their number order, some pairs
+    joined in either direction at non-integer distances; few paths leave
+    parts of the map disconnected."""
+    ids = [f"n{k}" for k in draw(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True))]
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    joined = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    distance = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1, 2.5]), st.floats(0.01, 10.0))
+    paths = [(b, a, draw(distance)) if draw(st.booleans()) else (a, b, draw(distance)) for a, b in joined]
+    return map_spec(ids, paths)
+
+
+class TestTravel:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(maps())
+    def test_travel_matches_dijkstra_to_the_bit(self, spec):
+        assert spec.travel == reference_travel(spec)
+
+    def test_unreachable_location_is_infinite(self):
+        spec = map_spec(["a", "b", "c"], [("a", "b", 0.5)])
+        assert spec.travel == ((0.0, 0.5, math.inf), (0.5, 0.0, math.inf), (math.inf, math.inf, 0.0))
+
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            # a spec built in code once planned with 3.0 while the PDDL export wrote 1
+            ([("a", "b", 1.0), ("b", "a", 3.0)], "duplicate path b-a"),
+            ([("a", "a", 1.0)], "duplicate path a-a"),
+        ],
+    )
+    def test_second_path_for_a_pair_is_rejected(self, paths, message):
+        with pytest.raises(SpecError, match=message):
+            map_spec(["a", "b"], paths)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["vineyard", "m1", "m1_mini", "m2"])
@@ -215,7 +297,8 @@ class TestRoundTrip:
             gamma=0.9,
             p_succ=0.7,
         )
-        for table in ("locations", "paths", "tasks", "agents", "_dist", "_neighbors", "_capabilities", "_task_by_id"):
+        for table in ("locations", "paths", "tasks", "agents", "_dist", "_neighbors", "travel", "_capabilities",
+                      "_task_by_id"):
             assert getattr(derived, table) is getattr(vineyard, table)
         assert derived.p_overrides is not vineyard.p_overrides
         assert serialize(vineyard) == before

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import pytest
 
+from hybridplan.planner import PlanViolation
 from hybridplan.spec import build_problem_spec
 from hybridplan.world import (
     Do,
     Move,
+    Wait,
     apply_action,
     enabled_actions,
     initial_state,
@@ -80,6 +82,25 @@ class TestApply:
         state = apply_action(vineyard, state, Move("w2", "l1", "l4"))
         with pytest.raises(ValueError):
             apply_action(vineyard, state, Move("w1", "l1", "l4"))
+
+    def test_wait_keeps_the_state(self, vineyard):
+        state = initial_state(vineyard)
+        assert apply_action(vineyard, state, Wait("w2")) is state
+
+    def test_unknown_agent_has_no_location(self, vineyard):
+        with pytest.raises(KeyError, match="zz"):
+            initial_state(vineyard).location_of("zz")
+
+
+@pytest.mark.parametrize(
+    "record, text",
+    [
+        (Wait("w2"), "Wait(w2)"),
+        (PlanViolation("C3", 4, "l4 is occupied"), "[C3] @4: l4 is occupied"),
+    ],
+)
+def test_str(record, text):
+    assert str(record) == text
 
 
 class TestGoal:
