@@ -7,6 +7,15 @@ task action is enabled the search commits to the canonically-first one.
 This is safe for travel optimality: executing an available task never
 changes positions or emptiness and the goal requires it eventually anyway.
 
+A* ranks a child by ``g + max(h, forest)``, where ``h`` is the heuristic
+(farthest task, predecessor legs) and ``forest`` a capability-partitioned
+spanning-forest bound (``_Heuristic.forest``): workers alone may do some
+tasks and robots alone others, which ``h`` cannot see, and on the 3x3 grid
+that, not occupancy, is most of its gap to the optimum.  Ties fall back on
+the former key ``(g + h, h)``: ranking them by the forest too expands fewer
+states but reorders vineyard's trace, and the bundled adaptation scenario
+is scripted against its exact interleaving.
+
 The search runs on a compact encoding compiled once per call: locations,
 agents and tasks become indices, and distances, moves and doable-task masks
 are tables.  A state is one int: the done-task mask in the low bits, the
@@ -328,7 +337,7 @@ class _Compact:
 
 
 class _Heuristic:
-    """Admissible travel lower bound over undone tasks, on compact states.
+    """Admissible travel lower bounds over undone tasks, on compact states.
 
     combined is the max of two bounds.  The farthest-task bound: some
     capable agent must still reach the farthest undone task.  The
@@ -337,15 +346,29 @@ class _Heuristic:
     those legs are disjoint; summing per-location minimal legs is a lower
     bound.  blind is 0 everywhere (uniform-cost search).
 
+    ``forest`` is a third bound, which A* ranks by alongside the other two.
+    Its classes are pairwise-disjoint capable sets of pending tasks, taken
+    smallest first and then by members; a class owns every pending task
+    whose capable set lies inside it.  Only the class's agents may do its
+    owned tasks, so their walks, started at their positions, visit every
+    undone owned location; joined at a super-root that reaches each
+    member's position at cost 0, those walks contain a tree spanning the
+    locations, which costs no less than Prim's minimum one over the
+    shortest travel distances (Held & Karp's 1-tree argument).  Disjoint
+    classes walk disjoint routes, so the forests add up.
+
     What depends on the done set alone is cached per done mask: the undone
-    task locations grouped by capable-agent set, and each undone location's
-    minimal leg from the other undone locations.  What depends on positions
-    alone is cached per positions field (the state shifted past its masks):
-    for each agent set, the distance from its nearest member to every
-    location.  Positions are decoded only on a miss.  A call then only
-    combines the two.
-    The predecessor sum runs in sorted-location order, so its rounding is the
-    same however the state was reached.
+    task locations grouped by capable-agent set, each undone location's
+    minimal leg from the other undone locations, and each class's owned
+    undone locations as a mask.  What depends on positions alone is cached
+    per positions field (the state shifted past its masks): for each agent
+    set, the distance from its nearest member to every location, and each
+    class's positions as a mask.  Positions are decoded only on a miss.  A
+    call then only combines the two, and a class's forest is cached per
+    (positions mask, owned mask) pair; a key over every class at once
+    would almost never repeat.  The predecessor sum runs in sorted-location
+    order and Prim's in its own deterministic order from the two masks, so
+    rounding is the same however the state was reached.
     """
 
     def __init__(self, problem: _Compact, kind: str):
@@ -354,9 +377,17 @@ class _Heuristic:
         everyone = tuple(range(len(problem.agent_ids)))
         self.sets = list(dict.fromkeys([c for c in problem.capable if c] + [everyone]))
         self.everyone = self.sets.index(everyone)
+        self.classes: list[tuple] = []
+        pending = {c for t, c in enumerate(problem.capable) if c and problem.pending >> t & 1}
+        for agents in sorted(pending, key=lambda c: (len(c), c)):
+            if all(set(agents).isdisjoint(other) for other in self.classes):
+                self.classes.append(agents)
         self.done_mask, self.positions_shift = problem.done_mask, problem.positions_shift
         self._by_done: dict[int, tuple] = {}
         self._by_positions: dict[int, list] = {}
+        self._owned_by_done: dict[int, tuple] = {}
+        self._roots_by_positions: dict[int, tuple] = {}
+        self._forests: dict[tuple, float] = {}
 
     def _undone(self, done: int) -> tuple:
         """(agent-set index, target locations) groups and (location, minimal
@@ -372,6 +403,17 @@ class _Heuristic:
         legs = [(loc, min([p.dist[o][loc] for o in locs if o != loc], default=INF)) for loc in locs]
         return [(s, list(ls)) for s, ls in targets.items()], legs
 
+    def _owned(self, done: int) -> tuple:
+        """Per class, the mask of the locations of its owned undone tasks."""
+        p = self.problem
+        owned = [0] * len(self.classes)
+        for t, agents in enumerate(p.capable):
+            if p.pending >> t & 1 and not done >> t & 1:
+                for c, members in enumerate(self.classes):
+                    if set(agents) <= set(members):
+                        owned[c] |= 1 << p.task_loc[t]
+        return tuple(owned)
+
     def _nearest(self, state: int) -> list:
         dist = self.problem.dist
         positions = self.problem.decode(state)[0]
@@ -380,6 +422,11 @@ class _Heuristic:
             rows = [dist[positions[a]] for a in agents]
             out.append(rows[0] if len(rows) == 1 else list(map(min, *rows)))
         return out
+
+    def _roots(self, state: int) -> tuple:
+        """Per class, the mask of its members' locations."""
+        positions = self.problem.decode(state)[0]
+        return tuple(sum({1 << positions[a] for a in agents}) for agents in self.classes)
 
     def __call__(self, state: int) -> float:
         if self.kind == "blind":
@@ -412,6 +459,48 @@ class _Heuristic:
         for loc, best in legs:
             h_pred += row[loc] if row[loc] < best else best
         return max(h_max, h_pred)
+
+    def forest(self, state: int) -> float:
+        """The capability-partitioned spanning-forest bound: per class, the
+        minimum forest rooted at its members' positions that spans its owned
+        undone task locations, summed over the classes; 0 for blind."""
+        if self.kind == "blind":
+            return 0.0
+        done = state & self.done_mask
+        owned = self._owned_by_done.get(done)
+        if owned is None:
+            owned = self._owned_by_done[done] = self._owned(done)
+        positions = state >> self.positions_shift
+        roots = self._roots_by_positions.get(positions)
+        if roots is None:
+            roots = self._roots_by_positions[positions] = self._roots(state)
+        total = 0.0
+        forests = self._forests
+        for pair in zip(roots, owned):
+            if pair[1]:
+                cost = forests.get(pair)
+                if cost is None:
+                    cost = forests[pair] = self._prim(*pair)
+                total += cost
+        return total
+
+    def _prim(self, roots: int, targets: int) -> float:
+        """Prim's minimum spanning tree over the locations of ``targets``
+        and a super-root joined to the locations of ``roots`` at cost 0:
+        each step attaches the nearest unattached location (lowest index on
+        a tie).  ``inf`` if some location is unreachable from every root."""
+        dist = self.problem.dist
+        sources = [loc for loc in range(len(dist)) if roots >> loc & 1]
+        left = [loc for loc in range(len(dist)) if targets >> loc & 1]
+        cost = [min(dist[r][loc] for r in sources) for loc in left]
+        total = 0.0
+        while left:
+            i = cost.index(min(cost))
+            total += cost.pop(i)
+            joined = left.pop(i)
+            row = dist[joined]
+            cost = [c if c < row[loc] else row[loc] for c, loc in zip(cost, left)]
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +536,13 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     # concrete state -> (predecessor, action code) of the push that reached it
     links: dict = {start: (None, None)}
     astar = cfg.strategy == "astar"
-    # (f, tie-break, push order, g, state, canonical state): A* ranks by
-    # (g + h, h), gbfs by h
-    heap = [(h0, h0 if astar else 0.0, next(counter), 0.0, start, start_key)]
-    push, pop = heapq.heappush, heapq.heappop
+    # (rank, tie-breaks, push order, g, state, canonical state): A* ranks by
+    # (g + max(h, forest), g + h, h), gbfs by h
+    if astar:
+        heap = [(max(h0, h.forest(start)), h0, h0, next(counter), 0.0, start, start_key)]
+    else:
+        heap = [(h0, 0.0, 0.0, next(counter), 0.0, start, start_key)]
+    push, pop, forest = heapq.heappush, heapq.heappop, h.forest
     successors, derive, pending = problem.successors, problem.child_canonical, problem.pending
     # without classes a state is its own key, so the derivation is skipped
     reduced = bool(problem.classes)
@@ -458,7 +550,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     expansions = generated = reopened = 0
 
     while heap:
-        _, _, _, g, state, canon = pop(heap)
+        _, _, _, _, g, state, canon = pop(heap)
         if g > best[canon]:
             continue  # stale entry
         if state & pending == pending:
@@ -482,9 +574,10 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
                 ch = h(key)
                 links[child] = (state, code)
                 if astar:
-                    push(heap, (cg + ch, ch, next(counter), cg, child, key))
+                    cf = forest(key)
+                    push(heap, (cg + (ch if ch > cf else cf), cg + ch, ch, next(counter), cg, child, key))
                 else:
-                    push(heap, (ch, 0.0, next(counter), cg, child, key))
+                    push(heap, (ch, 0.0, 0.0, next(counter), cg, child, key))
 
     raise NoPlanExists("goal unreachable from the initial configuration")
 

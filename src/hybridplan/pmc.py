@@ -297,11 +297,20 @@ def _entry_fault(entry, n_states: int) -> Optional[str]:
     return None
 
 
+def _reward_fault(reward) -> Optional[str]:
+    """Why a choice's reward is no number, or None when it is one."""
+    try:
+        np.fromiter((reward,), np.float64, 1)
+    except (TypeError, ValueError, OverflowError):
+        return f"reward {reward!r} is not a number"
+    return None
+
+
 def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     """Flatten the choice table into CSR arrays, raising the ModelError of the
     first malformed state or choice in (state, choice) order.  Within a
     choice a malformed entry or a target outside the states comes first,
-    then the probability sum."""
+    then the probability sum, then the reward."""
     from scipy.sparse import csr_matrix
 
     n = mdp.n_states
@@ -330,7 +339,14 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     bad_entry[owner[~ok]] = True
     # a NaN sum is no sum to one either
     unsummed = ~(np.abs(totals - 1.0) <= PROB_SUM_TOL)
-    faults = np.flatnonzero(bad_entry | unsummed)
+    try:
+        reward = np.fromiter(map(itemgetter(2), acts), np.float64, len(acts))
+        bad_reward = np.zeros(len(acts), bool)
+    except (TypeError, ValueError, OverflowError):
+        # some reward is no number: find each one, the slow way
+        bad_reward = np.fromiter((_reward_fault(a[2]) is not None for a in acts), bool, len(acts))
+        reward = None
+    faults = np.flatnonzero(bad_entry | unsummed | bad_reward)
     empty = np.flatnonzero(counts == 0)
     if len(empty) and (not len(faults) or empty[0] < state[faults[0]]):
         raise ModelError(f"state {empty[0]} has no enabled action")
@@ -339,8 +355,9 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
         where = f"state {state[c]} action '{acts[c][0]}'"
         if bad_entry[c]:
             raise ModelError(f"{where} {_entry_fault(entries[np.flatnonzero(~ok)[0]], n)}")
-        raise ModelError(f"{where} sums to {float(totals[c])}")
-    reward = np.fromiter(map(itemgetter(2), acts), np.float64, len(acts))
+        if unsummed[c]:
+            raise ModelError(f"{where} sums to {float(totals[c])}")
+        raise ModelError(f"{where} {_reward_fault(acts[c][2])}")
     indptr = np.zeros(len(acts) + 1, np.int64)
     np.cumsum(lengths, out=indptr[1:])
     starts = np.zeros(n, np.int64)

@@ -116,14 +116,21 @@ class ProblemSpec:
         self._location_ids = frozenset(l.id for l in self.locations)
         self._task_by_id = {t.id: t for t in self.tasks}
         self._capabilities = {a.id: {c.group: c for c in a.capabilities} for a in self.agents}
+        self.paths = tuple(
+            sorted(paths, key=lambda p: (p.start, p.end))
+        )
+        # every location reference names a declared location
+        references = [(f"path {p.start}-{p.end}", loc) for p in self.paths for loc in (p.start, p.end)]
+        references += [(f"task {t.id}", t.location) for t in self.tasks]
+        references += [(f"agent {a.id}", a.start) for a in self.agents]
+        for owner, loc in references:
+            if loc not in self._location_ids:
+                raise SpecError(f"{owner} names unknown location {loc!r}")
 
         # symmetric closure over declared paths: one path per pair, and no
         # loop, whose two directions are one pair
         self._dist: dict[tuple[str, str], float] = {}
         self._neighbors: dict[str, list[str]] = {l.id: [] for l in self.locations}
-        self.paths = tuple(
-            sorted(paths, key=lambda p: (p.start, p.end))
-        )
         for p in self.paths:
             for a, b in ((p.start, p.end), (p.end, p.start)):
                 if (a, b) in self._dist:

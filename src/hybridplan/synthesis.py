@@ -221,20 +221,23 @@ class _Evaluator:
 
 
 def _fast_nondominated_sort(objs: list[Objectives]) -> list[list[int]]:
+    """Deb's fronts, each ascending: every unordered pair is compared once
+    (dominance is strict, so at most one direction holds), and the pairs run
+    with ``i < j`` in order, which keeps each ``dominated_by`` list
+    ascending."""
     n = len(objs)
     dominated_by: list[list[int]] = [[] for _ in range(n)]
     dom_count = [0] * n
-    fronts: list[list[int]] = [[]]
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if dominates(objs[i], objs[j]):
+        a = objs[i]
+        for j in range(i + 1, n):
+            if dominates(a, objs[j]):
                 dominated_by[i].append(j)
-            elif dominates(objs[j], objs[i]):
+                dom_count[j] += 1
+            elif dominates(objs[j], a):
+                dominated_by[j].append(i)
                 dom_count[i] += 1
-        if dom_count[i] == 0:
-            fronts[0].append(i)
+    fronts = [[i for i in range(n) if dom_count[i] == 0]]
     k = 0
     while fronts[k]:
         nxt = []

@@ -242,6 +242,64 @@ class TestHeuristic:
         assert dist["b"]["a"] == 2.0
 
 
+class TestForest:
+    """The capability-partitioned spanning-forest bound that A* ranks by."""
+
+    def test_classes_on_vineyard(self, vineyard):
+        # workers alone do t1 and robots alone do t2; t3's capable set meets both
+        problem = _Compact(vineyard)
+        h = _Heuristic(problem, "combined")
+        assert [[problem.agent_ids[a] for a in c] for c in h.classes] == [["r1", "r2"], ["w1", "w2"]]
+
+    def test_admissible_along_optimal_path(self, vineyard, vineyard_plan):
+        problem = _Compact(vineyard)
+        h = _Heuristic(problem, "combined")
+        state = initial_state(vineyard)
+        remaining = vineyard_plan.travel_cost
+        assert h.forest(problem.start) == 7.0 > h(problem.start) == vineyard_plan.stats["h0"]
+        for act in vineyard_plan.total_order:
+            assert h.forest(problem.encode(state)) <= remaining + 1e-9
+            if isinstance(act, Move):
+                remaining -= vineyard.distance(act.origin, act.dest)
+            state = replay(vineyard, [act], start=state)
+
+    def test_zero_when_no_class_owns_an_undone_task(self, vineyard):
+        # every t1 and t2 task done: only the t3 tasks, owned by no class, remain
+        problem = _Compact(vineyard)
+        h = _Heuristic(problem, "combined")
+        positions, empty, _ = problem.decode(problem.start)
+        done = sum(1 << t for t, tid in enumerate(problem.task_ids) if not tid.startswith("t3"))
+        key = problem.pack(positions, empty, done)
+        assert h.forest(key) == 0.0 < h(key)
+
+    def test_blind_is_zero(self, vineyard):
+        problem = _Compact(vineyard)
+        assert _Heuristic(problem, "blind").forest(problem.start) == 0.0
+
+    def test_prim_on_a_hand_built_map(self):
+        # non-unit distances, a shorter detour than the direct a-c path, and
+        # a location no path reaches
+        doc = grid_doc(1, 1, [], [])
+        doc["locations"] = [{"id": l} for l in "abcde"]
+        doc["paths"] = [
+            {"start": "a", "end": "b", "distance": 2.5},
+            {"start": "b", "end": "c", "distance": 1.5},
+            {"start": "a", "end": "c", "distance": 5},
+            {"start": "c", "end": "d", "distance": 0.5},
+        ]
+        problem = _Compact(build_problem_spec(doc))
+        h = _Heuristic(problem, "combined")
+
+        def mask(locs):
+            return sum(1 << problem.loc_index[l] for l in locs)
+
+        assert h._prim(mask("a"), mask("bcd")) == 2.5 + 1.5 + 0.5
+        # two roots: c hangs off d at 0.5, then b off c at 1.5, not off a at 2.5
+        assert h._prim(mask("ad"), mask("bc")) == 0.5 + 1.5
+        assert h._prim(mask("a"), mask("a")) == 0.0
+        assert h._prim(mask("a"), mask("be")) == float("inf")
+
+
 class TestViolations:
     def test_non_path_move_flagged(self, vineyard):
         bad = [Move("w2", "l1", "l9")]

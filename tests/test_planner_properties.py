@@ -107,6 +107,41 @@ def test_plans_valid_and_optimal(spec):
     assert plan.stats["h0"] <= plan.travel_cost
 
 
+@st.composite
+def capability_missions(draw):
+    """Small random missions whose capable sets split and nest: re-rooted
+    with C4 overrides on either side of the allocation threshold, and
+    sometimes a raised gamma that drops robots from t3 or whole groups."""
+    spec = random_instance(draw(st.integers(1, 5)), draw(st.integers(2, 4)), draw(st.integers(0, 10_000)))
+    agents = [a.id for a in spec.agents]
+    tasks = [t.id for t in spec.tasks]
+    spec = spec.with_runtime_state(
+        initial_locations={a: draw(st.sampled_from(GRID[:5])) for a in agents},
+        pending=draw(st.lists(st.sampled_from(tasks), min_size=1, unique=True)),
+        p_overrides=draw(st.dictionaries(
+            st.tuples(st.sampled_from(agents), st.sampled_from(tasks)), st.sampled_from([0.2, 0.6, 0.96, 0.999]),
+            max_size=4,
+        )),
+        gamma=draw(st.sampled_from([0.5, 0.98, 0.995])),
+    )
+    assume(all(spec.capable_agents(t) for t in spec.pending))
+    return spec
+
+
+@PROPERTY
+@given(st.one_of(missions(), capability_missions()))
+def test_forest_ranking_reaches_the_blind_travel_cost(spec):
+    problem = _Compact(spec)
+    h = _Heuristic(problem, "combined")
+    classes = [set(c) for c in h.classes]
+    assert all(a.isdisjoint(b) for a, b in itertools.combinations(classes, 2))
+    plan = plan_mission(spec)
+    blind = plan_mission(spec, PlannerConfig(heuristic="blind"))
+    assert plan.travel_cost == blind.travel_cost
+    assert validate_plan(spec, plan) == []
+    assert h.forest(problem.start) <= blind.travel_cost
+
+
 def uniform_cost(spec):
     """Minimum travel to the goal by Dijkstra over world states, expanding
     every enabled action: no forced-task pruning, no agent symmetry.  States

@@ -272,6 +272,9 @@ class TestMalformedMdp:
             ([[("a", [(1, 0.5, 0)], 0.0)], [("s", [(1, 1.0)], 0.0)]], "entry (1, 0.5, 0) is not a"),
             ([[("a", [1], 0.0)], [("s", [(1, 1.0)], 0.0)]], "entry 1 is not a"),
             ([[("a", [(1, float("nan"))], 0.0)], [("s", [(1, 1.0)], 0.0)]], "sums to nan"),
+            # the old per-entry reward list
+            ([[("a", [(1, 1.0)], [0.0])], [("s", [(1, 1.0)], 0.0)]], "state 0 action 'a' reward [0.0] is not a number"),
+            ([[("a", [(1, 1.0)], 0.0)], [("s", [(1, 1.0)], "x")]], "state 1 action 's' reward 'x' is not a number"),
         ],
     )
     def test_rejected_by_check_and_queries(self, choices, message):
@@ -281,6 +284,10 @@ class TestMalformedMdp:
         for query in (Mdp.check, lambda m: mdp_max_reach_prob(m, "success"), mdp_min_bounded_reward):
             with pytest.raises(ModelError, match=re.escape(message)):
                 query(mdp())
+
+    def test_per_entry_reward_list_names_its_state_and_action(self):
+        with pytest.raises(ModelError, match=re.escape("state 0 action 's' reward [0.0] is not a number")):
+            Mdp(1, 0, [[("s", [(0, 1.0)], [0.0])]], {"success": frozenset({0})}).check()
 
     def test_first_fault_in_state_order(self):
         # state 0's second action sums to 0.9; state 1 has no action
@@ -300,6 +307,9 @@ class TestMalformedMdp:
             ([[], [("a", [(1,)], 0.0)]], "state 0 has no enabled action"),
             ([[("ok", [(0, 1.0)], 0.0), ("bad", [(0, 0.9)], 0.0)], [("a", [(7, 1.0)], 0.0)]],
              "state 0 action 'bad' sums to 0.9"),
+            # a bad reward comes after its choice's sum and before a later fault
+            ([[("a", [(0, 0.9)], (1,))], []], "state 0 action 'a' sums to 0.9"),
+            ([[("a", [(0, 1.0)], (1,))], [("b", [(7, 1.0)], 0.0)]], "state 0 action 'a' reward (1,) is not a number"),
         ],
     )
     def test_entry_faults_in_state_order(self, choices, message):

@@ -10,10 +10,13 @@ from hybridplan.bench import GRID, random_instance
 from hybridplan.errors import SpecError
 from hybridplan.fixtures import fixture_text, load_fixture
 from hybridplan.spec import (
+    Agent,
     Location,
     MissionConstraints,
     Path,
     ProblemSpec,
+    TaskGroup,
+    TaskInstance,
     build_problem_spec,
     parse_problem_spec,
     serialize,
@@ -265,6 +268,24 @@ class TestTravel:
     def test_second_path_for_a_pair_is_rejected(self, paths, message):
         with pytest.raises(SpecError, match=message):
             map_spec(["a", "b"], paths)
+
+    @pytest.mark.parametrize(
+        "path, task, agent, message",
+        [
+            (Path("a", "zz", 1.0), TaskInstance("t", "g", "a"), Agent("r", "robot", "a", ()),
+             "path a-zz names unknown location 'zz'"),
+            (Path("a", "b", 1.0), TaskInstance("t", "g", "zz"), Agent("r", "robot", "a", ()),
+             "task t names unknown location 'zz'"),
+            (Path("a", "b", 1.0), TaskInstance("t", "g", "a"), Agent("r", "robot", "qq", ()),
+             "agent r names unknown location 'qq'"),
+        ],
+        ids=["path", "task", "agent"],
+    )
+    def test_unknown_location_reference_is_rejected(self, path, task, agent, message):
+        # the parser reports these too; a spec built in code must not slip past
+        with pytest.raises(SpecError, match=message):
+            ProblemSpec([Location("a"), Location("b")], [path], [TaskGroup("g")], [task], [agent],
+                        MissionConstraints(0.9, 0.5))
 
 
 class TestRoundTrip:

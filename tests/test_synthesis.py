@@ -20,6 +20,7 @@ from hybridplan.synthesis import (
     ArchiveEntry,
     GaConfig,
     Objectives,
+    _fast_nondominated_sort,
     _nondominated,
     dominates,
     evaluate,
@@ -160,6 +161,54 @@ def test_sweep_keeps_the_quadratic_filters_entries(rows):
     # costs and whole points, so ties at a front point are exercised
     entries = [ArchiveEntry(g, {"a": g[0], "b": g[1]}, Objectives(c, p, True, 0.0)) for g, c, p in rows]
     assert [e.genotype for e in _nondominated(entries)] == [e.genotype for e in quadratic_nondominated(entries)]
+
+
+def pairwise_nondominated_sort(objs):
+    """Reference sort: every ordered pair compared, each front built in
+    ascending index order."""
+    n = len(objs)
+    dominated_by = [[] for _ in range(n)]
+    dom_count = [0] * n
+    fronts = [[]]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if dominates(objs[i], objs[j]):
+                dominated_by[i].append(j)
+            elif dominates(objs[j], objs[i]):
+                dom_count[i] += 1
+        if dom_count[i] == 0:
+            fronts[0].append(i)
+    k = 0
+    while fronts[k]:
+        nxt = []
+        for i in fronts[k]:
+            for j in dominated_by[i]:
+                dom_count[j] -= 1
+                if dom_count[j] == 0:
+                    nxt.append(j)
+        fronts.append(nxt)
+        k += 1
+    return [f for f in fronts if f]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(
+    st.one_of(
+        # feasible points from small pools, so costs, probabilities and whole
+        # points tie
+        st.builds(Objectives, st.sampled_from([1.0, 2.5, 4.0]), st.sampled_from([0.9, 0.95, 1.0]),
+                  st.just(True), st.just(0.0)),
+        st.builds(Objectives, st.floats(0.0, 10.0), st.floats(0.9, 1.0), st.just(True), st.just(0.0)),
+        # infeasible points, compared by violation alone; equal violations tie
+        st.builds(Objectives, st.floats(0.0, 10.0), st.floats(0.0, 0.9), st.just(False),
+                  st.sampled_from([0.0, 0.05, 0.1])),
+    ),
+    max_size=40,
+))
+def test_sort_gives_the_pairwise_sorts_fronts(objs):
+    assert _fast_nondominated_sort(objs) == pairwise_nondominated_sort(objs)
 
 
 class TestExhaustive:
