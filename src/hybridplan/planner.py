@@ -382,6 +382,12 @@ class _Heuristic:
         for agents in sorted(pending, key=lambda c: (len(c), c)):
             if all(set(agents).isdisjoint(other) for other in self.classes):
                 self.classes.append(agents)
+        # owner[task]: the index of the class that owns it, or None
+        self.owner = [
+            next((c for c, members in enumerate(self.classes) if agents and set(agents) <= set(members)), None)
+            if problem.pending >> t & 1 else None
+            for t, agents in enumerate(problem.capable)
+        ]
         self.done_mask, self.positions_shift = problem.done_mask, problem.positions_shift
         self._by_done: dict[int, tuple] = {}
         self._by_positions: dict[int, list] = {}
@@ -405,13 +411,10 @@ class _Heuristic:
 
     def _owned(self, done: int) -> tuple:
         """Per class, the mask of the locations of its owned undone tasks."""
-        p = self.problem
         owned = [0] * len(self.classes)
-        for t, agents in enumerate(p.capable):
-            if p.pending >> t & 1 and not done >> t & 1:
-                for c, members in enumerate(self.classes):
-                    if set(agents) <= set(members):
-                        owned[c] |= 1 << p.task_loc[t]
+        for t, c in enumerate(self.owner):
+            if c is not None and not done >> t & 1:
+                owned[c] |= 1 << self.problem.task_loc[t]
         return tuple(owned)
 
     def _nearest(self, state: int) -> list:

@@ -345,7 +345,7 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     except (TypeError, ValueError, OverflowError):
         # some reward is no number: find each one, the slow way
         bad_reward = np.fromiter((_reward_fault(a[2]) is not None for a in acts), bool, len(acts))
-        reward = None
+        reward = None   # never read: some choice is at fault and raises below
     faults = np.flatnonzero(bad_entry | unsummed | bad_reward)
     empty = np.flatnonzero(counts == 0)
     if len(empty) and (not len(faults) or empty[0] < state[faults[0]]):

@@ -221,10 +221,10 @@ class _Evaluator:
 
 
 def _fast_nondominated_sort(objs: list[Objectives]) -> list[list[int]]:
-    """Deb's fronts, each ascending: every unordered pair is compared once
-    (dominance is strict, so at most one direction holds), and the pairs run
-    with ``i < j`` in order, which keeps each ``dominated_by`` list
-    ascending."""
+    """Deb's fronts.  Every unordered pair is compared once (dominance is
+    strict, so at most one direction holds).  The pairs run with ``i < j``
+    in order, which keeps each ``dominated_by`` list ascending, so the
+    fronts and their order are those of comparing every ordered pair."""
     n = len(objs)
     dominated_by: list[list[int]] = [[] for _ in range(n)]
     dom_count = [0] * n
