@@ -339,14 +339,14 @@ def _compile_mdp(mdp: Mdp) -> CompiledMdp:
     bad_entry[owner[~ok]] = True
     # a NaN sum is no sum to one either
     unsummed = ~(np.abs(totals - 1.0) <= PROB_SUM_TOL)
+    bad = bad_entry | unsummed
     try:
         reward = np.fromiter(map(itemgetter(2), acts), np.float64, len(acts))
-        bad_reward = np.zeros(len(acts), bool)
     except (TypeError, ValueError, OverflowError):
-        # some reward is no number: find each one, the slow way
-        bad_reward = np.fromiter((_reward_fault(a[2]) is not None for a in acts), bool, len(acts))
-        reward = None   # never read: some choice is at fault and raises below
-    faults = np.flatnonzero(bad_entry | unsummed | bad_reward)
+        # some reward is no number: find each one, the slow way; the fault
+        # raised below means ``reward`` is never needed
+        bad |= np.fromiter((_reward_fault(a[2]) is not None for a in acts), bool, len(acts))
+    faults = np.flatnonzero(bad)
     empty = np.flatnonzero(counts == 0)
     if len(empty) and (not len(faults) or empty[0] < state[faults[0]]):
         raise ModelError(f"state {empty[0]} has no enabled action")
