@@ -17,6 +17,7 @@ cheaper anyway.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -221,34 +222,64 @@ class _Evaluator:
 
 
 def _fast_nondominated_sort(objs: list[Objectives]) -> list[list[int]]:
-    """Deb's fronts.  Every unordered pair is compared once (dominance is
-    strict, so at most one direction holds).  The pairs run with ``i < j``
-    in order, which keeps each ``dominated_by`` list ascending, so the
-    fronts and their order are those of comparing every ordered pair."""
-    n = len(objs)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    dom_count = [0] * n
-    for i in range(n):
-        a = objs[i]
-        for j in range(i + 1, n):
-            if dominates(a, objs[j]):
-                dominated_by[i].append(j)
-                dom_count[j] += 1
-            elif dominates(objs[j], a):
-                dominated_by[j].append(i)
-                dom_count[i] += 1
-    fronts = [[i for i in range(n) if dom_count[i] == 0]]
-    k = 0
-    while fronts[k]:
-        nxt = []
-        for i in fronts[k]:
-            for j in dominated_by[i]:
-                dom_count[j] -= 1
-                if dom_count[j] == 0:
-                    nxt.append(j)
-        fronts.append(nxt)
-        k += 1
-    return [f for f in fronts if f]
+    """Deb's fronts, each in the order Deb's pairwise loop builds it, by a
+    sweep in O(N log N) plus the order windows (Jensen, IEEE TEC 2003).
+
+    The feasible points are placed in (cost, -success) order: every point
+    that dominates one comes before it, so each point joins the first
+    front whose last point does not dominate it, found by binary search.
+    In that order a front's costs and successes both ascend (equal points
+    aside) and its last point has the highest success; the keys
+    ``(-success, cost)`` of the fronts' last points ascend across fronts.
+    The infeasible points follow, one front per distinct violation in
+    ascending order, since violation alone orders them.
+
+    Deb's loop appends a point of front k+1 when it meets the point's last
+    dominator in front k, so front 0 is in index order and front k+1 in
+    order of (the greatest front-k position among the point's dominators,
+    index).  Those dominators are one window of front k in sweep order,
+    cost <= c and success >= s, and two ``bisect`` calls find it.  An
+    infeasible front is dominated by the whole front before it, so it
+    keeps index order."""
+    feasible = sorted(
+        (i for i, o in enumerate(objs) if o.feasible),
+        key=lambda i: (objs[i].expected_cost, -objs[i].success_prob),
+    )
+    sweep: list[list[int]] = []        # fronts in sweep order
+    lasts: list[tuple] = []            # (-success, cost) of each front's last point
+    for i in feasible:
+        o = objs[i]
+        key = (-o.success_prob, o.expected_cost)
+        k = bisect.bisect_left(lasts, key)
+        if k == len(sweep):
+            sweep.append([i])
+            lasts.append(key)
+        else:
+            sweep[k].append(i)
+            lasts[k] = key
+    fronts: list[list[int]] = []
+    position: dict[int, int] = {}      # Deb position of each point of the last front
+    for k, members in enumerate(sweep):
+        if k == 0:
+            front = sorted(members)
+        else:
+            prev = sweep[k - 1]
+            costs = [objs[i].expected_cost for i in prev]
+            succs = [objs[i].success_prob for i in prev]
+            order = {}
+            for i in members:
+                lo = bisect.bisect_left(succs, objs[i].success_prob)
+                hi = bisect.bisect_right(costs, objs[i].expected_cost)
+                order[i] = (max(position[j] for j in prev[lo:hi]), i)
+            front = sorted(members, key=order.__getitem__)
+        position = {i: p for p, i in enumerate(front)}
+        fronts.append(front)
+    by_violation: dict[float, list[int]] = {}
+    for i, o in enumerate(objs):
+        if not o.feasible:
+            by_violation.setdefault(o.violation, []).append(i)
+    fronts.extend(by_violation[v] for v in sorted(by_violation))
+    return fronts
 
 
 def _crowding(objs: list[Objectives], front: list[int]) -> dict[int, float]:

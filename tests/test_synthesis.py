@@ -211,6 +211,22 @@ def test_sort_gives_the_pairwise_sorts_fronts(objs):
     assert _fast_nondominated_sort(objs) == pairwise_nondominated_sort(objs)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(
+    st.one_of(
+        # feasible points from pools small enough for long dominance chains,
+        # many fronts and exact duplicates
+        st.builds(Objectives, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0]),
+                  st.sampled_from([0.9, 0.92, 0.95, 0.97, 1.0]), st.just(True), st.just(0.0)),
+        st.builds(Objectives, st.sampled_from([1.0, 2.0]), st.sampled_from([0.3, 0.6]), st.just(False),
+                  st.sampled_from([0.0, 0.3, 0.6])),
+    ),
+    max_size=120,
+))
+def test_sort_keeps_deb_order_on_large_tied_populations(objs):
+    assert _fast_nondominated_sort(objs) == pairwise_nondominated_sort(objs)
+
+
 class TestExhaustive:
     def test_nine_vector_instance(self, m2_model):
         archive = exhaustive_synthesize(m2_model)
