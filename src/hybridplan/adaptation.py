@@ -57,10 +57,10 @@ from .chains import (
     task_factors,
 )
 from .errors import NoPlanExists, ScenarioError, UnrecoverableMission
-from .planner import Plan, PlannerConfig, dispatch_slot, plan_mission
+from .planner import Plan, PlannerConfig, build_plan, dispatch_slot, plan_mission, validate_plan
 from .spec import ProblemSpec
 from .synthesis import ArchiveEntry, GaConfig, ParetoArchive, _entry_sort_key, extend_archive, synthesize
-from .world import Do, WorldState, action_to_json, initial_state
+from .world import Do, WorldState, action_from_json, action_to_json, initial_state
 
 # Adaptation no longer calls these four, but they stay adaptation attributes:
 # benchmark/spans.py wraps them by name.
@@ -669,7 +669,7 @@ def simulate(
 # scenario files
 
 
-SCENARIO_KEYS = ("seed", "changes", "ga", "planner", "seed_entries", "deploy", "max_steps")
+SCENARIO_KEYS = ("seed", "changes", "ga", "planner", "plan", "seed_entries", "deploy", "max_steps")
 
 
 def _object(raw, what: str, keys) -> dict:
@@ -694,17 +694,22 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     """Full pipeline + simulation for a JSON scenario document.
 
     Schema: {"seed": int, "changes": [{time, type, ...}], "ga": {...}?,
-    "planner": {...}?, "seed_entries": [{task: budget, ...}]?,
+    "planner": {...}?, "plan": [action, ...]?,
+    "seed_entries": [{task: budget, ...}]?,
     "deploy": {"retries": {...}} | {"require_budget": {task: budget}}?,
     "max_steps": int?}.
 
-    seed_entries are extra budget vectors verified and folded into the
-    archive before deployment, so a scenario can pin the deployed vector.
-    Unknown keys, values of the wrong JSON type (a present ``deploy`` that
-    is not an object among them), changes out of time order, changes naming
-    agents or tasks the mission does not have, a C4 on a pair whose agent
-    has no capability for the task and a ``deploy`` naming both budget rules
-    are a ScenarioError before planning; budgets, which need
+    plan is the deployed sequential trace as ``action_to_json`` objects, so
+    the changes' times do not depend on the planner's tie order; without it
+    the mission is planned.  It must be a valid plan of the mission
+    (``validate_plan``).  A3 replans always search.  seed_entries are extra
+    budget vectors verified and folded into the archive before deployment,
+    so a scenario can pin the deployed vector.  Unknown keys, values of the
+    wrong JSON type (a present ``deploy`` that is not an object among
+    them), changes out of time order, changes naming agents or tasks the
+    mission does not have, a C4 on a pair whose agent has no capability for
+    the task, a ``deploy`` naming both budget rules and a malformed or
+    invalid plan are a ScenarioError before synthesis; budgets, which need
     the model's slots, are checked once it is built.
     """
     _object(scenario, "a scenario", SCENARIO_KEYS)
@@ -727,7 +732,7 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
         )
     except ValueError as exc:
         raise ScenarioError(f"scenario ga or planner: {exc}") from None
-    plan = plan_mission(spec, planner_cfg)
+    plan = _stored_plan(spec, scenario["plan"]) if "plan" in scenario else plan_mission(spec, planner_cfg)
     model = build_parametric_model(spec, plan)
     archive = synthesize(model, ga)
     if seed_entries:
@@ -749,6 +754,25 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
         ga=ga,
         planner_cfg=planner_cfg,
     )
+
+
+def _stored_plan(spec: ProblemSpec, raw) -> Plan:
+    """The plan of a scenario's ``plan`` trace, once it is valid."""
+    if not isinstance(raw, list):
+        raise ScenarioError(f"a scenario's plan must be a JSON array of actions, got {raw!r}")
+    try:
+        actions = [action_from_json(a) for a in raw]
+    except ValueError as exc:
+        raise ScenarioError(f"scenario plan: {exc}") from None
+    agents, tasks = {a.id for a in spec.agents}, {t.id for t in spec.tasks}
+    for i, act in enumerate(actions):
+        if act.agent not in agents or isinstance(act, Do) and act.task not in tasks:
+            raise ScenarioError(f"scenario plan action {i} ({act}) names an agent or task the mission lacks")
+    plan = build_plan(spec, actions)
+    broken = validate_plan(spec, plan)
+    if broken:
+        raise ScenarioError(f"scenario plan is invalid: {broken[0]}")
+    return plan
 
 
 def _pick_deploy(model: ParametricPlanModel, archive: ParetoArchive, raw: dict) -> ArchiveEntry:

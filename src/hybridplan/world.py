@@ -155,3 +155,20 @@ def action_to_json(action: Action) -> dict:
     if isinstance(action, Do):
         return {"type": "do", "agent": action.agent, "task": action.task, "location": action.location}
     return {"type": "wait", "agent": action.agent}
+
+
+# the fields of each trace action type's JSON, in constructor order
+_ACTION_FIELDS = {"move": (Move, ("agent", "from", "to")), "do": (Do, ("agent", "task", "location"))}
+
+
+def action_from_json(raw) -> Action:
+    """The move or task ``action_to_json`` wrote as ``raw``; ValueError for
+    any other type (a wait is no trace action), a missing or extra key or a
+    field that is no string."""
+    kind = raw.get("type") if isinstance(raw, dict) else None
+    if not isinstance(kind, str) or kind not in _ACTION_FIELDS:
+        raise ValueError(f"unknown action {raw!r}")
+    cls, keys = _ACTION_FIELDS[kind]
+    if set(raw) != {"type", *keys} or not all(isinstance(raw[k], str) for k in keys):
+        raise ValueError(f"malformed {kind} action {raw!r}")
+    return cls(*(raw[k] for k in keys))

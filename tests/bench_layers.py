@@ -97,34 +97,34 @@ def test_nsga2_generation_on_vineyard(benchmark, vineyard_model):
     assert benchmark.pedantic(generation, setup=setup, rounds=50) == (30, 60)
 
 
-def mid_vineyard(vineyard, vineyard_plan, vineyard_model) -> ExecutionContext:
-    """The vineyard archive five actions into the plan, after one failure of
-    its first task, with its first entry deployed."""
-    archive = synthesize(vineyard_model, GaConfig(seed=3))
+def mid_vineyard(vineyard, plan, model) -> ExecutionContext:
+    """The vineyard archive five actions into the scenario's stored plan,
+    after one failure of its first task, with its first entry deployed."""
+    archive = synthesize(model, GaConfig(seed=3))
     done = 5
-    first = next(act.task for act in vineyard_plan.total_order if isinstance(act, Do))
+    first = next(act.task for act in plan.total_order if isinstance(act, Do))
     return ExecutionContext(
         vineyard,
-        vineyard_plan,
+        plan,
         archive,
         archive.entries[0],
         Progress(done, {first: 1}, done),
-        replay(vineyard, vineyard_plan.total_order[:done]),
+        replay(vineyard, plan.total_order[:done]),
     )
 
 
-def test_c2_reduction_mid_vineyard(benchmark, vineyard, vineyard_plan, vineyard_model):
+def test_c2_reduction_mid_vineyard(benchmark, vineyard, scenario_plan, scenario_model):
     # against a floor that 36 of the archive's 54 entries clear
-    ctx = mid_vineyard(vineyard, vineyard_plan, vineyard_model)
+    ctx = mid_vineyard(vineyard, scenario_plan, scenario_model)
     survivors = benchmark(reduce_ps_psucc, ctx, 0.9)
     assert (len(ctx.archive.entries), len(survivors)) == (54, 36)
 
 
-def test_c2_decision_mid_vineyard(benchmark, vineyard, vineyard_plan, vineyard_model):
+def test_c2_decision_mid_vineyard(benchmark, vineyard, scenario_plan, scenario_model):
     # the whole decision: check the change, re-root the spec at the new
     # floor, reduce the archive and swap to one of the 36 survivors (the
     # deployed entry is not among them)
-    ctx = mid_vineyard(vineyard, vineyard_plan, vineyard_model)
+    ctx = mid_vineyard(vineyard, scenario_plan, scenario_model)
     out = benchmark(adapt, ctx, Change("C2", ctx.progress.clock, value=0.9))
     assert (out.level, out.reduced_size, out.new_spec.constraints.p_succ) == (A1, 36, 0.9)
 

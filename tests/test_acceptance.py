@@ -181,7 +181,7 @@ class TestAcceptance:
             f"by one of {len(result['pareto'])} policy points from {result['policies']} policies",
         )
 
-    def test_6_adaptation_scenario(self, vineyard):
+    def test_6_adaptation_scenario(self, vineyard, scenario_plan):
         scenario = json.loads(fixture_text("scenario_adaptation"))
         trace = run_scenario(vineyard, scenario)
         assert trace.result == "success"
@@ -197,8 +197,9 @@ class TestAcceptance:
         ]
 
         # prefix preservation: per-agent executed sequences never deviate from
-        # the deployed plan order (retries repeat the same task action)
-        plan = plan_mission(vineyard, PlannerConfig())
+        # the deployed plan order, the scenario's stored plan (retries repeat
+        # the same task action)
+        plan = scenario_plan
         a3_time = trace.events[-1].time
         executed: dict[str, list] = {}
         for step in trace.steps:

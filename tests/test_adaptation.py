@@ -70,14 +70,14 @@ def ctx_at(spec, plan, model, entries, deployed, prefix_len, failures=None, cloc
 
 
 @pytest.fixture(scope="module")
-def field(vineyard, vineyard_plan, vineyard_model):
-    deployed = make_entry(vineyard_model, {"t1l4": 2, "t2l8b": 2})
-    sibling3 = make_entry(vineyard_model, {"t1l4": 3, "t2l8b": 2})
-    strong = make_entry(vineyard_model, {"t3l7": 2, "t3l9": 2})
+def field(vineyard, scenario_plan, scenario_model):
+    deployed = make_entry(scenario_model, {"t1l4": 2, "t2l8b": 2})
+    sibling3 = make_entry(scenario_model, {"t1l4": 3, "t2l8b": 2})
+    strong = make_entry(scenario_model, {"t3l7": 2, "t3l9": 2})
     return {
         "spec": vineyard,
-        "plan": vineyard_plan,
-        "model": vineyard_model,
+        "plan": scenario_plan,
+        "model": scenario_model,
         "deployed": deployed,
         "sibling3": sibling3,
         "strong": strong,
@@ -923,6 +923,51 @@ class TestScenarioDeploy:
             record[key] = value
         with pytest.raises(ScenarioError, match=message):
             run_scenario(vineyard, scenario)
+
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda plan: {"total_order": plan}, "plan must be a JSON array of actions"),
+            (lambda plan: [{**plan[0], "type": "fly"}] + plan[1:], "scenario plan: unknown action"),
+            (lambda plan: [{**plan[0], "to": 4}] + plan[1:], "scenario plan: malformed move action"),
+            (lambda plan: [{"type": "wait", "agent": "w1"}] + plan, "scenario plan: unknown action"),
+            (lambda plan: [{**plan[0], "agent": "zz"}] + plan[1:], r"action 0 \(Move\(zz,l1,l4\)\) names an agent or task"),
+            (lambda plan: plan[:1] + [{**plan[1], "task": "t9"}] + plan[2:], r"action 1 \(Do\(w1,t9,l4\)\) names an agent"),
+            (lambda plan: plan[1:], r"invalid: \[C2\] @0: w1 cannot do t1l4 at l4"),
+            (lambda plan: plan[:1] + plan[:1] + plan[1:], r"invalid: \[C2\] @1: w1 is not at l1"),
+            (lambda plan: plan[:-1], r"invalid: \[C5\] @17: unfinished tasks: \['t1l6b'\]"),
+        ],
+        ids=["not-a-list", "unknown-type", "malformed", "wait", "unknown-agent", "unknown-task", "broken-constraint",
+             "moved-twice", "tasks-undone"],
+    )
+    def test_bad_stored_plan_is_rejected_before_synthesis(self, vineyard, monkeypatch, edit, message):
+        import json
+
+        import hybridplan.adaptation as adaptation
+        from hybridplan.fixtures import fixture_text
+
+        scenario = json.loads(fixture_text("scenario_adaptation"))
+        scenario["plan"] = edit(scenario["plan"])
+        monkeypatch.setattr(adaptation, "plan_mission", lambda *a: pytest.fail("planned a stored-plan scenario"))
+        monkeypatch.setattr(adaptation, "synthesize", lambda *a: pytest.fail("synthesised from a bad plan"))
+        with pytest.raises(ScenarioError, match=message):
+            run_scenario(vineyard, scenario)
+
+    def test_stored_plan_is_deployed_unplanned(self, vineyard, monkeypatch):
+        import json
+
+        import hybridplan.adaptation as adaptation
+        from hybridplan.fixtures import fixture_text
+        from hybridplan.world import action_to_json
+
+        scenario = json.loads(fixture_text("scenario_adaptation"))
+        seen = []
+        monkeypatch.setattr(adaptation, "plan_mission", lambda *a: pytest.fail("planned a stored-plan scenario"))
+        monkeypatch.setattr(adaptation, "simulate", lambda *args, **kw: seen.append(args[1]))
+        run_scenario(vineyard, scenario)
+        (plan,) = seen
+        assert [action_to_json(a) for a in plan.total_order] == scenario["plan"]
+        assert plan.hash_key() == "f5401cba4140bcf8" and plan.travel_cost == 8.0
 
     def test_a_null_deploy_is_rejected_before_planning(self, vineyard, monkeypatch):
         # only an absent deploy picks the cheapest entry

@@ -9,6 +9,8 @@ from hybridplan.world import (
     Do,
     Move,
     Wait,
+    action_from_json,
+    action_to_json,
     apply_action,
     enabled_actions,
     initial_state,
@@ -43,6 +45,27 @@ class TestEnabled:
         state = apply_action(vineyard, state, Move("w2", "l1", "l4"))
         acts = enabled_actions(vineyard, state)
         assert Move("w1", "l1", "l4") not in acts
+
+
+class TestActionJson:
+    @pytest.mark.parametrize("action", [Move("w1", "l1", "l4"), Do("w1", "t1l4", "l4")])
+    def test_round_trip(self, action):
+        assert action_from_json(action_to_json(action)) == action
+
+    @pytest.mark.parametrize(
+        ("raw", "message"),
+        [
+            ({"type": "fly", "agent": "w1"}, "unknown action"),
+            ({"type": "wait", "agent": "w1"}, "unknown action"),
+            ({"type": ["move"], "agent": "w1", "from": "l1", "to": "l4"}, "unknown action"),
+            (["move", "w1", "l1", "l4"], "unknown action"),
+            ({"type": "move", "agent": "w1", "from": "l1"}, "malformed move action"),
+            ({"type": "do", "agent": "w1", "task": 3, "location": "l4"}, "malformed do action"),
+        ],
+    )
+    def test_anything_else_is_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            action_from_json(raw)
 
 
 class TestApply:
