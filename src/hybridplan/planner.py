@@ -7,14 +7,11 @@ task action is enabled the search commits to the canonically-first one.
 This is safe for travel optimality: executing an available task never
 changes positions or emptiness and the goal requires it eventually anyway.
 
-A* ranks a child by ``g + max(h, forest)``, where ``h`` is the heuristic
-(farthest task, predecessor legs) and ``forest`` a capability-partitioned
-spanning-forest bound (``_Heuristic.forest``): workers alone may do some
-tasks and robots alone others, which ``h`` cannot see, and on the 3x3 grid
-that, not occupancy, is most of its gap to the optimum.  Ties fall back on
-the former key ``(g + h, h)``: ranking them by the forest too expands fewer
-states but reorders vineyard's trace, and the bundled adaptation scenario
-is scripted against its exact interleaving.
+A* ranks a child by ``(g + H, H)`` with ``H = max(h, forest)``, where
+``h`` is the heuristic (farthest task, predecessor legs) and ``forest`` a
+capability-partitioned spanning-forest bound (see ``_Heuristic``): workers
+alone may do some tasks and robots alone others, which ``h`` cannot see,
+and on the 3x3 grid that, not occupancy, is most of its gap to the optimum.
 
 The search runs on a compact encoding compiled once per call: locations,
 agents and tasks become indices, and distances, moves and doable-task masks
@@ -346,8 +343,8 @@ class _Heuristic:
     those legs are disjoint; summing per-location minimal legs is a lower
     bound.  blind is 0 everywhere (uniform-cost search).
 
-    ``forest`` is a third bound, which A* ranks by alongside the other two.
-    Its classes are pairwise-disjoint capable sets of pending tasks, taken
+    The forest bound is a third one, which A* ranks by alongside the other
+    two.  Its classes are pairwise-disjoint capable sets of pending tasks, taken
     smallest first and then by members; a class owns every pending task
     whose capable set lies inside it.  Only the class's agents may do its
     owned tasks, so their walks, started at their positions, visit every
@@ -357,18 +354,19 @@ class _Heuristic:
     shortest travel distances (Held & Karp's 1-tree argument).  Disjoint
     classes walk disjoint routes, so the forests add up.
 
-    What depends on the done set alone is cached per done mask: the undone
-    task locations grouped by capable-agent set, each undone location's
-    minimal leg from the other undone locations, and each class's owned
-    undone locations as a mask.  What depends on positions alone is cached
-    per positions field (the state shifted past its masks): for each agent
-    set, the distance from its nearest member to every location, and each
-    class's positions as a mask.  Positions are decoded only on a miss.  A
-    call then only combines the two, and a class's forest is cached per
-    (positions mask, owned mask) pair; a key over every class at once
-    would almost never repeat.  The predecessor sum runs in sorted-location
-    order and Prim's in its own deterministic order from the two masks, so
-    rounding is the same however the state was reached.
+    A call gives both, ``(h, forest)``.  What depends on the done set alone
+    is one cache entry per done mask: the undone task locations grouped by
+    capable-agent set, each undone location's minimal leg from the other
+    undone locations, and each class's owned undone locations as a mask.
+    What depends on positions alone is one entry per positions field (the
+    state shifted past its masks): for each agent set, the distance from
+    its nearest member to every location, and each class's positions as a
+    mask.  Positions are decoded only on a miss.  A call then only combines
+    the two, and a class's forest is cached per (positions mask, owned mask)
+    pair; a key over every class at once would almost never repeat.  The
+    predecessor sum runs in sorted-location order and Prim's in its own
+    deterministic order from the two masks, so rounding is the same however
+    the state was reached.
     """
 
     def __init__(self, problem: _Compact, kind: str):
@@ -390,63 +388,59 @@ class _Heuristic:
         ]
         self.done_mask, self.positions_shift = problem.done_mask, problem.positions_shift
         self._by_done: dict[int, tuple] = {}
-        self._by_positions: dict[int, list] = {}
-        self._owned_by_done: dict[int, tuple] = {}
-        self._roots_by_positions: dict[int, tuple] = {}
+        self._by_positions: dict[int, tuple] = {}
         self._forests: dict[tuple, float] = {}
 
     def _undone(self, done: int) -> tuple:
         """(agent-set index, target locations) groups and (location, minimal
-        leg from another undone location) pairs, both in index order."""
+        leg from another undone location) pairs, both in index order, and
+        per class the mask of the locations of its owned undone tasks."""
         p = self.problem
         tasks = [t for t in range(len(p.task_ids)) if p.pending >> t & 1 and not done >> t & 1]
         if any(not p.capable[t] for t in tasks):
-            return None, None  # some task nobody may execute
+            return None, None, None  # some task nobody may execute
         targets: dict[int, dict] = {}
+        owned = [0] * len(self.classes)
         for t in tasks:
             targets.setdefault(self.sets.index(p.capable[t]), {})[p.task_loc[t]] = None
+            if self.owner[t] is not None:
+                owned[self.owner[t]] |= 1 << p.task_loc[t]
         locs = sorted({p.task_loc[t] for t in tasks})
         legs = [(loc, min([p.dist[o][loc] for o in locs if o != loc], default=INF)) for loc in locs]
-        return [(s, list(ls)) for s, ls in targets.items()], legs
+        return [(s, list(ls)) for s, ls in targets.items()], legs, tuple(owned)
 
-    def _owned(self, done: int) -> tuple:
-        """Per class, the mask of the locations of its owned undone tasks."""
-        owned = [0] * len(self.classes)
-        for t, c in enumerate(self.owner):
-            if c is not None and not done >> t & 1:
-                owned[c] |= 1 << self.problem.task_loc[t]
-        return tuple(owned)
-
-    def _nearest(self, state: int) -> list:
+    def _positions(self, state: int) -> tuple:
+        """For each agent set the distance from its nearest member to every
+        location, and per class the mask of its members' locations."""
         dist = self.problem.dist
         positions = self.problem.decode(state)[0]
-        out = []
+        nearest = []
         for agents in self.sets:
             rows = [dist[positions[a]] for a in agents]
-            out.append(rows[0] if len(rows) == 1 else list(map(min, *rows)))
-        return out
+            nearest.append(rows[0] if len(rows) == 1 else list(map(min, *rows)))
+        roots = tuple(sum({1 << positions[a] for a in agents}) for agents in self.classes)
+        return nearest, roots
 
-    def _roots(self, state: int) -> tuple:
-        """Per class, the mask of its members' locations."""
-        positions = self.problem.decode(state)[0]
-        return tuple(sum({1 << positions[a] for a in agents}) for agents in self.classes)
-
-    def __call__(self, state: int) -> float:
+    def __call__(self, state: int) -> tuple[float, float]:
+        """``(h, forest)`` of ``state``: the two-bound heuristic and the
+        spanning-forest bound, both 0 for blind and ``inf`` when some
+        pending task is unassignable or unreachable."""
         if self.kind == "blind":
-            return 0.0
+            return 0.0, 0.0
         done = state & self.done_mask
         cached = self._by_done.get(done)
         if cached is None:
             cached = self._by_done[done] = self._undone(done)
-        groups, legs = cached
+        groups, legs, owned = cached
         if groups is None:
-            return INF
+            return INF, INF
         if not groups:
-            return 0.0
+            return 0.0, 0.0
         positions = state >> self.positions_shift
-        nearest = self._by_positions.get(positions)
-        if nearest is None:
-            nearest = self._by_positions[positions] = self._nearest(state)
+        cached = self._by_positions.get(positions)
+        if cached is None:
+            cached = self._by_positions[positions] = self._positions(state)
+        nearest, roots = cached
 
         h_max = 0.0
         for s, locs in groups:
@@ -455,37 +449,24 @@ class _Heuristic:
                 if row[loc] > h_max:
                     h_max = row[loc]
         if h_max == INF:
-            return INF  # some task unreachable by every capable agent
+            return INF, INF  # some task unreachable by every capable agent
 
         row = nearest[self.everyone]
         h_pred = 0.0
         for loc, best in legs:
             h_pred += row[loc] if row[loc] < best else best
-        return max(h_max, h_pred)
 
-    def forest(self, state: int) -> float:
-        """The capability-partitioned spanning-forest bound: per class, the
-        minimum forest rooted at its members' positions that spans its owned
-        undone task locations, summed over the classes; 0 for blind."""
-        if self.kind == "blind":
-            return 0.0
-        done = state & self.done_mask
-        owned = self._owned_by_done.get(done)
-        if owned is None:
-            owned = self._owned_by_done[done] = self._owned(done)
-        positions = state >> self.positions_shift
-        roots = self._roots_by_positions.get(positions)
-        if roots is None:
-            roots = self._roots_by_positions[positions] = self._roots(state)
-        total = 0.0
+        # per class, the minimum forest rooted at its members' positions
+        # that spans its owned undone task locations
+        forest = 0.0
         forests = self._forests
         for pair in zip(roots, owned):
             if pair[1]:
                 cost = forests.get(pair)
                 if cost is None:
                     cost = forests[pair] = self._prim(*pair)
-                total += cost
-        return total
+                forest += cost
+        return (h_max if h_max > h_pred else h_pred), forest
 
     def _prim(self, roots: int, targets: int) -> float:
         """Prim's minimum spanning tree over the locations of ``targets``
@@ -528,7 +509,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     problem = _Compact(spec)
     h = _Heuristic(problem, cfg.heuristic)
     start = problem.start
-    h0 = h(start)
+    h0, f0 = h(start)
     if h0 == INF:
         raise NoPlanExists("some pending task is unreachable or unassignable")
 
@@ -539,13 +520,14 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     # concrete state -> (predecessor, action code) of the push that reached it
     links: dict = {start: (None, None)}
     astar = cfg.strategy == "astar"
-    # (rank, tie-breaks, push order, g, state, canonical state): A* ranks by
-    # (g + max(h, forest), g + h, h), gbfs by h
+    # (rank, tie-break, push order, g, state, canonical state): A* ranks by
+    # (g + H, H) with H = max(h, forest), gbfs by h
     if astar:
-        heap = [(max(h0, h.forest(start)), h0, h0, next(counter), 0.0, start, start_key)]
+        bound = max(h0, f0)
+        heap = [(bound, bound, next(counter), 0.0, start, start_key)]
     else:
-        heap = [(h0, 0.0, 0.0, next(counter), 0.0, start, start_key)]
-    push, pop, forest = heapq.heappush, heapq.heappop, h.forest
+        heap = [(h0, 0.0, next(counter), 0.0, start, start_key)]
+    push, pop = heapq.heappush, heapq.heappop
     successors, derive, pending = problem.successors, problem.child_canonical, problem.pending
     # without classes a state is its own key, so the derivation is skipped
     reduced = bool(problem.classes)
@@ -553,7 +535,7 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     expansions = generated = reopened = 0
 
     while heap:
-        _, _, _, _, g, state, canon = pop(heap)
+        _, _, _, g, state, canon = pop(heap)
         if g > best[canon]:
             continue  # stale entry
         if state & pending == pending:
@@ -574,13 +556,13 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
                 if seen is not None:
                     reopened += 1
                 best[key] = cg
-                ch = h(key)
+                ch, cf = h(key)
                 links[child] = (state, code)
                 if astar:
-                    cf = forest(key)
-                    push(heap, (cg + (ch if ch > cf else cf), cg + ch, ch, next(counter), cg, child, key))
+                    bound = ch if ch > cf else cf
+                    push(heap, (cg + bound, bound, next(counter), cg, child, key))
                 else:
-                    push(heap, (ch, 0.0, 0.0, next(counter), cg, child, key))
+                    push(heap, (ch, 0.0, next(counter), cg, child, key))
 
     raise NoPlanExists("goal unreachable from the initial configuration")
 

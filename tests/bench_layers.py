@@ -32,7 +32,7 @@ def test_astar_on_the_slowest_plan_heavy_mission(benchmark):
     # one whole search on the plan-heavy catalogue's slowest mission
     spec = random_instance(10, 4, 18)
     plan = benchmark(plan_mission, spec)
-    assert (plan.stats["expansions"], plan.travel_cost) == (1156, 11.0)
+    assert (plan.stats["expansions"], plan.travel_cost) == (355, 11.0)
 
 
 def test_build_full_mdp_m1(benchmark, m1):
@@ -66,7 +66,7 @@ def test_heuristic_on_vineyard_start(benchmark, vineyard):
         setup=lambda: ((_Heuristic(problem, "combined"),), {}),
         rounds=200,
     )
-    assert h == 6.0
+    assert h == (6.0, 7.0)
 
 
 def test_evaluate_vineyard_max_budgets(benchmark, vineyard_model):

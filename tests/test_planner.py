@@ -209,7 +209,7 @@ class TestHeuristic:
     def test_admissible_at_root(self, vineyard, vineyard_plan):
         problem = _Compact(vineyard)
         h = _Heuristic(problem, "combined")
-        assert h(problem.encode(initial_state(vineyard))) <= vineyard_plan.travel_cost
+        assert h(problem.encode(initial_state(vineyard)))[0] <= vineyard_plan.travel_cost
 
     def test_admissible_along_optimal_path(self, vineyard, vineyard_plan):
         problem = _Compact(vineyard)
@@ -217,7 +217,7 @@ class TestHeuristic:
         state = initial_state(vineyard)
         remaining = vineyard_plan.travel_cost
         for act in vineyard_plan.total_order:
-            assert h(problem.encode(state)) <= remaining + 1e-9
+            assert h(problem.encode(state))[0] <= remaining + 1e-9
             if isinstance(act, Move):
                 remaining -= vineyard.distance(act.origin, act.dest)
             state = replay(vineyard, [act], start=state)
@@ -256,9 +256,9 @@ class TestForest:
         h = _Heuristic(problem, "combined")
         state = initial_state(vineyard)
         remaining = vineyard_plan.travel_cost
-        assert h.forest(problem.start) == 7.0 > h(problem.start) == vineyard_plan.stats["h0"]
+        assert h(problem.start) == (vineyard_plan.stats["h0"], 7.0) == (6.0, 7.0)
         for act in vineyard_plan.total_order:
-            assert h.forest(problem.encode(state)) <= remaining + 1e-9
+            assert h(problem.encode(state))[1] <= remaining + 1e-9
             if isinstance(act, Move):
                 remaining -= vineyard.distance(act.origin, act.dest)
             state = replay(vineyard, [act], start=state)
@@ -270,11 +270,12 @@ class TestForest:
         positions, empty, _ = problem.decode(problem.start)
         done = sum(1 << t for t, tid in enumerate(problem.task_ids) if not tid.startswith("t3"))
         key = problem.pack(positions, empty, done)
-        assert h.forest(key) == 0.0 < h(key)
+        bound, forest = h(key)
+        assert forest == 0.0 < bound
 
     def test_blind_is_zero(self, vineyard):
         problem = _Compact(vineyard)
-        assert _Heuristic(problem, "blind").forest(problem.start) == 0.0
+        assert _Heuristic(problem, "blind")(problem.start) == (0.0, 0.0)
 
     def test_prim_on_a_hand_built_map(self):
         # non-unit distances, a shorter detour than the direct a-c path, and
