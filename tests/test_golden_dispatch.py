@@ -49,7 +49,9 @@ SIM_MISSIONS = [(3 + i % 3, 2 + i % 2, 200 + i) for i in range(12)]
 SIM_SEEDS = (0, 1, 2)
 SIM_P = 0.6
 SIM_GA = GaConfig(population=8, evaluations=24, seed=0)
-ADAPT_SEEDS = range(6)
+# ten streams per mission, so the decisions reach every pair acceptance 7
+# drives (the first C1 that replans comes at seed 9)
+ADAPT_SEEDS = range(10)
 # every (change kind, level) pair acceptance 7 drives
 ACCEPTANCE_7_PAIRS = {
     "C1/NA", "C1/A1", "C1/A3", "C2/NA", "C2/A1", "C2/A3",
