@@ -69,6 +69,8 @@ from .pmc import factored_mission_metrics  # noqa: F401
 from .world import apply_action, is_enabled  # noqa: F401
 
 NA, A1, A2, A3 = "NA", "A1", "A2", "A3"
+# slots a simulated mission may run before it ends as "step_limit"
+MAX_STEPS = 10_000
 # the pipeline stages each adaptation level reruns
 STAGES = {
     NA: frozenset(),
@@ -549,7 +551,6 @@ def simulate(
     deploy: ArchiveEntry,
     changes: list[Change],
     seed: int = 0,
-    max_steps: int = 10_000,
     ga: Optional[GaConfig] = None,
     planner_cfg: Optional[PlannerConfig] = None,
 ) -> Trace:
@@ -559,7 +560,8 @@ def simulate(
     forces the matching attempt to fail.  Every observed failure and every
     scripted requirement change runs the adaptation algorithm.  Deterministic
     for fixed inputs and seed.  The changes are checked against the mission
-    (``validate_scenario``) before the first dispatch.  ``model`` is the
+    (``validate_scenario``) before the first dispatch.  A run still going
+    after ``MAX_STEPS`` slots ends as ``step_limit``.  ``model`` is the
     deployed plan's model; the loop does not read it (each decision builds
     the suffix model it needs), but it stays a positional parameter.
     """
@@ -609,7 +611,7 @@ def simulate(
             return False
         return bool(rng.random() < ctx.spec.p_success(act.agent, act.task))
 
-    while ctx.progress.clock < max_steps:
+    while ctx.progress.clock < MAX_STEPS:
         t = ctx.progress.clock
         step_events: list[TraceEvent] = []
         forced_fail = None
@@ -669,7 +671,7 @@ def simulate(
 # scenario files
 
 
-SCENARIO_KEYS = ("seed", "changes", "ga", "planner", "plan", "seed_entries", "deploy", "max_steps")
+SCENARIO_KEYS = ("seed", "changes", "ga", "planner", "plan", "seed_entries", "deploy")
 
 
 def _object(raw, what: str, keys) -> dict:
@@ -696,8 +698,7 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     Schema: {"seed": int, "changes": [{time, type, ...}], "ga": {...}?,
     "planner": {...}?, "plan": [action, ...]?,
     "seed_entries": [{task: budget, ...}]?,
-    "deploy": {"retries": {...}} | {"require_budget": {task: budget}}?,
-    "max_steps": int?}.
+    "deploy": {"require_budget": {task: budget}}?}.
 
     plan is the deployed sequential trace as ``action_to_json`` objects, so
     the changes' times do not depend on the planner's tie order; without it
@@ -708,28 +709,22 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     wrong JSON type (a present ``deploy`` that is not an object among
     them), changes out of time order, changes naming agents or tasks the
     mission does not have, a C4 on a pair whose agent has no capability for
-    the task, a ``deploy`` naming both budget rules and a malformed or
-    invalid plan are a ScenarioError before synthesis; budgets, which need
+    the task and a malformed or invalid plan are a ScenarioError before synthesis; budgets, which need
     the model's slots, are checked once it is built.
     """
     _object(scenario, "a scenario", SCENARIO_KEYS)
     seed = _count(scenario, "seed", 0)
-    max_steps = _count(scenario, "max_steps", 10_000)
     records, seed_entries = scenario.get("changes", []), scenario.get("seed_entries", [])
     if not isinstance(records, list) or not isinstance(seed_entries, list):
         raise ScenarioError("a scenario's changes and seed_entries must be JSON arrays")
     changes = [Change.from_json(c) for c in records]
     validate_scenario(spec, changes)
     ga_raw = _object(scenario.get("ga", {}), "ga", ("population", "evaluations"))
-    planner_raw = _object(scenario.get("planner", {}), "planner", ("strategy", "timeout"))
-    deploy_raw = _object(scenario.get("deploy", {}), "deploy", ("retries", "require_budget"))
-    if "retries" in deploy_raw and "require_budget" in deploy_raw:
-        raise ScenarioError("deploy takes retries or require_budget, not both")
+    planner_raw = _object(scenario.get("planner", {}), "planner", ("timeout",))
+    deploy_raw = _object(scenario.get("deploy", {}), "deploy", ("require_budget",))
     try:
         ga = GaConfig(population=ga_raw.get("population", 30), evaluations=ga_raw.get("evaluations", 150), seed=seed)
-        planner_cfg = PlannerConfig(
-            strategy=planner_raw.get("strategy", "astar"), timeout=planner_raw.get("timeout", 120.0)
-        )
+        planner_cfg = PlannerConfig(timeout=planner_raw.get("timeout", 120.0))
     except ValueError as exc:
         raise ScenarioError(f"scenario ga or planner: {exc}") from None
     plan = _stored_plan(spec, scenario["plan"]) if "plan" in scenario else plan_mission(spec, planner_cfg)
@@ -750,7 +745,6 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
         deploy,
         changes,
         seed=seed,
-        max_steps=max_steps,
         ga=ga,
         planner_cfg=planner_cfg,
     )
@@ -776,17 +770,12 @@ def _stored_plan(spec: ProblemSpec, raw) -> Plan:
 
 
 def _pick_deploy(model: ParametricPlanModel, archive: ParetoArchive, raw: dict) -> ArchiveEntry:
-    """The archive entry with exactly the ``retries`` vector, else the
-    cheapest entry with the ``require_budget`` budgets (the cheapest entry
-    when ``raw``, the checked ``deploy`` object, names neither)."""
+    """The cheapest archive entry with the ``require_budget`` budgets of
+    ``raw``, the checked ``deploy`` object (the cheapest entry when it names
+    none).  Genotypes are unique within an archive, so a full vector picks
+    exactly that entry."""
     if archive.is_empty():
         raise UnrecoverableMission("no feasible budget vector to deploy")
-    if "retries" in raw:
-        wanted = checked_budgets(model, raw["retries"], ScenarioError, "deploy.retries")
-        for e in archive.entries:
-            if e.retries == wanted:
-                return e
-        raise ScenarioError(f"deploy vector {wanted} is not in the archive")
     required = checked_budgets(model, raw.get("require_budget", {}), ScenarioError, "deploy.require_budget")
     candidates = [
         e

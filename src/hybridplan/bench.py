@@ -162,7 +162,7 @@ def _run_pipeline(n_tasks: int, n_agents: int, seed: int, planner_cfg: Optional[
     spec = random_instance(n_tasks, n_agents, seed)
     cfg = ga or GaConfig(population=30, evaluations=150, seed=seed)
     _, s1 = _timed(lambda: (export_pddl_domain(spec), export_pddl_problem(spec)))
-    plan, s2 = _timed(lambda: plan_mission(spec, planner_cfg or PlannerConfig(strategy="astar", timeout=600)))
+    plan, s2 = _timed(lambda: plan_mission(spec, planner_cfg or PlannerConfig(timeout=600)))
     model, s3 = _timed(lambda: build_parametric_model(spec, plan))
     _, s4 = _timed(lambda: synthesize(model, cfg))
     times = {"s1_export": s1, "s2_plan": s2, "s3_model": s3, "s4_synthesis": s4}

@@ -29,7 +29,7 @@ from .chains import (
 )
 from .errors import ConvergenceError, InternalError, ScenarioError, SpecError, StateBudgetExceeded
 from .pddl import export_pddl_domain, export_pddl_problem
-from .planner import STRATEGIES, PlannerConfig, plan_metrics, plan_mission, validate_plan
+from .planner import PlannerConfig, plan_metrics, plan_mission, validate_plan
 from .pmc import factored_mission_metrics
 from .prism import export_model_source, export_properties
 from .spec import parse_problem_spec, validate
@@ -76,7 +76,7 @@ def _stage(timings: dict, name: str, fn, *args):
 
 
 def _planner_config(args) -> PlannerConfig:
-    return PlannerConfig(strategy=args.strategy, timeout=args.timeout)
+    return PlannerConfig(timeout=args.timeout)
 
 
 def _ga_config(args) -> GaConfig:
@@ -258,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def planner_flags(p, timeout=120.0):
-        p.add_argument("--strategy", choices=STRATEGIES, default="astar")
         p.add_argument("--timeout", type=float, default=timeout)
 
     def ga_flags(p):

@@ -1,8 +1,7 @@
 """Heuristic forward search for feasible minimum-travel plans.
 
 A* over grounded world states with an admissible travel-cost heuristic
-produces optimal plans; greedy best-first is available for quick feasible
-plans on large instances.  Task execution costs no travel, so whenever a
+produces optimal plans.  Task execution costs no travel, so whenever a
 task action is enabled the search commits to the canonically-first one.
 This is safe for travel optimality: executing an available task never
 changes positions or emptiness and the goal requires it eventually anyway.
@@ -86,21 +85,17 @@ from .world import (
 # stay planner attributes: benchmark/spans.py wraps them by name.
 from .world import enabled_actions, is_goal  # noqa: F401
 
-STRATEGIES = ("astar", "gbfs")
 HEURISTICS = ("blind", "combined")
 
 
 @dataclass(frozen=True)
 class PlannerConfig:
     # the optimisation objective is fixed: minimise total travel distance
-    strategy: str = "astar"
     heuristic: str = "combined"
     timeout: float = 120.0
     max_expansions: int = 5_000_000
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy '{self.strategy}'")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"unknown heuristic '{self.heuristic}'")
         # NaN fails both comparisons; inf would let the search run unbounded
@@ -494,9 +489,8 @@ class _Heuristic:
 def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan:
     """Search for a plan completing every pending task.
 
-    astar returns a travel-optimal plan (admissible heuristic, re-opening
-    on cheaper paths); gbfs returns a feasible plan fast.  Raises
-    NoPlanExists when the goal is unreachable, PlanTimeout past the
+    Returns a travel-optimal plan (admissible heuristic, re-opening on
+    cheaper paths).  Raises NoPlanExists when the goal is unreachable, PlanTimeout past the
     configured wall-clock budget and its subclass ExpansionLimit past the
     expansion cap.  The plan's ``stats`` count expansions, generated
     successors, re-opened states (a cheaper path to a state already
@@ -519,14 +513,9 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     best: dict = {start_key: 0.0}
     # concrete state -> (predecessor, action code) of the push that reached it
     links: dict = {start: (None, None)}
-    astar = cfg.strategy == "astar"
-    # (rank, tie-break, push order, g, state, canonical state): A* ranks by
-    # (g + H, H) with H = max(h, forest), gbfs by h
-    if astar:
-        bound = max(h0, f0)
-        heap = [(bound, bound, next(counter), 0.0, start, start_key)]
-    else:
-        heap = [(h0, 0.0, next(counter), 0.0, start, start_key)]
+    # (g + H, H, push order, g, state, canonical state), H = max(h, forest)
+    bound = max(h0, f0)
+    heap = [(bound, bound, next(counter), 0.0, start, start_key)]
     push, pop = heapq.heappush, heapq.heappop
     successors, derive, pending = problem.successors, problem.child_canonical, problem.pending
     # without classes a state is its own key, so the derivation is skipped
@@ -558,11 +547,8 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
                 best[key] = cg
                 ch, cf = h(key)
                 links[child] = (state, code)
-                if astar:
-                    bound = ch if ch > cf else cf
-                    push(heap, (cg + bound, bound, next(counter), cg, child, key))
-                else:
-                    push(heap, (ch, 0.0, next(counter), cg, child, key))
+                bound = ch if ch > cf else cf
+                push(heap, (cg + bound, bound, next(counter), cg, child, key))
 
     raise NoPlanExists("goal unreachable from the initial configuration")
 

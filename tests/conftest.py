@@ -15,7 +15,7 @@ def vineyard():
 
 @pytest.fixture(scope="session")
 def vineyard_plan(vineyard):
-    return plan_mission(vineyard, PlannerConfig(strategy="astar", timeout=60))
+    return plan_mission(vineyard, PlannerConfig(timeout=60))
 
 
 @pytest.fixture(scope="session")

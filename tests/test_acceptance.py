@@ -56,7 +56,7 @@ def ok(n, message):
 class TestAcceptance:
     def test_1_plan_optimality(self, vineyard):
         t0 = time.monotonic()
-        plan = plan_mission(vineyard, PlannerConfig(strategy="astar", timeout=60))
+        plan = plan_mission(vineyard, PlannerConfig(timeout=60))
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0
         # the deterministic companion of the timing check: the search's work
@@ -328,7 +328,7 @@ class TestAcceptance:
             task_counts=(10, 11, 12, 13),
             agent_counts=(2, 4, 6),
             seeds=(11, 12, 13),
-            planner_cfg=PlannerConfig(strategy="astar", timeout=600),
+            planner_cfg=PlannerConfig(timeout=600),
         )
         elapsed = time.monotonic() - t0
         assert len(rows) == 12

@@ -636,11 +636,14 @@ class TestSimulate:
         assert trace.result == "stalled"
         assert trace.clock == 1
 
-    def test_step_limit_names_itself(self, field):
+    def test_step_limit_names_itself(self, field, monkeypatch):
         # cut after two slots with most of the plan ahead and nothing blocked
+        import hybridplan.adaptation as adaptation
+
         deployed = field["deployed"]
         archive = ParetoArchive(field["model"].plan_hash, [deployed], 0, {}, [(deployed.genotype, deployed.objectives)])
-        trace = simulate(field["spec"], field["plan"], field["model"], archive, deployed, [], seed=0, max_steps=2)
+        monkeypatch.setattr(adaptation, "MAX_STEPS", 2)
+        trace = simulate(field["spec"], field["plan"], field["model"], archive, deployed, [], seed=0)
         assert trace.result == "step_limit"
         assert trace.clock == 2
 
@@ -761,7 +764,7 @@ class TestStochasticSoak:
         deployed = select_new_plan(archive.entries)
         events_seen = 0
         for run_seed in range(seed * 10, seed * 10 + 5):
-            trace = simulate(spec, plan, model, archive, deployed, [], seed=run_seed, max_steps=400)
+            trace = simulate(spec, plan, model, archive, deployed, [], seed=run_seed)
             assert trace.result == "success"
             assert set(trace.levels()) <= {NA, A1, A3}
             assert trace.stage_counts.get("S0", 0) == trace.levels().count(A3)
@@ -849,8 +852,7 @@ class TestScenarioDeploy:
         ("deploy", "message"),
         [
             ({"rule": "max_success"}, r"deploy names unknown keys \['rule'\]"),
-            ({"retries": {"t1l4": 5}}, "not in the archive"),
-            ({"retries": {"t1l4": 2}, "require_budget": {"t1l4": 3}}, "retries or require_budget, not both"),
+            ({"retries": {"t1l4": 2}}, r"deploy names unknown keys \['retries'\]"),
             ({"require_budget": {"t1l4": 5}}, "no archive entry matches required budgets"),
         ],
     )
@@ -881,13 +883,13 @@ class TestScenarioDeploy:
             (3, "agent", "zz", "C4 change at 11 names unknown agent 'zz'"),
             (3, "agent", "r1", "C4 change at 11: agent 'r1' has no capability for task 't1l6a'"),
             (None, "seed", "3", "seed must be an integer >= 0, got '3'"),
-            (None, "max_steps", "5", "max_steps must be an integer >= 0, got '5'"),
+            (None, "max_steps", 200, r"a scenario names unknown keys \['max_steps'\]"),
             (None, "ga", {"population": "30"}, "population must be an integer >= 2, got '30'"),
             (None, "ga", {"evaluations": 40.5}, "evaluations must be an integer >= population, got 40.5"),
             (None, "planner", {"timeout": "5"}, "timeout must be a finite number > 0, got '5'"),
             (None, "planner", {"timeout": float("nan")}, "timeout must be a finite number > 0, got nan"),
             (None, "planner", {"timeout": float("inf")}, "timeout must be a finite number > 0, got inf"),
-            (None, "planner", {"strategy": "dfs"}, "unknown strategy 'dfs'"),
+            (None, "planner", {"strategy": "astar"}, r"planner names unknown keys \['strategy'\]"),
             (None, "ga", 5, "ga must be a JSON object, got 5"),
             (None, "sead", 3, r"a scenario names unknown keys \['sead'\]"),
             (None, "changes", 5, "changes and seed_entries must be JSON arrays"),
@@ -903,7 +905,7 @@ class TestScenarioDeploy:
             (None, "deploy", "", "deploy must be a JSON object, got ''"),
             (None, "deploy", 5, "deploy must be a JSON object, got 5"),
             (None, "deploy", {"rule": "max_success"}, r"deploy names unknown keys \['rule'\]"),
-            (None, "deploy", {"retries": {}, "require_budget": {}}, "retries or require_budget, not both"),
+            (None, "deploy", {"retries": {}}, r"deploy names unknown keys \['retries'\]"),
         ],
     )
     def test_change_records_are_not_coerced(self, vineyard, monkeypatch, index, key, value, message):
@@ -1010,7 +1012,7 @@ class TestScenarioDeploy:
             ({"nope": 1}, "unknown retryable task 'nope'"),
         ],
     )
-    @pytest.mark.parametrize("where", ["seed_entries", "deploy.retries", "deploy.require_budget"])
+    @pytest.mark.parametrize("where", ["seed_entries", "deploy.require_budget"])
     def test_scenario_budgets_are_integers_within_bounds(self, vineyard, where, budgets, message):
         # the same rule as the CLI's --retries: no truncation, no booleans
         import json
@@ -1020,8 +1022,6 @@ class TestScenarioDeploy:
         scenario = json.loads(fixture_text("scenario_adaptation"))
         if where == "seed_entries":
             scenario["seed_entries"][0].update(budgets)
-        elif where == "deploy.retries":
-            scenario["deploy"]["retries"].update(budgets)
         else:
             scenario["deploy"] = {"require_budget": budgets}
         with pytest.raises(ScenarioError, match=message):

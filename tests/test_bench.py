@@ -35,7 +35,7 @@ class TestRandomInstance:
 
     def test_instances_are_solvable(self):
         spec = random_instance(6, 2, seed=9)
-        plan = plan_mission(spec, PlannerConfig(strategy="gbfs"))
+        plan = plan_mission(spec, PlannerConfig())
         assert validate_plan(spec, plan) == []
 
 

@@ -63,8 +63,9 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("flag", ["--strategy", "--timeout"])
     def test_simulate_takes_no_planner_flags(self, flag, capsys, scenario_path):
-        # the scenario's "planner" object configures the search; nothing read these
-        value = {"--strategy": "gbfs", "--timeout": "0.000001"}[flag]
+        # the scenario's "planner" object configures the search; no subcommand
+        # takes --strategy any more, and simulate never read --timeout
+        value = {"--strategy": "astar", "--timeout": "0.000001"}[flag]
         with pytest.raises(SystemExit) as exit_:
             main(["simulate", "--spec", "vineyard", "--scenario", str(scenario_path), flag, value])
         assert exit_.value.code == 2
@@ -327,14 +328,14 @@ class TestErrors:
 # every option of every subcommand: adding or removing a knob changes this table
 KNOBS = {
     "validate": ["--spec"],
-    "plan": ["--spec", "--out", "--strategy", "--timeout"],
-    "synthesize": ["--spec", "--out", "--strategy", "--timeout", "--seed", "--pop", "--evals"],
-    "verify": ["--spec", "--strategy", "--timeout", "--retries"],
+    "plan": ["--spec", "--out", "--timeout"],
+    "synthesize": ["--spec", "--out", "--timeout", "--seed", "--pop", "--evals"],
+    "verify": ["--spec", "--timeout", "--retries"],
     "simulate": ["--spec", "--out", "--scenario", "--seed"],
     "baseline": ["--spec", "--state-budget", "--bound", "--enumerate", "--limit"],
     "export-pddl": ["--spec", "--out"],
-    "export-prism": ["--spec", "--out", "--strategy", "--timeout", "--retries", "--max-retries"],
-    "bench": ["--out", "--tasks", "--agents", "--reps", "--seed", "--pop", "--evals", "--strategy", "--timeout"],
+    "export-prism": ["--spec", "--out", "--timeout", "--retries", "--max-retries"],
+    "bench": ["--out", "--tasks", "--agents", "--reps", "--seed", "--pop", "--evals", "--timeout"],
 }
 
 
@@ -346,7 +347,7 @@ def test_knob_inventory():
         for name, p in sub.choices.items()
     }
     assert knobs == KNOBS
-    assert sum(map(len, KNOBS.values())) == 42
+    assert sum(map(len, KNOBS.values())) == 37
 
 
 class TestDeterminism:

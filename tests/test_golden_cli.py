@@ -44,7 +44,6 @@ CASES = {
         for name, argv in PER_FIXTURE.items()
     },
     "verify-retries/vineyard": ["verify", "--spec", "vineyard", "--retries", '{"t3l4": 2}'],
-    "synthesize-gbfs/vineyard": ["synthesize", "--spec", "vineyard", "--out", f"{TMP}/out", "--strategy", "gbfs"],
     "baseline-enumerate/m1_mini": ["baseline", "--spec", "m1_mini", "--enumerate"],
     "baseline/m1": ["baseline", "--spec", "m1"],
     "simulate/vineyard": SIMULATE,

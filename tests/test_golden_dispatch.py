@@ -4,7 +4,7 @@
 trace-order dispatcher shapes:
 
 - ``Plan.to_json()`` (which carries the packed ``timed`` lanes) for every case
-  of ``test_golden_plans`` under A* and greedy best-first search;
+  of ``test_golden_plans`` under A*;
 - ``build_plan`` on each of those traces reversed, where packing cannot
   progress and the lanes stay empty;
 - ``Trace.to_jsonl()`` of the bundled adaptation scenario under seeds 0-7;
@@ -41,7 +41,6 @@ from test_golden_plans import cases as plan_cases
 
 GOLDEN = Path(__file__).parent / "golden" / "dispatch_hashes.json"
 
-STRATEGIES = ("astar", "gbfs")
 SCENARIO_SEEDS = range(8)
 # (tasks, agents, mission seed); every capable pair runs at SIM_P, below the
 # declared rates, so task attempts fail often enough to exercise adaptation
@@ -70,14 +69,12 @@ def plan_digest(plan) -> str:
 def plan_records(doc: dict):
     for case_id, make, cap in plan_cases():
         spec = make()
-        for strategy in STRATEGIES:
-            cfg = PlannerConfig(strategy=strategy, **({} if cap is None else {"max_expansions": cap}))
-            try:
-                plan = plan_mission(spec, cfg)
-            except PlanTimeout:
-                continue
-            doc[f"plan/{case_id}/{strategy}"] = plan_digest(plan)
-            doc[f"reversed/{case_id}/{strategy}"] = plan_digest(build_plan(spec, plan.total_order[::-1]))
+        try:
+            plan = plan_mission(spec, PlannerConfig(**({} if cap is None else {"max_expansions": cap})))
+        except PlanTimeout:
+            continue
+        doc[f"plan/{case_id}/astar"] = plan_digest(plan)
+        doc[f"reversed/{case_id}/astar"] = plan_digest(build_plan(spec, plan.total_order[::-1]))
 
 
 def scenario_records(doc: dict):
@@ -113,7 +110,7 @@ def simulate_records(doc: dict):
         for seed in SIM_SEEDS:
             changes = floor_stream(plan, random.Random(seed))
             try:
-                trace = simulate(spec, plan, model, archive, deploy, changes, seed=seed, max_steps=200, ga=SIM_GA)
+                trace = simulate(spec, plan, model, archive, deploy, changes, seed=seed, ga=SIM_GA)
                 out = digest(trace.to_jsonl())
             except UnrecoverableMission as exc:
                 out = f"unrecoverable: {exc}"
@@ -172,9 +169,7 @@ def adapt_records(doc: dict):
             decisions: list = []
             with logged_decisions(decisions):
                 try:
-                    text = simulate(
-                        spec, plan, model, archive, deploy, changes, seed=seed, max_steps=200, ga=SIM_GA
-                    ).to_jsonl()
+                    text = simulate(spec, plan, model, archive, deploy, changes, seed=seed, ga=SIM_GA).to_jsonl()
                 except UnrecoverableMission as exc:
                     text = f"unrecoverable: {exc}"
             pairs.update(f"{kind}/{level}" for kind, level, _ in decisions)

@@ -25,11 +25,8 @@ from hybridplan.planner import PlannerConfig, plan_mission
 
 GOLDEN = Path(__file__).parent / "golden" / "plan_hashes.json"
 
-CONFIGS = {
-    "astar-blind": ("astar", "blind"),
-    "astar-combined": ("astar", "combined"),
-    "gbfs-combined": ("gbfs", "combined"),
-}
+# config id -> A* heuristic
+CONFIGS = {"astar-blind": "blind", "astar-combined": "combined"}
 # random missions keep a small expansion budget so the whole file replays in
 # seconds; running out of it is recorded and must recur at the same point
 RANDOM_CAP = 3_000
@@ -56,9 +53,8 @@ def cases():
     return out
 
 
-def outcome(spec, strategy, heuristic, cap):
-    cfg = PlannerConfig(strategy=strategy, heuristic=heuristic,
-                        **({} if cap is None else {"max_expansions": cap}))
+def outcome(spec, heuristic, cap):
+    cfg = PlannerConfig(heuristic=heuristic, **({} if cap is None else {"max_expansions": cap}))
     try:
         plan = plan_mission(spec, cfg)
     except PlanTimeout:
@@ -71,8 +67,8 @@ def record() -> dict:
     doc = {}
     for case_id, make, cap in cases():
         spec = make()
-        for cfg_id, (strategy, heuristic) in CONFIGS.items():
-            doc[f"{case_id}/{cfg_id}"] = outcome(spec, strategy, heuristic, cap)
+        for cfg_id, heuristic in CONFIGS.items():
+            doc[f"{case_id}/{cfg_id}"] = outcome(spec, heuristic, cap)
     return doc
 
 

@@ -177,8 +177,8 @@ class TestOptimality:
             for i in range(rng.randint(1, 2))
         ]
         spec = build_problem_spec(grid_doc(rows, cols, tasks, agents))
-        optimal = plan_mission(spec, PlannerConfig(strategy="astar", heuristic="blind"))
-        fast = plan_mission(spec, PlannerConfig(strategy="astar"))
+        optimal = plan_mission(spec, PlannerConfig(heuristic="blind"))
+        fast = plan_mission(spec, PlannerConfig())
         assert fast.travel_cost == optimal.travel_cost
         assert validate_plan(spec, fast) == []
 
@@ -188,7 +188,7 @@ class TestOptimality:
         from hybridplan.bench import random_instance
 
         spec = random_instance(n_tasks=6, n_agents=2, seed=seed)
-        plan = plan_mission(spec, PlannerConfig(strategy="gbfs"))
+        plan = plan_mission(spec, PlannerConfig())
         assert validate_plan(spec, plan) == []
 
 
@@ -369,11 +369,6 @@ class TestTimedSchedule:
         plan = build_plan(vineyard, REFERENCE_TRACE)
         assert plan.makespan() >= max(len(s) for s in plan.per_agent.values() if s)
         assert validate_plan(vineyard, plan) == []
-
-    def test_gbfs_feasible(self, vineyard):
-        plan = plan_mission(vineyard, PlannerConfig(strategy="gbfs"))
-        assert validate_plan(vineyard, plan) == []
-        assert plan.travel_cost >= 8  # astar optimum lower-bounds it
 
 
 class TestDeterminism:
