@@ -14,7 +14,12 @@ trace-order dispatcher shapes:
 - ``Trace.to_jsonl()`` of ``simulate`` runs on the same missions under seeded
   streams that mix success-floor, allocation-threshold and probability
   changes, together with the genotype each ``adapt`` decision deploys, and
-  the (change kind, level) pairs those decisions reach.
+  the (change kind, level) pairs those decisions reach;
+- ``Trace.to_jsonl()`` and deployed genotypes of one scripted run per
+  simulated mission whose archive holds only the deployed entry: a C1 fails
+  the plan's first task in every slot from its first attempt until the
+  entry's budget for it is spent, so the scripted decisions end in
+  ``C1/A3`` by construction; their (change kind, level) pairs are recorded.
 
 Regenerate the file only for an intended change of lanes or execution
 traces, and state the reason next to the change:
@@ -28,14 +33,17 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+from dataclasses import replace
+
 import hybridplan.adaptation as adaptation
 from hybridplan.adaptation import Change, run_scenario, select_new_plan, simulate
 from hybridplan.bench import random_instance
 from hybridplan.chains import build_parametric_model
 from hybridplan.errors import PlanTimeout, UnrecoverableMission
 from hybridplan.fixtures import fixture_text, load_fixture
-from hybridplan.planner import PlannerConfig, build_plan, plan_mission
+from hybridplan.planner import PlannerConfig, build_plan, dispatch_slot, plan_mission
 from hybridplan.synthesis import GaConfig, synthesize
+from hybridplan.world import Do, initial_state
 
 from test_golden_plans import cases as plan_cases
 
@@ -178,12 +186,47 @@ def adapt_records(doc: dict):
     doc["adapt/pairs"] = " ".join(sorted(pairs))
 
 
+def first_attempt(spec, plan) -> tuple[str, int]:
+    """The plan's first task and the slot of its first attempt.  Every
+    earlier trace action is a move, so no outcome draw moves that slot."""
+    order = plan.total_order
+    index = next(i for i, act in enumerate(order) if isinstance(act, Do))
+    state, done, slot = initial_state(spec), 0, -1
+    while done <= index:
+        state, _, done = dispatch_slot(spec, state, order, done)
+        slot += 1
+    return order[index].task, slot
+
+
+def exhaust_records(doc: dict):
+    for tasks, agents, mission_seed in SIM_MISSIONS:
+        spec = lowered(random_instance(tasks, agents, mission_seed))
+        plan = plan_mission(spec, PlannerConfig())
+        model = build_parametric_model(spec, plan)
+        archive = synthesize(model, SIM_GA)
+        if archive.is_empty():
+            continue
+        deploy = select_new_plan(archive.entries)
+        task, start = first_attempt(spec, plan)
+        budget = deploy.retries.get(task, 1)
+        changes = [Change("C1", start + k, task=task) for k in range(budget)]
+        decisions: list = []
+        with logged_decisions(decisions):
+            text = simulate(
+                spec, plan, model, replace(archive, entries=[deploy]), deploy, changes, seed=0, ga=SIM_GA
+            ).to_jsonl()
+        key = f"exhaust/{tasks}x{agents}s{mission_seed}"
+        doc[key] = digest(text + json.dumps([g for _, _, g in decisions]))
+        doc[f"{key}/scripted"] = " ".join(f"{kind}/{level}" for kind, level, _ in decisions[:budget])
+
+
 def record() -> dict:
     doc: dict = {}
     plan_records(doc)
     scenario_records(doc)
     simulate_records(doc)
     adapt_records(doc)
+    exhaust_records(doc)
     return doc
 
 
@@ -196,9 +239,15 @@ def test_golden_covers_every_dispatch_path():
     # packed plans, failed packings, scenario traces, sampled-failure runs and
     # mixed change streams that reach every adaptation branch
     golden = json.loads(GOLDEN.read_text())
-    for prefix in ("plan/", "reversed/", "scenario/", "simulate/", "adapt/"):
+    for prefix in ("plan/", "reversed/", "scenario/", "simulate/", "adapt/", "exhaust/"):
         assert any(k.startswith(prefix) for k in golden), prefix
     assert ACCEPTANCE_7_PAIRS <= set(golden["adapt/pairs"].split())
+    # each scripted run fails its task until the lone entry's budget is
+    # spent: every failure before the last keeps the entry, the last replans
+    scripted = [v.split() for k, v in golden.items() if k.startswith("exhaust/") and k.endswith("/scripted")]
+    assert len(scripted) == len(SIM_MISSIONS) - sum(v == "empty archive" for v in golden.values())
+    for pairs in scripted:
+        assert pairs[-1] == "C1/A3" and set(pairs[:-1]) <= {"C1/NA"}, pairs
     assert sum(v.startswith("unrecoverable") or v == "empty archive" for v in golden.values()) * 4 < len(golden)
 
 
