@@ -709,8 +709,9 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     wrong JSON type (a present ``deploy`` that is not an object among
     them), changes out of time order, changes naming agents or tasks the
     mission does not have, a C4 on a pair whose agent has no capability for
-    the task and a malformed or invalid plan are a ScenarioError before synthesis; budgets, which need
-    the model's slots, are checked once it is built.
+    the task and a malformed or invalid plan are a ScenarioError before
+    synthesis; budgets, which need the model's slots, are checked once it is
+    built.  No key sets the step limit: it is ``MAX_STEPS``.
     """
     _object(scenario, "a scenario", SCENARIO_KEYS)
     seed = _count(scenario, "seed", 0)

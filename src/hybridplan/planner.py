@@ -489,10 +489,10 @@ class _Heuristic:
 def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan:
     """Search for a plan completing every pending task.
 
-    Returns a travel-optimal plan (admissible heuristic, re-opening on
-    cheaper paths).  Raises NoPlanExists when the goal is unreachable, PlanTimeout past the
-    configured wall-clock budget and its subclass ExpansionLimit past the
-    expansion cap.  The plan's ``stats`` count expansions, generated
+    Returns a travel-optimal plan (A* with an admissible heuristic,
+    re-opening on cheaper paths).  Raises NoPlanExists when the goal is
+    unreachable, PlanTimeout past the configured wall-clock budget and its
+    subclass ExpansionLimit past the expansion cap.  The plan's ``stats`` count expansions, generated
     successors, re-opened states (a cheaper path to a state already
     generated) and the start state's heuristic value ``h0``; states are
     counted once per orbit of interchangeable agents.  Each child's orbit key
