@@ -684,14 +684,6 @@ def _object(raw, what: str, keys) -> dict:
     return raw
 
 
-def _count(raw: dict, key: str, default: int) -> int:
-    """``raw[key]`` (``default`` when absent) once it is a JSON integer >= 0."""
-    value = raw.get(key, default)
-    if type(value) is not int or value < 0:
-        raise ScenarioError(f"{key} must be an integer >= 0, got {value!r}")
-    return value
-
-
 def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     """Full pipeline + simulation for a JSON scenario document.
 
@@ -714,7 +706,9 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     built.  No key sets the step limit: it is ``MAX_STEPS``.
     """
     _object(scenario, "a scenario", SCENARIO_KEYS)
-    seed = _count(scenario, "seed", 0)
+    seed = scenario.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ScenarioError(f"seed must be an integer >= 0, got {seed!r}")
     records, seed_entries = scenario.get("changes", []), scenario.get("seed_entries", [])
     if not isinstance(records, list) or not isinstance(seed_entries, list):
         raise ScenarioError("a scenario's changes and seed_entries must be JSON arrays")

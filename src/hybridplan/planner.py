@@ -492,10 +492,11 @@ def plan_mission(spec: ProblemSpec, cfg: Optional[PlannerConfig] = None) -> Plan
     Returns a travel-optimal plan (A* with an admissible heuristic,
     re-opening on cheaper paths).  Raises NoPlanExists when the goal is
     unreachable, PlanTimeout past the configured wall-clock budget and its
-    subclass ExpansionLimit past the expansion cap.  The plan's ``stats`` count expansions, generated
-    successors, re-opened states (a cheaper path to a state already
-    generated) and the start state's heuristic value ``h0``; states are
-    counted once per orbit of interchangeable agents.  Each child's orbit key
+    subclass ExpansionLimit past the expansion cap.  The plan's ``stats``
+    count expansions, generated successors, re-opened states (a cheaper
+    path to a state already generated) and the start state's heuristic
+    value ``h0``; states are counted once per orbit of interchangeable
+    agents.  Each child's orbit key
     is derived from the popped state's (``_Compact.child_canonical``) rather
     than rebuilt by ``_Compact.canonical``, which defines it.
     """

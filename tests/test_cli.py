@@ -63,8 +63,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("flag", ["--strategy", "--timeout"])
     def test_simulate_takes_no_planner_flags(self, flag, capsys, scenario_path):
-        # the scenario's "planner" object configures the search; no subcommand
-        # takes --strategy any more, and simulate never read --timeout
+        # the scenario's "planner" object configures the search; simulate
+        # takes no planner flag
         value = {"--strategy": "astar", "--timeout": "0.000001"}[flag]
         with pytest.raises(SystemExit) as exit_:
             main(["simulate", "--spec", "vineyard", "--scenario", str(scenario_path), flag, value])

@@ -105,14 +105,20 @@ def floor_stream(plan, rng: random.Random) -> list:
     return [Change("C2", t, value=round(rng.uniform(0.85, 0.99), 4)) for t in times]
 
 
-def simulate_records(doc: dict):
+def sim_missions():
+    """(mission id, lowered spec, plan, model, archive) of every simulated
+    mission."""
     for tasks, agents, mission_seed in SIM_MISSIONS:
         spec = lowered(random_instance(tasks, agents, mission_seed))
         plan = plan_mission(spec, PlannerConfig())
         model = build_parametric_model(spec, plan)
-        archive = synthesize(model, SIM_GA)
+        yield f"{tasks}x{agents}s{mission_seed}", spec, plan, model, synthesize(model, SIM_GA)
+
+
+def simulate_records(doc: dict):
+    for mission, spec, plan, model, archive in sim_missions():
         if archive.is_empty():
-            doc[f"simulate/{tasks}x{agents}s{mission_seed}"] = "empty archive"
+            doc[f"simulate/{mission}"] = "empty archive"
             continue
         deploy = select_new_plan(archive.entries)
         for seed in SIM_SEEDS:
@@ -122,7 +128,7 @@ def simulate_records(doc: dict):
                 out = digest(trace.to_jsonl())
             except UnrecoverableMission as exc:
                 out = f"unrecoverable: {exc}"
-            doc[f"simulate/{tasks}x{agents}s{mission_seed}/seed{seed}"] = out
+            doc[f"simulate/{mission}/seed{seed}"] = out
 
 
 def mixed_stream(spec, plan, rng: random.Random) -> list:
@@ -164,11 +170,7 @@ def logged_decisions(log: list):
 
 def adapt_records(doc: dict):
     pairs = set()
-    for tasks, agents, mission_seed in SIM_MISSIONS:
-        spec = lowered(random_instance(tasks, agents, mission_seed))
-        plan = plan_mission(spec, PlannerConfig())
-        model = build_parametric_model(spec, plan)
-        archive = synthesize(model, SIM_GA)
+    for mission, spec, plan, model, archive in sim_missions():
         if archive.is_empty():
             continue
         deploy = select_new_plan(archive.entries)
@@ -182,7 +184,7 @@ def adapt_records(doc: dict):
                     text = f"unrecoverable: {exc}"
             pairs.update(f"{kind}/{level}" for kind, level, _ in decisions)
             genotypes = json.dumps([g for _, _, g in decisions])
-            doc[f"adapt/{tasks}x{agents}s{mission_seed}/seed{seed}"] = digest(text + genotypes)
+            doc[f"adapt/{mission}/seed{seed}"] = digest(text + genotypes)
     doc["adapt/pairs"] = " ".join(sorted(pairs))
 
 
@@ -199,11 +201,7 @@ def first_attempt(spec, plan) -> tuple[str, int]:
 
 
 def exhaust_records(doc: dict):
-    for tasks, agents, mission_seed in SIM_MISSIONS:
-        spec = lowered(random_instance(tasks, agents, mission_seed))
-        plan = plan_mission(spec, PlannerConfig())
-        model = build_parametric_model(spec, plan)
-        archive = synthesize(model, SIM_GA)
+    for mission, spec, plan, model, archive in sim_missions():
         if archive.is_empty():
             continue
         deploy = select_new_plan(archive.entries)
@@ -215,7 +213,7 @@ def exhaust_records(doc: dict):
             text = simulate(
                 spec, plan, model, replace(archive, entries=[deploy]), deploy, changes, seed=0, ga=SIM_GA
             ).to_jsonl()
-        key = f"exhaust/{tasks}x{agents}s{mission_seed}"
+        key = f"exhaust/{mission}"
         doc[key] = digest(text + json.dumps([g for _, _, g in decisions]))
         doc[f"{key}/scripted"] = " ".join(f"{kind}/{level}" for kind, level, _ in decisions[:budget])
 
