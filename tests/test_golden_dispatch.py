@@ -105,18 +105,20 @@ def floor_stream(plan, rng: random.Random) -> list:
     return [Change("C2", t, value=round(rng.uniform(0.85, 0.99), 4)) for t in times]
 
 
-def sim_missions():
+def sim_missions() -> list:
     """(mission id, lowered spec, plan, model, archive) of every simulated
-    mission."""
+    mission; the runs replace an archive, never change one."""
+    out = []
     for tasks, agents, mission_seed in SIM_MISSIONS:
         spec = lowered(random_instance(tasks, agents, mission_seed))
         plan = plan_mission(spec, PlannerConfig())
         model = build_parametric_model(spec, plan)
-        yield f"{tasks}x{agents}s{mission_seed}", spec, plan, model, synthesize(model, SIM_GA)
+        out.append((f"{tasks}x{agents}s{mission_seed}", spec, plan, model, synthesize(model, SIM_GA)))
+    return out
 
 
-def simulate_records(doc: dict):
-    for mission, spec, plan, model, archive in sim_missions():
+def simulate_records(doc: dict, missions: list):
+    for mission, spec, plan, model, archive in missions:
         if archive.is_empty():
             doc[f"simulate/{mission}"] = "empty archive"
             continue
@@ -168,9 +170,9 @@ def logged_decisions(log: list):
         adaptation.adapt = original
 
 
-def adapt_records(doc: dict):
+def adapt_records(doc: dict, missions: list):
     pairs = set()
-    for mission, spec, plan, model, archive in sim_missions():
+    for mission, spec, plan, model, archive in missions:
         if archive.is_empty():
             continue
         deploy = select_new_plan(archive.entries)
@@ -200,8 +202,8 @@ def first_attempt(spec, plan) -> tuple[str, int]:
     return order[index].task, slot
 
 
-def exhaust_records(doc: dict):
-    for mission, spec, plan, model, archive in sim_missions():
+def exhaust_records(doc: dict, missions: list):
+    for mission, spec, plan, model, archive in missions:
         if archive.is_empty():
             continue
         deploy = select_new_plan(archive.entries)
@@ -222,9 +224,10 @@ def record() -> dict:
     doc: dict = {}
     plan_records(doc)
     scenario_records(doc)
-    simulate_records(doc)
-    adapt_records(doc)
-    exhaust_records(doc)
+    missions = sim_missions()
+    simulate_records(doc, missions)
+    adapt_records(doc, missions)
+    exhaust_records(doc, missions)
     return doc
 
 
