@@ -815,6 +815,14 @@ def readme_scenario() -> dict:
     return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
 
 
+# a whole budget vector of the vineyard: every retryable task at one try,
+# the bundled scenario's deployed entry apart from t1l4 and t2l8b
+FULL_BUDGETS = {
+    "t1l4": 1, "t2l8b": 1, "t3l4": 1, "t1l7": 1, "t3l7": 1, "t3l9": 1,
+    "t1l6a": 1, "t1l6b": 1, "t2l5": 1, "t2l8a": 1,
+}
+
+
 class TestScenarioDeploy:
     def test_readme_rule_deploys_required_budget(self, vineyard, monkeypatch):
         import hybridplan.adaptation as adaptation
@@ -853,7 +861,9 @@ class TestScenarioDeploy:
         [
             ({"rule": "max_success"}, r"deploy names unknown keys \['rule'\]"),
             ({"retries": {"t1l4": 2}}, r"deploy names unknown keys \['retries'\]"),
+            ({"retries": {"t1l4": 2}, "require_budget": {"t1l4": 3}}, r"deploy names unknown keys \['retries'\]"),
             ({"require_budget": {"t1l4": 5}}, "no archive entry matches required budgets"),
+            ({"require_budget": FULL_BUDGETS | {"t1l4": 5}}, "no archive entry matches required budgets"),
         ],
     )
     def test_bad_deploy_is_a_scenario_error(self, vineyard, deploy, message):
@@ -1012,7 +1022,7 @@ class TestScenarioDeploy:
             ({"nope": 1}, "unknown retryable task 'nope'"),
         ],
     )
-    @pytest.mark.parametrize("where", ["seed_entries", "deploy.require_budget"])
+    @pytest.mark.parametrize("where", ["seed_entries", "deploy.require_budget", "deploy.require_budget.full"])
     def test_scenario_budgets_are_integers_within_bounds(self, vineyard, where, budgets, message):
         # the same rule as the CLI's --retries: no truncation, no booleans
         import json
@@ -1022,6 +1032,8 @@ class TestScenarioDeploy:
         scenario = json.loads(fixture_text("scenario_adaptation"))
         if where == "seed_entries":
             scenario["seed_entries"][0].update(budgets)
+        elif where == "deploy.require_budget.full":
+            scenario["deploy"]["require_budget"].update(budgets)
         else:
             scenario["deploy"] = {"require_budget": budgets}
         with pytest.raises(ScenarioError, match=message):

@@ -71,6 +71,17 @@ class TestSubcommands:
         assert exit_.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["plan", "synthesize", "verify", "export-prism", "bench"])
+    def test_no_strategy_flag(self, subcommand, capsys, tmp_path):
+        # A* is the only search, so no subcommand picks one
+        args = [] if subcommand == "bench" else ["--spec", "vineyard"]
+        if subcommand != "verify":
+            args += ["--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_:
+            main([subcommand, *args, "--strategy", "astar"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --strategy astar" in capsys.readouterr().err
+
     def test_export_prism_budgets_are_exclusive(self, capsys, tmp_path):
         # --max-retries would silently drop the checked --retries vector
         with pytest.raises(SystemExit) as exit_:

@@ -370,6 +370,11 @@ class TestTimedSchedule:
         assert plan.makespan() >= max(len(s) for s in plan.per_agent.values() if s)
         assert validate_plan(vineyard, plan) == []
 
+    def test_one_search(self):
+        # A* is the only search: the config takes no strategy
+        with pytest.raises(TypeError, match="strategy"):
+            PlannerConfig(strategy="gbfs")
+
 
 class TestDeterminism:
     def test_same_inputs_same_plan(self, vineyard):
