@@ -11,13 +11,16 @@ survives, nothing happens (NA); otherwise a surviving sibling is deployed
 state (A3).  Every adaptation is one pass over a finite archive plus at
 most one pipeline rerun, so each call terminates.
 
-Every reduction is one pass of the same survivor filter (``_survivors``):
-archive entries consistent with the executed prefix that pass the change's
-own test.  A2 and A3 share one synthesis tail (``_synthesize``).  A floor
-change (C2) verifies the archive against the remaining suffix through one
-success table per reduction (``_suffix_success``): built from the one suffix
-model, it holds each task step's success factor per entry budget, so every
-entry's success is a product of table reads, equal to the closed form's.
+Every reduction is one pass of the same survivor filter (``_survivors``)
+and its one rule: an entry budgets more attempts than every task, finished
+or running, has failed since the archive's epoch.  Trace-order dispatch
+leaves at most one unfinished task with such failures, the one at the
+cursor.  One allocation check (``_allocation_holds``) serves C3 and C4.
+A2 and A3 share one synthesis tail (``_synthesize``).  A floor change (C2)
+verifies the survivors against the remaining suffix through one success
+table per reduction (``_suffix_success``): built from the one suffix model,
+it holds each task step's success factor per entry budget, so every entry's
+success is a product of table reads, equal to the closed form's.
 
 Budget bookkeeping: observed failures are per-task facts.  They persist
 across NA/A1/A2 (the same underlying actions, counted against any entry's
@@ -285,55 +288,49 @@ def remaining_success(ctx: ExecutionContext, entry: ArchiveEntry) -> float:
 # archive reductions (Analyse phase)
 
 
-def _survivors(ctx: ExecutionContext, keep=None) -> list[ArchiveEntry]:
-    """Archive entries consistent with the executed prefix that pass the
-    change's own test ``keep`` (every such entry when it is None).
+def _survivors(ctx: ExecutionContext) -> list[ArchiveEntry]:
+    """Archive entries consistent with the executed prefix, by the one rule:
+    the entry budgets more attempts than the failures since the archive's
+    epoch of every task that has failed since then, finished (it used one
+    more attempt) or running (it needs one more).  Trace-order dispatch
+    leaves a failed attempt unstarted and stops its slot's scan, so the
+    only running task with such failures is the one at the cursor."""
+    used = [(task, n) for task in ctx.progress.failures if (n := ctx.failures_since_epoch(task)) > 0]
+    return [e for e in ctx.archive.entries if all(_entry_budget(e, task) > n for task, n in used)]
 
-    Consistent: every completed task used no more attempts since the
-    archive epoch than the entry budgets.  Every budget allows one attempt,
-    so only the completed tasks that failed since the epoch can rule an
-    entry out; those (task, failures) pairs are found once."""
-    used = [(task, n) for task in ctx.completed() if (n := ctx.failures_since_epoch(task)) > 0]
-    return [
-        e
-        for e in ctx.archive.entries
-        if (not used or all(_entry_budget(e, task) > n for task, n in used)) and (keep is None or keep(e))
-    ]
+
+def _allocation_holds(ctx: ExecutionContext, spec_after: ProblemSpec) -> bool:
+    """Every remaining assignment of the deployed plan clears the allocation
+    threshold of ``spec_after``."""
+    completed = ctx.completed()
+    return all(spec_after.eligible(agent, task) for task, agent in ctx.plan.allocation.items() if task not in completed)
 
 
 def reduce_ps_tf(ctx: ExecutionContext, task: str) -> list[ArchiveEntry]:
-    """Task failure: keep entries that still budget a retry of the failed
-    task (budget strictly above the failures it has consumed since the
-    entry's epoch)."""
-    count = ctx.failures_since_epoch(task)
-    return _survivors(ctx, lambda e: _entry_budget(e, task) > count)
+    """Task failure: the survivors, which budget a retry of ``task`` once
+    its failure is counted in ``ctx.progress``."""
+    return _survivors(ctx)
 
 
 def reduce_ps_psucc(ctx: ExecutionContext, new_floor: float) -> list[ArchiveEntry]:
-    """Success-floor change: keep entries whose success probability on the
+    """Success-floor change: keep survivors whose success probability on the
     remaining suffix, conditioned on the executed prefix, still clears the
     new floor."""
     success = _suffix_success(ctx, build_suffix_model(ctx))
-    return _survivors(ctx, lambda e: success(e) >= new_floor)
+    return [e for e in _survivors(ctx) if success(e) >= new_floor]
 
 
 def reduce_ps_passign(ctx: ExecutionContext, new_gamma: float) -> list[ArchiveEntry]:
     """Allocation-threshold change: every entry follows the same allocation,
     so one disqualified remaining assignment empties the whole set."""
-    spec_after = ctx.spec.with_runtime_state(gamma=new_gamma)
-    completed = ctx.completed()
-    if any(
-        not spec_after.eligible(agent, task) for task, agent in ctx.plan.allocation.items() if task not in completed
-    ):
-        return []
-    return _survivors(ctx)
+    return _survivors(ctx) if _allocation_holds(ctx, ctx.spec.with_runtime_state(gamma=new_gamma)) else []
 
 
 def reduce_ps_ptask(ctx: ExecutionContext, agent: str, task: str) -> Optional[list[ArchiveEntry]]:
     """Per-(agent,task) probability change.  Outside the deployed suffix the
     archive stands; inside it every entry was verified under the old
     probability, so nothing survives (None) and the suffix is re-modelled,
-    or replanned when the new probability breaks the allocation threshold."""
+    or replanned when the allocation no longer clears the threshold."""
     if ctx.plan.allocation.get(task) == agent and task not in ctx.completed():
         return None
     return _survivors(ctx)
@@ -372,7 +369,7 @@ def adapt(ctx: ExecutionContext, change: Change) -> AdaptationOutcome:
         spec_after = ctx.spec.with_runtime_state(p_overrides={(change.agent, change.task): change.value})
         reduced = reduce_ps_ptask(ctx, change.agent, change.task)
         if reduced is None:
-            if not spec_after.eligible(change.agent, change.task):
+            if not _allocation_holds(ctx, spec_after):
                 return _full_replan(ctx, spec_after)
             return _resynthesize_suffix(replace(ctx, spec=spec_after))
 

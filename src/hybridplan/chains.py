@@ -302,6 +302,8 @@ def simulate_mission_mc(
     budget.  Costs accumulate along the executed prefix only.
     Returns point estimates plus standard errors.
     """
+    if type(runs) is not int or runs < 1:
+        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
     validate_assignment(model, assignment)
     rng = np.random.default_rng(seed)
     succ_sum = 0

@@ -101,6 +101,8 @@ class PlannerConfig:
         # NaN fails both comparisons; inf would let the search run unbounded
         if type(self.timeout) not in (int, float) or not 0 < self.timeout < INF:
             raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+        if type(self.max_expansions) is not int or self.max_expansions < 1:
+            raise ValueError(f"max_expansions must be an integer >= 1, got {self.max_expansions!r}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from hybridplan.adaptation import (
     build_suffix_model,
     reduce_ps_passign,
     reduce_ps_psucc,
+    reduce_ps_ptask,
     reduce_ps_tf,
     remaining_success,
     run_scenario,
@@ -128,6 +130,36 @@ class TestReduceTf:
         # the replan starts at the current world state
         starts = dict(out.new_spec.initial_locations)
         assert starts == {aid: loc for aid, loc in ctx.world.agent_locs}
+
+    def test_running_tasks_spent_budgets_rule_entries_out(self):
+        """Agent a runs x, agent b runs y, neither finished: x has failed
+        twice and y once.  A C1 on y must not swap to an entry that has spent
+        x's budget ({x: 1, y: 2} has no attempt of x left)."""
+        agents = [
+            {"id": a, "type": "robot", "start": "l1", "tasks": [{"id": g, "cost": 1, "p_success": 0.9, "retries": 3}]}
+            for a, g in (("a", "gx"), ("b", "gy"))
+        ]
+        spec = build_problem_spec(
+            {
+                "locations": [{"id": "l1"}, {"id": "l2"}, {"id": "l3"}],
+                "paths": [{"start": "l1", "end": "l2", "distance": 1}, {"start": "l1", "end": "l3", "distance": 1}],
+                "tasks": [
+                    {"id": "gx", "instances": [{"id": "x", "location": "l2"}]},
+                    {"id": "gy", "instances": [{"id": "y", "location": "l3"}]},
+                ],
+                "agents": agents,
+                "constraints": {"mission_probability_of_success": 0.5, "min_assignment_probability": 0.5},
+            }
+        )
+        plan, _model, archive = pipeline(spec)
+        assert plan.allocation == {"x": "a", "y": "b"}
+        deployed = next(e for e in archive.entries if e.retries == {"x": 3, "y": 1})
+        progress = Progress(0, {"x": 2, "y": 1}, 0)
+        ctx = ExecutionContext(spec, plan, archive, deployed, progress, initial_state(spec))
+        assert [e.retries for e in reduce_ps_tf(ctx, "y")] == [{"x": 3, "y": 2}, {"x": 3, "y": 3}]
+        out = adapt(ctx, Change("C1", 0, task="y"))
+        assert (out.level, out.reduced_size, out.new_entry.retries) == (A1, 2, {"x": 3, "y": 2})
+        assert remaining_success(ctx, out.new_entry) == pytest.approx(0.81)
 
 
 class TestReducePsucc:
@@ -494,6 +526,12 @@ def closed_form_remaining(ctx, entry):
     return closed_form_mission_metrics(model, assignment)[0]
 
 
+def consistent(ctx, entry):
+    """The survivor rule, restated: the entry budgets more attempts than
+    every task has failed since the epoch, finished or still running."""
+    return all(entry.retries.get(t, 1) > ctx.failures_since_epoch(t) for t in ctx.progress.failures)
+
+
 class TestSuccessTable:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(mid_mission_contexts(), st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 7)))
@@ -507,11 +545,37 @@ class TestSuccessTable:
         if isinstance(floor, int):
             # an entry's own success, the inclusive boundary, when it is positive
             floor = reference[floor % len(reference)] or 5e-324
-        consistent = [
-            all(e.retries.get(t, 1) > ctx.failures_since_epoch(t) for t in ctx.completed()) for e in entries
-        ]
-        expected = [e for e, ok, s in zip(entries, consistent, reference) if ok and s >= floor]
+        expected = [e for e, s in zip(entries, reference) if consistent(ctx, e) and s >= floor]
         assert reduce_ps_psucc(ctx, floor) == expected
+
+
+class TestOneSurvivorRule:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mid_mission_contexts(), st.data())
+    def test_reductions_and_swaps_keep_only_consistent_entries(self, ctx, data):
+        task = data.draw(st.sampled_from(sorted(ctx.plan.allocation)))
+        agent = ctx.plan.allocation[task]
+        floor, gamma, p = (data.draw(st.floats(0.0, 1.0, exclude_min=True)) for _ in range(3))
+        reductions = [
+            reduce_ps_tf(ctx, task),
+            reduce_ps_psucc(ctx, floor),
+            reduce_ps_passign(ctx, gamma),
+            reduce_ps_ptask(ctx, agent, task) or [],
+        ]
+        assert all(consistent(ctx, e) for reduced in reductions for e in reduced)
+        ctx = replace(ctx, ga=GaConfig(population=6, evaluations=12, seed=1))
+        for change in (
+            Change("C1", ctx.progress.clock, task=task),
+            Change("C2", ctx.progress.clock, value=floor),
+            Change("C3", ctx.progress.clock, value=gamma),
+            Change("C4", ctx.progress.clock, agent=agent, task=task, value=p),
+        ):
+            try:
+                out = adapt(ctx, change)
+            except UnrecoverableMission:
+                continue
+            if out.level in (NA, A1):
+                assert consistent(ctx, ctx.deployed if out.level == NA else out.new_entry)
 
 
 def tiny_mission(p=0.9, retries=2):
@@ -718,10 +782,26 @@ class TestSimulate:
 
 class TestStochasticSoak:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_flaky_mission_recovers_and_completes(self, seed):
+    def test_flaky_mission_recovers_and_completes(self, seed, monkeypatch):
         """Low task probabilities make sampled failures certain; the loop
         must absorb them (NA), swap budgets (A1) or replan (A3) until the
-        mission completes, with stage counts matching the levels seen."""
+        mission completes, with stage counts matching the levels seen.  At
+        every C1 the failing task is the only unfinished task that has
+        failed since the epoch (the dispatch invariant ``_survivors`` relies
+        on)."""
+        import hybridplan.adaptation as adaptation
+
+        adapt_once = adaptation.adapt
+
+        def checked_adapt(ctx, change):
+            if change.kind == "C1":
+                running = {
+                    t for t in ctx.progress.failures if t not in ctx.world.done and ctx.failures_since_epoch(t) > 0
+                }
+                assert running == {change.task}
+            return adapt_once(ctx, change)
+
+        monkeypatch.setattr(adaptation, "adapt", checked_adapt)
         spec = build_problem_spec(
             {
                 "locations": [{"id": "l1"}, {"id": "l2"}, {"id": "l3"}],

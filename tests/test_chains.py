@@ -279,6 +279,12 @@ class TestEngineAgreement:
         assert abs(mc["success_prob"] - exact.success_prob) <= 4 * mc["success_se"]
         assert abs(mc["expected_cost"] - exact.expected_cost) <= 4 * mc["cost_se"]
 
+    @pytest.mark.parametrize("runs", [0, -3, 2.5])
+    def test_monte_carlo_needs_a_run(self, vineyard_model, runs):
+        # 0 used to divide by zero and -3 to fail in a square root
+        with pytest.raises(ValueError, match="runs must be an integer >= 1"):
+            simulate_mission_mc(vineyard_model, all_min_assignment(vineyard_model), runs=runs)
+
     def test_large_chain_solves_directly(self, monkeypatch):
         # 60,000 attempt states: the sparse direct solve is exact at any size
         import hybridplan.pmc as pmc

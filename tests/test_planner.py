@@ -205,6 +205,12 @@ class TestHeuristic:
         with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
             PlannerConfig(timeout=timeout)
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, "5", True, None])
+    def test_expansion_cap_is_a_positive_integer(self, cap):
+        # -1 used to raise ExpansionLimit before the first expansion
+        with pytest.raises(ValueError, match="max_expansions must be an integer >= 1"):
+            PlannerConfig(max_expansions=cap)
+
     # the heuristic reads compact states; world states go through the encoder
     def test_admissible_at_root(self, vineyard, vineyard_plan):
         problem = _Compact(vineyard)
