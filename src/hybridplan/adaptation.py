@@ -12,23 +12,23 @@ state (A3).  Every adaptation is one pass over a finite archive plus at
 most one pipeline rerun, so each call terminates.
 
 Every reduction is one pass of the same survivor filter (``_survivors``)
-and its one rule: an entry budgets more attempts than every task, finished
-or running, has failed since the archive's epoch.  Trace-order dispatch
-leaves at most one unfinished task with such failures, the one at the
-cursor.  One allocation check (``_allocation_holds``) serves C3 and C4.
-A2 and A3 share one synthesis tail (``_synthesize``).  A floor change (C2)
-verifies the survivors against the remaining suffix through one success
-table per reduction (``_suffix_success``): built from the one suffix model,
-it holds each task step's success factor per entry budget, so every entry's
-success is a product of table reads, equal to the closed form's.
+with one rule: an entry budgets more attempts than each task, finished or
+running, has failed since its archive's epoch.  One allocation check
+(``_allocation_holds``) serves C3 and C4.  A2 and A3 share one synthesis
+tail (``_synthesize``).  A floor change (C2) verifies the survivors against
+the remaining suffix through one success table per reduction
+(``_suffix_success``): built from the one suffix model, it holds each task
+step's success factor per entry budget, so every entry's success is a
+product of table reads, equal to the closed form's.
 
 Budget bookkeeping: observed failures are per-task facts.  They persist
 across NA/A1/A2 (the same underlying actions, counted against any entry's
 budget) and reset on A3, which plans fresh attempts.  Entries count
 failures from their archive's epoch: A2 snapshots the failure counts, A3
 clears them.  A task completed before the epoch has failed no further
-since, so it needs one attempt, which every budget allows; no record of
-which tasks completed before the epoch is needed.
+since, so every budget allows it.  Trace-order dispatch leaves a failed
+attempt unstarted, so the only running task that has failed since the
+epoch is the one at the cursor.
 
 The execution harness dispatches the deployed plan slot by slot through
 the planner's trace-order dispatcher (``planner.dispatch_slot``, the one that
@@ -290,10 +290,8 @@ def remaining_success(ctx: ExecutionContext, entry: ArchiveEntry) -> float:
 
 def _survivors(ctx: ExecutionContext) -> list[ArchiveEntry]:
     """Archive entries consistent with the executed prefix, by the one rule:
-    the entry budgets more attempts than the failures since the archive's
-    epoch of every task that has failed since then, finished (it used one
-    more attempt) or running (it needs one more).  Trace-order dispatch
-    leaves a failed attempt unstarted and stops its slot's scan, so the
+    the entry budgets more attempts than each task, finished or running,
+    has failed since the archive's epoch.  Under trace-order dispatch the
     only running task with such failures is the one at the cursor."""
     used = [(task, n) for task in ctx.progress.failures if (n := ctx.failures_since_epoch(task)) > 0]
     return [e for e in ctx.archive.entries if all(_entry_budget(e, task) > n for task, n in used)]
@@ -307,15 +305,15 @@ def _allocation_holds(ctx: ExecutionContext, spec_after: ProblemSpec) -> bool:
 
 
 def reduce_ps_tf(ctx: ExecutionContext, task: str) -> list[ArchiveEntry]:
-    """Task failure: the survivors, which budget a retry of ``task`` once
-    its failure is counted in ``ctx.progress``."""
+    """Task failure: the survivors.  Trace-order dispatch makes ``task`` the
+    only running task that has failed since the epoch, and its failure is
+    already counted, so each survivor budgets a retry of it."""
     return _survivors(ctx)
 
 
 def reduce_ps_psucc(ctx: ExecutionContext, new_floor: float) -> list[ArchiveEntry]:
-    """Success-floor change: keep survivors whose success probability on the
-    remaining suffix, conditioned on the executed prefix, still clears the
-    new floor."""
+    """Success-floor change: the survivors whose success on the remaining
+    suffix, conditioned on the executed prefix, clears the new floor."""
     success = _suffix_success(ctx, build_suffix_model(ctx))
     return [e for e in _survivors(ctx) if success(e) >= new_floor]
 

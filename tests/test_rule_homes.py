@@ -10,7 +10,10 @@ sweep behind every archive and the baseline's policy enumeration, and the
 archive filter asks it rather than testing pairs with ``dominates``.
 
 The adaptation harness records what has run once, as the dispatcher's trace
-cursor, and the stages each level reruns once, in ``STAGES``.
+cursor, and the stages each level reruns once, in ``STAGES``.  Its Analyse
+phase states the survivor rule once, in ``_survivors``, which takes no
+per-change test, and asks the allocation question once, in
+``_allocation_holds``.
 
 A chain step has one shape: a move is the step without a task, so no kind
 tag is stored beside the data it would restate.
@@ -109,6 +112,18 @@ def test_chain_step_is_one_shape():
 
 def test_progress_keeps_one_record_of_what_ran():
     assert [f.name for f in dataclasses.fields(Progress)] == ["clock", "failures", "done"]
+
+
+def test_one_survivor_rule_and_one_allocation_check():
+    assert list(inspect.signature(adaptation._survivors).parameters) == ["ctx"]
+    path = SRC / "adaptation.py"
+    for name in ("reduce_ps_tf", "reduce_ps_psucc", "reduce_ps_passign", "reduce_ps_ptask"):
+        (node,) = function_defs(path, name)
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert "_survivors" in names and "_entry_budget" not in names, name
+    (holds,) = function_defs(path, "_allocation_holds")
+    reads = attribute_reads(path, "eligible")
+    assert reads and all(holds.lineno <= line <= holds.end_lineno for line in reads)
 
 
 def test_stages_come_from_the_level_table():
