@@ -318,10 +318,10 @@ def reduce_ps_psucc(ctx: ExecutionContext, new_floor: float) -> list[ArchiveEntr
     return [e for e in _survivors(ctx) if success(e) >= new_floor]
 
 
-def reduce_ps_passign(ctx: ExecutionContext, new_gamma: float) -> list[ArchiveEntry]:
-    """Allocation-threshold change: every entry follows the same allocation,
-    so one disqualified remaining assignment empties the whole set."""
-    return _survivors(ctx) if _allocation_holds(ctx, ctx.spec.with_runtime_state(gamma=new_gamma)) else []
+def reduce_ps_passign(ctx: ExecutionContext, spec_after: ProblemSpec) -> list[ArchiveEntry]:
+    """Allocation-threshold change to ``spec_after``: every entry follows the
+    same allocation, so one disqualified remaining assignment empties all."""
+    return _survivors(ctx) if _allocation_holds(ctx, spec_after) else []
 
 
 def reduce_ps_ptask(ctx: ExecutionContext, agent: str, task: str) -> Optional[list[ArchiveEntry]]:
@@ -362,7 +362,7 @@ def adapt(ctx: ExecutionContext, change: Change) -> AdaptationOutcome:
         reduced = reduce_ps_psucc(ctx, change.value)
     elif change.kind == "C3":
         spec_after = ctx.spec.with_runtime_state(gamma=change.value)
-        reduced = reduce_ps_passign(ctx, change.value)
+        reduced = reduce_ps_passign(ctx, spec_after)
     else:  # C4
         spec_after = ctx.spec.with_runtime_state(p_overrides={(change.agent, change.task): change.value})
         reduced = reduce_ps_ptask(ctx, change.agent, change.task)
@@ -713,8 +713,8 @@ def run_scenario(spec: ProblemSpec, scenario: dict) -> Trace:
     planner_raw = _object(scenario.get("planner", {}), "planner", ("timeout",))
     deploy_raw = _object(scenario.get("deploy", {}), "deploy", ("require_budget",))
     try:
-        ga = GaConfig(population=ga_raw.get("population", 30), evaluations=ga_raw.get("evaluations", 150), seed=seed)
-        planner_cfg = PlannerConfig(timeout=planner_raw.get("timeout", 120.0))
+        ga = GaConfig(**ga_raw, seed=seed)
+        planner_cfg = PlannerConfig(**planner_raw)
     except ValueError as exc:
         raise ScenarioError(f"scenario ga or planner: {exc}") from None
     plan = _stored_plan(spec, scenario["plan"]) if "plan" in scenario else plan_mission(spec, planner_cfg)

@@ -8,19 +8,17 @@ augmentation, S4 synthesis.  Summaries report the geometric median (for
 one-dimensional samples this is the median) and the geometric standard
 deviation, which tolerate the heavy-tailed timing noise of search.
 
-A shared host's speed can change by more than the gap between neighbouring
-cells (1.7x within a second on a 2-core shared host), so stage times are CPU
-seconds at a reference speed: a fixed yardstick computation runs around every
-stage, and the stage's CPU time is scaled by the yardstick's time at the
-reference speed over its time there.  On top of that, every (cell, seed)
-runs in ``SWEEP_PASSES`` passes interleaved over all cells and keeps its
-minimum time per stage; the passes must agree on travel cost and expansions.
+Stage times are the CPU seconds ``stage`` takes.  Every (cell, seed) runs in
+``SWEEP_PASSES`` passes interleaved over all cells and keeps its minimum time
+per stage; the passes must agree on travel cost and expansions.  ``stage``
+pauses the cyclic garbage collector, as ``timeit`` does: Python collects
+after a fixed count of allocations, so a whole-heap collection would land on
+the same stage in every pass, where the minimum cannot remove it.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
 import math
 import random
 import statistics
@@ -36,7 +34,6 @@ from .spec import ProblemSpec, build_problem_spec
 from .synthesis import GaConfig, synthesize
 
 SWEEP_PASSES = 3
-YARDSTICK_S = 0.001   # the yardstick's CPU time at the reference speed
 
 GRID = ["l1", "l2", "l3", "l4", "l5", "l6", "l7", "l8", "l9"]
 GRID_PATHS = [
@@ -96,12 +93,12 @@ class CellResult:
 
     def summary(self) -> dict:
         out = {"tasks": self.n_tasks, "agents": self.n_agents, "runs": len(self.travel_costs)}
-        for stage, xs in sorted(self.samples.items()):
-            out[f"{stage}_gmedian_s"] = geometric_median(xs)
-            out[f"{stage}_gsd"] = geometric_sd(xs)
-        out["travel_cost_median"] = statistics.median(self.travel_costs) if self.travel_costs else None
-        out["chain_states_median"] = statistics.median(self.chain_states) if self.chain_states else None
-        out["s2_plan_expansions"] = statistics.median(self.expansions) if self.expansions else None
+        for name, xs in sorted(self.samples.items()):
+            out[f"{name}_gmedian_s"] = geometric_median(xs)
+            out[f"{name}_gsd"] = geometric_sd(xs)
+        out["travel_cost_median"] = statistics.median(self.travel_costs)
+        out["chain_states_median"] = statistics.median(self.chain_states)
+        out["s2_plan_expansions"] = statistics.median(self.expansions)
         return out
 
 
@@ -118,56 +115,34 @@ def geometric_sd(xs: list[float]) -> float:
     return math.exp(statistics.pstdev(logs))
 
 
-def _yardstick() -> float:
-    """CPU seconds of a fixed best-first search over a 24x24 grid: the
-    planner's kind of work, calling nothing in the library."""
-    t0 = time.process_time()
-    dist = {(0, 0): 0}
-    heap = [(0, (0, 0))]
-    while heap:
-        d, (x, y) = heapq.heappop(heap)
-        if d > dist[x, y]:
-            continue
-        for nx, ny in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
-            nd = d + 1 + (nx ^ ny) % 3
-            if 0 <= nx < 24 and 0 <= ny < 24 and nd < dist.get((nx, ny), 1 << 30):
-                dist[nx, ny] = nd
-                heapq.heappush(heap, (nd, (nx, ny)))
-    return time.process_time() - t0
-
-
-def _timed(fn):
-    """``fn()`` and its CPU time at the reference speed.  The yardstick runs
-    twice right before and twice right after; the faster run of each pair
-    gauges the host's speed, and the time is scaled by ``YARDSTICK_S`` over
-    their mean.  The cyclic garbage collector is paused during ``fn()``, as
-    ``timeit`` does: a collection of the whole heap can cost more than a
-    small stage and would land on whichever stage happens to trigger it."""
-    before = min(_yardstick(), _yardstick())
+def stage(timings: dict, name: str, fn, *args):
+    """``fn(*args)``, with its wall-clock and CPU seconds in ``timings[name]``;
+    the cyclic garbage collector is paused and then left as it was found."""
+    collecting = gc.isenabled()
     gc.disable()
     try:
-        t0 = time.process_time()
-        out = fn()
-        spent = time.process_time() - t0
+        t0, c0 = time.monotonic(), time.process_time()
+        result = fn(*args)
+        timings[name] = (time.monotonic() - t0, time.process_time() - c0)
     finally:
-        gc.enable()
-    after = min(_yardstick(), _yardstick())
-    return out, spent * 2 * YARDSTICK_S / (before + after)
+        if collecting:
+            gc.enable()
+    return result
 
 
 def _run_pipeline(n_tasks: int, n_agents: int, seed: int, planner_cfg: Optional[PlannerConfig],
                   ga: Optional[GaConfig]) -> tuple[dict, float, int, int]:
-    """One pipeline run: (stage -> seconds at the reference speed, travel
-    cost, A* expansions, chain states)."""
+    """One pipeline run: (stage -> CPU seconds, travel cost, A* expansions,
+    chain states)."""
     spec = random_instance(n_tasks, n_agents, seed)
-    cfg = ga or GaConfig(population=30, evaluations=150, seed=seed)
-    _, s1 = _timed(lambda: (export_pddl_domain(spec), export_pddl_problem(spec)))
-    plan, s2 = _timed(lambda: plan_mission(spec, planner_cfg or PlannerConfig(timeout=600)))
-    model, s3 = _timed(lambda: build_parametric_model(spec, plan))
-    _, s4 = _timed(lambda: synthesize(model, cfg))
-    times = {"s1_export": s1, "s2_plan": s2, "s3_model": s3, "s4_synthesis": s4}
+    timings: dict = {}
+    stage(timings, "s1_export", lambda: (export_pddl_domain(spec), export_pddl_problem(spec)))
+    plan = stage(timings, "s2_plan", plan_mission, spec, planner_cfg or PlannerConfig(timeout=600))
+    model = stage(timings, "s3_model", build_parametric_model, spec, plan)
+    stage(timings, "s4_synthesis", synthesize, model, ga or GaConfig(seed=seed))
     # model size convention: every budget at its cap
     comps = instantiate(model, all_max_assignment(model))
+    times = {name: cpu for name, (_, cpu) in timings.items()}
     return times, plan.travel_cost, plan.stats["expansions"], sum(d.n_states for _, d in comps)
 
 
@@ -182,8 +157,8 @@ def _best_of(n_tasks: int, n_agents: int, passes: list[list[tuple]]) -> CellResu
             raise InternalError(
                 f"sweep cell {n_tasks}x{n_agents}: travel cost or expansions differ between passes"
             )
-        for stage in times:
-            cell.samples.setdefault(stage, []).append(min(r[0][stage] for r in runs))
+        for name in times:
+            cell.samples.setdefault(name, []).append(min(r[0][name] for r in runs))
         cell.travel_costs.append(travel)
         cell.expansions.append(expansions)
         cell.chain_states.append(states)
@@ -200,7 +175,11 @@ def run_sweep(
     """Every cell, timed in ``SWEEP_PASSES`` interleaved passes over all
     cells.  A pass runs seed by seed, so the agent counts of one task count
     and seed run next to each other and a slow spell of the host tends to
-    hit them alike."""
+    hit them alike.  No seed, or an agent count below 1, is a ValueError."""
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    if min(agent_counts, default=0) < 1:
+        raise ValueError(f"agent_counts must be non-empty, each >= 1, got {agent_counts!r}")
     cells = [(t, a) for t in task_counts for a in agent_counts]
     passes = [
         {(t, a, s): _run_pipeline(t, a, s, planner_cfg, ga) for s in seeds for t, a in cells}

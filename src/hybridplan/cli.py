@@ -13,13 +13,12 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
 from .adaptation import run_scenario
 from .baseline import baseline_queries, build_full_mdp, enumerate_policies
-from .bench import run_sweep, sweep_to_csv
+from .bench import run_sweep, stage, sweep_to_csv
 from .chains import (
     all_max_assignment,
     all_min_assignment,
@@ -66,15 +65,6 @@ def _emit(doc) -> int:
     return 0
 
 
-def _stage(timings: dict, name: str, fn, *args):
-    """``fn(*args)``, with its wall-clock and CPU seconds recorded as
-    ``timings[name]``."""
-    t0, c0 = time.monotonic(), time.process_time()
-    result = fn(*args)
-    timings[name] = (time.monotonic() - t0, time.process_time() - c0)
-    return result
-
-
 def _planner_config(args) -> PlannerConfig:
     return PlannerConfig(timeout=args.timeout)
 
@@ -86,7 +76,7 @@ def _ga_config(args) -> GaConfig:
 def _plan(args, spec, timings: dict):
     """The searched plan, checked against the mission: a plan that breaks a
     mission rule is a planner fault (InternalError, exit 3), never output."""
-    plan = _stage(timings, "s2_plan", plan_mission, spec, _planner_config(args))
+    plan = stage(timings, "s2_plan", plan_mission, spec, _planner_config(args))
     violations = validate_plan(spec, plan)
     if violations:
         raise InternalError(f"planner produced an invalid plan: {violations}")
@@ -96,7 +86,7 @@ def _plan(args, spec, timings: dict):
 def _model(args, spec, timings: dict):
     """The checked plan and its parametric model."""
     plan = _plan(args, spec, timings)
-    return plan, _stage(timings, "s3_model", build_parametric_model, spec, plan)
+    return plan, stage(timings, "s3_model", build_parametric_model, spec, plan)
 
 
 def _retry_budgets(model, raw) -> dict[str, int]:
@@ -124,7 +114,7 @@ def cmd_plan(args):
 def cmd_synthesize(args):
     spec, out, timings = _read_spec(args), _out_dir(args), {}
     plan, model = _model(args, spec, timings)
-    archive = _stage(timings, "s4_synthesis", synthesize, model, _ga_config(args))
+    archive = stage(timings, "s4_synthesis", synthesize, model, _ga_config(args))
     save_archive(archive, out / "archive.json")
     artifacts = {
         "plan": _write(out / "plan.json", _json(plan.to_json())),
@@ -167,7 +157,7 @@ def cmd_simulate(args):
     if args.seed is None:
         args.seed = scenario.get("seed", 0)   # recorded in the manifest
     scenario["seed"] = args.seed
-    trace = _stage(timings, "simulate", run_scenario, spec, scenario)
+    trace = stage(timings, "simulate", run_scenario, spec, scenario)
     artifacts = {"trace": _write(out / "trace.jsonl", trace.to_jsonl())}
     _manifest(out, args, artifacts, timings)
     return _emit(
@@ -257,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def planner_flags(p, timeout=120.0):
+    def planner_flags(p, timeout=PlannerConfig.timeout):
         p.add_argument("--timeout", type=float, default=timeout)
 
     def ga_flags(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--pop", type=int, default=30)
-        p.add_argument("--evals", type=int, default=150)
+        p.add_argument("--pop", type=int, default=GaConfig.population)
+        p.add_argument("--evals", type=int, default=GaConfig.evaluations)
 
     def common(p, out=True, planner=True):
         p.add_argument("--spec", required=True, help=f"mission JSON path or bundled fixture {FIXTURES}")

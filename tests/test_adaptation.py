@@ -30,7 +30,7 @@ from hybridplan.bench import random_instance
 from hybridplan.chains import all_min_assignment, build_chains, build_parametric_model, closed_form_mission_metrics
 from hybridplan.errors import ScenarioError, UnrecoverableMission
 from hybridplan.planner import PlannerConfig, dispatch_slot, plan_mission
-from hybridplan.spec import build_problem_spec
+from hybridplan.spec import ProblemSpec, build_problem_spec
 from hybridplan.synthesis import (
     ArchiveEntry,
     GaConfig,
@@ -247,7 +247,7 @@ class TestReducePassign:
             field["spec"], field["plan"], field["model"],
             [field["deployed"]], field["deployed"], prefix_len,
         )
-        survivors = reduce_ps_passign(ctx, gamma)
+        survivors = reduce_ps_passign(ctx, ctx.spec.with_runtime_state(gamma=gamma))
         assert [e.retries for e in survivors] == [field["deployed"].retries]
         out = adapt(ctx, Change("C3", ctx.progress.clock, value=gamma))
         assert out.level == NA
@@ -256,6 +256,22 @@ class TestReducePassign:
         for task, agent in ctx.plan.allocation.items():
             if task not in ctx.completed():
                 assert ctx.spec.p_success(agent, task) >= gamma
+
+    def test_threshold_change_re_roots_the_spec_once(self, field, monkeypatch):
+        ctx = ctx_at(
+            field["spec"], field["plan"], field["model"],
+            [field["deployed"]], field["deployed"], 0,
+        )
+        calls = []
+        re_root = ProblemSpec.with_runtime_state
+
+        def counted(spec, *args, **kwargs):
+            calls.append(kwargs)
+            return re_root(spec, *args, **kwargs)
+
+        monkeypatch.setattr(ProblemSpec, "with_runtime_state", counted)
+        assert adapt(ctx, Change("C3", 0, value=0.5)).level == NA
+        assert calls == [{"gamma": 0.5}]
 
     @pytest.mark.parametrize("prefix_len", [0, 3])
     def test_disqualified_allocation_empties_set(self, vineyard, vineyard_plan, prefix_len):
@@ -268,7 +284,7 @@ class TestReducePassign:
         model = build_parametric_model(spec, vineyard_plan)
         deployed = make_entry(model, {"t2l8b": 2})
         ctx = ctx_at(spec, vineyard_plan, model, [deployed], deployed, prefix_len)
-        assert reduce_ps_passign(ctx, 0.9) == []
+        assert reduce_ps_passign(ctx, ctx.spec.with_runtime_state(gamma=0.9)) == []
         out = adapt(ctx, Change("C3", ctx.progress.clock, value=0.9))
         assert out.level == A3
         # the replan must not give the degraded pair the task
@@ -559,7 +575,7 @@ class TestOneSurvivorRule:
         reductions = [
             reduce_ps_tf(ctx, task),
             reduce_ps_psucc(ctx, floor),
-            reduce_ps_passign(ctx, gamma),
+            reduce_ps_passign(ctx, ctx.spec.with_runtime_state(gamma=gamma)),
             reduce_ps_ptask(ctx, agent, task) or [],
         ]
         assert all(consistent(ctx, e) for reduced in reductions for e in reduced)

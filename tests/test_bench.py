@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import statistics
@@ -78,13 +79,26 @@ class TestSweep:
         with pytest.raises(InternalError, match="differ between passes"):
             run_sweep(task_counts=(4,), agent_counts=(2,), seeds=(0,))
 
-    def test_stage_times_are_scaled_to_the_reference_speed(self, monkeypatch):
-        # a host running at half the reference speed takes twice as long for
-        # the yardstick and the stage alike; the scaled time is the stage's
-        # time at full speed
-        clock = itertools.count(step=0.5)
-        monkeypatch.setattr(bench.time, "process_time", lambda: next(clock))
-        monkeypatch.setattr(bench, "_yardstick", lambda: 2 * bench.YARDSTICK_S)
-        out, seconds = bench._timed(lambda: "done")
-        assert out == "done"
-        assert seconds == pytest.approx(0.25)
+    def test_stage_records_both_clocks_with_the_collector_paused(self, monkeypatch):
+        wall, cpu = itertools.count(step=2.0), itertools.count(step=0.5)
+        monkeypatch.setattr(bench.time, "monotonic", lambda: next(wall))
+        monkeypatch.setattr(bench.time, "process_time", lambda: next(cpu))
+        collecting = gc.isenabled()
+        try:
+            for caller_collects in (True, False):
+                (gc.enable if caller_collects else gc.disable)()
+                timings = {}
+                assert bench.stage(timings, "s2_plan", lambda x: (x, gc.isenabled()), 7) == (7, False)
+                assert timings == {"s2_plan": (2.0, 0.5)}
+                assert gc.isenabled() is caller_collects
+        finally:
+            (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize(
+        ("kwargs", "name"),
+        [({"seeds": ()}, "seeds"), ({"agent_counts": ()}, "agent_counts"), ({"agent_counts": (2, 0)}, "agent_counts")],
+    )
+    def test_empty_or_agentless_sweep_is_rejected(self, kwargs, name, monkeypatch):
+        monkeypatch.setattr(bench, "_run_pipeline", lambda *args: pytest.fail("a rejected sweep ran"))
+        with pytest.raises(ValueError, match=name):
+            run_sweep(**{"task_counts": (4,), "agent_counts": (2,), "seeds": (0,), **kwargs})

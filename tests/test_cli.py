@@ -226,6 +226,14 @@ class TestSubcommands:
         assert "s2_plan_gmedian_s" in rows[0]
         assert (tmp_path / "bench.csv").read_text().startswith("tasks,agents")
 
+    @pytest.mark.parametrize(("flags", "name"), [(["--reps", "0"], "seeds"), (["--agents", "0"], "agent_counts")])
+    def test_bench_rejects_an_empty_or_agentless_sweep(self, capsys, tmp_path, flags, name):
+        code, _, err = run(capsys, "bench", "--out", str(tmp_path), "--tasks", "4", *flags)
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError" and name in error["message"]
+        assert not (tmp_path / "bench.json").exists()
+
 
 class TestErrors:
     def test_missing_spec_file(self, capsys):

@@ -23,6 +23,9 @@ An agent's capability on a task is resolved in one place,
 agent's declared ``capabilities``, and the baseline reads the planner's
 table rather than asking the spec again.
 
+Stage timing has one home: ``bench.stage`` reads the CPU clock for both the
+CLI's manifest and the scaling sweep.
+
 A spec's runtime state has one home: the constructor takes the mission only
 and roots it at the default state, and ``ProblemSpec.with_runtime_state`` is
 the one place that sets placement, pending tasks, overrides or constraints.
@@ -124,6 +127,12 @@ def test_one_survivor_rule_and_one_allocation_check():
     (holds,) = function_defs(path, "_allocation_holds")
     reads = attribute_reads(path, "eligible")
     assert reads and all(holds.lineno <= line <= holds.end_lineno for line in reads)
+
+
+def test_cpu_clock_read_only_in_the_stage_timer():
+    reads = [(path.name, line) for path in sorted(SRC.glob("*.py")) for line in attribute_reads(path, "process_time")]
+    (timer,) = function_defs(SRC / "bench.py", "stage")
+    assert reads and all(name == "bench.py" and timer.lineno <= line <= timer.end_lineno for name, line in reads)
 
 
 def test_stages_come_from_the_level_table():
