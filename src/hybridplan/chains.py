@@ -13,8 +13,12 @@ budget-exhausted transition is bookkeeping into the failure sink and is
 free.  Chains absorb at success/failure, so no cost accrues past them.
 
 A chain is a DAG with two absorbing sinks, so one forward pass over its steps
-(`closed_form_chain_metrics`) gives its metrics exactly; that is the
-evaluator synthesis and adaptation use.  The explicit DTMCs (`instantiate`)
+(`closed_form_chain_metrics`) gives its metrics exactly; that is the one
+chain evaluator.  `closed_form_mission_metrics` combines the chains for a
+budget dictionary (synthesis's public `evaluate`); synthesis's
+genotype path calls the chain form directly, memoised per chain on the
+chain's slice of the genotype, and combines the chains in the same order, so
+both give the same bits.  The explicit DTMCs (`instantiate`)
 feed the model-checking engine, which serves as an oracle and behind
 `hybridplan verify`; each is a `pmc.Mdp` with one choice per state, the
 same model type as the baseline's MDPs.

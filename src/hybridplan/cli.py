@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -324,17 +325,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # every typed error is a RuntimeError or a ValueError (SpecError,
-    # ScenarioError and JSONDecodeError among the latter); an unreadable
-    # input file is an OSError
-    except (OSError, RuntimeError, ValueError) as exc:
+    # every typed input or infeasibility error is a RuntimeError or a
+    # ValueError (SpecError, ScenarioError and JSONDecodeError among the
+    # latter); an unreadable input file is an OSError.  Any other exception
+    # is a fault of the toolkit, and its document carries the traceback.
+    except Exception as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, SpecError) and exc.violations:
             error["error"]["violations"] = [vars(v) for v in exc.violations]
         if isinstance(exc, StateBudgetExceeded):
             error["error"]["states_reached"] = exc.states_reached
+        typed = isinstance(exc, (OSError, RuntimeError, ValueError))
+        if not typed:
+            error["error"]["traceback"] = traceback.format_exception(exc)
         print(json.dumps(error), file=sys.stderr)
-        return 3 if isinstance(exc, (InternalError, ConvergenceError)) else 1
+        return 1 if typed and not isinstance(exc, (InternalError, ConvergenceError)) else 3
 
 
 if __name__ == "__main__":

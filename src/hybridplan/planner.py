@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
-from .errors import ExpansionLimit, NoPlanExists, PlanTimeout
+from .errors import ExpansionLimit, InternalError, NoPlanExists, PlanTimeout
 from .spec import ProblemSpec
 from .world import (
     Action,
@@ -585,7 +585,7 @@ def build_plan(spec: ProblemSpec, actions: list[Action]) -> Plan:
     plan = Plan(list(actions), per_agent, allocation, travel)
     try:
         plan.timed = timed_schedule(spec, plan)
-    except RuntimeError:
+    except InternalError:
         plan.timed = {}
     return plan
 
@@ -634,7 +634,8 @@ def timed_schedule(spec: ProblemSpec, plan: Plan) -> dict[str, list[Action]]:
 
     Each slot is one ``dispatch_slot``; an agent that starts nothing waits.
     A slot that starts nothing leaves the state unchanged, so packing can
-    never progress again and raises.
+    never progress again and raises ``InternalError``: a planned trace always
+    packs, and ``build_plan`` catches the error for a trace that does not.
     """
     order = plan.total_order
     done = 0
@@ -643,7 +644,7 @@ def timed_schedule(spec: ProblemSpec, plan: Plan) -> dict[str, list[Action]]:
     while done < len(order):
         state, acted, done = dispatch_slot(spec, state, order, done)
         if not acted:
-            raise RuntimeError("parallel packing failed to make progress")
+            raise InternalError("parallel packing failed to make progress")
         for agent, lane in lanes.items():
             lane.append(acted[agent][0] if agent in acted else Wait(agent))
     for lane in lanes.values():

@@ -9,6 +9,17 @@ archive accumulates every feasible evaluation ever seen and keeps the
 nondominated ones, found by one sorted sweep that the baseline shares
 (`pareto_front`); several budget vectors may share one front point.
 
+The search, the enumeration and `extend_archive` score genotypes through one
+path, `_Evaluator`: each chain owns a contiguous slice of the genotype (the
+model's retry slots run in chain order), and the chain's closed form is
+memoised on that slice for the length of one run, so a chain whose budgets
+repeat is not walked again.  The chains combine in chain order, exactly as
+`closed_form_mission_metrics` does, so the objectives equal the public
+`evaluate`'s to the bit.  Genotypes drawn by the search or the enumeration
+lie inside the slot bounds by construction and are not validated; budget
+dictionaries from outside are, by `evaluate` and `extend_archive` (scenario
+budgets) and by `chains.checked_budgets` (``verify --retries``).
+
 Genotype spaces no larger than the evaluation budget (and the exhaustive
 limit) are enumerated outright instead of sampled; a randomised search
 cannot guarantee covering them, and for such small spaces enumeration is
@@ -26,7 +37,13 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .chains import ParametricPlanModel, RetryAssignment, closed_form_mission_metrics, validate_assignment
+from .chains import (
+    ParametricPlanModel,
+    RetryAssignment,
+    closed_form_chain_metrics,
+    closed_form_mission_metrics,
+    validate_assignment,
+)
 from .errors import LimitExceeded
 
 # Evaluation no longer calls these two, but they stay synthesis attributes:
@@ -127,25 +144,32 @@ class ParetoArchive:
         return buf.getvalue()
 
 
+def _log_sort_key(item: tuple[tuple[int, ...], Objectives]):
+    genotype, o = item
+    return (o.expected_cost, -o.success_prob, genotype)
+
+
 def _entry_sort_key(e: ArchiveEntry):
-    return (e.objectives.expected_cost, -e.objectives.success_prob, e.genotype)
+    return _log_sort_key((e.genotype, e.objectives))
 
 
 # ---------------------------------------------------------------------------
 # evaluation and dominance
 
 
+def _objectives(threshold: float, success_prob: float, expected_cost: float) -> Objectives:
+    """The one feasibility rule: a success below the floor ``threshold`` is
+    infeasible by the shortfall."""
+    violation = max(0.0, threshold - success_prob)
+    return Objectives(expected_cost, success_prob, violation == 0.0, violation)
+
+
 def evaluate(model: ParametricPlanModel, assignment: RetryAssignment) -> Objectives:
-    """Exact objectives of one budget vector by the chains' closed form."""
+    """Exact objectives of one validated budget vector by the chains' closed
+    form."""
     validate_assignment(model, assignment)
     success_prob, expected_cost = closed_form_mission_metrics(model, assignment)
-    violation = max(0.0, model.p_succ_threshold - success_prob)
-    return Objectives(
-        expected_cost=expected_cost,
-        success_prob=success_prob,
-        feasible=violation == 0.0,
-        violation=violation,
-    )
+    return _objectives(model.p_succ_threshold, success_prob, expected_cost)
 
 
 def dominates(a: Objectives, b: Objectives) -> bool:
@@ -172,34 +196,46 @@ def pareto_front(points) -> list[tuple[float, float]]:
     return front
 
 
-def _nondominated(entries: list[ArchiveEntry]) -> list[ArchiveEntry]:
-    """Takes feasible entries, among which constrained dominance is plain
-    (cost, success) dominance: keeps every entry at a `pareto_front` point."""
-    front = set(pareto_front(e.point() for e in entries))
-    return sorted((e for e in entries if e.point() in front), key=_entry_sort_key)
-
-
-# ---------------------------------------------------------------------------
-# genotype helpers
-
-
-def _genotype_to_assignment(model: ParametricPlanModel, genotype: Sequence[int]) -> RetryAssignment:
-    return {slot.task: g for slot, g in zip(model.retry_slots(), genotype)}
+def _nondominated(log: list[tuple[tuple[int, ...], Objectives]]) -> list[tuple[tuple[int, ...], Objectives]]:
+    """Takes feasible (genotype, objectives) evaluations, among which
+    constrained dominance is plain (cost, success) dominance: keeps every
+    evaluation at a `pareto_front` point, by ascending cost."""
+    front = set(pareto_front(o.as_pair() for _, o in log))
+    return sorted((item for item in log if item[1].as_pair() in front), key=_log_sort_key)
 
 
 class _Evaluator:
-    """Caching evaluation wrapper.  The cache is the evaluation log: a dict
-    keeps insertion order, so it lists each genotype once, in the order it
-    was first evaluated.  ``log`` seeds it with earlier evaluations."""
+    """Genotype evaluation for one run.  The cache is the evaluation log: a
+    dict keeps insertion order, so it lists each genotype once, in the order
+    it was first evaluated.  ``log`` seeds it with earlier evaluations.
+
+    Each chain is scored on its own slice of the genotype and memoised on
+    that slice; the memos live as long as the evaluator, one run."""
 
     def __init__(self, model: ParametricPlanModel, log=()):
         self.model = model
         self.cache: dict[tuple[int, ...], Objectives] = dict(log)
+        self.chains = []    # (chain, slice start, slice end, budgeted task ids, memo)
+        start = 0
+        for chain in model.chains:
+            tasks = tuple(slot.task for slot in chain.retry_slots)
+            self.chains.append((chain, start, start + len(tasks), tasks, {}))
+            start += len(tasks)
 
     def __call__(self, genotype: tuple[int, ...]) -> Objectives:
-        if genotype not in self.cache:
-            self.cache[genotype] = evaluate(self.model, _genotype_to_assignment(self.model, genotype))
-        return self.cache[genotype]
+        objectives = self.cache.get(genotype)
+        if objectives is None:
+            succ = 1.0
+            cost = 0.0
+            for chain, lo, hi, tasks, memo in self.chains:
+                key = genotype[lo:hi]
+                metrics = memo.get(key)
+                if metrics is None:
+                    metrics = memo[key] = closed_form_chain_metrics(chain, dict(zip(tasks, key)))
+                succ *= metrics[0]
+                cost += metrics[1]
+            objectives = self.cache[genotype] = _objectives(self.model.p_succ_threshold, succ, cost)
+        return objectives
 
     def evaluate_batch(self, genotypes: list[tuple[int, ...]]):
         """Evaluate the uncached genotypes of a batch in sorted order."""
@@ -211,10 +247,13 @@ class _Evaluator:
         return len(self.cache)
 
     def archive(self, seed: int, config: dict, exhaustive: bool) -> ParetoArchive:
-        """The run's archive: the feasible nondominated evaluations of the log."""
+        """The run's archive: the feasible nondominated evaluations of the
+        log, each with its budget dictionary."""
         log = list(self.cache.items())
-        entries = [ArchiveEntry(g, _genotype_to_assignment(self.model, g), o) for g, o in log if o.feasible]
-        return ParetoArchive(self.model.plan_hash, _nondominated(entries), seed, config, log, exhaustive)
+        tasks = [slot.task for slot in self.model.retry_slots()]
+        front = _nondominated([item for item in log if item[1].feasible])
+        entries = [ArchiveEntry(g, dict(zip(tasks, g)), o) for g, o in front]
+        return ParetoArchive(self.model.plan_hash, entries, seed, config, log, exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +322,21 @@ def _fast_nondominated_sort(objs: list[Objectives]) -> list[list[int]]:
 
 
 def _crowding(objs: list[Objectives], front: list[int]) -> dict[int, float]:
-    dist = {i: 0.0 for i in front}
+    """Deb's crowding distance of each member of ``front``, indices into
+    ``objs``: per objective, the members ranked by value (ties in front
+    order), the two ends infinite and each inner member the normalised gap
+    between its neighbours."""
     if len(front) <= 2:
-        for i in front:
-            dist[i] = float("inf")
-        return dist
-    for key in (lambda o: o.expected_cost, lambda o: o.success_prob):
-        ranked = sorted(front, key=lambda i: key(objs[i]))
-        lo, hi = key(objs[ranked[0]]), key(objs[ranked[-1]])
+        return dict.fromkeys(front, float("inf"))
+    dist = dict.fromkeys(front, 0.0)
+    for value in ({i: objs[i].expected_cost for i in front}, {i: objs[i].success_prob for i in front}):
+        ranked = sorted(front, key=value.__getitem__)
+        lo, hi = value[ranked[0]], value[ranked[-1]]
         dist[ranked[0]] = dist[ranked[-1]] = float("inf")
         if hi - lo <= 0:
             continue
         for pos in range(1, len(ranked) - 1):
-            gap = key(objs[ranked[pos + 1]]) - key(objs[ranked[pos - 1]])
-            dist[ranked[pos]] += gap / (hi - lo)
+            dist[ranked[pos]] += (value[ranked[pos + 1]] - value[ranked[pos - 1]]) / (hi - lo)
     return dist
 
 
@@ -318,7 +358,8 @@ def _next_generation(
     """One NSGA-II generation: rank and crowd ``pop``, breed offspring by
     tournament, uniform crossover and per-gene mutation, evaluate those the
     budget still allows, and keep the best ``cfg.population`` of the union."""
-    objs = [ev(g) for g in pop]
+    log = ev.cache    # every member of pop and of the union below is in it
+    objs = [log[g] for g in pop]
     rank_of: dict[tuple[int, ...], int] = {}
     crowd_of: dict[tuple[int, ...], float] = {}
     for r, front in enumerate(_fast_nondominated_sort(objs)):
@@ -328,17 +369,18 @@ def _next_generation(
             crowd_of[pop[i]] = cd[i]
 
     mut_rate = 1.0 / len(bounds)
+    rand = rng.random
     offspring: list[tuple[int, ...]] = []
     while len(offspring) < cfg.population:
         c1 = list(_tournament(rng, pop, rank_of, crowd_of))
         c2 = list(_tournament(rng, pop, rank_of, crowd_of))
-        if rng.random() < CROSSOVER_RATE:
+        if rand() < CROSSOVER_RATE:
             for k in range(len(bounds)):
-                if rng.random() < 0.5:
+                if rand() < 0.5:
                     c1[k], c2[k] = c2[k], c1[k]
         for child in (c1, c2):
             for k, (lo, hi) in enumerate(bounds):
-                if rng.random() < mut_rate:
+                if rand() < mut_rate:
                     child[k] = rng.randint(lo, hi)
         offspring.append(tuple(c1))
         if len(offspring) < cfg.population:
@@ -347,7 +389,7 @@ def _next_generation(
     ev.evaluate_batch(offspring)
 
     union = list(dict.fromkeys(pop + offspring))
-    uobjs = [ev(g) for g in union]
+    uobjs = [log[g] for g in union]
     new_pop: list[tuple[int, ...]] = []
     for front in _fast_nondominated_sort(uobjs):
         if len(new_pop) + len(front) <= cfg.population:

@@ -75,6 +75,15 @@ def test_evaluate_vineyard_max_budgets(benchmark, vineyard_model):
     assert (len(assignment), objectives.feasible) == (10, True)
 
 
+def test_evaluate_genotype_vineyard_max_budgets(benchmark, vineyard_model):
+    # the search's path to the same vector: one genotype through a fresh
+    # evaluator, so every chain is walked and nothing is validated
+    genotype = tuple(hi for _, hi in vineyard_model.bounds())
+    objectives = benchmark(lambda: _Evaluator(vineyard_model)(genotype))
+    assert (len(genotype), objectives) == (10, evaluate(vineyard_model, all_max_assignment(vineyard_model)))
+    assert objectives.feasible
+
+
 def test_nsga2_generation_on_vineyard(benchmark, vineyard_model):
     # each round breeds from the same seeded population with only that
     # population evaluated, so every round evaluates the same offspring

@@ -9,7 +9,7 @@ from hybridplan.adaptation import run_scenario
 from hybridplan.bench import random_instance
 from hybridplan.cli import main
 from hybridplan.fixtures import fixture_text, load_fixture
-from hybridplan.planner import PlanViolation
+from hybridplan.planner import PlanViolation, build_plan, plan_mission, timed_schedule
 from hybridplan.spec import serialize
 
 
@@ -333,6 +333,29 @@ class TestErrors:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "InternalError"
         assert stdout == "" and list(tmp_path.iterdir()) == []
+
+    def test_an_untyped_exception_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
+        def lookup_bug(spec, cfg):
+            raise KeyError("t1")
+
+        monkeypatch.setattr(hybridplan.cli, "plan_mission", lookup_bug)
+        code, stdout, err = run(capsys, "plan", "--spec", "vineyard", "--out", str(tmp_path))
+        assert code == 3 and stdout == ""
+        error = json.loads(err)["error"]
+        assert (error["type"], error["message"]) == ("KeyError", "'t1'")
+        assert "lookup_bug" in "".join(error["traceback"])
+
+    def test_a_packing_stall_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
+        # a trace whose first action is not enabled cannot be packed
+        def stalled(spec, cfg):
+            plan = plan_mission(spec, cfg)
+            return timed_schedule(spec, build_plan(spec, plan.total_order[::-1]))
+
+        monkeypatch.setattr(hybridplan.cli, "plan_mission", stalled)
+        code, _, err = run(capsys, "plan", "--spec", "vineyard", "--out", str(tmp_path))
+        assert code == 3
+        error = json.loads(err)["error"]
+        assert (error["type"], error["message"]) == ("InternalError", "parallel packing failed to make progress")
 
     def test_non_convergence_is_an_internal_fault(self, capsys, monkeypatch):
         # value iteration is the one iterative solver; one sweep cannot converge

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,13 @@ from hybridplan.chains import (
 )
 from hybridplan.errors import LimitExceeded
 from hybridplan.planner import plan_mission
+from hybridplan import synthesis
 from hybridplan.pmc import factored_mission_metrics
 from hybridplan.synthesis import (
     ArchiveEntry,
     GaConfig,
     Objectives,
+    _Evaluator,
     _fast_nondominated_sort,
     _nondominated,
     dominates,
@@ -118,6 +121,55 @@ class TestEvaluate:
         assert obj.feasible == (oracle.success_prob >= model.p_succ_threshold)
 
 
+class TestGenotypePath:
+    """The search scores genotypes through ``_Evaluator``: per-chain memos
+    on budget slices, no validation, and the public ``evaluate``'s result."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 6), st.integers(2, 3), st.integers(0, 10_000), st.data())
+    def test_equals_evaluate_to_the_bit(self, n_tasks, n_agents, seed, data):
+        # random missions with the retry slots of some chains stripped, so
+        # that chains without slots (an empty budget slice) are covered;
+        # budgets near the low bound repeat slices, so the warm evaluator
+        # answers many chains from its memo
+        spec = random_instance(n_tasks, n_agents, seed)
+        base = build_parametric_model(spec, plan_mission(spec))
+        stripped = data.draw(st.sets(st.sampled_from(range(len(base.chains)))))
+        chains = [
+            AgentChain(c.agent, tuple(replace(s, retry_cap=0) if k in stripped else s for s in c.steps))
+            for k, c in enumerate(base.chains)
+        ]
+        model = ParametricPlanModel(chains, base.p_succ_threshold, base.plan_hash)
+        slots = model.retry_slots()
+        genes = [st.one_of(st.integers(s.lo, s.lo + 1), st.integers(s.lo, s.hi)) for s in slots]
+        genotypes = data.draw(st.lists(st.tuples(*genes), min_size=1, max_size=30, unique=True))
+        warm = _Evaluator(model)
+        for genotype in genotypes:
+            expected = evaluate(model, {s.task: g for s, g in zip(slots, genotype)})
+            assert _Evaluator(model)(genotype) == expected
+            assert warm(genotype) == expected
+        assert list(warm.cache) == genotypes
+
+    def test_seeded_vineyard_run_counts_its_chain_walks(self, vineyard_model, monkeypatch):
+        # the memo's deterministic companion: 150 evaluations of two chains
+        # walk 233 of the 300 chain slices, and validate nothing; a second
+        # run walks 233 again, so no memo outlives its synthesis
+        calls = {"chain": 0, "validate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name, attr in (("chain", "closed_form_chain_metrics"), ("validate", "validate_assignment")):
+            monkeypatch.setattr(synthesis, attr, counted(name, getattr(synthesis, attr)))
+        for run in (1, 2):
+            archive = synthesize(vineyard_model, GaConfig(seed=0))
+            assert (archive.exhaustive, archive.evaluated, len(vineyard_model.chains)) == (False, 150, 2)
+            assert calls == {"chain": 233 * run, "validate": 0}
+
+
 class TestDominance:
     def feas(self, cost, prob):
         return Objectives(cost, prob, True, 0.0)
@@ -160,7 +212,8 @@ def test_sweep_keeps_the_quadratic_filters_entries(rows):
     # feasible entries with distinct genotypes; small sampled pools repeat
     # costs and whole points, so ties at a front point are exercised
     entries = [ArchiveEntry(g, {"a": g[0], "b": g[1]}, Objectives(c, p, True, 0.0)) for g, c, p in rows]
-    assert [e.genotype for e in _nondominated(entries)] == [e.genotype for e in quadratic_nondominated(entries)]
+    log = [(e.genotype, e.objectives) for e in entries]
+    assert [g for g, _ in _nondominated(log)] == [e.genotype for e in quadratic_nondominated(entries)]
 
 
 def pairwise_nondominated_sort(objs):
