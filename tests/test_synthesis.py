@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridplan import synthesis
 from hybridplan.bench import random_instance
 from hybridplan.chains import (
     AgentChain,
@@ -16,7 +17,6 @@ from hybridplan.chains import (
 )
 from hybridplan.errors import LimitExceeded
 from hybridplan.planner import plan_mission
-from hybridplan import synthesis
 from hybridplan.pmc import factored_mission_metrics
 from hybridplan.synthesis import (
     ArchiveEntry,
@@ -141,7 +141,7 @@ class TestGenotypePath:
         ]
         model = ParametricPlanModel(chains, base.p_succ_threshold, base.plan_hash)
         slots = model.retry_slots()
-        genes = [st.one_of(st.integers(s.lo, s.lo + 1), st.integers(s.lo, s.hi)) for s in slots]
+        genes = [st.one_of(st.integers(s.lo, min(s.lo + 1, s.hi)), st.integers(s.lo, s.hi)) for s in slots]
         genotypes = data.draw(st.lists(st.tuples(*genes), min_size=1, max_size=30, unique=True))
         warm = _Evaluator(model)
         for genotype in genotypes:
