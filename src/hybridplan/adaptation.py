@@ -59,7 +59,7 @@ from .chains import (
     checked_budgets,
     task_factors,
 )
-from .errors import NoPlanExists, ScenarioError, UnrecoverableMission
+from .errors import InputError, NoPlanExists, ScenarioError, UnrecoverableMission
 from .planner import Plan, PlannerConfig, build_plan, dispatch_slot, plan_mission, validate_plan
 from .spec import ProblemSpec
 from .synthesis import ArchiveEntry, GaConfig, ParetoArchive, _entry_sort_key, extend_archive, synthesize
@@ -97,19 +97,19 @@ class Change:
 
     def __post_init__(self):
         if self.kind not in ("C1", "C2", "C3", "C4"):
-            raise ValueError(f"unknown change kind '{self.kind}'")
+            raise InputError(f"unknown change kind '{self.kind}'")
         if self.time < 0:
-            raise ValueError("change time must be >= 0")
+            raise InputError("change time must be >= 0")
         if self.kind == "C1" and not self.task:
-            raise ValueError("C1 requires a task")
+            raise InputError("C1 requires a task")
         if self.kind in ("C2", "C3", "C4") and self.value is None:
-            raise ValueError(f"{self.kind} requires a value")
+            raise InputError(f"{self.kind} requires a value")
         if self.kind in ("C2", "C3", "C4") and not 0.0 <= self.value <= 1.0:
-            raise ValueError("probabilities must lie in [0,1]")
+            raise InputError("probabilities must lie in [0,1]")
         if self.kind in ("C2", "C3") and self.value == 0.0:
-            raise ValueError(f"{VALUE_KEYS[self.kind]} must lie in (0,1], got {self.value!r}")
+            raise InputError(f"{VALUE_KEYS[self.kind]} must lie in (0,1], got {self.value!r}")
         if self.kind == "C4" and (not self.task or not self.agent):
-            raise ValueError("C4 requires an agent and a task")
+            raise InputError("C4 requires an agent and a task")
 
     @staticmethod
     def from_json(doc: dict) -> "Change":
@@ -351,7 +351,7 @@ def adapt(ctx: ExecutionContext, change: Change) -> AdaptationOutcome:
     the context (the execution loop owns applying it).  A change naming
     what the mission lacks is a ScenarioError (``validate_scenario``)."""
     if change.time < ctx.progress.clock:
-        raise ValueError("change lies in the past")
+        raise InputError("change lies in the past")
     validate_scenario(ctx.spec, [change])
 
     spec_after = ctx.spec

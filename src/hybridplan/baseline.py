@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InfiniteRewardError, LimitExceeded, StateBudgetExceeded
+from .errors import InfiniteRewardError, InputError, LimitExceeded, StateBudgetExceeded
 from .planner import _Compact
 from .pmc import Mdp, expected_reward, induced_chain, reach_probability
 from .spec import ProblemSpec
@@ -51,7 +51,7 @@ RUNNING, SUCCESS, FAIL = 0, 1, 2
 
 def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
     """Explicit MDP over joint states; raises StateBudgetExceeded on blow-up
-    and ValueError for a budget below one state.
+    and InputError for a budget below one state.
 
     A joint state is ``(world, counters, terminal)``: the number of the
     packed world key, the non-zero failure counters as sorted ``(Do code,
@@ -59,7 +59,7 @@ def build_full_mdp(spec: ProblemSpec, state_budget: int = 500_000) -> Mdp:
     order from a depth-first stack, the initial state first.
     """
     if state_budget < 1:
-        raise ValueError(f"state budget must be at least 1, got {state_budget!r}")
+        raise InputError(f"state budget must be at least 1, got {state_budget!r}")
     problem = _Compact(spec)
     n_tasks, n_locs, pending = len(problem.task_ids), len(problem.loc_ids), problem.pending
     shift, field = problem.shift, problem.field

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chains import all_max_assignment, build_parametric_model, instantiate
-from .errors import InternalError
+from .errors import InputError, InternalError
 from .pddl import export_pddl_domain, export_pddl_problem
 from .planner import PlannerConfig, plan_mission
 from .spec import ProblemSpec, build_problem_spec
@@ -175,11 +175,11 @@ def run_sweep(
     """Every cell, timed in ``SWEEP_PASSES`` interleaved passes over all
     cells.  A pass runs seed by seed, so the agent counts of one task count
     and seed run next to each other and a slow spell of the host tends to
-    hit them alike.  No seed, or an agent count below 1, is a ValueError."""
+    hit them alike.  No seed, or an agent count below 1, is an InputError."""
     if not seeds:
-        raise ValueError("seeds must not be empty")
+        raise InputError("seeds must not be empty")
     if min(agent_counts, default=0) < 1:
-        raise ValueError(f"agent_counts must be non-empty, each >= 1, got {agent_counts!r}")
+        raise InputError(f"agent_counts must be non-empty, each >= 1, got {agent_counts!r}")
     cells = [(t, a) for t in task_counts for a in agent_counts]
     passes = [
         {(t, a, s): _run_pipeline(t, a, s, planner_cfg, ga) for s in seeds for t, a in cells}

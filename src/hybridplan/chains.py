@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InputError
 from .planner import Plan
 from .spec import ProblemSpec
 from .world import Do, Move
@@ -144,11 +145,11 @@ def build_parametric_model(spec: ProblemSpec, plan: Plan) -> ParametricPlanModel
 
 def validate_assignment(model: ParametricPlanModel, assignment: RetryAssignment):
     """``assignment`` budgets every retry slot of ``model`` by the rule of
-    ``checked_budgets``; ValueError otherwise."""
-    checked_budgets(model, assignment, ValueError, "assignment")
+    ``checked_budgets``; InputError otherwise."""
+    checked_budgets(model, assignment, InputError, "assignment")
     for s in model.retry_slots():
         if s.task not in assignment:
-            raise ValueError(f"assignment missing budget for '{s.task}'")
+            raise InputError(f"assignment missing budget for '{s.task}'")
 
 
 def checked_budgets(model: ParametricPlanModel, budgets, error: type, what: str) -> RetryAssignment:
@@ -307,7 +308,7 @@ def simulate_mission_mc(
     Returns point estimates plus standard errors.
     """
     if type(runs) is not int or runs < 1:
-        raise ValueError(f"runs must be an integer >= 1, got {runs!r}")
+        raise InputError(f"runs must be an integer >= 1, got {runs!r}")
     validate_assignment(model, assignment)
     rng = np.random.default_rng(seed)
     succ_sum = 0

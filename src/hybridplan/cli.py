@@ -27,7 +27,7 @@ from .chains import (
     checked_budgets,
     instantiate,
 )
-from .errors import ConvergenceError, InternalError, ScenarioError, SpecError, StateBudgetExceeded
+from .errors import InputError, InternalError, ScenarioError, SpecError, StateBudgetExceeded
 from .pddl import export_pddl_domain, export_pddl_problem
 from .planner import PlannerConfig, plan_metrics, plan_mission, validate_plan
 from .pmc import factored_mission_metrics
@@ -319,27 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Exit 1 on a bad input or an infeasible mission,
-    3 on an internal fault; argparse exits 2 on a bad command line."""
+    """Run one subcommand.  Exit 1 on an ``InputError``, an ``OSError`` or
+    malformed JSON; 3 on any other exception, a fault of the toolkit whose
+    error document carries the traceback.  argparse exits 2 on a bad argv."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # every typed input or infeasibility error is a RuntimeError or a
-    # ValueError (SpecError, ScenarioError and JSONDecodeError among the
-    # latter); an unreadable input file is an OSError.  Any other exception
-    # is a fault of the toolkit, and its document carries the traceback.
     except Exception as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if isinstance(exc, SpecError) and exc.violations:
             error["error"]["violations"] = [vars(v) for v in exc.violations]
         if isinstance(exc, StateBudgetExceeded):
             error["error"]["states_reached"] = exc.states_reached
-        typed = isinstance(exc, (OSError, RuntimeError, ValueError))
-        if not typed:
+        user_fault = isinstance(exc, (InputError, OSError, json.JSONDecodeError))
+        if not user_fault:
             error["error"]["traceback"] = traceback.format_exception(exc)
         print(json.dumps(error), file=sys.stderr)
-        return 1 if typed and not isinstance(exc, (InternalError, ConvergenceError)) else 3
+        return 1 if user_fault else 3
 
 
 if __name__ == "__main__":

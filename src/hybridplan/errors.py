@@ -1,7 +1,16 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+``InputError`` and its subclasses are what the user must fix: a bad or
+infeasible input.  Any other exception, typed (``InternalError``,
+``ConvergenceError``, ``ModelError``) or not, is a fault of the toolkit.
+"""
 
 
-class SpecError(ValueError):
+class InputError(ValueError):
+    """A bad or infeasible input: the user must change it, not the code."""
+
+
+class SpecError(InputError):
     """A mission specification failed to parse or validate.
 
     Carries the list of violation records that caused the failure.
@@ -12,11 +21,11 @@ class SpecError(ValueError):
         self.violations = list(violations or [])
 
 
-class NoPlanExists(RuntimeError):
+class NoPlanExists(InputError):
     """The planning problem has no solution (goal unreachable)."""
 
 
-class PlanTimeout(RuntimeError):
+class PlanTimeout(InputError):
     """Planner exceeded its configured wall-clock budget."""
 
 
@@ -33,7 +42,7 @@ class InfiniteRewardError(ArithmeticError):
     """Expected reward query on a target that is not reached almost surely."""
 
 
-class StateBudgetExceeded(RuntimeError):
+class StateBudgetExceeded(InputError):
     """Explicit-state model construction hit the state budget.
 
     The count reached is itself a result (it documents blow-up), so it is
@@ -45,15 +54,15 @@ class StateBudgetExceeded(RuntimeError):
         self.states_reached = states_reached
 
 
-class LimitExceeded(RuntimeError):
+class LimitExceeded(InputError):
     """An enumeration (genotype space, policy space) exceeded its limit."""
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     """A runtime scenario file violates its contract (ordering, rates)."""
 
 
-class UnrecoverableMission(RuntimeError):
+class UnrecoverableMission(InputError):
     """Adaptation escalated to a full replan and no plan exists."""
 
 

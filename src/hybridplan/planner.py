@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
-from .errors import ExpansionLimit, InternalError, NoPlanExists, PlanTimeout
+from .errors import ExpansionLimit, InputError, InternalError, NoPlanExists, PlanTimeout
 from .spec import ProblemSpec
 from .world import (
     Action,
@@ -97,12 +97,12 @@ class PlannerConfig:
 
     def __post_init__(self):
         if self.heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic '{self.heuristic}'")
+            raise InputError(f"unknown heuristic '{self.heuristic}'")
         # NaN fails both comparisons; inf would let the search run unbounded
         if type(self.timeout) not in (int, float) or not 0 < self.timeout < INF:
-            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout!r}")
+            raise InputError(f"timeout must be a finite number > 0, got {self.timeout!r}")
         if type(self.max_expansions) is not int or self.max_expansions < 1:
-            raise ValueError(f"max_expansions must be an integer >= 1, got {self.max_expansions!r}")
+            raise InputError(f"max_expansions must be an integer >= 1, got {self.max_expansions!r}")
 
 
 @dataclass

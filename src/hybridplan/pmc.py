@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InfiniteRewardError, ModelError, StateBudgetExceeded
+from .errors import ConvergenceError, InfiniteRewardError, InputError, ModelError, StateBudgetExceeded
 
 DENSE_LIMIT = 225          # measured dense/sparse-direct crossover (unknowns)
 MAX_SWEEPS = 1_000_000     # iteration cap of value iteration
@@ -199,7 +199,7 @@ def compose_product(components: Sequence[tuple[str, Mdp]], state_budget: int = 2
     cross-check oracle for the factored metrics.
     """
     if state_budget < 1:
-        raise ValueError(f"state budget must be at least 1, got {state_budget!r}")
+        raise InputError(f"state budget must be at least 1, got {state_budget!r}")
     if not components:
         raise ModelError("cannot compose an empty component list")
     chains = [c for _, c in components]
@@ -416,7 +416,7 @@ def mdp_min_bounded_reward(mdp: Mdp, bound: int = 20) -> float:
     rounds of backward induction over all states at once."""
     cm = mdp.compiled()
     if bound < 0:
-        raise ValueError("bound must be >= 0")
+        raise InputError("bound must be >= 0")
     x = np.zeros(mdp.n_states)
     for _ in range(bound):
         x = np.minimum.reduceat(cm.reward + cm.trans @ x, cm.starts)

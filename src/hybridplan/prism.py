@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .chains import AgentChain, ParametricPlanModel, RetryAssignment, validate_assignment
+from .errors import InputError
 
 
 def _fmt(x: float) -> str:
@@ -32,7 +33,7 @@ def _bound(agent: str, task: str) -> str:
 def export_model_source(model: ParametricPlanModel, assignment: Optional[RetryAssignment] = None) -> str:
     """Render the model as guarded-command probabilistic module text."""
     if not model.chains:
-        raise ValueError("degenerate model: no agent chains")
+        raise InputError("degenerate model: no agent chains")
     if assignment is not None:
         validate_assignment(model, assignment)
     out: list[str] = ["dtmc", ""]
@@ -123,7 +124,7 @@ def _render_module(chain: AgentChain) -> list[str]:
 def export_properties(model: ParametricPlanModel) -> str:
     """Constraint plus the two optimisation objectives, one per line."""
     if not model.chains:
-        raise ValueError("degenerate model: no agent chains")
+        raise InputError("degenerate model: no agent chains")
     return "\n".join(
         [
             f'P>={_fmt(model.p_succ_threshold)} [ F "success" ]',

@@ -44,7 +44,7 @@ from .chains import (
     closed_form_mission_metrics,
     validate_assignment,
 )
-from .errors import LimitExceeded
+from .errors import InputError, LimitExceeded
 
 # Evaluation no longer calls these two, but they stay synthesis attributes:
 # benchmark/spans.py wraps them by name.
@@ -84,9 +84,9 @@ class GaConfig:
 
     def __post_init__(self):
         if type(self.population) is not int or self.population < 2:
-            raise ValueError(f"population must be an integer >= 2, got {self.population!r}")
+            raise InputError(f"population must be an integer >= 2, got {self.population!r}")
         if type(self.evaluations) is not int or self.evaluations < self.population:
-            raise ValueError(f"evaluations must be an integer >= population, got {self.evaluations!r}")
+            raise InputError(f"evaluations must be an integer >= population, got {self.evaluations!r}")
 
 
 @dataclass

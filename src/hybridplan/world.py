@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from .errors import InputError
 from .spec import ProblemSpec
 
 
@@ -162,13 +163,13 @@ _ACTION_FIELDS = {"move": (Move, ("agent", "from", "to")), "do": (Do, ("agent", 
 
 
 def action_from_json(raw) -> Action:
-    """The move or task ``action_to_json`` wrote as ``raw``; ValueError for
+    """The move or task ``action_to_json`` wrote as ``raw``; InputError for
     any other type (a wait is no trace action), a missing or extra key or a
     field that is no string."""
     kind = raw.get("type") if isinstance(raw, dict) else None
     if not isinstance(kind, str) or kind not in _ACTION_FIELDS:
-        raise ValueError(f"unknown action {raw!r}")
+        raise InputError(f"unknown action {raw!r}")
     cls, keys = _ACTION_FIELDS[kind]
     if set(raw) != {"type", *keys} or not all(isinstance(raw[k], str) for k in keys):
-        raise ValueError(f"malformed {kind} action {raw!r}")
+        raise InputError(f"malformed {kind} action {raw!r}")
     return cls(*(raw[k] for k in keys))

@@ -231,7 +231,7 @@ class TestSubcommands:
         code, _, err = run(capsys, "bench", "--out", str(tmp_path), "--tasks", "4", *flags)
         assert code == 1
         error = json.loads(err)["error"]
-        assert error["type"] == "ValueError" and name in error["message"]
+        assert error["type"] == "InputError" and name in error["message"]
         assert not (tmp_path / "bench.json").exists()
 
 
@@ -306,7 +306,7 @@ class TestErrors:
         code, out, err = run(capsys, "plan", "--spec", "vineyard", "--out", str(tmp_path), f"--timeout={timeout}")
         assert code == 1 and out == ""
         error = strict_json(err)["error"]
-        assert error["type"] == "ValueError"
+        assert error["type"] == "InputError"
         assert "timeout must be a finite number > 0" in error["message"]
         assert list(tmp_path.iterdir()) == []
 
@@ -317,11 +317,36 @@ class TestErrors:
         assert error["type"] == "StateBudgetExceeded"
         assert error["states_reached"] == 1000
 
+    @pytest.mark.parametrize(
+        "argv, kind, message",
+        [
+            pytest.param(["synthesize", "--spec", "m2", "--pop", "1"], "InputError", "population must", id="pop"),
+            pytest.param(["synthesize", "--spec", "m2", "--evals", "5"], "InputError", "evaluations must", id="evals"),
+            pytest.param(["baseline", "--spec", "m1_mini", "--bound=-1"], "InputError", "bound must", id="bound"),
+            pytest.param(["verify", "--spec", "m2", "--retries", "{bad"], "JSONDecodeError", "Expecting", id="retries"),
+            # the one CLI path to prism's check: a mission without tasks plans to no chain
+            pytest.param(["export-prism", "--spec", "TASKLESS"], "InputError", "degenerate model", id="taskless"),
+        ],
+    )
+    def test_a_bad_value_exits_1(self, capsys, tmp_path, argv, kind, message):
+        doc = json.loads(fixture_text("m2"))
+        doc["tasks"] = []
+        for agent in doc["agents"]:
+            agent["tasks"] = []
+        (tmp_path / "taskless.json").write_text(json.dumps(doc))
+        argv = [str(tmp_path / "taskless.json") if a == "TASKLESS" else a for a in argv]
+        out = [] if argv[0] in ("verify", "baseline") else ["--out", str(tmp_path / "out")]
+        code, stdout, err = run(capsys, *argv, *out)
+        assert code == 1 and stdout == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == kind and message in error["message"]
+        assert "traceback" not in error
+
     def test_baseline_state_budget_below_one(self, capsys):
         code, out, err = run(capsys, "baseline", "--spec", "m1_mini", "--state-budget", "0")
         assert code == 1 and out == ""
         error = json.loads(err)["error"]
-        assert error["type"] == "ValueError"
+        assert error["type"] == "InputError"
         assert "states_reached" not in error
 
     @pytest.mark.parametrize("subcommand", ["plan", "synthesize", "verify", "export-prism"])
@@ -334,16 +359,22 @@ class TestErrors:
         assert json.loads(err)["error"]["type"] == "InternalError"
         assert stdout == "" and list(tmp_path.iterdir()) == []
 
-    def test_an_untyped_exception_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
-        def lookup_bug(spec, cfg):
-            raise KeyError("t1")
+    @pytest.mark.parametrize(
+        "bug",
+        [KeyError("t1"), ValueError("max() arg is an empty sequence"), RuntimeError("self-check failed")],
+        ids=type,
+    )
+    def test_an_untyped_exception_is_an_internal_fault(self, capsys, tmp_path, monkeypatch, bug):
+        # only the class decides: a builtin ValueError or RuntimeError is a bug, not a bad input
+        def planner_bug(spec, cfg):
+            raise bug
 
-        monkeypatch.setattr(hybridplan.cli, "plan_mission", lookup_bug)
+        monkeypatch.setattr(hybridplan.cli, "plan_mission", planner_bug)
         code, stdout, err = run(capsys, "plan", "--spec", "vineyard", "--out", str(tmp_path))
         assert code == 3 and stdout == ""
         error = json.loads(err)["error"]
-        assert (error["type"], error["message"]) == ("KeyError", "'t1'")
-        assert "lookup_bug" in "".join(error["traceback"])
+        assert (error["type"], error["message"]) == (type(bug).__name__, str(bug))
+        assert "planner_bug" in "".join(error["traceback"])
 
     def test_a_packing_stall_is_an_internal_fault(self, capsys, tmp_path, monkeypatch):
         # a trace whose first action is not enabled cannot be packed

@@ -29,14 +29,23 @@ CLI's manifest and the scaling sweep.
 A spec's runtime state has one home: the constructor takes the mission only
 and roots it at the default state, and ``ProblemSpec.with_runtime_state`` is
 the one place that sets placement, pending tasks, overrides or constraints.
+
+Whose fault an error is has one home, the exception's class: the user must
+fix an ``InputError``, and ``cli.main`` decides its exit code by that class,
+not by a list of builtin bases.  ``InfiniteRewardError`` stays outside it:
+only ``pmc.expected_reward`` raises it, every agent chain ends in its success
+or failure sink, and ``enumerate_policies`` catches it, so if it ever escapes
+it is a fault.
 """
 
 import ast
+import builtins
 import dataclasses
 import inspect
 from pathlib import Path
 
 import hybridplan.adaptation as adaptation
+import hybridplan.errors as errors
 from hybridplan.adaptation import Progress
 from hybridplan.chains import ChainStep, ParametricPlanModel, RetrySlot
 from hybridplan.spec import Agent, ProblemSpec
@@ -183,3 +192,31 @@ def test_runtime_state_is_set_only_by_the_re_root():
     writes = [(path.name, *w) for path in sorted(SRC.glob("*.py")) for w in runtime_state_writes(path)]
     assert {w[:3] for w in writes} == {("spec.py", "ProblemSpec", "with_runtime_state")}
     assert {w[3] for w in writes} == RUNTIME_STATE   # the scan sees every write it allows
+
+
+def test_input_errors_are_one_class_tree():
+    classes = {name: cls for name, cls in vars(errors).items() if isinstance(cls, type)}
+    inputs = {name for name, cls in classes.items() if issubclass(cls, errors.InputError)}
+    assert inputs == {
+        "InputError", "SpecError", "ScenarioError", "NoPlanExists", "PlanTimeout", "ExpansionLimit",
+        "StateBudgetExceeded", "LimitExceeded", "UnrecoverableMission",
+    }
+    assert {"ModelError", "InfiniteRewardError", "InternalError", "ConvergenceError"} <= classes.keys() - inputs
+    # one base each, so no second parent (RuntimeError) can decide anything
+    assert all(len(classes[name].__bases__) == 1 for name in inputs)
+
+
+def test_cli_exit_code_names_no_builtin_base():
+    (main,) = function_defs(SRC / "cli.py", "main")
+    (handler,) = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert isinstance(handler.type, ast.Name) and handler.type.id == "Exception"   # the one catch-all
+    builtin_errors = {
+        node.id
+        for stmt in handler.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(getattr(builtins, node.id, None), type)
+        and issubclass(getattr(builtins, node.id), BaseException)
+    }
+    assert builtin_errors == {"OSError"}
+    attributes = {ast.unparse(node) for node in ast.walk(main) if isinstance(node, ast.Attribute)}
+    assert "json.JSONDecodeError" in attributes
